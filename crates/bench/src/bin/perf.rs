@@ -8,13 +8,14 @@
 //!   peak buffered records per cell.
 //! * **Sweep section** — the paper-shaped sweep: every registered design
 //!   over one streamed `mix` workload, run through the
-//!   [`sqip::SweepEngine`] in both modes. Per-cell mode re-runs the
-//!   generator and dependence oracle once per design; shared-pass mode
-//!   pulls the stream once and drives all cells in lock-step, so the
-//!   section also reports the shared-ring high-water mark and each
-//!   consumer's peak window/lag (the memory observables), alongside the
-//!   wall-clock speedup. Results are asserted bit-identical across
-//!   modes on every iteration.
+//!   [`sqip::SweepEngine`] and, as the baseline, as one plain
+//!   `Processor::try_from_source(..).try_run()` per design. The per-cell
+//!   baseline re-runs the generator and dependence oracle once per
+//!   design; the shared pass pulls the stream once and drives all cells
+//!   in lock-step, so the section also reports the shared-ring
+//!   high-water mark and each consumer's peak window/lag (the memory
+//!   observables), alongside the wall-clock speedup. Results are
+//!   asserted bit-identical on every iteration.
 //! * **Trace-file sweep section** — the same sweep over an on-disk SQTR
 //!   trace (`tracefile:` workload; the mix stream recorded once at
 //!   startup). Replay pays a per-byte varint decode on every record, so
@@ -71,7 +72,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use sqip::{
     by_name, DesignRegistry, Engine, Experiment, Processor, SchedCounters, SimConfig, SimStats,
-    SqDesign, StepOutcome, SweepEngine, SweepMode, Workload, WorkloadRegistry,
+    SqDesign, StepOutcome, SweepEngine, Workload, WorkloadRegistry,
 };
 use sqip_bench::geomean;
 use sqip_isa::Trace;
@@ -351,32 +352,46 @@ fn measure_sweep(workload: &str, iters: u32) -> Sweep {
         .designs(designs.iter().copied())
         .threads(1);
 
-    let run = |mode: SweepMode| {
+    let run = || {
         SweepEngine::new()
             .threads(1)
-            .mode(mode)
             .run_with_telemetry(&experiment)
-            .unwrap_or_else(|e| panic!("sweep ({mode:?}): {e}"))
+            .unwrap_or_else(|e| panic!("sweep: {e}"))
     };
-    // Warmup both modes and pin equality once up front.
-    let (shared_results, telemetry) = run(SweepMode::SharedPass);
-    let (per_cell_results, _) = run(SweepMode::PerCell);
+    // The per-cell baseline: every design simulates the workload alone,
+    // re-running the generator and the dependence oracle each time.
+    let cells = experiment.cells().unwrap_or_else(|e| panic!("{e}"));
+    let per_cell = || -> Vec<SimStats> {
+        cells
+            .iter()
+            .map(|cell| {
+                let source = cell.workload.open().unwrap_or_else(|e| panic!("{e}"));
+                Processor::try_from_source(cell.config.clone(), source)
+                    .and_then(Processor::try_run)
+                    .unwrap_or_else(|e| panic!("per-cell {}: {e}", cell.label()))
+            })
+            .collect()
+    };
+    // Warmup both and pin equality once up front.
+    let (shared_results, telemetry) = run();
+    let per_cell_results = per_cell();
+    let shared_stats: Vec<SimStats> = shared_results.iter().map(|r| r.stats.clone()).collect();
     assert_eq!(
-        shared_results, per_cell_results,
-        "sweep modes must be bit-identical"
+        shared_stats, per_cell_results,
+        "shared-pass sweep must be bit-identical to per-cell runs"
     );
 
     let mut shared_wall = f64::INFINITY;
     let mut per_cell_wall = f64::INFINITY;
     for _ in 0..iters {
         let t = Instant::now();
-        let (again, _) = run(SweepMode::SharedPass);
+        let (again, _) = run();
         shared_wall = shared_wall.min(t.elapsed().as_secs_f64());
         assert_eq!(again, shared_results, "non-deterministic shared sweep");
         let t = Instant::now();
-        let (again, _) = run(SweepMode::PerCell);
+        let again = per_cell();
         per_cell_wall = per_cell_wall.min(t.elapsed().as_secs_f64());
-        assert_eq!(again, per_cell_results, "non-deterministic per-cell sweep");
+        assert_eq!(again, per_cell_results, "non-deterministic per-cell runs");
     }
 
     let total_insts: u64 = shared_results.iter().map(|r| r.stats.committed).sum();

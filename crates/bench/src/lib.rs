@@ -212,23 +212,20 @@ pub mod workloads {
     }
 }
 
-/// Shared `--sweep-mode <shared|per-cell>` / `--threads <n>` handling for
-/// the figure and table regenerator binaries: every sweep they run goes
-/// through the [`sqip::SweepEngine`], so the execution strategy (one
-/// shared pass per workload group — the default — or one independent
-/// pass per cell) and the worker-thread count are command-line knobs.
-/// Results are bit-identical across modes and thread counts; the flags
-/// exist for benchmarking and for debugging one mode against the other.
+/// Shared `--threads <n>` / `--shard i/n` / `--shard-out FILE` handling
+/// for the figure and table regenerator binaries: every sweep they run
+/// goes through the [`sqip::SweepEngine`], so the worker-thread count and
+/// the shard selection are command-line knobs. Results are bit-identical
+/// across thread counts, and a split's merged shards are byte-identical
+/// to the unsharded sweep.
 pub mod sweep_flags {
-    use sqip::{Experiment, ResultSet, ShardSpec, SqipError, SweepEngine, SweepMode};
+    use sqip::{Experiment, ResultSet, ShardSpec, SqipError, SweepEngine};
 
     /// Parsed sweep-execution flags.
     #[derive(Debug, Clone)]
     pub struct SweepArgs {
         /// Worker threads (`None`: one per core).
         pub threads: Option<usize>,
-        /// Execution mode (default: shared-pass).
-        pub mode: SweepMode,
         /// Run only this slice of the sweep and emit a shard artifact
         /// instead of the figure/table (`--shard i/n`).
         pub shard: Option<ShardSpec>,
@@ -238,7 +235,7 @@ pub mod sweep_flags {
     }
 
     impl SweepArgs {
-        /// Runs `experiment` under the selected mode and thread count.
+        /// Runs `experiment` under the selected thread count.
         ///
         /// # Errors
         ///
@@ -253,7 +250,7 @@ pub mod sweep_flags {
                      several sweeps; run it unsharded"
                 )));
             }
-            let mut engine = SweepEngine::new().mode(self.mode);
+            let mut engine = SweepEngine::new();
             if let Some(threads) = self.threads {
                 engine = engine.threads(threads);
             }
@@ -292,8 +289,8 @@ pub mod sweep_flags {
         }
     }
 
-    /// Extracts `--sweep-mode <shared|per-cell>`, `--threads <n>`,
-    /// `--shard i/n` and `--shard-out FILE` from `args`, returning the
+    /// Extracts `--threads <n>`, `--shard i/n` and `--shard-out FILE`
+    /// from `args`, returning the
     /// parsed knobs and the remaining arguments.
     ///
     /// # Errors
@@ -304,7 +301,6 @@ pub mod sweep_flags {
     ) -> Result<(SweepArgs, Vec<String>), String> {
         let mut parsed = SweepArgs {
             threads: None,
-            mode: SweepMode::SharedPass,
             shard: None,
             shard_out: None,
         };
@@ -321,20 +317,6 @@ pub mod sweep_flags {
                             .map_err(|_| format!("--threads: `{n}` is not a count"))?
                             .max(1),
                     );
-                }
-                "--sweep-mode" => {
-                    let mode = it.next().ok_or_else(|| {
-                        "--sweep-mode requires `shared` or `per-cell`".to_string()
-                    })?;
-                    parsed.mode = match mode.as_str() {
-                        "shared" | "shared-pass" => SweepMode::SharedPass,
-                        "per-cell" | "percell" => SweepMode::PerCell,
-                        other => {
-                            return Err(format!(
-                                "--sweep-mode: `{other}` is neither `shared` nor `per-cell`"
-                            ))
-                        }
-                    };
                 }
                 "--shard" => {
                     let spec = it

@@ -42,7 +42,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::oracle::OracleBuilder;
 use crate::pipeline::window::{RecordWindow, SeqRing};
-use crate::pipeline::{StepOutcome, WATCHDOG_CYCLES};
+use crate::pipeline::{EvKind, StepOutcome, WATCHDOG_CYCLES};
 use crate::policy::{DesignCaps, PolicyHost};
 use crate::shared::Analysis;
 use crate::stats::SimStats;
@@ -208,11 +208,6 @@ pub(crate) struct EventCore<'t> {
     pub(crate) broadcasts: u64,
     /// Ready-lane tail peeks during issue selection.
     pub(crate) ready_touches: u64,
-    /// Test knob: route executions, broadcasts and store wakes through
-    /// the wheel (the PR 9 scheduling shape) instead of the near
-    /// structures. The differential proptests pin both shapes
-    /// bit-identical. Not serialised; defaults to off.
-    pub(crate) wheel_only_broadcasts: bool,
 
     // ---- dense per-seq value state (survives commit; slots reset as
     // their sequence numbers re-enter rename) ----
@@ -289,7 +284,6 @@ impl<'t> EventCore<'t> {
             near_ops: 0,
             broadcasts: 0,
             ready_touches: 0,
-            wheel_only_broadcasts: false,
             vals: SeqRing::new(cfg.rob_size, cfg.fetch_width),
             sq: StoreQueue::new(cfg.sq_size),
             lq: LoadQueue::new(cfg.lq_size),
@@ -662,6 +656,13 @@ impl EventCore<'_> {
         self.ready_q = ReadyLanes::load(r)?;
         self.ready_q.rebuild_classes(&self.window);
         self.wheel = EventWheel::load(r)?;
+        if self.wheel.holds(EvKind::StoreWake) {
+            // This engine queues store wakes off the wheel (`store_wakes`),
+            // so no snapshot it wrote holds one there.
+            return Err(sqip_snapshot::SnapError::Corrupt(
+                "event wheel holds a speculative store wake".into(),
+            ));
+        }
         self.near = NearRing::<u64>::load(r)?;
         self.near_execs = NearRing::<(u64, u64)>::load(r)?;
         self.store_wakes = std::collections::VecDeque::<(u64, u64)>::load(r)?;

@@ -37,13 +37,13 @@ impl EventCore<'_> {
             };
             // The fused hot path: zero wheel events per issued
             // instruction. The Exec, broadcast and speculative store
-            // wake that PR 9 all put on the wheel ride the off-wheel
-            // near structures; the wheel keeps only what doesn't fit —
-            // `issue_to_exec = 0` Execs (requested for the current
-            // cycle, delivered via the wheel's past-event clamping) and
-            // long-latency broadcasts past the ring span.
+            // wake ride the off-wheel near structures; the wheel keeps
+            // only what doesn't fit — `issue_to_exec = 0` Execs
+            // (requested for the current cycle, delivered via the
+            // wheel's past-event clamping) and long-latency broadcasts
+            // past the ring span.
             let exec_at = self.cycle + self.cfg.issue_to_exec;
-            if !self.wheel_only_broadcasts && fits_near(self.cycle, exec_at) {
+            if fits_near(self.cycle, exec_at) {
                 self.near_execs.schedule(exec_at, (seq, inc));
                 self.near_ops += 1;
             } else {
@@ -55,23 +55,14 @@ impl EventCore<'_> {
                 // store so their SQ read chases its SQ write. Always due
                 // next cycle, and same-cycle stores issue oldest-first
                 // (ascending SSN), so the queue stays sorted by
-                // (due, ssn) — the wheel's StoreWake drain order.
-                if self.wheel_only_broadcasts {
-                    self.wheel.schedule(
-                        self.cycle,
-                        self.cycle + 1,
-                        EvKind::StoreWake,
-                        my_ssn.0,
-                        inc,
-                    );
-                } else {
-                    debug_assert!(self
-                        .store_wakes
-                        .back()
-                        .is_none_or(|&last| last < (self.cycle + 1, my_ssn.0)));
-                    self.store_wakes.push_back((self.cycle + 1, my_ssn.0));
-                    self.near_ops += 1;
-                }
+                // (due, ssn) — the reference heap's StoreWake drain
+                // order.
+                debug_assert!(self
+                    .store_wakes
+                    .back()
+                    .is_none_or(|&last| last < (self.cycle + 1, my_ssn.0)));
+                self.store_wakes.push_back((self.cycle + 1, my_ssn.0));
+                self.near_ops += 1;
             }
 
             // Wakeup broadcast for register consumers, timed so a
@@ -87,7 +78,7 @@ impl EventCore<'_> {
                 // Short predicted latencies (the dominant ALU chains) go
                 // to the near ring; anything past its span falls back to
                 // the wheel, which has no horizon.
-                if !self.wheel_only_broadcasts && fits_near(self.cycle, broadcast_at) {
+                if fits_near(self.cycle, broadcast_at) {
                     self.near.schedule(broadcast_at, seq);
                     self.near_ops += 1;
                 } else {
@@ -144,11 +135,11 @@ impl EventCore<'_> {
     ///    commute — gate releases at one cycle are order-independent
     ///    arithmetic, duplicate wakes no-op on the state check, and
     ///    waiter registration happens only inside Exec arms.
-    /// 3. **The wheel**, whose internal order is unchanged. With fusing
-    ///    on it holds only wake deliveries for this cycle (every
-    ///    same-cycle Exec is either fused or, under `issue_to_exec =
-    ///    0`, clamped into phase 1), so phases 2–3 together are one
-    ///    commuting block of deliveries.
+    /// 3. **The wheel**, whose internal order is unchanged. It holds
+    ///    only wake deliveries for this cycle (every same-cycle Exec is
+    ///    either fused or, under `issue_to_exec = 0`, clamped into
+    ///    phase 1), so phases 2–3 together are one commuting block of
+    ///    deliveries.
     /// 4. **Fused near Execs**, in issue (= ascending seq) order —
     ///    matching the heap, which sorts same-cycle Execs after every
     ///    same-cycle delivery kind and by seq among themselves.
@@ -202,10 +193,9 @@ impl EventCore<'_> {
                     self.wake_one(seq, false);
                 }
             }
-            EvKind::StoreWake => {
-                // `seq` carries the store's SSN, not a sequence number.
-                self.wake_all(WakeRing::StoreExec, seq);
-            }
+            // Store wakes always ride the `store_wakes` FIFO, and
+            // restoring a snapshot whose wheel holds one fails.
+            EvKind::StoreWake => unreachable!("store wakes never ride the event wheel"),
             EvKind::Exec => {
                 if alive(&self.insts) {
                     self.do_execute(Seq(seq));

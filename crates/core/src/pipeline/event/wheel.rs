@@ -50,8 +50,9 @@ pub struct WheelEvent {
 /// exactly the order `BinaryHeap<Reverse<(cycle, kind, seq, inc)>>`
 /// would.
 ///
-/// Used by the event engine for wakeup broadcasts, targeted re-wakes,
-/// speculative store wakes and execute-stage entry. The wheel also
+/// Used by the event engine for what its off-wheel near structures
+/// cannot hold: targeted re-wakes, long-latency broadcasts and
+/// past-requested execute-stage entries. The wheel also
 /// answers the engine's skip-ahead question — [`EventWheel::next_at`] is
 /// the earliest cycle at which any event is due — in O(occupied span).
 pub struct EventWheel {
@@ -255,6 +256,12 @@ impl EventWheel {
     #[must_use]
     pub fn ops(&self) -> u64 {
         self.ops
+    }
+
+    /// Whether any pending event is of `kind`.
+    pub(crate) fn holds(&self, kind: EvKind) -> bool {
+        let mut events = self.buckets.iter().flatten().chain(&self.current);
+        events.any(|e| e.kind == kind) || self.far.iter().any(|Reverse((_, e))| e.kind == kind)
     }
 }
 

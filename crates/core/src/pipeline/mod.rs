@@ -334,17 +334,6 @@ impl<'t> Processor<'t> {
         }
     }
 
-    /// Test knob: routes every broadcast and speculative store wake
-    /// through the event wheel (the pre-fusion scheduling shape) so
-    /// differential tests can pin the fused off-wheel path bit-identical
-    /// against it. No-op under the reference engine.
-    #[doc(hidden)]
-    pub fn set_wheel_only_scheduling(&mut self, on: bool) {
-        if let Core::Event(c) = &mut self.core {
-            c.wheel_only_broadcasts = on;
-        }
-    }
-
     /// Advances the simulation by one *step*.
     ///
     /// Under the reference engine a step is exactly one cycle. Under the
@@ -365,8 +354,27 @@ impl<'t> Processor<'t> {
     /// and [`SimError::TraceSource`] if the trace source fails mid-stream
     /// (I/O error, corrupt trace file, interpreter fault).
     pub fn step(&mut self) -> Result<StepOutcome, SimError> {
+        self.step_bounded(u64::MAX)
+    }
+
+    /// Advances by one step that never jumps past `cycle_limit`: like
+    /// [`Processor::step`], except that the event engine caps its
+    /// idle-cycle skip-ahead to land exactly on `cycle_limit` when the
+    /// next active cycle lies beyond it. A step always advances at least
+    /// one cycle. The reference engine steps one cycle, as ever.
+    ///
+    /// This is the one stepping primitive: [`Processor::step`],
+    /// [`Processor::run_until`], [`Processor::run_observed`] and the
+    /// sweep engine's lock-step loop all drive the simulation through
+    /// it, which is how observers land on their interval boundaries
+    /// exactly wherever they run.
+    ///
+    /// # Errors
+    ///
+    /// As [`Processor::step`].
+    pub fn step_bounded(&mut self, cycle_limit: u64) -> Result<StepOutcome, SimError> {
         match &mut self.core {
-            Core::Event(c) => c.step_bounded(u64::MAX),
+            Core::Event(c) => c.step_bounded(cycle_limit),
             Core::Reference(c) => c.step(),
         }
     }
@@ -380,11 +388,7 @@ impl<'t> Processor<'t> {
     /// Propagates [`SimError::Deadlock`] from [`Processor::step`].
     pub fn run_until(&mut self, cycle_limit: u64) -> Result<StepOutcome, SimError> {
         while self.cycle() < cycle_limit {
-            let outcome = match &mut self.core {
-                Core::Event(c) => c.step_bounded(cycle_limit)?,
-                Core::Reference(c) => c.step()?,
-            };
-            if outcome == StepOutcome::Done {
+            if self.step_bounded(cycle_limit)? == StepOutcome::Done {
                 return Ok(StepOutcome::Done);
             }
         }
@@ -432,11 +436,7 @@ impl<'t> Processor<'t> {
         loop {
             // The next interval boundary strictly after the current cycle.
             let boundary = (self.cycle() / interval + 1) * interval;
-            let outcome = match &mut self.core {
-                Core::Event(c) => c.step_bounded(boundary)?,
-                Core::Reference(c) => c.step()?,
-            };
-            if outcome == StepOutcome::Done {
+            if self.step_bounded(boundary)? == StepOutcome::Done {
                 break;
             }
             if self.cycle().is_multiple_of(interval)

@@ -695,9 +695,9 @@ mod engine_tests {
     /// Exec/Wake/broadcast entries in the near rings and on the wheel
     /// after every squash, and replays re-register waiters while those
     /// stale events still drain. The incarnation checks (and cleared
-    /// waiter rings) must make every stale delivery a no-op: fused,
-    /// wheel-only and reference runs stay bit-identical, with the
-    /// squash + replay traffic provably present.
+    /// waiter rings) must make every stale delivery a no-op: the event
+    /// and reference runs stay bit-identical, with the squash + replay
+    /// traffic provably present.
     #[test]
     fn replay_while_squashed_drops_stale_events_in_every_shape() {
         let mut b = ProgramBuilder::new();
@@ -729,18 +729,17 @@ mod engine_tests {
         b.halt();
         let trace = trace_program(&b.build().unwrap(), 1_000_000).unwrap();
 
-        let run = |engine: Engine, wheel_only: bool| {
+        let run = |engine: Engine| {
             let mut cfg = SimConfig::with_design(SqDesign::Indexed3FwdDly);
             cfg.engine = engine;
-            let mut proc = Processor::new(cfg, &trace);
-            proc.set_wheel_only_scheduling(wheel_only);
-            proc.try_run().expect("run completes")
+            Processor::new(cfg, &trace)
+                .try_run()
+                .expect("run completes")
         };
-        let fused = run(Engine::Event, false);
+        let fused = run(Engine::Event);
         assert!(fused.flushes > 0, "no squashes: test exercises nothing");
         assert!(fused.replays > 0, "no replays: test exercises nothing");
-        assert_eq!(fused, run(Engine::Event, true), "fused vs wheel-only");
-        assert_eq!(fused, run(Engine::Reference, false), "event vs reference");
+        assert_eq!(fused, run(Engine::Reference), "event vs reference");
     }
 
     /// Negative path for the fused drain order: a single-cycle ALU
@@ -749,7 +748,7 @@ mod engine_tests {
     /// insertion and issue selection interlock cycle by cycle. Any
     /// off-by-one in the drain phases (wake delivered after issue
     /// selection, or an Exec before a same-cycle broadcast) changes the
-    /// cycle count; all three scheduling shapes must agree.
+    /// cycle count against the reference engine.
     #[test]
     fn same_cycle_issue_and_wake_ordering_is_shape_invariant() {
         let mut b = ProgramBuilder::new();
@@ -770,17 +769,16 @@ mod engine_tests {
         b.halt();
         let trace = trace_program(&b.build().unwrap(), 1_000_000).unwrap();
 
-        let run = |engine: Engine, wheel_only: bool| {
+        let run = |engine: Engine| {
             let mut cfg = SimConfig::with_design(SqDesign::Indexed3FwdDly);
             cfg.engine = engine;
-            let mut proc = Processor::new(cfg, &trace);
-            proc.set_wheel_only_scheduling(wheel_only);
-            proc.try_run().expect("run completes")
+            Processor::new(cfg, &trace)
+                .try_run()
+                .expect("run completes")
         };
-        let fused = run(Engine::Event, false);
+        let fused = run(Engine::Event);
         assert_eq!(fused.committed, trace.len() as u64);
-        assert_eq!(fused, run(Engine::Event, true), "fused vs wheel-only");
-        assert_eq!(fused, run(Engine::Reference, false), "event vs reference");
+        assert_eq!(fused, run(Engine::Reference), "event vs reference");
     }
 
     /// `run_until` is cycle-exact under skip-ahead: the event engine

@@ -287,43 +287,6 @@ proptest! {
         }
     }
 
-    /// **The differential property pinning the fused scheduler.** The
-    /// event engine's two scheduling shapes — fused (near rings + store
-    /// FIFO, zero wheel events on the issue hot path) and wheel-only
-    /// (every Exec, broadcast and store wake on the wheel, PR 9's
-    /// shape) — must be **bit-identical** on any random program, under
-    /// every builtin design (plus the registry extension) and a random
-    /// machine geometry. With `issue_to_exec` ranging down to 0 this
-    /// also pins the past-event clamping path against the fused drain
-    /// order.
-    #[test]
-    fn fused_scheduling_matches_wheel_only_bit_for_bit(
-        body in proptest::collection::vec(stmt_strategy(), 4..28),
-        iters in 20i64..60,
-        knobs in config_knobs_strategy(),
-    ) {
-        let trace = build_trace(&body, iters);
-        let mut designs: Vec<SqDesign> = SqDesign::ALL.to_vec();
-        designs.push("indexed-5-fwd+dly".parse().expect("extension registered"));
-        for design in designs {
-            let mut cfg = knobs.apply(SimConfig::with_design(design));
-            cfg.engine = Engine::Event;
-            cfg.try_validate().expect("generated config is valid");
-            let fused = Processor::new(cfg.clone(), &trace)
-                .try_run()
-                .expect("fused run");
-            let wheel_only = {
-                let mut p = Processor::new(cfg.clone(), &trace);
-                p.set_wheel_only_scheduling(true);
-                p.try_run().expect("wheel-only run")
-            };
-            prop_assert_eq!(
-                &fused, &wheel_only,
-                "scheduling shapes diverge under {} with {:?}", design, knobs
-            );
-        }
-    }
-
     /// The same differential property under the LQ-CAM ordering scheme
     /// (mid-window squashes instead of full flushes), for the
     /// associative designs that support it.

@@ -45,4 +45,4 @@ pub use journal::{Journal, PendingJob};
 pub use loader::{run_load, BurstReport, LatencySummary, LoadReport, LoaderConfig, SloReport};
 pub use protocol::{Request, Response, StatsSnapshot};
 pub use queue::{FairQueue, PushError};
-pub use server::{RateLimit, Server, ServerConfig, ServerHandle};
+pub use server::{RateLimit, Server, ServerConfig, ServerHandle, MAX_REQUEST_LINE};

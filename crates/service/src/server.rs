@@ -14,9 +14,11 @@
 //!
 //! # Backpressure
 //!
-//! Memory is bounded at every stage: the job queue admits at most
-//! `queue_capacity` jobs (pushes beyond that are *rejected*, not
-//! buffered), and each connection's response channel holds at most
+//! Memory is bounded at every stage: a request line is read into at
+//! most [`MAX_REQUEST_LINE`] bytes (a longer one is answered with an
+//! error and discarded), the job queue admits at most `queue_capacity`
+//! jobs (pushes beyond that are *rejected*, not buffered), and each
+//! connection's response channel holds at most
 //! [`RESPONSE_CHANNEL_DEPTH`] messages. A worker streaming rows to a
 //! client that has stopped reading blocks on that bounded channel,
 //! polling its cancel token — so a stalled client wedges only its own
@@ -45,6 +47,11 @@ use crate::queue::{FairQueue, PushError};
 /// produced by workers and consumed at socket speed, and the channel is
 /// the only per-connection buffering.
 pub const RESPONSE_CHANNEL_DEPTH: usize = 256;
+
+/// The longest request line the server reads, newline included. A
+/// longer line is answered with [`Response::Error`] and discarded as it
+/// arrives, so no connection ever buffers more than this.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// The cancel reason that marks shutdown — the one way a job may stop
 /// *without* settling its journal entry, so a restarted server re-runs
@@ -811,35 +818,92 @@ fn writer_loop(stream: TcpStream, rx: &Receiver<Response>) {
     }
 }
 
+/// What [`read_request_line`] found.
+enum LineRead {
+    /// A line (possibly unterminated at end of stream) is in the buffer.
+    Line,
+    /// The line was longer than the limit; it was consumed, not kept.
+    TooLong,
+    /// The stream ended.
+    Eof,
+}
+
+/// Reads one `\n`-terminated line into `buf`, keeping at most `limit`
+/// bytes: a longer line is consumed to its end without being stored.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    limit: usize,
+) -> io::Result<LineRead> {
+    buf.clear();
+    let mut too_long = false;
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(match (too_long, buf.is_empty()) {
+                (true, _) => LineRead::TooLong,
+                (false, true) => LineRead::Eof,
+                (false, false) => LineRead::Line,
+            });
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(chunk.len(), |i| i + 1);
+        if !too_long && buf.len() + take > limit {
+            too_long = true;
+            buf.clear();
+        }
+        if !too_long {
+            buf.extend_from_slice(&chunk[..take]);
+        }
+        reader.consume(take);
+        if newline.is_some() {
+            return Ok(if too_long {
+                LineRead::TooLong
+            } else {
+                LineRead::Line
+            });
+        }
+    }
+}
+
 fn reader_loop(shared: &Arc<Shared>, client: u64, stream: &TcpStream, tx: &SyncSender<Response>) {
     let Ok(read_stream) = stream.try_clone() else {
         return;
     };
     let mut lines = BufReader::new(read_stream);
-    let mut line = String::new();
+    let mut buf = Vec::new();
+    let bad_line = |reason: String| Response::Error {
+        id: String::new(),
+        reason,
+    };
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        line.clear();
-        match lines.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
+        match read_request_line(&mut lines, &mut buf, MAX_REQUEST_LINE) {
+            Ok(LineRead::Eof) | Err(_) => return,
+            Ok(LineRead::TooLong) => {
+                let reason = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+                send_response(tx, None, bad_line(reason));
+                continue;
+            }
+            Ok(LineRead::Line) => {}
         }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            send_response(tx, None, bad_line("request line is not UTF-8".into()));
+            continue;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let request = match from_line::<Request>(&line) {
+        let request = match from_line::<Request>(line) {
             Ok(req) => req,
             Err(err) => {
-                send_response(
-                    tx,
-                    None,
-                    Response::Error {
-                        id: String::new(),
-                        reason: format!("bad request line: {err}"),
-                    },
-                );
+                send_response(tx, None, bad_line(format!("bad request line: {err}")));
                 continue;
             }
         };

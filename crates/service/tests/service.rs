@@ -7,7 +7,9 @@
 use std::time::{Duration, Instant};
 
 use sqip::{ExperimentSpec, ResultSet};
-use sqip_service::{Connection, JobStatus, Request, Response, Server, ServerConfig, ServerHandle};
+use sqip_service::{
+    Connection, JobStatus, Request, Response, Server, ServerConfig, ServerHandle, MAX_REQUEST_LINE,
+};
 
 fn spawn(cfg: ServerConfig) -> ServerHandle {
     Server::spawn("127.0.0.1:0", cfg).expect("bind an ephemeral port")
@@ -386,6 +388,32 @@ fn bad_input_is_reported_without_killing_the_connection() {
     let outcome = conn.run_job("good", &small_spec(), None).unwrap();
     assert!(outcome.is_complete());
 
+    server.shutdown();
+}
+
+/// An oversized request line is answered with an error, never
+/// buffered whole, and the server keeps serving: a second connection
+/// still gets `Pong`.
+#[test]
+fn oversized_request_line_is_rejected_in_bounded_memory() {
+    use std::io::{BufRead, Write};
+    let server = spawn(ServerConfig::default());
+
+    let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    let mut line = vec![b'x'; MAX_REQUEST_LINE + 4096];
+    line.push(b'\n');
+    raw.write_all(&line).unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    match sqip_service::protocol::from_line::<Response>(&reply) {
+        Ok(Response::Error { reason, .. }) => assert!(reason.contains("longer than"), "{reason}"),
+        other => panic!("expected an error response, got {other:?}"),
+    }
+
+    let mut conn = Connection::connect(server.addr()).unwrap();
+    conn.send(&Request::Ping).unwrap();
+    assert!(matches!(conn.recv().unwrap(), Response::Pong));
     server.shutdown();
 }
 

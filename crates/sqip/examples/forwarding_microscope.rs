@@ -8,8 +8,11 @@
 //! raw indexed SQ flushes, and how the delay index predictor converts
 //! those flushes into bounded delays.
 //!
-//! The custom program enters the sweep as a [`Workload::from_trace`] cell,
-//! so hand-built traces and Table 3 models drive through the same API.
+//! The custom program enters the sweep as a [`RegisteredWorkload`]
+//! factory over a streaming [`ProgramSource`], so hand-built programs and
+//! Table 3 models drive through the same API: the sweep pulls the
+//! program's record stream once and runs all four designs off that one
+//! pass.
 //!
 //! ```text
 //! cargo run --release -p sqip --example forwarding_microscope
@@ -17,8 +20,8 @@
 
 #![forbid(unsafe_code)]
 
-use sqip::{Experiment, SqDesign, Workload};
-use sqip_isa::{trace_program, ProgramBuilder, Reg};
+use sqip::{Experiment, ProgramSource, RegisteredWorkload, SqDesign, Workload};
+use sqip_isa::{ProgramBuilder, Reg};
 use sqip_types::DataSize;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,12 +41,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     b.add_imm(ctr, ctr, -1);
     b.branch_nz(ctr, top);
     b.halt();
-    let trace = trace_program(&b.build()?, 1_000_000)?;
-
-    println!("X[i] = 3*X[i-2], {} dynamic instructions\n", trace.len());
+    let program = b.build()?;
+    let recurrence =
+        RegisteredWorkload::from_factory("nmr-recurrence", "X[i] = 3*X[i-2]", move || {
+            Ok(Box::new(ProgramSource::new(program.clone(), 1_000_000)) as Box<_>)
+        });
 
     let results = Experiment::new()
-        .workload(Workload::from_trace("nmr-recurrence", trace))
+        .workload(Workload::from(recurrence))
         .designs([
             SqDesign::IdealOracle,
             SqDesign::Associative3,
@@ -52,6 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ])
         .run()?;
 
+    println!(
+        "X[i] = 3*X[i-2], {} dynamic instructions\n",
+        results.records()[0].stats.committed
+    );
     println!(
         "{:<22} {:>9} {:>7} {:>10} {:>9} {:>9}",
         "design", "cycles", "IPC", "misfwd/1k", "%delayed", "avg delay"

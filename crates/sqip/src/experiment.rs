@@ -2,21 +2,17 @@
 //! designs × config variants, executed in parallel with deterministic
 //! results.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sqip_core::{Processor, SimConfig, SimObserver, SimStats, SqDesign};
-use sqip_isa::Trace;
+use sqip_core::{SimConfig, SimObserver, SimStats, SqDesign};
+use sqip_isa::{IsaError, TraceSource};
 use sqip_workloads::{RegisteredWorkload, Suite, WorkloadRegistry, WorkloadSpec};
-
-use sqip_core::ObserverAction;
 
 use crate::cache::{CacheDir, CacheOutcome};
 use crate::error::SqipError;
-use crate::parallel::{default_threads, parallel_map};
 use crate::results::{ResultSet, RunRecord};
 use crate::shard::{ShardResult, ShardSpec};
-use crate::sweep::{emit_cell_event, CancelToken, CellEventFn};
+use crate::sweep::SweepEngine;
 
 /// A config mutation shared across sweep cells.
 pub type ConfigFn = Arc<dyn Fn(&mut SimConfig) + Send + Sync>;
@@ -29,42 +25,22 @@ pub type ObserverFn = Arc<dyn Fn(&Run) -> Box<dyn SimObserver> + Send + Sync>;
 /// [`Experiment::vary`] axis.
 pub const BASE_VARIANT: &str = "base";
 
-/// One point on the experiment's workload axis: a synthetic benchmark
-/// model, a pre-built custom trace, or a streaming source resolved from
-/// the [`WorkloadRegistry`].
+/// One point on the experiment's workload axis: a named record stream.
+///
+/// A Table 3 model ([`WorkloadSpec`]), a name resolved from the
+/// [`WorkloadRegistry`] (models, `mix:`/`chase:`/`stride:` generators,
+/// `tracefile:` replays) and any [`RegisteredWorkload`] factory are all
+/// the same thing here: each sweep group opens one fresh stream
+/// ([`Workload::open`]) and pulls it through the simulator in O(window)
+/// memory — nothing is materialized, so run length is unbounded.
 #[derive(Clone)]
-pub enum Workload {
-    /// A synthetic Table 3 benchmark model (traced on demand, once per
-    /// experiment, however many cells share it).
-    Spec(WorkloadSpec),
-    /// A pre-built golden trace under a display name.
-    Trace {
-        /// Display name used in records and labels.
-        name: String,
-        /// The shared trace.
-        trace: Arc<Trace>,
-    },
-    /// A streaming workload: each cell opens a fresh record stream from
-    /// the entry's factory and pulls it through the simulator in
-    /// O(window) memory — nothing is materialized, so run length is
-    /// unbounded.
-    Source(RegisteredWorkload),
-}
+pub struct Workload(RegisteredWorkload);
 
 impl Workload {
-    /// Wraps a pre-built trace as a workload.
-    #[must_use]
-    pub fn from_trace(name: impl Into<String>, trace: Trace) -> Workload {
-        Workload::Trace {
-            name: name.into(),
-            trace: Arc::new(trace),
-        }
-    }
-
     /// Resolves `name` in the global [`WorkloadRegistry`] — a registered
     /// workload (Table 3 model, generator-catalogue entry, or anything
     /// registered at runtime) or a `mix:`/`chase:`/`stride:` generator
-    /// name — as a streaming workload.
+    /// name.
     ///
     /// # Errors
     ///
@@ -72,86 +48,55 @@ impl Workload {
     pub fn from_registry(name: &str) -> Result<Workload, SqipError> {
         WorkloadRegistry::global()
             .resolve(name)
-            .map(Workload::Source)
+            .map(Workload)
             .map_err(|e| SqipError::UnknownWorkload(e.to_string()))
     }
 
-    /// The workload's display name.
+    /// The workload's display name (interned, so equal names share one
+    /// pointer).
     #[must_use]
-    pub fn name(&self) -> &str {
-        match self {
-            Workload::Spec(spec) => &spec.name,
-            Workload::Trace { name, .. } => name,
-            Workload::Source(reg) => reg.name(),
-        }
+    pub fn name(&self) -> &'static str {
+        self.0.name()
     }
 
     /// The suite grouping, when the workload models a Table 3 row.
     #[must_use]
     pub fn suite(&self) -> Option<Suite> {
-        match self {
-            Workload::Spec(spec) => Some(spec.suite),
-            Workload::Trace { .. } => None,
-            Workload::Source(reg) => reg.suite(),
-        }
+        self.0.suite()
     }
 
-    /// Whether cells stream this workload per run instead of sharing a
-    /// materialized trace.
-    #[must_use]
-    pub fn is_streaming(&self) -> bool {
-        matches!(self, Workload::Source(_))
-    }
-
-    /// Builds (or shares) the golden trace, for workloads that
-    /// materialize; `None` for streaming workloads.
-    pub(crate) fn trace(&self) -> Option<Result<Arc<Trace>, SqipError>> {
-        match self {
-            Workload::Spec(spec) => {
-                Some(
-                    spec.trace()
-                        .map(Arc::new)
-                        .map_err(|source| SqipError::Workload {
-                            name: spec.name.clone(),
-                            source,
-                        }),
-                )
-            }
-            Workload::Trace { trace, .. } => Some(Ok(Arc::clone(trace))),
-            Workload::Source(_) => None,
-        }
+    /// Opens a fresh record stream over the workload.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the workload's factory reports (assembler errors,
+    /// trace-file I/O).
+    pub fn open(&self) -> Result<Box<dyn TraceSource + Send>, IsaError> {
+        self.0.open()
     }
 }
 
 impl std::fmt::Debug for Workload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Workload::Spec(spec) => f.debug_tuple("Spec").field(&spec.name).finish(),
-            Workload::Trace { name, trace } => f
-                .debug_struct("Trace")
-                .field("name", name)
-                .field("len", &trace.len())
-                .finish(),
-            Workload::Source(reg) => f.debug_tuple("Source").field(&reg.name()).finish(),
-        }
+        f.debug_tuple("Workload").field(&self.name()).finish()
     }
 }
 
 impl From<WorkloadSpec> for Workload {
     fn from(spec: WorkloadSpec) -> Workload {
-        Workload::Spec(spec)
+        Workload(RegisteredWorkload::from_spec(spec))
     }
 }
 
 impl From<&WorkloadSpec> for Workload {
     fn from(spec: &WorkloadSpec) -> Workload {
-        Workload::Spec(spec.clone())
+        Workload::from(spec.clone())
     }
 }
 
 impl From<RegisteredWorkload> for Workload {
     fn from(reg: RegisteredWorkload) -> Workload {
-        Workload::Source(reg)
+        Workload(reg)
     }
 }
 
@@ -193,132 +138,6 @@ impl Run {
             stats,
         }
     }
-
-    /// Executes this cell: against the shared materialized trace when one
-    /// is given, or by opening and streaming the workload's source.
-    ///
-    /// A `token` makes the run cooperative: without an observer it is
-    /// checked at every [`Processor::step`] boundary; with one, at each
-    /// observer interval (the exact-boundary [`Processor::run_observed`]
-    /// loop drives the run). Either way a cancelled cell reports
-    /// [`SqipError::Cancelled`].
-    fn execute(
-        &self,
-        trace: Option<&Trace>,
-        observer: Option<&ObserverFn>,
-        token: Option<&CancelToken>,
-    ) -> Result<SimStats, SqipError> {
-        let sim = |source| SqipError::Sim {
-            cell: self.label(),
-            source,
-        };
-        if token.is_some_and(CancelToken::is_cancelled) {
-            return Err(SqipError::Cancelled { cell: self.label() });
-        }
-        let processor = match (&self.workload, trace) {
-            // Streaming workloads always open their own source — even if
-            // a same-named materialized trace exists, it is not theirs.
-            (Workload::Source(reg), _) => {
-                let source = reg.open().map_err(|source| SqipError::Workload {
-                    name: reg.name().to_string(),
-                    source,
-                })?;
-                Processor::try_from_source(self.config.clone(), source).map_err(&sim)?
-            }
-            (_, Some(trace)) => Processor::try_new(self.config.clone(), trace).map_err(&sim)?,
-            (workload, None) => {
-                // Unreachable through the public paths (the sweep always
-                // materializes non-streaming workloads), kept total for
-                // robustness.
-                let trace = workload.trace().expect("non-streaming workload")?;
-                return self.execute(Some(&trace), observer, token);
-            }
-        };
-        match (observer, token) {
-            (None, None) => processor.try_run().map_err(&sim),
-            (None, Some(token)) => {
-                let mut p = processor;
-                loop {
-                    if token.is_cancelled() {
-                        return Err(SqipError::Cancelled { cell: self.label() });
-                    }
-                    match p.step().map_err(&sim)? {
-                        sqip_core::StepOutcome::Running => {}
-                        sqip_core::StepOutcome::Done => return Ok(p.stats().clone()),
-                    }
-                }
-            }
-            (Some(factory), token) => {
-                let mut obs = factory(self);
-                let stats = match token {
-                    None => processor.run_observed(obs.as_mut()).map_err(&sim)?,
-                    Some(token) => {
-                        let mut cancelling = CancellingObserver {
-                            inner: obs.as_mut(),
-                            token,
-                        };
-                        let stats = processor.run_observed(&mut cancelling).map_err(&sim)?;
-                        if token.is_cancelled() {
-                            return Err(SqipError::Cancelled { cell: self.label() });
-                        }
-                        stats
-                    }
-                };
-                Ok(stats)
-            }
-        }
-    }
-
-    /// Builds the trace (or opens the stream) and executes this cell
-    /// standalone (outside an [`Experiment`] sweep).
-    ///
-    /// # Errors
-    ///
-    /// Propagates workload-tracing and simulation errors.
-    pub fn execute_standalone(&self) -> Result<SimStats, SqipError> {
-        self.execute_controlled(None, None)
-    }
-
-    /// [`Run::execute_standalone`] with an optional observer factory and
-    /// cancellation token (the sweep engine's single-cell-group path).
-    pub(crate) fn execute_controlled(
-        &self,
-        observer: Option<&ObserverFn>,
-        token: Option<&CancelToken>,
-    ) -> Result<SimStats, SqipError> {
-        match self.workload.trace() {
-            Some(trace) => self.execute(Some(trace?.as_ref()), observer, token),
-            None => self.execute(None, observer, token),
-        }
-    }
-}
-
-/// Wraps a cell's observer so a [`CancelToken`] can abort the exact-
-/// boundary [`Processor::run_observed`] loop at its next interval.
-struct CancellingObserver<'a> {
-    inner: &'a mut dyn SimObserver,
-    token: &'a CancelToken,
-}
-
-impl SimObserver for CancellingObserver<'_> {
-    fn interval(&self) -> u64 {
-        self.inner.interval()
-    }
-
-    fn on_start(&mut self, config: &SimConfig, trace_len: Option<usize>) {
-        self.inner.on_start(config, trace_len);
-    }
-
-    fn on_interval(&mut self, cycle: u64, stats: &SimStats) -> ObserverAction {
-        if self.token.is_cancelled() {
-            return ObserverAction::Abort;
-        }
-        self.inner.on_interval(cycle, stats)
-    }
-
-    fn on_finish(&mut self, stats: &SimStats) {
-        self.inner.on_finish(stats);
-    }
 }
 
 impl std::fmt::Debug for Run {
@@ -333,13 +152,14 @@ impl std::fmt::Debug for Run {
 ///
 /// An experiment is the cartesian product of three axes:
 ///
-/// * **workloads** — Table 3 benchmark models or custom traces,
+/// * **workloads** — Table 3 benchmark models, registry names or custom
+///   record streams ([`Workload`]),
 /// * **designs** — the [`SqDesign`]s under test,
 /// * **variants** — named configuration mutations ([`Experiment::vary`]);
 ///   with no variants declared there is a single implicit
 ///   [`BASE_VARIANT`].
 ///
-/// [`Experiment::run`] traces each workload once, executes every cell (in
+/// [`Experiment::run`] streams each workload once, executes every cell (in
 /// parallel across worker threads), and collects a [`ResultSet`] whose
 /// record order — and contents, since the simulator is deterministic — is
 /// independent of thread count.
@@ -470,9 +290,9 @@ impl Experiment {
         if self.designs.is_empty() {
             return Err(SqipError::Config("experiment has no designs".into()));
         }
-        // Traces are shared per workload *name* during execution, so two
-        // distinct workloads under one name would silently simulate the
-        // same trace; reject the ambiguity up front.
+        // Sweeps group cells by workload *name*, so two distinct
+        // workloads under one name would silently simulate the same
+        // stream; reject the ambiguity up front.
         for (i, w) in self.workloads.iter().enumerate() {
             if self.workloads[..i].iter().any(|p| p.name() == w.name()) {
                 return Err(SqipError::Config(format!(
@@ -523,47 +343,21 @@ impl Experiment {
     ///
     /// Cells are grouped by workload and each group's record stream is
     /// pulled **once**, driving all of the group's processors in
-    /// lock-step off the shared pass (see [`crate::SweepEngine`]); groups
-    /// are distributed over worker threads by a work-stealing queue.
-    /// Because the simulator is deterministic and results are collected
-    /// by cell index, the returned [`ResultSet`] is bit-identical for any
-    /// thread count — and bit-identical to the per-cell path
-    /// ([`Experiment::run_per_cell`]), pinned by proptest.
+    /// lock-step off the shared pass (see [`SweepEngine`]); groups are
+    /// distributed over worker threads by a work-stealing queue. Because
+    /// the simulator is deterministic and results are collected by cell
+    /// index, the returned [`ResultSet`] is bit-identical for any thread
+    /// count — and bit-identical to simulating each cell alone, pinned by
+    /// proptest.
     ///
-    /// Experiments with an observer also run shared-pass: observers are
-    /// driven from the lock-step scheduler, with `on_interval` fired at
-    /// the first step boundary at or past each interval (see
-    /// [`crate::SweepEngine::run_with_telemetry`]; use
-    /// [`Experiment::run_per_cell`] for exact-boundary sampling).
+    /// Observers ride the same loop and fire exactly on their interval
+    /// boundaries, as under [`Processor::run_observed`](sqip_core::Processor::run_observed).
     ///
     /// # Errors
     ///
     /// The first workload or cell failure, in cell order.
     pub fn run(&self) -> Result<ResultSet, SqipError> {
-        crate::sweep::SweepEngine::new().run(self)
-    }
-
-    /// Executes the sweep serially on the calling thread, one independent
-    /// pass per cell. Exists so tests and debugging sessions can pin the
-    /// execution mode explicitly; results are identical to
-    /// [`Experiment::run`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Experiment::run`].
-    pub fn run_serial(&self) -> Result<ResultSet, SqipError> {
-        self.run_per_cell_on(1)
-    }
-
-    /// Executes every cell independently (its own stream, its own oracle
-    /// pass) across the configured worker threads — the pre-sweep-engine
-    /// behaviour, kept as the shared-pass path's differential baseline.
-    ///
-    /// # Errors
-    ///
-    /// See [`Experiment::run`].
-    pub fn run_per_cell(&self) -> Result<ResultSet, SqipError> {
-        self.run_per_cell_on(self.threads.unwrap_or_else(default_threads))
+        SweepEngine::new().run(self)
     }
 
     /// The observer factory, if one was installed.
@@ -576,45 +370,17 @@ impl Experiment {
         self.threads
     }
 
-    pub(crate) fn run_per_cell_on(&self, threads: usize) -> Result<ResultSet, SqipError> {
-        self.run_per_cell_inner(threads, None, None)
-    }
-
-    pub(crate) fn run_per_cell_inner(
-        &self,
-        threads: usize,
-        token: Option<&CancelToken>,
-        events: Option<&CellEventFn>,
-    ) -> Result<ResultSet, SqipError> {
-        let cells = self.cells()?;
-        let traces = trace_shared(&cells, threads)?;
-
-        // Execute every cell against the shared traces (or its stream).
-        let observer = self.observer.as_ref();
-        let outcomes = parallel_map(&cells, threads, |index, cell| {
-            let trace = traces.get(cell.workload.key()).map(Arc::as_ref);
-            let outcome = cell.execute(trace, observer, token);
-            emit_cell_event(events, cell, index, &outcome);
-            outcome
-        });
-
-        let mut records = Vec::with_capacity(cells.len());
-        for (cell, outcome) in cells.iter().zip(outcomes) {
-            records.push(cell.record(outcome?));
-        }
-        Ok(ResultSet::new(records))
-    }
-
     /// Runs the sweep through a content-addressed result cache: cells
     /// whose results are already cached are answered without simulating,
-    /// the rest execute (per-cell, across the configured threads) and are
-    /// persisted for the next run.
+    /// the rest run through the shared-pass driver (as [`Experiment::run`]
+    /// would run them) and are persisted for the next run.
     ///
     /// The returned [`ResultSet`] is bit-identical to [`Experiment::run`]
     /// — cached or not — because the simulator is deterministic and
     /// [`RunRecord`]s round-trip losslessly through the cache's JSON (see
-    /// [`CacheDir`] for the worked example). Observers are not consulted
-    /// for cached cells, so experiments with an observer should use
+    /// [`CacheDir`] for the worked example). A cached row must be a
+    /// complete run, so observers (which may abort a run early) are not
+    /// consulted here; experiments with an observer should use
     /// [`Experiment::run`] instead.
     ///
     /// # Errors
@@ -622,26 +388,16 @@ impl Experiment {
     /// The first workload, cell, or cache-write failure, in cell order.
     pub fn run_cached(&self, cache: &CacheDir) -> Result<(ResultSet, CacheOutcome), SqipError> {
         let cells = self.cells()?;
-        let threads = self.threads.unwrap_or_else(default_threads);
         let mut slots: Vec<Option<RunRecord>> = cells.iter().map(|c| cache.load(c)).collect();
-        let misses: Vec<(usize, &Run)> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.is_none())
-            .map(|(i, _)| (i, &cells[i]))
-            .collect();
+        let misses: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
         let outcome = CacheOutcome {
             executed: misses.len(),
             cached: cells.len() - misses.len(),
         };
-        let traces = trace_shared(misses.iter().map(|&(_, c)| c), threads)?;
-        let stats = parallel_map(&misses, threads, |_, &(_, cell)| {
-            let trace = traces.get(cell.workload.key()).map(Arc::as_ref);
-            cell.execute(trace, None, None)
-        });
-        for (&(index, cell), stats) in misses.iter().zip(stats) {
-            let record = cell.record(stats?);
-            cache.store(cell, &record)?;
+        let (stats, _) = SweepEngine::new().drive(self, &cells, &misses, None);
+        for (&index, stats) in misses.iter().zip(stats) {
+            let record = cells[index].record(stats?);
+            cache.store(&cells[index], &record)?;
             slots[index] = Some(record);
         }
         let records = slots
@@ -651,9 +407,10 @@ impl Experiment {
         Ok((ResultSet::new(records), outcome))
     }
 
-    /// Runs only the cells owned by `shard` (see [`ShardSpec::owns`]),
-    /// producing the artifact [`merge_shards`](crate::merge_shards) (or
-    /// the `sqip-merge` binary) reassembles into the full sweep.
+    /// Runs only the cells owned by `shard` (see [`ShardSpec::owns`])
+    /// through the shared-pass driver, producing the artifact
+    /// [`merge_shards`](crate::merge_shards) (or the `sqip-merge` binary)
+    /// reassembles into the full sweep.
     ///
     /// Ownership is decided per cell from its label digest, so the `n`
     /// shards of a split partition the sweep exactly, whatever machines
@@ -665,56 +422,23 @@ impl Experiment {
     /// The first workload or owned-cell failure, in cell order.
     pub fn run_shard(&self, shard: ShardSpec) -> Result<ShardResult, SqipError> {
         let cells = self.cells()?;
-        let threads = self.threads.unwrap_or_else(default_threads);
-        let owned: Vec<(usize, &Run)> = cells
-            .iter()
-            .enumerate()
-            .filter(|(_, cell)| shard.owns(&cell.label()))
+        let owned: Vec<usize> = (0..cells.len())
+            .filter(|&i| shard.owns(&cells[i].label()))
             .collect();
-        let traces = trace_shared(owned.iter().map(|&(_, c)| c), threads)?;
-        let stats = parallel_map(&owned, threads, |_, &(_, cell)| {
-            let trace = traces.get(cell.workload.key()).map(Arc::as_ref);
-            cell.execute(trace, None, None)
-        });
-        let mut indices = Vec::with_capacity(owned.len());
-        let mut records = Vec::with_capacity(owned.len());
-        for (&(index, cell), stats) in owned.iter().zip(stats) {
-            indices.push(index);
-            records.push(cell.record(stats?));
-        }
+        let (stats, _) = SweepEngine::new().drive(self, &cells, &owned, self.observer_fn());
+        let records = owned
+            .iter()
+            .zip(stats)
+            .map(|(&i, stats)| stats.map(|stats| cells[i].record(stats)))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(ShardResult {
             shard: shard.index,
             of: shard.of,
             total_cells: cells.len(),
-            indices,
+            indices: owned,
             records,
         })
     }
-}
-
-/// Traces each distinct materializing workload among `cells` once, in
-/// parallel. Streaming workloads skip this: every cell opens its own
-/// source, so nothing trace-shaped is ever held for them. The map is
-/// keyed by the workload's interned identity, so per-cell dispatch is a
-/// pointer-stable probe with no `String` clones.
-fn trace_shared<'a>(
-    cells: impl IntoIterator<Item = &'a Run>,
-    threads: usize,
-) -> Result<BTreeMap<&'static str, Arc<Trace>>, SqipError> {
-    let mut unique: Vec<(&'static str, &Workload)> = Vec::new();
-    for cell in cells {
-        let key = cell.workload.key();
-        if !cell.workload.is_streaming() && !unique.iter().any(|&(k, _)| std::ptr::eq(k, key)) {
-            unique.push((key, &cell.workload));
-        }
-    }
-    parallel_map(&unique, threads, |_, (key, w)| {
-        w.trace()
-            .expect("only materializing workloads are pre-traced")
-            .map(|t| (*key, t))
-    })
-    .into_iter()
-    .collect()
 }
 
 impl std::fmt::Debug for Experiment {

@@ -89,9 +89,7 @@ pub use experiment::{ConfigFn, Experiment, ObserverFn, Run, Workload, BASE_VARIA
 pub use results::{geomean, ResultSet, RunRecord};
 pub use shard::{merge_shards, ShardResult, ShardSpec};
 pub use spec::{ExperimentSpec, VariantSpec, KNOBS, SPEC_VERSION};
-pub use sweep::{
-    CancelToken, CellEvent, CellEventFn, GroupTelemetry, SweepEngine, SweepMode, SweepTelemetry,
-};
+pub use sweep::{CancelToken, CellEvent, CellEventFn, GroupTelemetry, SweepEngine, SweepTelemetry};
 
 // The simulator core: configs, stats, the resumable processor, its
 // observation hooks, and the open design-policy API.

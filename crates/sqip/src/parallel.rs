@@ -1,52 +1,13 @@
 //! A tiny deterministic fork-join executor.
 //!
 //! The build environment has no rayon, so sweeps fan out over scoped
-//! `std::thread`s pulling cell indices from a shared atomic counter.
+//! `std::thread`s pulling workload groups from work-stealing deques.
 //! Results land in a pre-sized slot table indexed by input position, so
 //! the output order is a pure function of the input order — never of
 //! thread count or scheduling. Combined with the simulator's determinism,
 //! this is what makes parallel sweeps bit-identical to serial ones.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Applies `f` to every item, using up to `threads` worker threads, and
-/// returns the results in input order.
-///
-/// `threads <= 1` runs inline on the caller's thread (the serial path is
-/// the same code minus the spawn, so parallel and serial runs produce the
-/// results in the same order by construction).
-pub(crate) fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let workers = threads.min(items.len());
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = f(i, item);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every slot filled by a worker")
-        })
-        .collect()
-}
 
 /// Default worker count: one per available core.
 pub(crate) fn default_threads() -> usize {
@@ -56,18 +17,16 @@ pub(crate) fn default_threads() -> usize {
 /// Applies `f` to every item using up to `threads` workers pulling from a
 /// **work-stealing queue**, returning results in input order.
 ///
-/// Where [`parallel_map`] hands out items round-robin from one shared
-/// counter (fine for many small uniform cells), sweep *groups* are few
-/// and lopsided — one `mix:…:50m` group can outweigh ten SPEC-model
-/// groups. Each worker is seeded with a deque of items (dealt
+/// Sweep *groups* are few and lopsided — one `mix:…:50m` group can
+/// outweigh ten SPEC-model groups. Each worker is seeded with a deque of items (dealt
 /// round-robin by index) and pops from its own back; an idle worker
 /// steals from the *front* of the busiest remaining deque, so big groups
 /// migrate to free cores instead of serializing behind whichever worker
 /// happened to draw them.
 ///
 /// Output order is a pure function of input order (slot table indexed by
-/// input position), so results are bit-identical for any thread count —
-/// the same guarantee `parallel_map` gives.
+/// input position), so results are bit-identical for any thread count.
+/// `threads <= 1` runs inline on the caller's thread.
 pub(crate) fn work_steal_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -104,11 +63,15 @@ where
                         // retrying across victims (a racing thief may drain
                         // the chosen one) until every deque is empty.
                         let mut stolen = None;
-                        let mut victims: Vec<usize> = (0..workers).filter(|&v| v != w).collect();
-                        victims.sort_by_key(|&v| {
-                            std::cmp::Reverse(deques[v].lock().expect("deque poisoned").len())
-                        });
-                        for v in victims {
+                        // Snapshot the lengths before sorting: other
+                        // workers pop concurrently, and a key that changes
+                        // mid-sort is not a total order (the sort panics).
+                        let mut victims: Vec<(usize, usize)> = (0..workers)
+                            .filter(|&v| v != w)
+                            .map(|v| (deques[v].lock().expect("deque poisoned").len(), v))
+                            .collect();
+                        victims.sort_by_key(|&(len, _)| std::cmp::Reverse(len));
+                        for (_, v) in victims {
                             if let Some(i) = deques[v].lock().expect("deque poisoned").pop_front() {
                                 stolen = Some(i);
                                 break;
@@ -144,7 +107,7 @@ mod tests {
         let items: Vec<u64> = (0..57).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 3, 8, 64] {
-            let got = parallel_map(&items, threads, |_, &x| x * x);
+            let got = work_steal_map(&items, threads, |_, &x| x * x);
             assert_eq!(got, expect, "threads={threads}");
         }
     }
@@ -152,13 +115,13 @@ mod tests {
     #[test]
     fn index_matches_item_position() {
         let items = ["a", "b", "c"];
-        let got = parallel_map(&items, 2, |i, &s| format!("{i}{s}"));
+        let got = work_steal_map(&items, 2, |i, &s| format!("{i}{s}"));
         assert_eq!(got, vec!["0a", "1b", "2c"]);
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let got: Vec<u32> = parallel_map(&[] as &[u8], 4, |_, _| unreachable!());
+        let got: Vec<u32> = work_steal_map(&[] as &[u8], 4, |_, _| unreachable!());
         assert!(got.is_empty());
     }
 }

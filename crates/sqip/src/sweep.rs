@@ -1,39 +1,43 @@
-//! The shared-pass sweep engine: trace each workload **once**, drive
-//! every design cell that wants it in lock-step off that single pass.
+//! The sweep engine: trace each workload **once**, drive every design
+//! cell that wants it in lock-step off that single pass.
 //!
-//! [`Experiment::run`] used to hand every cell to a worker independently;
-//! a streamed cell then re-ran the generator/interpreter and re-built the
-//! dependence oracle from scratch, so an 8-design sweep paid the workload
-//! axis 8×. [`SweepEngine`] instead groups cells by workload and, per
-//! group:
+//! Every sweep — [`Experiment::run`], [`Experiment::run_cached`]'s
+//! misses, [`Experiment::run_shard`]'s owned cells, a `sqipd` job —
+//! runs through one driver. It groups the selected cells by workload
+//! and, per group:
 //!
-//! * opens the workload's record stream once, wrapped in a shared
-//!   dependence-analysis pass ([`sqip_core::oracle_tap`]),
-//! * tees it through a bounded ring ([`sqip_isa::TraceTee`]) to one
-//!   cursor per cell,
-//! * builds each cell's [`Processor`] over its cursor
-//!   ([`Processor::try_from_shared`]), and
-//! * round-robins [`Processor::step`] across the group in bounded
+//! * opens the workload's record stream once
+//!   ([`Workload::open`](crate::Workload::open)),
+//! * for a group of two or more, wraps it in a shared dependence-analysis
+//!   pass ([`sqip_core::oracle_tap`]) and tees it through a bounded ring
+//!   ([`sqip_isa::TraceTee`]) to one [`Processor::try_from_shared`] per
+//!   cell; a group of one simulates the stream directly
+//!   ([`Processor::try_from_source`], its own oracle), since a tee over
+//!   one consumer is pure overhead, and
+//! * round-robins [`Processor::step_bounded`] across the group in bounded
 //!   quanta, skipping any consumer about to outrun the ring window —
 //!   the slowest consumer is always eligible, so the group always makes
 //!   progress and the ring (not the workload length) bounds memory.
 //!
+//! Observers ride the same loop and fire **exactly** on their interval
+//! boundaries: a cell with an observer steps no further than its next
+//! boundary, as [`Processor::run_observed`] does.
+//!
 //! Groups are distributed over worker threads by a work-stealing queue
 //! (groups are few and lopsided; see
 //! [`work_steal_map`](crate::parallel::work_steal_map)). Results are
-//! **bit-identical** to the per-cell path for any thread count — pinned
-//! by a proptest — because every cell still simulates the exact record
-//! stream and oracle info it would have computed for itself.
+//! **bit-identical** to running each cell alone for any thread count —
+//! pinned by a proptest — because every cell still simulates the exact
+//! record stream and oracle info it would have computed for itself.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use sqip_core::{oracle_tap, ObserverAction, Processor, SimObserver, SimStats, StepOutcome};
-use sqip_isa::{IsaError, Trace, TraceSource, TraceTee};
-use sqip_workloads::intern_name;
+use sqip_isa::TraceTee;
 
 use crate::error::SqipError;
-use crate::experiment::{Experiment, ObserverFn, Run, Workload};
+use crate::experiment::{Experiment, ObserverFn, Run};
 use crate::parallel::{default_threads, work_steal_map};
 use crate::results::{ResultSet, RunRecord};
 
@@ -122,13 +126,7 @@ pub(crate) fn emit_cell_event(
     let event = match result {
         Ok(stats) => CellEvent::Finished {
             index,
-            record: RunRecord {
-                workload: cell.workload.name().to_string(),
-                suite: cell.workload.suite(),
-                design: cell.design,
-                variant: cell.variant.clone(),
-                stats: stats.clone(),
-            },
+            record: cell.record(stats.clone()),
         },
         Err(SqipError::Cancelled { .. }) => return,
         Err(e) => CellEvent::Failed {
@@ -140,32 +138,20 @@ pub(crate) fn emit_cell_event(
     sink(event);
 }
 
-/// How [`SweepEngine`] executes a sweep's cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepMode {
-    /// One workload pass per group, consumers in lock-step (the default).
-    #[default]
-    SharedPass,
-    /// One independent pass per cell (the pre-sweep-engine behaviour;
-    /// kept as the differential baseline).
-    PerCell,
-}
-
 /// Shared-ring capacity in records. Bounds both the tee ring and the
 /// spread between the fastest and slowest consumer of a group; at ~72
 /// bytes a record this is ~300KB of shared buffer per in-flight group.
 const RING_CAPACITY: usize = 32768;
 
-/// Lock-step quantum: `step()` calls a consumer may take per turn before
-/// the scheduler rotates (large enough to amortize warming the cell's
+/// Lock-step quantum: steps a consumer may take per turn before the
+/// scheduler rotates (large enough to amortize warming the cell's
 /// simulator state back into cache, small enough to keep the group in
 /// lock-step when one design is much slower than the rest).
 const QUANTUM: usize = 2048;
 
-/// Per-group telemetry from a shared pass (the sweep-mode half of the
-/// memory-boundedness story: the *shared ring's* high-water mark and each
-/// consumer's lag are reported separately from each cell's own
-/// [`Processor::buffered_records`] peak).
+/// Per-group telemetry from a shared pass: the *shared ring's*
+/// high-water mark and each consumer's lag, reported separately from
+/// each cell's own [`Processor::buffered_records`] peak.
 #[derive(Debug, Clone)]
 pub struct GroupTelemetry {
     /// The group's workload name.
@@ -179,18 +165,18 @@ pub struct GroupTelemetry {
     /// Peak occupancy of the shared tee ring.
     pub ring_high_water: u64,
     /// Per cell: peak records buffered in the cell's own window
-    /// (commit point to fetch frontier — the PR 3 observable).
+    /// (commit point to fetch frontier).
     pub peak_buffered: Vec<u64>,
     /// Per cell: peak lag behind the shared pull frontier, in records.
     pub peak_lag: Vec<u64>,
 }
 
-/// Telemetry for a whole shared-pass sweep (empty under
-/// [`SweepMode::PerCell`] and for single-cell groups, which run the
-/// per-cell path).
+/// Telemetry for a whole sweep: one entry per shared pass. A group of
+/// one has no shared ring, so it reports none.
 #[derive(Debug, Clone, Default)]
 pub struct SweepTelemetry {
-    /// One entry per multi-cell workload group.
+    /// One entry per multi-cell workload group, in first-appearance
+    /// order.
     pub groups: Vec<GroupTelemetry>,
 }
 
@@ -201,7 +187,7 @@ pub struct SweepTelemetry {
 /// # Example
 ///
 /// ```
-/// use sqip::{Experiment, SqDesign, SweepEngine, SweepMode};
+/// use sqip::{Experiment, Processor, SqDesign, SweepEngine};
 ///
 /// let experiment = Experiment::new()
 ///     .workload(sqip::Workload::from_registry("mix:0xfeed:20k")?)
@@ -209,15 +195,18 @@ pub struct SweepTelemetry {
 ///
 /// // The generator runs once; both design cells consume the same pass.
 /// let shared = SweepEngine::new().run(&experiment)?;
-/// // Bit-identical to the per-cell path (pinned by proptest, shown here).
-/// let per_cell = SweepEngine::new().mode(SweepMode::PerCell).run(&experiment)?;
-/// assert_eq!(shared, per_cell);
+/// // Bit-identical to simulating each cell alone (pinned by proptest,
+/// // shown here).
+/// for (cell, record) in experiment.cells()?.iter().zip(&shared) {
+///     let alone = Processor::try_from_source(cell.config.clone(), cell.workload.open()?)?
+///         .try_run()?;
+///     assert_eq!(record.stats, alone);
+/// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Clone, Default)]
 pub struct SweepEngine {
     threads: Option<usize>,
-    mode: SweepMode,
     token: Option<CancelToken>,
     events: Option<CellEventFn>,
 }
@@ -226,7 +215,6 @@ impl std::fmt::Debug for SweepEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SweepEngine")
             .field("threads", &self.threads)
-            .field("mode", &self.mode)
             .field("cancellable", &self.token.is_some())
             .field("streams_events", &self.events.is_some())
             .finish()
@@ -254,30 +242,23 @@ impl SweepEngine {
         self
     }
 
-    /// Selects the execution mode.
-    #[must_use]
-    pub fn mode(mut self, mode: SweepMode) -> SweepEngine {
-        self.mode = mode;
-        self
-    }
-
     /// Installs a cooperative cancellation token. The engine checks it at
-    /// every [`Processor::step`] boundary; once cancelled, unfinished
-    /// cells report [`SqipError::Cancelled`] (the sweep's `Result` is the
-    /// first failure in cell order) and every in-flight processor — with
-    /// its shared-ring cursor — is dropped promptly.
+    /// every [`Processor::step_bounded`] boundary; once cancelled,
+    /// unfinished cells report [`SqipError::Cancelled`] (the sweep's
+    /// `Result` is the first failure in cell order) and every in-flight
+    /// processor — with its shared-ring cursor — is dropped promptly.
     #[must_use]
     pub fn cancel_token(mut self, token: CancelToken) -> SweepEngine {
         self.token = Some(token);
         self
     }
 
-    /// Installs a per-cell completion sink: as each cell finishes (in
-    /// either mode, on whichever worker thread ran it), `sink` receives a
-    /// [`CellEvent`] carrying the cell's final [`RunRecord`] — the same
-    /// row, bit for bit, that the returned [`ResultSet`] will hold at
-    /// that index. This is how long sweeps stream incremental results
-    /// (e.g. over the wire) without waiting for the slowest cell.
+    /// Installs a per-cell completion sink: as each cell finishes (on
+    /// whichever worker thread ran it), `sink` receives a [`CellEvent`]
+    /// carrying the cell's final [`RunRecord`] — the same row, bit for
+    /// bit, that the returned [`ResultSet`] will hold at that index. This
+    /// is how long sweeps stream incremental results (e.g. over the
+    /// wire) without waiting for the slowest cell.
     #[must_use]
     pub fn on_cell(mut self, sink: impl Fn(CellEvent) + Send + Sync + 'static) -> SweepEngine {
         self.events = Some(Arc::new(sink));
@@ -296,15 +277,13 @@ impl SweepEngine {
     /// Runs the experiment's sweep and returns the shared-pass telemetry
     /// alongside the results.
     ///
-    /// Experiments with an observer stay on the shared-pass path: each
-    /// cell's observer is driven from the lock-step scheduler, with
-    /// `on_interval` fired at the first step boundary **at or past** each
-    /// interval (the event core's step can jump several cycles, and the
-    /// scheduler rotates cells in quanta, so boundaries are not landed on
-    /// exactly — use [`Experiment::run_per_cell`] /
-    /// [`Processor::run_observed`] for exact-boundary sampling).
-    /// `Abort` is honoured per cell: the aborted cell records its partial
-    /// statistics while the rest of the group keeps running.
+    /// Each cell's observer is driven from the lock-step loop with the
+    /// semantics of [`Processor::run_observed`]: `on_interval` fires
+    /// exactly on every interval boundary the run reaches, so an
+    /// observer sees the same `(cycle, stats)` sequence whether its cell
+    /// runs alone or in a group. `Abort` is honoured per cell: the
+    /// aborted cell records its partial statistics while the rest of the
+    /// group keeps running.
     ///
     /// # Errors
     ///
@@ -313,43 +292,60 @@ impl SweepEngine {
         &self,
         experiment: &Experiment,
     ) -> Result<(ResultSet, SweepTelemetry), SqipError> {
+        let cells = experiment.cells()?;
+        let all: Vec<usize> = (0..cells.len()).collect();
+        let (outcomes, telemetry) = self.drive(experiment, &cells, &all, experiment.observer_fn());
+        let records = cells
+            .iter()
+            .zip(outcomes)
+            .map(|(cell, stats)| stats.map(|stats| cell.record(stats)))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok((ResultSet::new(records), telemetry))
+    }
+
+    /// The one sweep driver: runs the `selected` cells (indices into
+    /// `cells`) grouped by workload, groups work-stolen over the worker
+    /// threads, and returns each selected cell's outcome in `selected`
+    /// order.
+    pub(crate) fn drive(
+        &self,
+        experiment: &Experiment,
+        cells: &[Run],
+        selected: &[usize],
+        observer: Option<&ObserverFn>,
+    ) -> (Vec<Result<SimStats, SqipError>>, SweepTelemetry) {
         // Engine-level threads win; otherwise the experiment's own
         // setting; otherwise one worker per core.
         let threads = self
             .threads
             .or_else(|| experiment.threads_setting())
             .unwrap_or_else(default_threads);
-        if self.mode == SweepMode::PerCell {
-            return experiment
-                .run_per_cell_inner(threads, self.token.as_ref(), self.events.as_ref())
-                .map(|set| (set, SweepTelemetry::default()));
-        }
-        let cells = experiment.cells()?;
 
-        // Group cell indices by workload identity (interned name), in
-        // first-appearance order; cell order within a group is cell
-        // order. Keying by name is sound because `Experiment::cells`
-        // rejects two distinct workloads under one name up front — every
-        // same-key cell provably shares one `Workload` definition.
-        let mut groups: Vec<(&'static str, Vec<usize>)> = Vec::new();
-        for (i, cell) in cells.iter().enumerate() {
-            let key = cell.workload.key();
-            match groups.iter_mut().find(|(k, _)| std::ptr::eq(*k, key)) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((key, vec![i])),
+        // Group by workload name, in first-appearance order; cell order
+        // within a group is cell order. Keying by name is sound because
+        // `Experiment::cells` rejects two distinct workloads under one
+        // name up front.
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for &i in selected {
+            let name = cells[i].workload.name();
+            match groups
+                .iter_mut()
+                .find(|g| cells[g[0]].workload.name() == name)
+            {
+                Some(group) => group.push(i),
+                None => groups.push(vec![i]),
             }
         }
 
-        // Work-stealing over workload groups: few items, lopsided sizes.
         let ctx = GroupCtx {
             token: self.token.as_ref(),
             events: self.events.as_ref(),
-            observer: experiment.observer_fn(),
+            observer,
         };
-        let outcomes = work_steal_map(&groups, threads, |_, (_, idxs)| {
-            run_group(&cells, idxs, &ctx)
-        });
+        let outcomes = work_steal_map(&groups, threads, |_, idxs| run_group(cells, idxs, &ctx));
 
+        // `work_steal_map` returns outcomes in input order, so the
+        // telemetry groups stay in first-appearance order.
         let mut slots: Vec<Option<Result<SimStats, SqipError>>> =
             cells.iter().map(|_| None).collect();
         let mut telemetry = SweepTelemetry::default();
@@ -357,25 +353,17 @@ impl SweepEngine {
             for (idx, result) in outcome.results {
                 slots[idx] = Some(result);
             }
-            if let Some(group) = outcome.telemetry {
-                telemetry.groups.push(group);
-            }
+            telemetry.groups.extend(outcome.telemetry);
         }
-        // (`work_steal_map` returns outcomes in input order, so the
-        // telemetry groups are already in first-appearance order.)
-
-        let mut records = Vec::with_capacity(cells.len());
-        for (cell, slot) in cells.iter().zip(slots) {
-            let stats = slot.expect("every cell produced an outcome")?;
-            records.push(RunRecord {
-                workload: cell.workload.name().to_string(),
-                suite: cell.workload.suite(),
-                design: cell.design,
-                variant: cell.variant.clone(),
-                stats,
-            });
-        }
-        Ok((ResultSet::new(records), telemetry))
+        let results = selected
+            .iter()
+            .map(|&i| {
+                slots[i]
+                    .take()
+                    .expect("every selected cell produced an outcome")
+            })
+            .collect();
+        (results, telemetry)
     }
 }
 
@@ -397,71 +385,12 @@ impl GroupCtx<'_> {
     }
 }
 
-/// Runs one workload group on the calling worker thread.
+/// Runs one workload group on the calling worker thread: one upstream
+/// pass, one processor per cell, round-robin quanta bounded by the ring
+/// window.
 fn run_group(cells: &[Run], idxs: &[usize], ctx: &GroupCtx<'_>) -> GroupOutcome {
-    if let [only] = idxs {
-        // Single-cell groups take the plain per-cell path: a tee over one
-        // consumer is pure overhead.
-        let result = cells[*only].execute_controlled(ctx.observer, ctx.token);
-        emit_cell_event(ctx.events, &cells[*only], *only, &result);
-        return GroupOutcome {
-            results: vec![(*only, result)],
-            telemetry: None,
-        };
-    }
-    let workload = &cells[idxs[0]].workload;
-
-    // Open the group's single upstream pass. A failure here is what every
-    // cell would have hit opening its own pass: report it per cell.
-    let fail_all = |source: IsaError| GroupOutcome {
-        results: idxs
-            .iter()
-            .map(|&i| {
-                (
-                    i,
-                    Err(SqipError::Workload {
-                        name: workload.name().to_string(),
-                        source: source.clone(),
-                    }),
-                )
-            })
-            .collect(),
-        telemetry: None,
-    };
-    // Materialized workloads trace once per group and stream from the
-    // trace; streaming workloads open their registered source.
-    let trace: Option<Arc<Trace>> = match workload.trace() {
-        None => None,
-        Some(Ok(trace)) => Some(trace),
-        Some(Err(SqipError::Workload { source, .. })) => return fail_all(source),
-        Some(Err(_)) => unreachable!("Workload::trace reports SqipError::Workload"),
-    };
-    let upstream: Box<dyn TraceSource + '_> = match (&trace, workload) {
-        (Some(trace), _) => Box::new(trace.stream()),
-        (None, Workload::Source(reg)) => match reg.open() {
-            Ok(source) => source,
-            Err(e) => return fail_all(e),
-        },
-        (None, _) => unreachable!("non-streaming workloads always materialize"),
-    };
-
-    drive_group(cells, idxs, workload, upstream, ctx)
-}
-
-/// The lock-step scheduler: one shared pass, one processor per cell,
-/// round-robin quanta bounded by the ring window.
-fn drive_group(
-    cells: &[Run],
-    idxs: &[usize],
-    workload: &Workload,
-    upstream: Box<dyn TraceSource + '_>,
-    ctx: &GroupCtx<'_>,
-) -> GroupOutcome {
     let n = idxs.len();
-    let (tap, feed) = oracle_tap(upstream, RING_CAPACITY);
-    let (tee, cursors) = TraceTee::new(tap, n, RING_CAPACITY);
-    let cap = tee.capacity() as u64;
-
+    let workload = &cells[idxs[0]].workload;
     let sim_err = |i: usize| {
         let cell = cells[i].label();
         move |source| SqipError::Sim {
@@ -470,32 +399,66 @@ fn drive_group(
         }
     };
 
+    // Open the group's single upstream pass. A failure here is what every
+    // cell would have hit opening its own pass: report it per cell.
+    let upstream = match workload.open() {
+        Ok(source) => source,
+        Err(source) => {
+            return GroupOutcome {
+                results: idxs
+                    .iter()
+                    .map(|&i| {
+                        let name = workload.name().to_string();
+                        let source = source.clone();
+                        (i, Err(SqipError::Workload { name, source }))
+                    })
+                    .collect(),
+                telemetry: None,
+            }
+        }
+    };
+    // A group of one simulates its stream directly, with its own oracle:
+    // a shared pass over one consumer is pure overhead.
+    let (tee, built) = match idxs {
+        [only] => {
+            let config = cells[*only].config.clone();
+            (None, vec![Processor::try_from_source(config, upstream)])
+        }
+        _ => {
+            let (tap, feed) = oracle_tap(upstream, RING_CAPACITY);
+            let (tee, cursors) = TraceTee::new(tap, n, RING_CAPACITY);
+            let built = cursors
+                .into_iter()
+                .zip(idxs)
+                .map(|(cursor, &i)| {
+                    let config = cells[i].config.clone();
+                    Processor::try_from_shared(config, cursor, feed.clone())
+                })
+                .collect();
+            (Some(tee), built)
+        }
+    };
+
     let mut procs: Vec<Option<Processor<'_>>> = Vec::with_capacity(n);
     let mut results: Vec<Option<Result<SimStats, SqipError>>> = (0..n).map(|_| None).collect();
-    for (cursor, &i) in cursors.into_iter().zip(idxs) {
-        match Processor::try_from_shared(cells[i].config.clone(), cursor, feed.clone()) {
-            Ok(p) => procs.push(Some(p)),
+    // Each observed cell's observer and its interval.
+    let mut observers: Vec<Option<(Box<dyn SimObserver>, u64)>> = (0..n).map(|_| None).collect();
+    for (c, (built, &i)) in built.into_iter().zip(idxs).enumerate() {
+        match built {
+            Ok(p) => {
+                if let Some(factory) = ctx.observer {
+                    let mut obs = factory(&cells[i]);
+                    obs.on_start(&cells[i].config, None);
+                    let interval = obs.interval().max(1);
+                    observers[c] = Some((obs, interval));
+                }
+                procs.push(Some(p));
+            }
             Err(e) => {
                 // Unreachable through `Experiment` (cells are validated up
                 // front), kept total for direct `SweepEngine` users.
-                results[procs.len()] = Some(Err(sim_err(i)(e)));
+                results[c] = Some(Err(sim_err(i)(e)));
                 procs.push(None);
-            }
-        }
-    }
-
-    // Observers ride the lock-step loop: `on_interval` fires at the
-    // first step boundary at or past each interval (see
-    // `SweepEngine::run_with_telemetry`).
-    let mut observers: Vec<Option<Box<dyn SimObserver>>> = (0..n).map(|_| None).collect();
-    let mut boundaries = vec![u64::MAX; n];
-    if let Some(factory) = ctx.observer {
-        for (c, &i) in idxs.iter().enumerate() {
-            if procs[c].is_some() {
-                let mut obs = factory(&cells[i]);
-                obs.on_start(&cells[i].config, None);
-                boundaries[c] = obs.interval().max(1);
-                observers[c] = Some(obs);
             }
         }
     }
@@ -504,6 +467,9 @@ fn drive_group(
         .iter()
         .map(|&i| cells[i].config.fetch_width as u64)
         .collect();
+    // Whether consumer `c` is about to outrun the shared ring window.
+    let outruns =
+        |tee: &TraceTee<'_>, c: usize| tee.position(c) + fw[c] > tee.base() + tee.capacity() as u64;
     let mut peak_buffered = vec![0u64; n];
     let mut peak_lag = vec![0u64; n];
     let mut cancelled = false;
@@ -522,10 +488,12 @@ fn drive_group(
             // sit gated on ring capacity waiting for records that can
             // never arrive, surfacing the upstream error only after every
             // slower cell drained — or never, if it was itself the
-            // slowest.
-            let ended = tee.is_done() || tee.is_failed();
-            let may_pull = !(ended && tee.position(c) == tee.pulled());
-            if may_pull && tee.position(c) + fw[c] > tee.base() + cap {
+            // slowest. A group of one has no ring to outrun.
+            let gate = tee.as_ref().filter(|tee| {
+                let ended = tee.is_done() || tee.is_failed();
+                !(ended && tee.position(c) == tee.pulled())
+            });
+            if gate.is_some_and(|tee| outruns(tee, c)) {
                 continue;
             }
             progressed = true;
@@ -535,24 +503,28 @@ fn drive_group(
                     cancelled = true;
                     break 'sweep;
                 }
-                match p.step() {
+                // An observed cell steps no further than its next
+                // interval boundary, exactly as `Processor::run_observed`.
+                let limit = observers[c].as_ref().map_or(u64::MAX, |&(_, interval)| {
+                    (p.cycle() / interval + 1) * interval
+                });
+                match p.step_bounded(limit) {
                     Ok(StepOutcome::Running) => {
                         peak_buffered[c] = peak_buffered[c].max(p.buffered_records() as u64);
-                        if p.cycle() >= boundaries[c] {
-                            let obs = observers[c].as_mut().expect("boundary set with observer");
-                            let interval = obs.interval().max(1);
-                            boundaries[c] = (p.cycle() / interval + 1) * interval;
-                            if obs.on_interval(p.cycle(), p.stats()) == ObserverAction::Abort {
+                        if let Some((obs, interval)) = observers[c].as_mut() {
+                            if p.cycle().is_multiple_of(*interval)
+                                && obs.on_interval(p.cycle(), p.stats()) == ObserverAction::Abort
+                            {
                                 outcome = Some(Ok(p.stats().clone()));
                                 break;
                             }
                         }
-                        if may_pull && tee.position(c) + fw[c] > tee.base() + cap {
+                        if gate.is_some_and(|tee| outruns(tee, c)) {
                             break; // about to outrun the ring: rotate
                         }
                     }
                     Ok(StepOutcome::Done) => {
-                        if let Some(obs) = observers[c].as_mut() {
+                        if let Some((obs, _)) = observers[c].as_mut() {
                             obs.on_finish(p.stats());
                         }
                         outcome = Some(Ok(p.stats().clone()));
@@ -564,7 +536,9 @@ fn drive_group(
                     }
                 }
             }
-            peak_lag[c] = peak_lag[c].max(tee.pulled().saturating_sub(tee.position(c)));
+            if let Some(tee) = &tee {
+                peak_lag[c] = peak_lag[c].max(tee.pulled().saturating_sub(tee.position(c)));
+            }
             if let Some(result) = outcome {
                 emit_cell_event(ctx.events, &cells[idxs[c]], idxs[c], &result);
                 results[c] = Some(result);
@@ -586,7 +560,7 @@ fn drive_group(
     }
     if cancelled {
         // Unfinished cells report the cancellation; dropping their
-        // processors (with `procs`, below) drops their tee cursors.
+        // processors drops their tee cursors.
         for (c, slot) in results.iter_mut().enumerate() {
             if slot.is_none() {
                 *slot = Some(Err(SqipError::Cancelled {
@@ -597,7 +571,7 @@ fn drive_group(
         drop(procs);
     }
 
-    let telemetry = GroupTelemetry {
+    let telemetry = tee.map(|tee| GroupTelemetry {
         workload: workload.name().to_string(),
         cells: idxs.iter().map(|&i| cells[i].label()).collect(),
         records_pulled: tee.pulled(),
@@ -605,28 +579,13 @@ fn drive_group(
         ring_high_water: tee.high_water() as u64,
         peak_buffered,
         peak_lag,
-    };
+    });
     GroupOutcome {
         results: idxs
             .iter()
             .zip(results)
             .map(|(&i, r)| (i, r.expect("every live cell ran to an outcome")))
             .collect(),
-        telemetry: Some(telemetry),
-    }
-}
-
-// `Workload::key` lives here to keep the interning dependency local to
-// the sweep path.
-impl Workload {
-    /// The workload's interned identity: sweep groups and trace caches
-    /// key on this (`'static`, pointer-stable) handle instead of cloning
-    /// name `String`s per cell.
-    #[must_use]
-    pub fn key(&self) -> &'static str {
-        match self {
-            Workload::Source(reg) => reg.name(),
-            other => intern_name(other.name()),
-        }
+        telemetry,
     }
 }

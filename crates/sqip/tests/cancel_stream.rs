@@ -3,12 +3,15 @@
 //! per-cell rows arrive in completion order and concatenate into the
 //! batch `ResultSet` bytes exactly.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use common::per_cell_reference;
 use sqip::{
     CancelToken, CellEvent, Experiment, ObserverAction, RegisteredWorkload, ResultSet, SimStats,
-    SqDesign, SqipError, SweepEngine, SweepMode, TraceSource, Workload,
+    SqDesign, SqipError, SweepEngine, TraceSource, Workload,
 };
 use sqip_isa::{ProgramBuilder, ProgramSource, Reg};
 use sqip_types::DataSize;
@@ -173,29 +176,31 @@ fn mid_run_cancel_stops_within_one_ring_window() {
     assert!(dropped.load(Ordering::Relaxed), "upstream source leaked");
 }
 
-/// Per-cell mode honours the token too (the explicit differential path).
+/// A group of one (no shared ring: the cell simulates its stream
+/// directly) honours the token too, and drops its source.
 #[test]
-fn per_cell_mode_cancels() {
+fn single_cell_groups_cancel() {
     let pulls = Arc::new(AtomicU64::new(0));
     let dropped = Arc::new(AtomicBool::new(false));
     let experiment = Experiment::new()
         .workload(probe_workload(
-            "cancel-percell",
+            "cancel-single",
             50_000_000,
             Arc::clone(&pulls),
             Arc::clone(&dropped),
         ))
-        .designs([SqDesign::IdealOracle, SqDesign::Indexed3FwdDly])
+        .design(SqDesign::Indexed3FwdDly)
         .threads(1);
     let token = CancelToken::new();
     token.cancel();
     let err = SweepEngine::new()
         .threads(1)
-        .mode(SweepMode::PerCell)
         .cancel_token(token)
         .run(&experiment)
         .unwrap_err();
     assert!(matches!(err, SqipError::Cancelled { .. }), "{err}");
+    assert_eq!(pulls.load(Ordering::Relaxed), 0, "nothing simulated");
+    assert!(dropped.load(Ordering::Relaxed), "upstream source leaked");
 }
 
 fn streaming_experiment() -> Experiment {
@@ -203,6 +208,16 @@ fn streaming_experiment() -> Experiment {
         .workload(Workload::from_registry("mix:0xbeef:15k").unwrap())
         .workload(Workload::from_registry("chase:128:64:10k").unwrap())
         .designs([SqDesign::IdealOracle, SqDesign::Indexed3FwdDly])
+        .threads(1)
+}
+
+/// [`streaming_experiment`] under one design: every group is a group of
+/// one.
+fn single_design_experiment() -> Experiment {
+    Experiment::new()
+        .workload(Workload::from_registry("mix:0xbeef:15k").unwrap())
+        .workload(Workload::from_registry("chase:128:64:10k").unwrap())
+        .design(SqDesign::Indexed3FwdDly)
         .threads(1)
 }
 
@@ -220,14 +235,18 @@ fn collect_events(engine: SweepEngine, experiment: &Experiment) -> (ResultSet, V
 /// Streamed rows: every cell fires exactly one `Finished` event, the
 /// streamed record at index `i` is the batch record at index `i` bit for
 /// bit, and the concatenation of streamed rows (ordered by index)
-/// reproduces the batch JSON and CSV serializations byte-identically.
+/// reproduces the batch JSON and CSV serializations byte-identically —
+/// for shared-pass groups and groups of one alike.
 #[test]
 fn streamed_rows_concatenate_into_batch_bytes() {
-    let experiment = streaming_experiment();
-    for mode in [SweepMode::SharedPass, SweepMode::PerCell] {
-        let (set, events) = collect_events(SweepEngine::new().threads(1).mode(mode), &experiment);
-        assert_eq!(set.len(), 4);
-        assert_eq!(events.len(), 4, "one event per cell ({mode:?})");
+    for (shape, experiment) in [
+        ("shared", streaming_experiment()),
+        ("single", single_design_experiment()),
+    ] {
+        let cells = experiment.cells().unwrap().len();
+        let (set, events) = collect_events(SweepEngine::new().threads(1), &experiment);
+        assert_eq!(set.len(), cells);
+        assert_eq!(events.len(), cells, "one event per cell ({shape})");
 
         let mut rows: Vec<(usize, sqip::RunRecord)> = events
             .iter()
@@ -238,7 +257,11 @@ fn streamed_rows_concatenate_into_batch_bytes() {
             .collect();
         let mut indices: Vec<usize> = rows.iter().map(|(i, _)| *i).collect();
         indices.sort_unstable();
-        assert_eq!(indices, vec![0, 1, 2, 3], "no lost or duplicated rows");
+        assert_eq!(
+            indices,
+            (0..cells).collect::<Vec<_>>(),
+            "no lost or duplicated rows"
+        );
 
         rows.sort_by_key(|(i, _)| *i);
         for (i, record) in &rows {
@@ -255,11 +278,7 @@ fn streamed_rows_concatenate_into_batch_bytes() {
                 .collect::<Vec<_>>()
                 .join(",")
         );
-        assert_eq!(
-            streamed_json,
-            set.to_json(),
-            "JSON bytes diverge ({mode:?})"
-        );
+        assert_eq!(streamed_json, set.to_json(), "JSON bytes diverge ({shape})");
 
         // CSV likewise: header + one row per record.
         let mut streamed_csv = String::from(ResultSet::csv_header());
@@ -268,7 +287,7 @@ fn streamed_rows_concatenate_into_batch_bytes() {
             streamed_csv.push_str(&r.to_csv_row());
             streamed_csv.push('\n');
         }
-        assert_eq!(streamed_csv, set.to_csv(), "CSV bytes diverge ({mode:?})");
+        assert_eq!(streamed_csv, set.to_csv(), "CSV bytes diverge ({shape})");
     }
 }
 
@@ -365,8 +384,8 @@ fn observers_ride_the_shared_pass() {
     );
     assert!(intervals.load(Ordering::Relaxed) > 0, "intervals fired");
 
-    // And the results are still bit-identical to the per-cell path.
-    let per_cell = experiment.run_per_cell().unwrap();
+    // And the results are still bit-identical to per-cell runs.
+    let per_cell = per_cell_reference(&experiment);
     assert_eq!(observed, per_cell);
     assert_eq!(observed.to_json(), per_cell.to_json());
 }

@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sqip::{
-    by_name, shrink, Experiment, ObserverAction, Processor, SimConfig, SimObserver, SimStats,
-    SqDesign, SqipError, StepOutcome, Workload,
+    by_name, shrink, Experiment, ObserverAction, Processor, ProgramSource, RegisteredWorkload,
+    SimConfig, SimObserver, SimStats, SqDesign, SqipError, StepOutcome, Workload,
 };
 
 fn small_experiment() -> Experiment {
@@ -49,7 +49,7 @@ fn malformed_experiments_are_rejected() {
         Err(SqipError::Sim { cell, .. }) => assert!(cell.contains("bad-sq"), "{cell}"),
         other => panic!("expected a tagged Sim error, got {other:?}"),
     }
-    // Traces are shared by workload name, so duplicate names would
+    // Sweeps group cells by workload name, so duplicate names would
     // silently alias two different workloads — rejected instead.
     let duplicate = Experiment::new()
         .workload(shrink(by_name("gzip").unwrap(), 100))
@@ -71,7 +71,11 @@ fn parallel_and_serial_sweeps_are_bit_identical() {
         .vary("small-fsp", |cfg| {
             cfg.fsp.entries = 512;
         });
-    let serial = experiment.run_serial().expect("serial sweep runs");
+    let serial = experiment
+        .clone()
+        .threads(1)
+        .run()
+        .expect("serial sweep runs");
     for threads in [2, 4, 7] {
         let parallel = experiment
             .clone()
@@ -204,15 +208,17 @@ fn stepped_execution_matches_one_shot_execution() {
     assert_eq!(stepped.stats(), &one_shot);
 }
 
-/// Custom traces drive through the same sweep machinery as Table 3
-/// models, and share one trace across designs.
+/// Custom record streams drive through the same sweep machinery as
+/// Table 3 models, one shared pass across designs.
 #[test]
 fn custom_traces_sweep_like_workloads() {
-    let trace = shrink(by_name("gzip").unwrap(), 100)
-        .trace()
-        .expect("traces");
+    let spec = shrink(by_name("gzip").unwrap(), 100);
+    let (program, budget) = (spec.build().expect("builds"), spec.budget());
+    let custom = RegisteredWorkload::from_factory("custom-gzip", "gzip, renamed", move || {
+        Ok(Box::new(ProgramSource::new(program.clone(), budget)) as Box<_>)
+    });
     let results = Experiment::new()
-        .workload(Workload::from_trace("custom-gzip", trace))
+        .workload(Workload::from(custom))
         .designs([SqDesign::IdealOracle, SqDesign::Indexed3FwdDly])
         .run()
         .expect("custom-trace sweep runs");

@@ -1,15 +1,21 @@
 //! Shared-pass sweep pinning: the [`SweepEngine`]'s lock-step shared
-//! pass must be **bit-identical** to the per-cell path — for random
-//! programs, every registered design, and any thread count — while
-//! pulling each workload's record stream exactly once.
+//! pass must be **bit-identical** to simulating each cell alone — for
+//! random programs, every registered design, and any thread count —
+//! while pulling each workload's record stream exactly once, whether
+//! the cells run whole, from a cold cache or as shards.
 
+mod common;
+
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use common::per_cell_reference;
 use proptest::prelude::*;
 use sqip::{
-    oracle_tap, DesignRegistry, Experiment, OrderingMode, Processor, RegisteredWorkload, SimConfig,
-    SqDesign, SweepEngine, SweepMode, TraceSource, TraceTee, Workload,
+    oracle_tap, CacheDir, DesignRegistry, Experiment, ObserverAction, OrderingMode, Processor,
+    RegisteredWorkload, ShardSpec, SimConfig, SimObserver, SimStats, SqDesign, SweepEngine,
+    TraceSource, TraceTee, Workload,
 };
 use sqip_isa::{Program, ProgramBuilder, ProgramSource, Reg};
 use sqip_types::DataSize;
@@ -102,9 +108,10 @@ fn all_designs() -> Vec<SqDesign> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
-    /// The acceptance pin: shared-pass `ResultSet` ≡ per-cell `ResultSet`,
-    /// bit for bit, across random programs × every registered design (all
-    /// 8) × random thread counts — including the serialized bytes.
+    /// The acceptance pin: shared-pass `ResultSet` ≡ each cell simulated
+    /// alone by `Processor::try_run`, bit for bit, across random programs
+    /// × every registered design (all 8) × random thread counts —
+    /// including the serialized bytes.
     #[test]
     fn shared_pass_sweep_is_bit_identical_to_per_cell(
         body_a in proptest::collection::vec(stmt_strategy(), 1..14),
@@ -118,7 +125,7 @@ proptest! {
             .designs(all_designs())
             .threads(threads);
 
-        let per_cell = experiment.run_per_cell().expect("per-cell sweep runs");
+        let per_cell = per_cell_reference(&experiment);
         let shared = SweepEngine::new()
             .threads(threads)
             .run(&experiment)
@@ -174,8 +181,8 @@ fn squashy_program(iters: i64) -> Program {
 
 /// Squash re-fetches replay records whose positions straddle the event
 /// engine's fetch-block edges (the block-pull tentpole's nastiest
-/// corner): both sweep modes must stay bit-identical through them, for
-/// every registered design.
+/// corner): the shared pass must stay bit-identical to per-cell runs
+/// through them, for every registered design.
 #[test]
 fn squash_straddling_fetch_block_edges_is_mode_invariant() {
     // ~11 records per iteration: 100 iterations crosses many
@@ -190,7 +197,7 @@ fn squash_straddling_fetch_block_edges_is_mode_invariant() {
         .designs(all_designs())
         .threads(1);
     let shared = experiment.run().expect("shared sweep runs");
-    let per_cell = experiment.run_per_cell().expect("per-cell sweep runs");
+    let per_cell = per_cell_reference(&experiment);
     assert_eq!(shared, per_cell, "squash across block edges diverged");
 }
 
@@ -303,22 +310,16 @@ fn sweep_telemetry_reports_bounded_buffering() {
     }
 }
 
-/// `SweepMode::PerCell` is available explicitly, and observed
-/// experiments stay on the shared pass (the PR 5 fallback is gone);
-/// both match the shared results bit for bit.
+/// The per-cell reference and observed experiments both match the
+/// shared results bit for bit.
 #[test]
-fn per_cell_mode_and_observed_runs_match_shared_results() {
+fn per_cell_reference_and_observed_runs_match_shared_results() {
     let experiment = Experiment::new()
         .workload(Workload::from_registry("chase:128:64:20k").unwrap())
         .designs([SqDesign::IdealOracle, SqDesign::Indexed3FwdDly])
         .threads(2);
     let shared = experiment.run().unwrap();
-    let per_cell = SweepEngine::new()
-        .mode(SweepMode::PerCell)
-        .threads(2)
-        .run(&experiment)
-        .unwrap();
-    assert_eq!(shared, per_cell);
+    assert_eq!(shared, per_cell_reference(&experiment));
 
     struct Noop;
     impl sqip::SimObserver for Noop {}
@@ -328,4 +329,191 @@ fn per_cell_mode_and_observed_runs_match_shared_results() {
         .run()
         .unwrap();
     assert_eq!(observed, shared);
+}
+
+/// Everything one observer saw: each `on_interval` `(cycle, stats)` and
+/// the `on_finish` stats.
+#[derive(Debug, Default, Clone, PartialEq)]
+struct ObserverLog {
+    intervals: Vec<(u64, SimStats)>,
+    finish: Option<SimStats>,
+}
+
+struct Recorder {
+    interval: u64,
+    log: ObserverLog,
+    sink: Option<Arc<Mutex<BTreeMap<String, ObserverLog>>>>,
+    cell: String,
+}
+
+impl SimObserver for Recorder {
+    fn interval(&self) -> u64 {
+        self.interval
+    }
+    fn on_interval(&mut self, cycle: u64, stats: &SimStats) -> ObserverAction {
+        self.log.intervals.push((cycle, stats.clone()));
+        ObserverAction::Continue
+    }
+    fn on_finish(&mut self, stats: &SimStats) {
+        self.log.finish = Some(stats.clone());
+        if let Some(sink) = &self.sink {
+            sink.lock()
+                .unwrap()
+                .insert(self.cell.clone(), self.log.clone());
+        }
+    }
+}
+
+/// Observers fire exactly on interval boundaries inside a shared-pass
+/// group: each cell of a 2-design group sees the same `on_interval`
+/// `(cycle, stats)` sequence and `on_finish` stats as
+/// `Processor::run_observed` on that cell alone. The interval is odd and
+/// the 4MB pointer chase idles on memory misses, so the event engine's
+/// skip-ahead would jump over boundaries if the loop did not cap it.
+#[test]
+fn observers_fire_exactly_on_interval_boundaries_in_a_group() {
+    const INTERVAL: u64 = 97;
+    let logs: Arc<Mutex<BTreeMap<String, ObserverLog>>> = Arc::default();
+    let experiment = Experiment::new()
+        .workload(Workload::from_registry("chase:65536:64:20k").unwrap())
+        .designs([SqDesign::IdealOracle, SqDesign::Indexed3FwdDly])
+        .threads(1)
+        .observe({
+            let logs = Arc::clone(&logs);
+            move |run| {
+                Box::new(Recorder {
+                    interval: INTERVAL,
+                    log: ObserverLog::default(),
+                    sink: Some(Arc::clone(&logs)),
+                    cell: run.label(),
+                })
+            }
+        });
+    let (results, telemetry) = SweepEngine::new()
+        .threads(1)
+        .run_with_telemetry(&experiment)
+        .unwrap();
+    assert_eq!(telemetry.groups.len(), 1, "the cells share one pass");
+
+    let logs = logs.lock().unwrap();
+    for (cell, record) in experiment.cells().unwrap().iter().zip(&results) {
+        let mut alone = Recorder {
+            interval: INTERVAL,
+            log: ObserverLog::default(),
+            sink: None,
+            cell: cell.label(),
+        };
+        let stats = Processor::try_from_source(cell.config.clone(), cell.workload.open().unwrap())
+            .unwrap()
+            .run_observed(&mut alone)
+            .unwrap();
+        assert_eq!(record.stats, stats);
+        assert!(alone.log.intervals.len() > 10, "{}", cell.label());
+        assert_eq!(
+            logs.get(&cell.label()),
+            Some(&alone.log),
+            "{}: observer sequence diverges from run_observed",
+            cell.label()
+        );
+    }
+}
+
+/// A streamed program workload that counts how often it is opened and
+/// how many records it yields.
+fn counting_workload(
+    name: &str,
+    program: Program,
+    opens: Arc<AtomicU64>,
+    pulls: Arc<AtomicU64>,
+) -> Workload {
+    Workload::from(RegisteredWorkload::from_factory(
+        name,
+        "counting program",
+        move || {
+            opens.fetch_add(1, Ordering::Relaxed);
+            Ok(Box::new(CountingSource {
+                inner: ProgramSource::new(program.clone(), 1_000_000),
+                pulls: Arc::clone(&pulls),
+            }) as Box<_>)
+        },
+    ))
+}
+
+/// Cached and sharded runs ride the shared pass too: a cold `run_cached`
+/// and each `run_shard` of a split open each workload's stream once per
+/// group and pull every record exactly once.
+#[test]
+fn cached_and_sharded_runs_pull_each_stream_once_per_group() {
+    let counters: Vec<(Arc<AtomicU64>, Arc<AtomicU64>)> =
+        (0..2).map(|_| (Arc::default(), Arc::default())).collect();
+    let experiment = counters
+        .iter()
+        .enumerate()
+        .fold(Experiment::new(), |exp, (w, (opens, pulls))| {
+            exp.workload(counting_workload(
+                &format!("count-once-{w}"),
+                squashy_program(30 + 10 * w as i64),
+                Arc::clone(opens),
+                Arc::clone(pulls),
+            ))
+        })
+        .designs([
+            SqDesign::IdealOracle,
+            SqDesign::Associative3,
+            SqDesign::Indexed3Fwd,
+            SqDesign::Indexed3FwdDly,
+        ])
+        .threads(1);
+    let reset = || {
+        for (opens, pulls) in &counters {
+            opens.store(0, Ordering::Relaxed);
+            pulls.store(0, Ordering::Relaxed);
+        }
+    };
+    let reference = per_cell_reference(&experiment);
+    let cells = experiment.cells().unwrap();
+    let len = |w: usize| reference.records()[w * 4].stats.committed;
+
+    let dir = std::env::temp_dir().join(format!("sqip-sweep-count-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    reset();
+    let (cold, outcome) = experiment
+        .run_cached(&CacheDir::open(&dir).unwrap())
+        .unwrap();
+    assert_eq!(outcome.executed, cells.len());
+    assert_eq!(cold, reference);
+    for (w, (opens, pulls)) in counters.iter().enumerate() {
+        assert_eq!(
+            opens.load(Ordering::Relaxed),
+            1,
+            "cold cache: workload {w} opens"
+        );
+        assert_eq!(
+            pulls.load(Ordering::Relaxed),
+            len(w),
+            "cold cache: workload {w} pulls"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    for index in 0..2 {
+        reset();
+        let shard = experiment
+            .run_shard(ShardSpec::new(index, 2).unwrap())
+            .unwrap();
+        for (w, (opens, pulls)) in counters.iter().enumerate() {
+            let owned = shard.indices.iter().any(|&i| i / 4 == w);
+            let (want_opens, want_pulls) = if owned { (1, len(w)) } else { (0, 0) };
+            assert_eq!(
+                opens.load(Ordering::Relaxed),
+                want_opens,
+                "shard {index}: workload {w} opens"
+            );
+            assert_eq!(
+                pulls.load(Ordering::Relaxed),
+                want_pulls,
+                "shard {index}: workload {w} pulls"
+            );
+        }
+    }
 }
