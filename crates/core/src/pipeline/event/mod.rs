@@ -42,7 +42,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::oracle::OracleBuilder;
 use crate::pipeline::window::{RecordWindow, SeqRing};
-use crate::pipeline::{EvKind, StepOutcome, WATCHDOG_CYCLES};
+use crate::pipeline::{StepOutcome, WATCHDOG_CYCLES};
 use crate::policy::{DesignCaps, PolicyHost};
 use crate::shared::Analysis;
 use crate::stats::SimStats;
@@ -656,13 +656,6 @@ impl EventCore<'_> {
         self.ready_q = ReadyLanes::load(r)?;
         self.ready_q.rebuild_classes(&self.window);
         self.wheel = EventWheel::load(r)?;
-        if self.wheel.holds(EvKind::StoreWake) {
-            // This engine queues store wakes off the wheel (`store_wakes`),
-            // so no snapshot it wrote holds one there.
-            return Err(sqip_snapshot::SnapError::Corrupt(
-                "event wheel holds a speculative store wake".into(),
-            ));
-        }
         self.near = NearRing::<u64>::load(r)?;
         self.near_execs = NearRing::<(u64, u64)>::load(r)?;
         self.store_wakes = std::collections::VecDeque::<(u64, u64)>::load(r)?;

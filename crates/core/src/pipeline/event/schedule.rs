@@ -193,9 +193,12 @@ impl EventCore<'_> {
                     self.wake_one(seq, false);
                 }
             }
-            // Store wakes always ride the `store_wakes` FIFO, and
-            // restoring a snapshot whose wheel holds one fails.
-            EvKind::StoreWake => unreachable!("store wakes never ride the event wheel"),
+            EvKind::StoreWake => {
+                // Only a restored snapshot puts a store wake here; this
+                // engine queues its own on `store_wakes`. `seq` carries
+                // the store's SSN, not a sequence number.
+                self.wake_all(WakeRing::StoreExec, seq);
+            }
             EvKind::Exec => {
                 if alive(&self.insts) {
                     self.do_execute(Seq(seq));

@@ -257,12 +257,6 @@ impl EventWheel {
     pub fn ops(&self) -> u64 {
         self.ops
     }
-
-    /// Whether any pending event is of `kind`.
-    pub(crate) fn holds(&self, kind: EvKind) -> bool {
-        let mut events = self.buckets.iter().flatten().chain(&self.current);
-        events.any(|e| e.kind == kind) || self.far.iter().any(|Reverse((_, e))| e.kind == kind)
-    }
 }
 
 sqip_snapshot::snapshot_struct!(WheelEvent { at, kind, seq, inc });

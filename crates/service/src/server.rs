@@ -822,50 +822,33 @@ fn writer_loop(stream: TcpStream, rx: &Receiver<Response>) {
 enum LineRead {
     /// A line (possibly unterminated at end of stream) is in the buffer.
     Line,
-    /// The line was longer than the limit; it was consumed, not kept.
+    /// The line was longer than the limit; it was read and dropped.
     TooLong,
     /// The stream ended.
     Eof,
 }
 
 /// Reads one `\n`-terminated line into `buf`, keeping at most `limit`
-/// bytes: a longer line is consumed to its end without being stored.
+/// bytes: the rest of a longer line is read a bounded chunk at a time
+/// and dropped.
 fn read_request_line(
     reader: &mut impl BufRead,
     buf: &mut Vec<u8>,
     limit: usize,
 ) -> io::Result<LineRead> {
+    let cap = limit as u64;
     buf.clear();
-    let mut too_long = false;
+    if io::Read::take(&mut *reader, cap).read_until(b'\n', buf)? == 0 {
+        return Ok(LineRead::Eof);
+    }
+    if buf.len() < limit || buf.ends_with(b"\n") {
+        return Ok(LineRead::Line);
+    }
     loop {
-        let chunk = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if chunk.is_empty() {
-            return Ok(match (too_long, buf.is_empty()) {
-                (true, _) => LineRead::TooLong,
-                (false, true) => LineRead::Eof,
-                (false, false) => LineRead::Line,
-            });
-        }
-        let newline = chunk.iter().position(|&b| b == b'\n');
-        let take = newline.map_or(chunk.len(), |i| i + 1);
-        if !too_long && buf.len() + take > limit {
-            too_long = true;
+        buf.clear();
+        if io::Read::take(&mut *reader, cap).read_until(b'\n', buf)? == 0 || buf.ends_with(b"\n") {
             buf.clear();
-        }
-        if !too_long {
-            buf.extend_from_slice(&chunk[..take]);
-        }
-        reader.consume(take);
-        if newline.is_some() {
-            return Ok(if too_long {
-                LineRead::TooLong
-            } else {
-                LineRead::Line
-            });
+            return Ok(LineRead::TooLong);
         }
     }
 }

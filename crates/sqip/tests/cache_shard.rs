@@ -4,7 +4,10 @@
 
 use std::path::PathBuf;
 
-use sqip::{by_name, merge_shards, CacheDir, Experiment, ShardSpec, SqDesign};
+use sqip::{
+    by_name, merge_shards, CacheDir, Experiment, ObserverAction, ShardSpec, SimObserver, SimStats,
+    SqDesign,
+};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sqip-it-{tag}-{}", std::process::id()));
@@ -93,6 +96,40 @@ fn shard_union_is_byte_identical_to_the_unsharded_sweep() {
         );
         assert_eq!(merged.to_csv(), baseline.to_csv());
     }
+}
+
+/// Aborts its run at the third 1000-cycle interval.
+struct AbortAtThirdInterval(u32);
+
+impl SimObserver for AbortAtThirdInterval {
+    fn interval(&self) -> u64 {
+        1000
+    }
+    fn on_interval(&mut self, _cycle: u64, _stats: &SimStats) -> ObserverAction {
+        self.0 += 1;
+        if self.0 == 3 {
+            ObserverAction::Abort
+        } else {
+            ObserverAction::Continue
+        }
+    }
+}
+
+/// Shards consult the experiment's observer exactly as `run` does, so
+/// an observed sweep's shards still merge to its unsharded result.
+#[test]
+fn observed_shards_merge_to_the_observed_sweep() {
+    let exp = experiment().observe(|_| Box::new(AbortAtThirdInterval(0)));
+    let observed = exp.run().unwrap();
+    assert_ne!(
+        observed.to_json(),
+        experiment().run().unwrap().to_json(),
+        "the observer cut the runs short"
+    );
+    let merged =
+        merge_shards((0..2).map(|i| exp.run_shard(ShardSpec::new(i, 2).unwrap()).unwrap()))
+            .unwrap();
+    assert_eq!(merged.to_json(), observed.to_json());
 }
 
 #[test]

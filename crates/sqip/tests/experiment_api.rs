@@ -5,6 +5,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+mod common;
+
 use sqip::{
     by_name, shrink, Experiment, ObserverAction, Processor, ProgramSource, RegisteredWorkload,
     SimConfig, SimObserver, SimStats, SqDesign, SqipError, StepOutcome, Workload,
@@ -62,8 +64,9 @@ fn malformed_experiments_are_rejected() {
     }
 }
 
-/// The headline determinism guarantee: a parallel sweep returns
-/// bit-identical `SimStats` to a serial sweep, in the same order.
+/// The headline determinism guarantee: a sweep at any thread count
+/// returns bit-identical `SimStats`, in the same order, to every cell
+/// simulated alone.
 #[test]
 fn parallel_and_serial_sweeps_are_bit_identical() {
     let experiment = small_experiment()
@@ -76,6 +79,9 @@ fn parallel_and_serial_sweeps_are_bit_identical() {
         .threads(1)
         .run()
         .expect("serial sweep runs");
+    let reference = common::per_cell_reference(&experiment);
+    assert_eq!(serial, reference, "shared pass ≡ per-cell");
+    assert_eq!(serial.to_json(), reference.to_json());
     for threads in [2, 4, 7] {
         let parallel = experiment
             .clone()
