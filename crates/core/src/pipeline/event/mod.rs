@@ -8,8 +8,9 @@
 //!
 //! * in-flight instructions live in a ring-indexed [`InstSlab`] instead
 //!   of a `HashMap` (no hashing on the hot path);
-//! * wake/waiter lists live in [`WaiterRing`]s whose slot `Vec`s are
-//!   recycled (free-list-backed, allocation-free in steady state);
+//! * wake/waiter lists live in [`WaiterRing`]s: FIFO chains through one
+//!   node pool per ring with a free list, so pushes allocate only while
+//!   the pool grows toward its peak number of live waiters;
 //! * wakeups, latencies and replays sit in an [`EventWheel`]
 //!   (O(1) schedule, bucket drain instead of heap sift);
 //! * the common case never touches the wheel: issue schedules **zero**

@@ -1,5 +1,5 @@
-//! Ring-indexed, allocation-free backing stores for the event engine's
-//! in-flight state.
+//! Ring-indexed backing stores for the event engine's in-flight state,
+//! allocation-free once warm.
 //!
 //! The reference engine keeps per-instruction state in `HashMap`s and the
 //! ready set in a `BTreeSet`; every access hashes or rebalances. The
@@ -7,10 +7,16 @@
 //! [`SeqRing`](crate::pipeline::window::SeqRing): live sequence numbers
 //! (and live store SSNs) are dense and span less than the machine window,
 //! so `key % capacity` is collision-free for any two simultaneously live
-//! keys, and a fixed ring of slots replaces the map. Lists of waiters are
-//! owned by their slot and only ever `clear()`ed, never dropped, so after
-//! warm-up the engine performs no per-instruction allocation — the slots
-//! and their `Vec`s form the free list.
+//! keys, and a fixed ring of slots replaces the map.
+//!
+//! "Warm" means every pool has reached its peak occupancy, not that every
+//! slot has been used: a [`WaiterRing`] keeps its lists as chains through
+//! one node pool with a free list, so it allocates only when its live
+//! waiters exceed every earlier peak (a flush empties the pool but keeps
+//! its allocation). A short cell touches far more slots than it ever
+//! holds waiters at once, so a per-slot allocation would be paid on
+//! nearly every push. [`NearRing`] slots do own a `Vec` each, but there
+//! are only 64 and every cycle reuses them.
 
 use crate::dyninst::DynInst;
 use sqip_isa::OpClass;
@@ -359,11 +365,16 @@ impl<T> NearRing<T> {
     }
 }
 
+/// "No node": the end of a chain, or an empty slot's head.
+const NIL: u32 = u32::MAX;
+
 /// Waiter lists in a ring keyed by `key % capacity` — the event engine's
 /// replacement for `HashMap<u64, Vec<u64>>` wake tables.
 ///
-/// A slot is occupied while its list is non-empty; its `Vec` is never
-/// dropped, so steady-state pushes are allocation-free. The windowing
+/// A slot is occupied while its list is non-empty. Each list is a FIFO
+/// chain through one node pool shared by every slot; drained chains go
+/// back on the pool's free list, so once the pool has grown to the
+/// peak number of waiters, pushes allocate nothing. The windowing
 /// argument that makes the ring sound: keys are either in-flight sequence
 /// numbers (producers with a pending wakeup broadcast) or in-flight store
 /// SSNs (stores with registered dependents), both of which are removed —
@@ -374,7 +385,14 @@ pub(crate) struct WaiterRing {
     /// Capacity mask (power-of-two ring).
     mask: u64,
     keys: Vec<u64>,
-    lists: Vec<Vec<u64>>,
+    /// Per slot: first node of its chain, [`NIL`] when empty.
+    heads: Vec<u32>,
+    /// Per slot: last node of its chain (meaningless when empty).
+    tails: Vec<u32>,
+    /// The shared node pool: `(waiter, next node)`.
+    nodes: Vec<(u64, u32)>,
+    /// First node of the free chain.
+    free: u32,
     /// Total waiters across all slots (cheap emptiness check).
     len: usize,
 }
@@ -385,7 +403,10 @@ impl WaiterRing {
         WaiterRing {
             mask: cap as u64 - 1,
             keys: vec![0; cap],
-            lists: vec![Vec::new(); cap],
+            heads: vec![NIL; cap],
+            tails: vec![NIL; cap],
+            nodes: Vec::new(),
+            free: NIL,
             len: 0,
         }
     }
@@ -416,15 +437,37 @@ impl WaiterRing {
     #[inline]
     pub(crate) fn push(&mut self, key: u64, waiter: u64) {
         let i = self.idx(key);
-        if self.lists[i].is_empty() {
+        if self.heads[i] == NIL {
             self.keys[i] = key;
         } else {
             assert_eq!(
                 self.keys[i], key,
-                "waiter ring slot collision: two live keys share a slot                  (a policy scheduled a wake implausibly far ahead; run                  this design under Engine::Reference)"
+                "waiter ring slot collision: two live keys share a slot \
+                 (a policy scheduled a wake implausibly far ahead; run \
+                 this design under Engine::Reference)"
             );
         }
-        self.lists[i].push(waiter);
+        self.append(i, waiter);
+    }
+
+    /// Appends `waiter` to slot `i`'s chain, reusing a free node if any.
+    #[inline]
+    fn append(&mut self, i: usize, waiter: u64) {
+        let node = if self.free == NIL {
+            self.nodes.push((waiter, NIL));
+            u32::try_from(self.nodes.len() - 1).expect("waiter pool exceeds u32 nodes")
+        } else {
+            let node = self.free;
+            self.free = self.nodes[node as usize].1;
+            self.nodes[node as usize] = (waiter, NIL);
+            node
+        };
+        if self.heads[i] == NIL {
+            self.heads[i] = node;
+        } else {
+            self.nodes[self.tails[i] as usize].1 = node;
+        }
+        self.tails[i] = node;
         self.len += 1;
     }
 
@@ -432,25 +475,52 @@ impl WaiterRing {
     #[inline]
     pub(crate) fn contains(&self, key: u64) -> bool {
         let i = self.idx(key);
-        !self.lists[i].is_empty() && self.keys[i] == key
+        self.heads[i] != NIL && self.keys[i] == key
     }
 
-    /// Moves `key`'s waiters into `out` (the slot's allocation is kept).
+    /// Moves `key`'s waiters into `out` in push order; the chain's nodes
+    /// go back on the free list.
     #[inline]
     pub(crate) fn remove_into(&mut self, key: u64, out: &mut Vec<u64>) {
-        let i = self.idx(key);
-        if !self.lists[i].is_empty() && self.keys[i] == key {
-            self.len -= self.lists[i].len();
-            out.append(&mut self.lists[i]);
+        if !self.contains(key) {
+            return;
         }
+        let i = self.idx(key);
+        let head = self.heads[i];
+        let before = out.len();
+        out.extend(self.chain(head));
+        self.len -= out.len() - before;
+        self.nodes[self.tails[i] as usize].1 = self.free;
+        self.free = head;
+        self.heads[i] = NIL;
     }
 
-    /// Empties every slot (full pipeline flush), keeping allocations.
+    /// Empties every slot (full pipeline flush), keeping the pool's
+    /// allocation.
     pub(crate) fn clear_all(&mut self) {
-        for l in &mut self.lists {
-            l.clear();
-        }
+        self.heads.fill(NIL);
+        self.nodes.clear();
+        self.free = NIL;
         self.len = 0;
+    }
+
+    /// The waiters on the chain starting at `node`, in push order.
+    fn chain(&self, mut node: u32) -> impl Iterator<Item = u64> + '_ {
+        std::iter::from_fn(move || {
+            (node != NIL).then(|| {
+                let (waiter, next) = self.nodes[node as usize];
+                node = next;
+                waiter
+            })
+        })
+    }
+
+    /// Each slot's waiters in push order — the snapshot's list layout.
+    fn lists(&self) -> Vec<Vec<u64>> {
+        self.heads
+            .iter()
+            .map(|&head| self.chain(head).collect())
+            .collect()
     }
 }
 
@@ -528,9 +598,12 @@ impl<T: Clone + sqip_snapshot::Snapshot> sqip_snapshot::Snapshot for NearRing<T>
 
 impl sqip_snapshot::Snapshot for WaiterRing {
     fn save(&self, w: &mut sqip_snapshot::SnapWriter) -> Result<(), sqip_snapshot::SnapError> {
+        // One list per slot in push order, not the node pool: where a
+        // chain's nodes sit depends on free-list history, so equal rings
+        // would otherwise save different bytes.
         self.mask.save(w)?;
         self.keys.save(w)?;
-        self.lists.save(w)?;
+        self.lists().save(w)?;
         self.len.save(w)
     }
     fn load(r: &mut sqip_snapshot::SnapReader) -> Result<WaiterRing, sqip_snapshot::SnapError> {
@@ -544,6 +617,7 @@ impl sqip_snapshot::Snapshot for WaiterRing {
             || keys.len() as u64 != cap
             || lists.len() as u64 != cap
             || waiters != len
+            || len >= NIL as usize
         {
             return Err(sqip_snapshot::SnapError::Corrupt(format!(
                 "waiter ring: mask {mask:#x}, {} keys, {} lists, len {len} vs {waiters} waiters",
@@ -551,12 +625,14 @@ impl sqip_snapshot::Snapshot for WaiterRing {
                 lists.len()
             )));
         }
-        Ok(WaiterRing {
-            mask,
-            keys,
-            lists,
-            len,
-        })
+        let mut ring = WaiterRing::new(keys.len());
+        ring.keys = keys;
+        for (i, list) in lists.into_iter().enumerate() {
+            for waiter in list {
+                ring.append(i, waiter);
+            }
+        }
+        Ok(ring)
     }
 }
 
@@ -662,5 +738,85 @@ mod tests {
         // The freed slot is immediately reusable by the wrapped key.
         w.push(13, 7);
         assert!(w.contains(13));
+    }
+
+    #[test]
+    fn waiter_ring_chains_keep_push_order_and_reuse_nodes() {
+        let mut w = WaiterRing::new(8);
+        // Interleaved keys, each list in its own push order.
+        for (key, waiter) in [(1, 10), (2, 20), (1, 11), (3, 30), (2, 21), (1, 12)] {
+            w.push(key, waiter);
+        }
+        assert_eq!(w.lists()[1..4], [vec![10, 11, 12], vec![20, 21], vec![30]]);
+        let mut out = Vec::new();
+        w.remove_into(2, &mut out);
+        assert_eq!(out, vec![20, 21]);
+        w.remove_into(2, &mut out); // gone: a no-op
+        w.remove_into(9, &mut out); // slot 1 holds key 1: a no-op
+        assert_eq!(out, vec![20, 21]);
+        assert!(!w.is_empty());
+
+        // Freed nodes serve later pushes: the pool does not grow.
+        let pool = w.nodes.len();
+        w.push(4, 40);
+        w.push(1, 13);
+        assert_eq!(w.nodes.len(), pool);
+        w.push(5, 50);
+        assert_eq!(w.nodes.len(), pool + 1);
+        out.clear();
+        w.remove_into(1, &mut out);
+        assert_eq!(out, vec![10, 11, 12, 13]);
+
+        w.clear_all();
+        assert!(w.is_empty());
+        assert!(!w.contains(3) && !w.contains(4) && !w.contains(5));
+        assert!(w.lists().iter().all(Vec::is_empty));
+        w.push(3, 31);
+        out.clear();
+        w.remove_into(3, &mut out);
+        assert_eq!(out, vec![31]);
+        assert!(w.is_empty());
+    }
+
+    fn container(write: impl FnOnce(&mut sqip_snapshot::SnapWriter)) -> Vec<u8> {
+        let mut w = sqip_snapshot::SnapWriter::new();
+        write(&mut w);
+        let mut bytes = Vec::new();
+        w.finish(&mut bytes).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn waiter_ring_snapshot_keeps_the_per_slot_vec_layout() {
+        use sqip_snapshot::Snapshot;
+
+        let mut w = WaiterRing::new(4);
+        w.push(1, 100);
+        w.push(6, 600);
+        w.push(1, 101);
+        w.push(3, 300);
+        let mut out = Vec::new();
+        w.remove_into(3, &mut out); // slot 3 keeps its stale key
+        w.remove_into(6, &mut out);
+        w.push(2, 200); // on recycled nodes
+        w.push(2, 201);
+        w.push(1, 102);
+
+        // The layout of the `Vec<Vec<u64>>` ring: mask, keys, one list
+        // per slot in push order, len.
+        let want = container(|s| {
+            3u64.save(s).unwrap();
+            vec![0u64, 1, 2, 3].save(s).unwrap();
+            vec![vec![], vec![100u64, 101, 102], vec![200, 201], vec![]]
+                .save(s)
+                .unwrap();
+            5usize.save(s).unwrap();
+        });
+        let got = container(|s| w.save(s).unwrap());
+        assert_eq!(got, want);
+
+        let mut r = sqip_snapshot::SnapReader::new(&mut got.as_slice()).unwrap();
+        let back = WaiterRing::load(&mut r).unwrap();
+        assert_eq!(container(|s| back.save(s).unwrap()), got);
     }
 }

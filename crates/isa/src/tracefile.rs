@@ -45,7 +45,7 @@
 //! # Ok::<(), sqip_isa::IsaError>(())
 //! ```
 
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 
 use sqip_types::{Addr, DataSize, Pc, Seq};
 
@@ -293,18 +293,176 @@ pub fn record_trace<S: TraceSource + ?Sized>(
 
 // ---- reader ----
 
+/// Where the record decoder gets its bytes: a [`BufRead`] buffer slice
+/// (the block fast path) or the reader itself, a byte at a time.
+trait RecordBytes {
+    /// A slice can run dry mid-record; the reader cannot (it reports a
+    /// truncated file instead), so each source names its own failure.
+    type Err: From<IsaError>;
+    fn byte(&mut self) -> Result<u8, Self::Err>;
+}
+
+/// Why a slice decode stopped short of a whole record.
+enum SliceStop {
+    /// The buffered bytes end mid-record: decode it byte-wise instead.
+    Short,
+    Bad(IsaError),
+}
+
+impl From<IsaError> for SliceStop {
+    fn from(e: IsaError) -> SliceStop {
+        SliceStop::Bad(e)
+    }
+}
+
+struct SliceBytes<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl RecordBytes for SliceBytes<'_> {
+    type Err = SliceStop;
+    #[inline]
+    fn byte(&mut self) -> Result<u8, SliceStop> {
+        let b = *self.buf.get(self.pos).ok_or(SliceStop::Short)?;
+        self.pos += 1;
+        Ok(b)
+    }
+}
+
+struct ReaderBytes<'a, R> {
+    r: &'a mut R,
+    /// Records read so far, for the truncation message.
+    records: u64,
+}
+
+impl<R: Read> RecordBytes for ReaderBytes<'_, R> {
+    type Err = IsaError;
+    fn byte(&mut self) -> Result<u8, IsaError> {
+        let mut b = [0u8; 1];
+        self.r.read_exact(&mut b).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                corrupt(format!(
+                    "truncated after {} records (no terminator)",
+                    self.records
+                ))
+            } else {
+                io_err("reading record", &e)
+            }
+        })?;
+        Ok(b[0])
+    }
+}
+
+#[inline]
+fn read_uv<B: RecordBytes>(b: &mut B) -> Result<u64, B::Err> {
+    let mut v = 0u64;
+    for shift in (0..70).step_by(7) {
+        let byte = b.byte()?;
+        if shift == 63 && byte > 1 {
+            return Err(corrupt("varint overflows 64 bits").into());
+        }
+        v |= u64::from(byte & 0x7F) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+    }
+    Err(corrupt("varint longer than 10 bytes").into())
+}
+
+#[inline]
+fn read_reg<B: RecordBytes>(b: &mut B) -> Result<Reg, B::Err> {
+    let idx = b.byte()?;
+    if usize::from(idx) >= crate::reg::NUM_REGS || idx == 0 {
+        return Err(corrupt(format!("invalid register index {idx}")).into());
+    }
+    Ok(Reg::new(idx))
+}
+
+/// Decodes the rest of record `seq` after its (non-terminator) opcode
+/// byte `code`. Both byte sources run this one decoder, so they check
+/// the same bytes in the same order and fail with the same error.
+#[inline]
+fn decode_record<B: RecordBytes>(b: &mut B, code: u8, seq: u64) -> Result<TraceRecord, B::Err> {
+    let op = op_from_code(code).ok_or_else(|| corrupt(format!("unknown opcode byte {code:#x}")))?;
+    let flags = b.byte()?;
+    let dst = (flags & F_DST != 0).then(|| read_reg(b)).transpose()?;
+    let src0 = (flags & F_SRC0 != 0).then(|| read_reg(b)).transpose()?;
+    let src1 = (flags & F_SRC1 != 0).then(|| read_reg(b)).transpose()?;
+    let pc = Pc::new(read_uv(b)?);
+    let imm = zigzag_decode(read_uv(b)?);
+    let addr = (flags & F_ADDR != 0)
+        .then(|| read_uv(b).map(Addr::new))
+        .transpose()?;
+    if op.mem_size().is_some() && addr.is_none() {
+        return Err(corrupt(format!("memory op `{op}` without an address")).into());
+    }
+    let result = read_uv(b)?;
+    let next_pc = Pc::new(pc.next().0.wrapping_add(zigzag_decode(read_uv(b)?) as u64));
+    Ok(TraceRecord {
+        seq: Seq(seq),
+        pc,
+        op,
+        dst,
+        srcs: [src0, src1],
+        imm,
+        addr,
+        size: op.mem_size().unwrap_or_default(),
+        result,
+        taken: flags & F_TAKEN != 0,
+        next_pc,
+    })
+}
+
+/// How a run of slice decodes ended.
+enum RunEnd {
+    /// `out` is full.
+    Full,
+    /// The next record straddles the buffer edge, is the terminator, or
+    /// there are no buffered bytes: the byte-wise path takes it.
+    ByteWise,
+    Bad(IsaError),
+}
+
+/// Decodes whole records from the front of `buf` into `out`, numbering
+/// them from `seq`. Returns the records decoded, the bytes they used and
+/// why the run ended.
+fn decode_run(buf: &[u8], out: &mut [TraceRecord], seq: u64) -> (usize, usize, RunEnd) {
+    let mut bytes = SliceBytes { buf, pos: 0 };
+    for (n, slot) in out.iter_mut().enumerate() {
+        let start = bytes.pos;
+        let end = match bytes.byte() {
+            Ok(END_MARKER) | Err(_) => RunEnd::ByteWise,
+            Ok(code) => match decode_record(&mut bytes, code, seq + n as u64) {
+                Ok(rec) => {
+                    *slot = rec;
+                    continue;
+                }
+                Err(SliceStop::Short) => RunEnd::ByteWise,
+                Err(SliceStop::Bad(e)) => RunEnd::Bad(e),
+            },
+        };
+        return (n, start, end);
+    }
+    (out.len(), bytes.pos, RunEnd::Full)
+}
+
 /// Streams [`TraceRecord`]s out of the compact binary format.
 ///
 /// Implements [`TraceSource`], so a recorded file drives the simulator
-/// exactly like a live generator — in O(1) memory.
+/// exactly like a live generator — in O(1) memory. Block pulls decode
+/// straight out of the reader's buffer; only a record that straddles
+/// the buffer's edge, and the terminator, are read a byte at a time.
+/// The first error is sticky: every later pull returns it again.
 #[derive(Debug)]
-pub struct TraceReader<R: Read> {
+pub struct TraceReader<R: BufRead> {
     r: R,
     next_seq: u64,
     done: bool,
+    error: Option<IsaError>,
 }
 
-impl<R: Read> TraceReader<R> {
+impl<R: BufRead> TraceReader<R> {
     /// Opens a trace stream: reads and validates the header.
     ///
     /// # Errors
@@ -333,60 +491,19 @@ impl<R: Read> TraceReader<R> {
             r,
             next_seq: 0,
             done: false,
+            error: None,
         })
     }
 
-    fn read_byte(&mut self) -> Result<u8, IsaError> {
-        let mut b = [0u8; 1];
-        self.r.read_exact(&mut b).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                corrupt(format!(
-                    "truncated after {} records (no terminator)",
-                    self.next_seq
-                ))
-            } else {
-                io_err("reading record", &e)
-            }
-        })?;
-        Ok(b[0])
-    }
-
-    fn read_uv(&mut self) -> Result<u64, IsaError> {
-        let mut v = 0u64;
-        for shift in (0..70).step_by(7) {
-            let byte = self.read_byte()?;
-            if shift == 63 && byte > 1 {
-                return Err(corrupt("varint overflows 64 bits"));
-            }
-            v |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(corrupt("varint longer than 10 bytes"))
-    }
-
-    fn read_sv(&mut self) -> Result<i64, IsaError> {
-        self.read_uv().map(zigzag_decode)
-    }
-
-    fn read_reg(&mut self) -> Result<Reg, IsaError> {
-        let idx = self.read_byte()?;
-        if usize::from(idx) >= crate::reg::NUM_REGS || idx == 0 {
-            return Err(corrupt(format!("invalid register index {idx}")));
-        }
-        Ok(Reg::new(idx))
-    }
-}
-
-impl<R: Read> TraceSource for TraceReader<R> {
-    fn next_record(&mut self) -> Result<Option<TraceRecord>, IsaError> {
-        if self.done {
-            return Ok(None);
-        }
-        let code = self.read_byte()?;
+    /// The byte-wise path: the next record or the terminator.
+    fn read_record(&mut self) -> Result<Option<TraceRecord>, IsaError> {
+        let mut bytes = ReaderBytes {
+            r: &mut self.r,
+            records: self.next_seq,
+        };
+        let code = bytes.byte()?;
         if code == END_MARKER {
-            let declared = self.read_uv()?;
+            let declared = read_uv(&mut bytes)?;
             if declared != self.next_seq {
                 return Err(corrupt(format!(
                     "terminator declares {declared} records but {} were read",
@@ -396,37 +513,54 @@ impl<R: Read> TraceSource for TraceReader<R> {
             self.done = true;
             return Ok(None);
         }
-        let op =
-            op_from_code(code).ok_or_else(|| corrupt(format!("unknown opcode byte {code:#x}")))?;
-        let flags = self.read_byte()?;
-        let dst = (flags & F_DST != 0).then(|| self.read_reg()).transpose()?;
-        let src0 = (flags & F_SRC0 != 0).then(|| self.read_reg()).transpose()?;
-        let src1 = (flags & F_SRC1 != 0).then(|| self.read_reg()).transpose()?;
-        let pc = Pc::new(self.read_uv()?);
-        let imm = self.read_sv()?;
-        let addr = (flags & F_ADDR != 0)
-            .then(|| self.read_uv().map(Addr::new))
-            .transpose()?;
-        if op.mem_size().is_some() && addr.is_none() {
-            return Err(corrupt(format!("memory op `{op}` without an address")));
-        }
-        let result = self.read_uv()?;
-        let next_pc = Pc::new(pc.next().0.wrapping_add(self.read_sv()? as u64));
-        let rec = TraceRecord {
-            seq: Seq(self.next_seq),
-            pc,
-            op,
-            dst,
-            srcs: [src0, src1],
-            imm,
-            addr,
-            size: op.mem_size().unwrap_or_default(),
-            result,
-            taken: flags & F_TAKEN != 0,
-            next_pc,
-        };
+        let rec = decode_record(&mut bytes, code, self.next_seq)?;
         self.next_seq += 1;
         Ok(Some(rec))
+    }
+}
+
+impl<R: BufRead> TraceSource for TraceReader<R> {
+    fn next_record(&mut self) -> Result<Option<TraceRecord>, IsaError> {
+        if let Some(e) = &self.error {
+            return Err(e.clone());
+        }
+        if self.done {
+            return Ok(None);
+        }
+        self.read_record()
+            .inspect_err(|e| self.error = Some(e.clone()))
+    }
+
+    /// Decodes runs of whole records straight out of the reader's
+    /// buffer; the records and errors are exactly the scalar path's.
+    fn next_block(&mut self, out: &mut [TraceRecord]) -> Result<usize, IsaError> {
+        let mut n = 0;
+        while n < out.len() && !self.done && self.error.is_none() {
+            // A buffer-fill error is left for the byte-wise path to
+            // raise (or retry) exactly as a scalar pull would.
+            let (got, used, end) = match self.r.fill_buf() {
+                Ok(buf) => decode_run(buf, &mut out[n..], self.next_seq),
+                Err(_) => (0, 0, RunEnd::ByteWise),
+            };
+            self.r.consume(used);
+            self.next_seq += got as u64;
+            n += got;
+            match end {
+                RunEnd::Full => {}
+                // The scalar pull stores any error it meets.
+                RunEnd::ByteWise => {
+                    if let Ok(Some(rec)) = self.next_record() {
+                        out[n] = rec;
+                        n += 1;
+                    }
+                }
+                RunEnd::Bad(e) => self.error = Some(e),
+            }
+        }
+        match &self.error {
+            Some(e) if n == 0 => Err(e.clone()),
+            _ => Ok(n),
+        }
     }
 }
 
@@ -523,5 +657,135 @@ mod tests {
         assert!(reader.next_record().unwrap().is_some());
         let err = reader.next_record().unwrap_err();
         assert!(err.to_string().contains("terminator"), "{err}");
+    }
+
+    /// What a pull loop saw: the records, then the error it stopped on
+    /// (`None` for a clean end).
+    type Outcome = (Vec<TraceRecord>, Option<String>);
+
+    /// The byte-wise reference: scalar pulls until the end or an error.
+    fn scalar_outcome(bytes: &[u8]) -> Option<Outcome> {
+        let mut reader = TraceReader::new(bytes).ok()?;
+        let mut got = Vec::new();
+        loop {
+            match reader.next_record() {
+                Ok(Some(r)) => got.push(r),
+                Ok(None) => return Some((got, None)),
+                Err(e) => return Some((got, Some(e.to_string()))),
+            }
+        }
+    }
+
+    /// Block pulls of `block` records through a `BufReader` of `cap`
+    /// bytes (`None`: the default capacity) until the end or an error.
+    fn block_outcome(bytes: &[u8], cap: Option<usize>, block: usize) -> Option<Outcome> {
+        let buffered = match cap {
+            Some(cap) => std::io::BufReader::with_capacity(cap, bytes),
+            None => std::io::BufReader::new(bytes),
+        };
+        let mut reader = TraceReader::new(buffered).ok()?;
+        let mut out = vec![TraceRecord::default(); block];
+        let mut got = Vec::new();
+        loop {
+            match reader.next_block(&mut out) {
+                Ok(0) => return Some((got, None)),
+                Ok(n) => got.extend_from_slice(&out[..n]),
+                Err(e) => return Some((got, Some(e.to_string()))),
+            }
+        }
+    }
+
+    /// Byte offset of each record in an encoded trace.
+    fn record_offsets(trace: &crate::Trace) -> Vec<usize> {
+        let mut w = TraceWriter::new(Vec::new()).unwrap();
+        let mut offsets = Vec::new();
+        for r in trace.records() {
+            offsets.push(w.w.len());
+            w.write_record(r).unwrap();
+        }
+        offsets
+    }
+
+    #[test]
+    fn errors_are_sticky_on_scalar_and_block_pulls() {
+        let trace = mixed_trace();
+        let mut buf = encode(&trace);
+        buf[record_offsets(&trace)[3]] = 0x7e;
+        let want = "unknown opcode byte 0x7e";
+
+        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
+        for r in &trace.records()[..3] {
+            assert_eq!(reader.next_record().unwrap().as_ref(), Some(r));
+        }
+        for _ in 0..3 {
+            let err = reader.next_record().unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
+        }
+        let mut out = vec![TraceRecord::default(); 8];
+        let err = reader.next_block(&mut out).unwrap_err();
+        assert!(err.to_string().contains(want), "{err}");
+
+        // A block pull returns the records before the error, then the
+        // error on every later pull, scalar or block.
+        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
+        assert_eq!(reader.next_block(&mut out).unwrap(), 3);
+        assert_eq!(&out[..3], &trace.records()[..3]);
+        for _ in 0..2 {
+            let err = reader.next_block(&mut out).unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
+            let err = reader.next_record().unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
+        }
+    }
+
+    #[test]
+    fn slice_decoder_matches_the_byte_wise_decoder() {
+        let trace = mixed_trace();
+        let buf = encode(&trace);
+        let want = scalar_outcome(&buf).unwrap();
+        assert_eq!(want, (trace.records().to_vec(), None));
+        let caps = (1..=64).map(Some).chain([None]);
+        for cap in caps {
+            for block in [1, 3, 64] {
+                assert_eq!(
+                    block_outcome(&buf, cap, block).as_ref(),
+                    Some(&want),
+                    "buffer {cap:?}, block {block}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slice_decoder_fails_like_the_byte_wise_decoder() {
+        let buf = encode(&mixed_trace());
+        let check = |bytes: &[u8], what: &str| {
+            let want = scalar_outcome(bytes);
+            for (cap, block) in [(None, 64), (Some(7), 3), (Some(16), 64), (Some(1), 1)] {
+                let got = block_outcome(bytes, cap, block);
+                assert_eq!(got, want, "{what}, buffer {cap:?}, block {block}");
+            }
+            // A plain slice buffers everything: one run to the error.
+            let mut reader = match TraceReader::new(bytes) {
+                Ok(r) => r,
+                Err(_) => return assert!(want.is_none(), "{what}"),
+            };
+            let mut out = vec![TraceRecord::default(); buf.len()];
+            let (records, err) = want.unwrap();
+            match reader.next_block(&mut out) {
+                Ok(n) => assert_eq!(&out[..n], &records[..], "{what}"),
+                Err(e) => assert!(records.is_empty() && err == Some(e.to_string()), "{what}"),
+            }
+        };
+        for cut in 0..buf.len() {
+            check(&buf[..cut], &format!("cut at {cut}"));
+        }
+        for at in 0..buf.len() {
+            for flip in [0xFF, 0x80, 0x01] {
+                let mut bad = buf.clone();
+                bad[at] ^= flip;
+                check(&bad, &format!("byte {at} ^ {flip:#x}"));
+            }
+        }
     }
 }

@@ -138,15 +138,22 @@ pub(crate) fn emit_cell_event(
     sink(event);
 }
 
-/// Shared-ring capacity in records. Bounds both the tee ring and the
-/// spread between the fastest and slowest consumer of a group; at ~72
-/// bytes a record this is ~300KB of shared buffer per in-flight group.
-const RING_CAPACITY: usize = 32768;
+/// Shared-ring capacity in records: the most any consumer of a group may
+/// run ahead of the slowest. `run_group` re-checks that bound before
+/// every step, and a step needs at most `fetch_width` new records (a
+/// block pull-ahead takes only what the ring holds), so the ring only
+/// has to hold a few fetch blocks; what a larger ring buys is fewer
+/// early rotations. Every group allocates and fills its rings up front:
+/// 4096 × 76 B of tee records and reference counts (~311 KB) plus the
+/// oracle feed's 2 × 4096 × 24 B (~196 KB), so the capacity is kept
+/// near what a group uses rather than what a long stream could.
+const RING_CAPACITY: usize = 4096;
 
-/// Lock-step quantum: steps a consumer may take per turn before the
-/// scheduler rotates (large enough to amortize warming the cell's
+/// Lock-step quantum: the most steps a consumer takes per turn before
+/// the scheduler rotates (large enough to amortize warming the cell's
 /// simulator state back into cache, small enough to keep the group in
-/// lock-step when one design is much slower than the rest).
+/// lock-step when one design is much slower than the rest). A turn ends
+/// early when the consumer's next step could outrun the ring.
 const QUANTUM: usize = 2048;
 
 /// Per-group telemetry from a shared pass: the *shared ring's*
