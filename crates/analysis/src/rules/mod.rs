@@ -20,6 +20,7 @@ pub mod forbid_unsafe;
 pub mod guard_send;
 pub mod panic_service;
 pub mod randomness;
+pub mod unbounded_read;
 pub mod unordered;
 pub mod wall_clock;
 
@@ -40,13 +41,14 @@ pub struct Rule {
     pub check: fn(&FileCtx<'_>, &mut Emit<'_>),
 }
 
-static ALL: [Rule; 6] = [
+static ALL: [Rule; 7] = [
     wall_clock::RULE,
     randomness::RULE,
     unordered::RULE,
     panic_service::RULE,
     guard_send::RULE,
     forbid_unsafe::RULE,
+    unbounded_read::RULE,
 ];
 
 /// Every rule, in report order.

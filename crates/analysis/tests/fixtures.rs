@@ -11,13 +11,14 @@ use std::path::Path;
 use sqip_analysis::lint_source_with_rule;
 
 /// `(rule name, lint the fixture as a crate root?)`.
-const CASES: [(&str, bool); 6] = [
+const CASES: [(&str, bool); 7] = [
     ("wall-clock-in-sim", false),
     ("ambient-randomness", false),
     ("unordered-iteration", false),
     ("panic-in-service", false),
     ("guard-across-send", false),
     ("forbid-unsafe", true),
+    ("unbounded-read", false),
 ];
 
 fn read_fixture(rule: &str, which: &str) -> String {

@@ -82,8 +82,6 @@ pub(crate) struct DynInst {
     // ---- execution results ----
     /// Speculative result value (load value, ALU result, store data).
     pub value: u64,
-    /// Cycle the value becomes available (`u64::MAX` until executed).
-    pub complete_cycle: u64,
     /// Earliest commit cycle (completion + SVW/re-execute depth).
     pub commit_eligible: u64,
     /// For loads: the store forwarded from, if any.
@@ -119,7 +117,6 @@ impl DynInst {
             delay_released: 0,
             delay_gated: false,
             value: 0,
-            complete_cycle: u64::MAX,
             commit_eligible: u64::MAX,
             forwarded_from: None,
             svw: Ssn::NONE,
@@ -220,7 +217,6 @@ sqip_snapshot::snapshot_struct!(DynInst {
     delay_released,
     delay_gated,
     value,
-    complete_cycle,
     commit_eligible,
     forwarded_from,
     svw,

@@ -33,9 +33,12 @@ pub struct OracleFwd {
 /// The incremental oracle: ingests records in fetch order and returns
 /// each one's [`OracleFwd`] info immediately.
 ///
-/// Memory use scales with the program's *address footprint* (one byte-map
-/// entry per distinct byte written), not with run length — so arbitrarily
-/// long streams analyse in bounded space.
+/// Memory use scales with the program's *address footprint*, not with run
+/// length — so arbitrarily long streams analyse in bounded space. The byte
+/// map costs 16 B per byte of memory and is allocated one 64-B cache line
+/// at a time (a 1 KiB page), so a store pays for the line it writes, not
+/// for the 4 KiB page around it: scattered stores would otherwise fill
+/// 64 KiB of oracle state apiece.
 ///
 /// # Example
 ///
@@ -64,16 +67,19 @@ pub struct OracleFwd {
 #[derive(Debug, Clone)]
 pub struct OracleBuilder {
     /// Per-byte (store seq, store ordinal) last-writer entries, organised
-    /// as a [`PageTable`] so a memory access resolves one page (usually
-    /// via the table's one-entry cache) and then indexes. The per-byte
-    /// `HashMap` formulation this replaces hashed every byte of every
-    /// store and load — a measurable share of the whole simulator's
-    /// runtime. `ord == 0` means never written.
-    last_writer: PageTable<(Seq, u64)>,
+    /// as a [`PageTable`] of one-line pages so a memory access resolves
+    /// one page (usually via the table's one-entry cache) and then
+    /// indexes; a span that crosses a line takes the per-byte path. The
+    /// per-byte `HashMap` formulation this replaces hashed every byte of
+    /// every store and load — a measurable share of the whole
+    /// simulator's runtime. `ord == 0` means never written.
+    last_writer: PageTable<(Seq, u64), ORACLE_PAGE_ENTRIES>,
     store_count: u64,
 }
 
-const ORACLE_PAGE_BYTES: u64 = sqip_mem::PAGE_ENTRIES as u64;
+/// Byte-map entries per oracle page: one 64-B cache line of memory.
+const ORACLE_PAGE_ENTRIES: usize = 64;
+const ORACLE_PAGE_BYTES: u64 = ORACLE_PAGE_ENTRIES as u64;
 
 impl OracleBuilder {
     /// A fresh oracle with an empty byte map.
@@ -307,5 +313,118 @@ mod tests {
         let oracle = OracleInfo::analyze(&trace);
         assert_eq!(oracle.forwarding_rate(&trace, 64), 1.0);
         assert_eq!(oracle.forwarding_rate(&trace, 4), 0.0, "window too small");
+    }
+
+    /// A memory record at `addr` (`store` or load), built directly so
+    /// the stream can hit any address and alignment.
+    fn mem_record(seq: u64, store: bool, addr: u64, size: DataSize) -> TraceRecord {
+        TraceRecord {
+            seq: Seq(seq),
+            op: if store {
+                sqip_isa::Op::Store(size)
+            } else {
+                sqip_isa::Op::Load(size)
+            },
+            addr: Some(sqip_types::Addr::new(addr)),
+            size,
+            ..TraceRecord::default()
+        }
+    }
+
+    /// The oracle's definition, one byte at a time over a plain map:
+    /// the producer is the youngest store that wrote any of the load's
+    /// bytes, and it covers the load iff it wrote all of them.
+    #[derive(Default)]
+    struct ByteMapOracle {
+        last_writer: std::collections::BTreeMap<u64, (Seq, u64)>,
+        stores: u64,
+    }
+
+    impl ByteMapOracle {
+        fn ingest(&mut self, r: &TraceRecord) -> Option<OracleFwd> {
+            let base = r.addr?.0;
+            let bytes = base..base + u64::from(r.size.bytes());
+            if r.is_store() {
+                self.stores += 1;
+                for b in bytes {
+                    self.last_writer.insert(b, (r.seq, self.stores));
+                }
+                return None;
+            }
+            let writers: Vec<Option<(Seq, u64)>> =
+                bytes.map(|b| self.last_writer.get(&b).copied()).collect();
+            let (store_seq, ord) = writers.iter().flatten().copied().max_by_key(|w| w.1)?;
+            Some(OracleFwd {
+                store_seq,
+                covers: writers.iter().all(|&w| w == Some((store_seq, ord))),
+                store_dist: self.stores - ord,
+            })
+        }
+    }
+
+    /// SplitMix64: a seeded stream with no dependency.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn oracle_matches_a_per_byte_map_on_random_streams() {
+        let (mut forwards, mut partial, mut straddles) = (0u32, 0u32, 0u32);
+        for seed in 0..24u64 {
+            let mut rng = seed;
+            let mut oracle = OracleBuilder::new();
+            let mut reference = ByteMapOracle::default();
+            for seq in 0..2_000u64 {
+                let r = splitmix(&mut rng);
+                let size = DataSize::ALL[(r & 3) as usize];
+                // Three adjacent 4 KiB pages and one far away; the offset
+                // lands anywhere in the page, on an aligned quad, or within
+                // 7 bytes of a line or page boundary, so spans straddle both.
+                let page = [0x1000u64, 0x2000, 0x3000, 0x7fff_f000][((r >> 2) & 3) as usize];
+                let off = match (r >> 4) & 3 {
+                    0 => (r >> 8) % 4096,
+                    1 => (((r >> 8) % 64) * 64 + 4096 - 7 + (r >> 20) % 14) % 4096,
+                    2 => 4096 - 7 + (r >> 8) % 14,
+                    _ => ((r >> 8) % 8) * 8,
+                };
+                let addr = page + off;
+                let n = u64::from(size.bytes());
+                if addr / 64 != (addr + n - 1) / 64 {
+                    straddles += 1;
+                }
+                let rec = mem_record(seq, (r >> 40) % 5 < 2, addr, size);
+                let got = oracle.ingest(&rec);
+                let want = reference.ingest(&rec);
+                assert_eq!(got, want, "seed {seed} seq {seq}: {rec:?}");
+                forwards += u32::from(got.is_some());
+                partial += u32::from(got.is_some_and(|f| !f.covers));
+            }
+            assert_eq!(oracle.stores_seen(), reference.stores);
+        }
+        assert!(
+            forwards > 1_000,
+            "the streams must exercise forwarding ({forwards})"
+        );
+        assert!(partial > 100, "and partial overlaps ({partial})");
+        assert!(straddles > 1_000, "and line-straddling spans ({straddles})");
+    }
+
+    #[test]
+    fn one_store_per_page_keeps_oracle_residency_to_one_line_each() {
+        let mut oracle = OracleBuilder::new();
+        for page in 0..256u64 {
+            oracle.ingest(&mem_record(page, true, page * 4096 + 8, DataSize::Quad));
+        }
+        let line_pages = oracle.last_writer.resident_pages();
+        let resident = line_pages * ORACLE_PAGE_ENTRIES * std::mem::size_of::<(Seq, u64)>();
+        assert_eq!(line_pages, 256);
+        assert!(
+            resident <= 256 << 10,
+            "{resident} bytes of oracle pages for 256 stores"
+        );
     }
 }

@@ -116,12 +116,14 @@ impl EventCore<'_> {
                 self.rename_stop = RenameStop::Structural;
                 break;
             }
-            let rec = *self.rec(seq);
-            if rec.is_load() && self.lq.is_full() {
+            // The structural checks need only the op; the record is
+            // copied once the instruction actually renames.
+            let op = self.rec(seq).op;
+            if op.is_load() && self.lq.is_full() {
                 self.rename_stop = RenameStop::Structural;
                 break;
             }
-            if rec.is_store() {
+            if op.is_store() {
                 if self.sq.is_full() {
                     self.rename_stop = RenameStop::Structural;
                     break;
@@ -140,6 +142,7 @@ impl EventCore<'_> {
                 }
             }
             self.front_q.pop_front();
+            let rec = *self.rec(seq);
             self.rename_one(seq, &rec, path);
         }
     }

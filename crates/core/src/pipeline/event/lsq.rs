@@ -84,7 +84,6 @@ impl EventCore<'_> {
                 .expect("completing inst in flight");
             inst.state = InstState::Done;
             inst.value = value;
-            inst.complete_cycle = ready_at;
             inst.commit_eligible = ready_at + post;
             inst.incarnation
         };

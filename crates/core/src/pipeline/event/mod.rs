@@ -267,7 +267,7 @@ impl<'t> EventCore<'t> {
             committed_regs: [0; sqip_isa::NUM_REGS],
             draining_for_wrap: false,
             rob: Window::new(cfg.rob_size),
-            insts: InstSlab::new(cfg.rob_size, cfg.fetch_width),
+            insts: InstSlab::new(cfg.rob_size),
             iq_count: 0,
             ready_q: ReadyLanes::default(),
             wheel: EventWheel::new(),

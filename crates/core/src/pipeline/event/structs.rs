@@ -26,8 +26,14 @@ use sqip_types::{Seq, Ssn};
 ///
 /// Drop-in replacement for the reference engine's `HashMap<u64, DynInst>`:
 /// the set of live keys is exactly the ROB contents, whose sequence
-/// numbers are consecutive, so a ring sized past the ROB never sees two
-/// live keys in one slot (checked by a tag compare on every access).
+/// numbers are consecutive, so a ring of `rob_size.next_power_of_two()`
+/// slots never sees two live keys in one slot. Retire, squash and flush
+/// remove a key before its instruction dies, and every lookup compares
+/// the slot's `seq` tag, so a dead key (a retired producer, a squashed
+/// seq) misses instead of aliasing a younger tenant. Unlike
+/// [`SeqRing`](crate::pipeline::window::SeqRing), which must also cover
+/// retired producers a consumer still names, the slab needs no slack
+/// past the ROB.
 pub(crate) struct InstSlab {
     /// Capacity mask (power-of-two ring, like
     /// [`SeqRing`](crate::pipeline::window::SeqRing): a mask, not a
@@ -45,10 +51,12 @@ impl InstSlab {
     /// indices and can never reach `u64::MAX`.
     const EMPTY: u64 = u64::MAX;
 
-    pub(crate) fn new(rob_size: usize, fetch_width: usize) -> InstSlab {
-        let cap = crate::pipeline::window::seq_ring_capacity(rob_size, fetch_width);
+    pub(crate) fn new(rob_size: usize) -> InstSlab {
         InstSlab {
-            slots: vec![DynInst::new(Seq(InstSlab::EMPTY), 0, Ssn::NONE); cap],
+            slots: vec![
+                DynInst::new(Seq(InstSlab::EMPTY), 0, Ssn::NONE);
+                rob_size.next_power_of_two()
+            ],
         }
     }
 
@@ -642,8 +650,8 @@ mod tests {
 
     #[test]
     fn inst_slab_tags_distinguish_ring_tenants() {
-        let mut slab = InstSlab::new(4, 1);
-        let cap = (2 * 4 + 4 + 64u64).next_power_of_two();
+        let mut slab = InstSlab::new(4);
+        let cap = 4;
         slab.insert(3, DynInst::new(Seq(3), 0, Ssn::NONE));
         assert!(slab.get(3).is_some());
         assert!(slab.get(3 + cap).is_none(), "same slot, different tenant");
@@ -651,6 +659,97 @@ mod tests {
         assert!(slab.get(3).is_some());
         slab.remove(3);
         assert!(slab.get(3).is_none());
+    }
+
+    /// Drives the slab the way the engine does, with a model ROB of
+    /// consecutive seqs: fill, retire from the head, squash from the
+    /// middle (the squashed seqs re-rename), and flush. Every insert must
+    /// land in an empty slot, every live seq must hit, and every dead seq
+    /// must miss, across many trips round the ring.
+    #[test]
+    fn inst_slab_of_one_rob_never_collides_and_dead_seqs_miss() {
+        use std::collections::VecDeque;
+
+        for rob_size in [1usize, 4, 96, 512] {
+            let mut slab = InstSlab::new(rob_size);
+            assert_eq!(slab.slots.len(), rob_size.next_power_of_two());
+            let mut rob: VecDeque<u64> = VecDeque::new();
+            let mut dead: Vec<u64> = Vec::new();
+            let mut next = 0u64;
+            let check = |slab: &InstSlab, rob: &VecDeque<u64>, dead: &[u64]| {
+                for &s in rob {
+                    assert_eq!(slab.get(s).map(|i| i.seq.0), Some(s), "live seq {s}");
+                }
+                // ROB seqs are consecutive, so membership is a range test.
+                let live = |s: u64| {
+                    rob.front()
+                        .is_some_and(|&f| f <= s && s < f + rob.len() as u64)
+                };
+                for &s in dead {
+                    if !live(s) {
+                        assert!(slab.get(s).is_none(), "dead seq {s} hits (rob {rob_size})");
+                    }
+                }
+            };
+            let fill = |slab: &mut InstSlab, rob: &mut VecDeque<u64>, next: &mut u64| {
+                while rob.len() < rob_size {
+                    let s = *next;
+                    let i = slab.idx(s);
+                    assert_eq!(
+                        slab.slots[i].seq.0,
+                        InstSlab::EMPTY,
+                        "seq {s} collides with live {} (rob {rob_size})",
+                        slab.slots[i].seq.0
+                    );
+                    slab.insert(s, DynInst::new(Seq(s), 0, Ssn::NONE));
+                    rob.push_back(s);
+                    *next += 1;
+                }
+            };
+            for round in 0..40u64 {
+                fill(&mut slab, &mut rob, &mut next);
+                check(&slab, &rob, &dead);
+                // Retire a few from the head.
+                let retire = (rob_size / 3).max(1) + (round % 5) as usize;
+                for _ in 0..retire.min(rob.len()) {
+                    let s = rob.pop_front().unwrap();
+                    slab.remove(s);
+                    dead.push(s);
+                }
+                fill(&mut slab, &mut rob, &mut next);
+                check(&slab, &rob, &dead);
+                // Squash from the middle; fetch resumes at the squash point.
+                let keep = rob.len() / 2;
+                let from = rob[keep];
+                for &s in rob.iter().skip(keep) {
+                    slab.remove(s);
+                    dead.push(s);
+                }
+                rob.truncate(keep);
+                check(&slab, &rob, &dead);
+                next = from;
+                fill(&mut slab, &mut rob, &mut next);
+                check(&slab, &rob, &dead);
+                // Every seventh round, a full flush after retiring the head.
+                if round % 7 == 6 {
+                    let head = rob.pop_front().unwrap();
+                    slab.remove(head);
+                    dead.push(head);
+                    slab.clear();
+                    dead.extend(rob.drain(..));
+                    check(&slab, &rob, &dead);
+                    next = head + 1;
+                }
+                let horizon = 4 * slab.slots.len();
+                if dead.len() > horizon {
+                    dead.drain(..dead.len() - horizon);
+                }
+            }
+            assert!(
+                next > 8 * rob_size.next_power_of_two() as u64,
+                "the ring wrapped"
+            );
+        }
     }
 
     #[test]

@@ -802,7 +802,6 @@ impl RefCore<'_> {
                 .expect("completing inst in flight");
             inst.state = InstState::Done;
             inst.value = value;
-            inst.complete_cycle = ready_at;
             inst.commit_eligible = ready_at + post;
         }
         // Consumers that replayed while this instruction was mid-flight

@@ -7,11 +7,19 @@ use std::collections::HashMap;
 
 use sqip_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
-/// Entries per page (4KB pages for byte-granular tables).
+/// Default entries per page (4KB pages for byte-granular tables).
 pub const PAGE_ENTRIES: usize = 4096;
 
-/// A sparse array of `T` organised as [`PAGE_ENTRIES`]-entry pages
-/// allocated on first write.
+/// A sparse array of `T` organised as `N`-entry pages allocated on first
+/// write (`N` defaults to [`PAGE_ENTRIES`]).
+///
+/// The page size is the table's unit of allocation, so it should match
+/// how densely the table is written. [`MemImage`](crate::MemImage) keeps
+/// the default 4096-entry pages: its entries are the data bytes
+/// themselves. The dependence oracle stores 16 B per byte of memory and
+/// its stores scatter across lines, so it uses 64-entry pages (one cache
+/// line per 1 KiB page) rather than paying 64 KiB for the first store
+/// into each 4 KiB of memory.
 ///
 /// Two properties make it fit the simulator's per-memory-access hot
 /// path:
@@ -26,20 +34,20 @@ pub const PAGE_ENTRIES: usize = 4096;
 ///   page numbers are addresses divided by the page size — so it
 ///   doubles as the empty sentinel.)
 #[derive(Debug, Clone)]
-pub struct PageTable<T> {
+pub struct PageTable<T, const N: usize = PAGE_ENTRIES> {
     /// The value unwritten entries read as (pages are born filled with
     /// it).
     empty: T,
     /// Page number -> slot in `pages`.
     index: HashMap<u64, u32>,
-    pages: Vec<Box<[T; PAGE_ENTRIES]>>,
+    pages: Vec<Box<[T; N]>>,
     /// Most recently resolved (page number, slot).
     last: Cell<(u64, u32)>,
 }
 
-impl<T: Copy> PageTable<T> {
+impl<T: Copy, const N: usize> PageTable<T, N> {
     /// An empty table whose entries read as `empty`.
-    pub fn new(empty: T) -> PageTable<T> {
+    pub fn new(empty: T) -> PageTable<T, N> {
         PageTable {
             empty,
             index: HashMap::new(),
@@ -57,7 +65,7 @@ impl<T: Copy> PageTable<T> {
     /// The page `page_no`, if resident (reads never allocate).
     #[inline]
     #[must_use]
-    pub fn page(&self, page_no: u64) -> Option<&[T; PAGE_ENTRIES]> {
+    pub fn page(&self, page_no: u64) -> Option<&[T; N]> {
         let (lp, li) = self.last.get();
         if lp == page_no {
             return Some(&self.pages[li as usize]);
@@ -70,7 +78,7 @@ impl<T: Copy> PageTable<T> {
     /// The page `page_no`, allocated (filled with the empty value) on
     /// first touch.
     #[inline]
-    pub fn page_mut_or_alloc(&mut self, page_no: u64) -> &mut [T; PAGE_ENTRIES] {
+    pub fn page_mut_or_alloc(&mut self, page_no: u64) -> &mut [T; N] {
         let (lp, li) = self.last.get();
         if lp == page_no {
             return &mut self.pages[li as usize];
@@ -78,16 +86,19 @@ impl<T: Copy> PageTable<T> {
         let next = self.pages.len() as u32;
         let i = *self.index.entry(page_no).or_insert(next);
         if i == next {
-            self.pages.push(Box::new([self.empty; PAGE_ENTRIES]));
+            self.pages.push(Box::new([self.empty; N]));
         }
         self.last.set((page_no, i));
         &mut self.pages[i as usize]
     }
 }
 
-impl<T: Snapshot + Copy> Snapshot for PageTable<T> {
+impl<T: Snapshot + Copy, const N: usize> Snapshot for PageTable<T, N> {
     fn save(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         self.empty.save(w)?;
+        // The page geometry comes first: a table of another page size
+        // would otherwise parse as garbage.
+        w.put_u64(N as u64);
         // Pages in slot order (slot numbering must survive, the index
         // maps into it), then the index as sorted pairs so the encoding
         // is independent of HashMap iteration order.
@@ -101,16 +112,22 @@ impl<T: Snapshot + Copy> Snapshot for PageTable<T> {
         pairs.sort_unstable();
         pairs.save(w)
     }
-    fn load(r: &mut SnapReader) -> Result<PageTable<T>, SnapError> {
+    fn load(r: &mut SnapReader) -> Result<PageTable<T, N>, SnapError> {
         let empty = T::load(r)?;
+        let entries = u64::load(r)?;
+        if entries != N as u64 {
+            return Err(SnapError::Corrupt(format!(
+                "page table of {entries} entries per page (this table has {N})"
+            )));
+        }
         let n_pages = usize::load(r)?;
         let mut pages = Vec::with_capacity(n_pages.min(64));
         for _ in 0..n_pages {
-            let mut page = Vec::with_capacity(PAGE_ENTRIES);
-            for _ in 0..PAGE_ENTRIES {
+            let mut page = Vec::with_capacity(N);
+            for _ in 0..N {
                 page.push(T::load(r)?);
             }
-            let boxed: Box<[T; PAGE_ENTRIES]> = page
+            let boxed: Box<[T; N]> = page
                 .into_boxed_slice()
                 .try_into()
                 .map_err(|_| SnapError::Corrupt("page size mismatch".into()))?;
@@ -168,5 +185,50 @@ mod tests {
             assert_eq!(t.page(p).unwrap()[0], p as u8);
         }
         assert_eq!(t.resident_pages(), 32);
+    }
+
+    fn snapshot_bytes<S: Snapshot>(value: &S) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        value.save(&mut w).unwrap();
+        let mut bytes = Vec::new();
+        w.finish(&mut bytes).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn line_sized_pages_round_trip_through_a_snapshot() {
+        let mut t: PageTable<(u64, u64), 64> = PageTable::new((0, 0));
+        for (i, p) in [9u64, 2, 1 << 40, 3].into_iter().enumerate() {
+            let page = t.page_mut_or_alloc(p);
+            page[i] = (p, i as u64 + 1);
+            page[63] = (p, 99);
+        }
+        let bytes = snapshot_bytes(&t);
+        let mut r = SnapReader::new(&mut bytes.as_slice()).unwrap();
+        let back = PageTable::<(u64, u64), 64>::load(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.resident_pages(), 4);
+        for (i, p) in [9u64, 2, 1 << 40, 3].into_iter().enumerate() {
+            assert_eq!(back.page(p).unwrap()[i], (p, i as u64 + 1));
+            assert_eq!(back.page(p).unwrap()[63], (p, 99));
+        }
+        assert!(back.page(4).is_none());
+        assert_eq!(
+            snapshot_bytes(&back),
+            bytes,
+            "save -> load -> save is stable"
+        );
+    }
+
+    #[test]
+    fn a_snapshot_of_another_page_size_is_corrupt() {
+        let mut t: PageTable<u8, 64> = PageTable::new(0);
+        t.page_mut_or_alloc(5)[1] = 1;
+        let bytes = snapshot_bytes(&t);
+        let mut r = SnapReader::new(&mut bytes.as_slice()).unwrap();
+        match PageTable::<u8>::load(&mut r) {
+            Err(SnapError::Corrupt(detail)) => assert!(detail.contains("64"), "{detail}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 }

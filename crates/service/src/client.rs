@@ -1,12 +1,20 @@
 //! A minimal blocking client for the `sqipd` protocol, used by the
 //! loader, the integration tests, and anyone scripting a server.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use sqip::{ExperimentSpec, RunRecord};
 
-use crate::protocol::{from_line, to_line, Request, Response};
+use crate::protocol::{from_line, read_bounded_line, to_line, LineRead, Request, Response};
+use crate::server::MAX_REQUEST_LINE;
+
+/// The longest response line [`Connection::recv`] reads, newline
+/// included. A response echoes at most a request's job id and one
+/// request-derived string (a bad workload name, say) in its reason, and
+/// JSON escaping never lengthens a string it re-serializes, so four
+/// request lines' worth leaves margin; rows are a few hundred bytes.
+pub const MAX_RESPONSE_LINE: usize = 4 * MAX_REQUEST_LINE;
 
 /// One blocking protocol connection.
 #[derive(Debug)]
@@ -111,22 +119,32 @@ impl Connection {
     /// # Errors
     ///
     /// `UnexpectedEof` when the server closed the connection;
-    /// `InvalidData` for unparseable lines; other socket errors as-is.
+    /// `InvalidData` for unparseable lines and for lines longer than
+    /// [`MAX_RESPONSE_LINE`] (which are read and dropped, so the next
+    /// call sees the next line); other socket errors as-is.
     pub fn recv(&mut self) -> io::Result<Response> {
-        let mut line = String::new();
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let mut line = Vec::new();
         loop {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
+            match read_bounded_line(&mut self.reader, &mut line, MAX_RESPONSE_LINE)? {
+                LineRead::Eof => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "server closed the connection",
+                    ));
+                }
+                LineRead::TooLong => {
+                    return Err(invalid(format!(
+                        "response line longer than {MAX_RESPONSE_LINE} bytes"
+                    )));
+                }
+                LineRead::Line => {}
             }
-            if line.trim().is_empty() {
+            let text = std::str::from_utf8(&line).map_err(|err| invalid(err.to_string()))?;
+            if text.trim().is_empty() {
                 continue;
             }
-            return from_line(&line)
-                .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()));
+            return from_line(text).map_err(|err| invalid(err.to_string()));
         }
     }
 
@@ -186,5 +204,43 @@ impl Connection {
                 _ => {}
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A one-shot peer that writes `bytes` to the first connection and
+    /// closes it.
+    fn serve_bytes(bytes: Vec<u8>) -> (Connection, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.write_all(&bytes).unwrap();
+        });
+        (Connection::connect(addr).unwrap(), peer)
+    }
+
+    #[test]
+    fn recv_refuses_an_over_long_line_and_keeps_framing() {
+        let mut bytes = vec![b'x'; MAX_RESPONSE_LINE];
+        bytes.extend_from_slice(b"\n");
+        bytes.extend_from_slice(to_line(&Response::Pong).as_bytes());
+        bytes.extend_from_slice(b"\n");
+        let (mut conn, peer) = serve_bytes(bytes);
+        let err = conn.recv().expect_err("over-long line must not parse");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("longer than"), "{err}");
+        assert_eq!(
+            conn.recv().unwrap(),
+            Response::Pong,
+            "the next line still reads"
+        );
+        peer.join().unwrap();
+        let eof = conn.recv().expect_err("peer closed");
+        assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
     }
 }

@@ -18,12 +18,22 @@
 //! fail loudly, not replay partially.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 use sqip::ExperimentSpec;
+
+use crate::protocol::{read_bounded_line, LineRead};
+use crate::server::MAX_REQUEST_LINE;
+
+/// The longest journal line replay reads, newline included. An
+/// `admitted` line carries the spec of a request line no longer than
+/// [`MAX_REQUEST_LINE`], re-serialized and then escaped as a JSON string
+/// (at most doubling it), plus a short envelope. A longer line is never
+/// written, and replay refuses a journal that holds one.
+const MAX_JOURNAL_LINE: usize = 4 * MAX_REQUEST_LINE;
 
 /// One journal line. `admitted` carries the job; `settled` refers back
 /// to it by sequence number.
@@ -138,6 +148,15 @@ impl Journal {
             }
         };
         text.push('\n');
+        if text.len() > MAX_JOURNAL_LINE {
+            // Replay would refuse the whole journal over this one line;
+            // losing one job's crash recovery is the smaller harm.
+            eprintln!(
+                "sqipd: journal line of {} bytes not written (limit {MAX_JOURNAL_LINE})",
+                text.len()
+            );
+            return;
+        }
         // One whole line per `write` syscall on an `O_APPEND` fd: the
         // kernel serializes concurrent appenders, so no lock is held
         // across the write. Best-effort durability — a journal write
@@ -160,22 +179,38 @@ impl Journal {
 /// free sequence number.
 fn replay(path: &Path) -> std::io::Result<(Vec<PendingJob>, u64)> {
     let corrupt = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-    let reader = BufReader::new(File::open(path)?);
+    let mut reader = BufReader::new(File::open(path)?);
     let mut pending: Vec<PendingJob> = Vec::new();
     let mut next_seq = 0u64;
-    let mut lines = reader.lines().peekable();
+    let (mut buf, mut lookahead) = (Vec::new(), Vec::new());
     let mut number = 0usize;
-    while let Some(line) = lines.next() {
-        let line = line?;
-        number += 1;
+    loop {
+        match read_bounded_line(&mut reader, &mut buf, MAX_JOURNAL_LINE)? {
+            LineRead::Eof => break,
+            LineRead::TooLong => {
+                return Err(corrupt(format!(
+                    "journal {} line {}: longer than {MAX_JOURNAL_LINE} bytes",
+                    path.display(),
+                    number + 1
+                )));
+            }
+            LineRead::Line => number += 1,
+        }
+        let line = std::str::from_utf8(&buf)
+            .map_err(|err| corrupt(format!("journal {} line {number}: {err}", path.display())))?;
         if line.trim().is_empty() {
             continue;
         }
-        let parsed: Line = match serde_json::from_str(&line) {
+        let parsed: Line = match serde_json::from_str(line) {
             Ok(parsed) => parsed,
             // A torn *final* line is the expected shape of a crash
             // mid-append; anywhere else, refuse to trust the journal.
-            Err(err) if lines.peek().is_none() => {
+            Err(err)
+                if matches!(
+                    read_bounded_line(&mut reader, &mut lookahead, MAX_JOURNAL_LINE)?,
+                    LineRead::Eof
+                ) =>
+            {
                 eprintln!(
                     "sqipd: journal {}: ignoring torn final line: {err}",
                     path.display()
@@ -302,5 +337,33 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, format!("not json at all\n{text}")).unwrap();
         assert!(Journal::open(&path).is_err());
+    }
+
+    #[test]
+    fn an_over_long_line_refuses_the_journal() {
+        let path = scratch("long");
+        {
+            let (journal, _) = Journal::open(&path).unwrap();
+            journal.admit("kept", &spec(), None);
+        }
+        // A line past the limit anywhere — even last, where a torn line
+        // would be forgiven — is refused, without buffering all of it.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut long = "x".repeat(MAX_JOURNAL_LINE);
+        long.push('\n');
+        for contents in [format!("{text}{long}"), format!("{long}{text}")] {
+            std::fs::write(&path, contents).unwrap();
+            let err = Journal::open(&path).expect_err("over-long line must refuse");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("longer than"), "{err}");
+        }
+
+        // One byte shorter (newline included) is a line like any other:
+        // here, torn garbage at the end, which replay forgives.
+        long.truncate(MAX_JOURNAL_LINE - 1);
+        long.push('\n');
+        std::fs::write(&path, format!("{text}{long}")).unwrap();
+        let (_, pending) = Journal::open(&path).unwrap();
+        assert_eq!(pending.len(), 1);
     }
 }

@@ -40,7 +40,7 @@ pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGua
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-pub use client::{Connection, JobOutcome, JobStatus};
+pub use client::{Connection, JobOutcome, JobStatus, MAX_RESPONSE_LINE};
 pub use journal::{Journal, PendingJob};
 pub use loader::{run_load, BurstReport, LatencySummary, LoadReport, LoaderConfig, SloReport};
 pub use protocol::{Request, Response, StatsSnapshot};

@@ -12,6 +12,8 @@
 //! row the batch `ResultSet` serialization would hold, so streamed rows
 //! reassemble into exactly the offline artifact.
 
+use std::io::{self, BufRead};
+
 use serde::{Deserialize, Serialize, Value};
 use sqip::{ExperimentSpec, RunRecord};
 
@@ -353,6 +355,44 @@ pub fn to_line<T: Serialize>(message: &T) -> String {
 /// Returns the parse/shape error for malformed lines.
 pub fn from_line<T: Deserialize>(line: &str) -> Result<T, serde::Error> {
     serde_json::from_str(line.trim())
+}
+
+/// What [`read_bounded_line`] found.
+pub(crate) enum LineRead {
+    /// A line (possibly unterminated at end of stream) is in the buffer.
+    Line,
+    /// The line was longer than the limit; it was read and dropped.
+    TooLong,
+    /// The stream ended.
+    Eof,
+}
+
+/// Reads one `\n`-terminated line into `buf`, keeping at most `limit`
+/// bytes, newline included: the rest of a longer line is read a bounded
+/// chunk at a time and dropped, so the stream stays framed after it.
+/// Every line reader in this crate goes through here (the request
+/// reader, [`Connection::recv`](crate::Connection::recv) and journal
+/// replay), so no peer or file can make one buffer without bound.
+pub(crate) fn read_bounded_line(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    limit: usize,
+) -> io::Result<LineRead> {
+    let cap = limit as u64;
+    buf.clear();
+    if io::Read::take(&mut *reader, cap).read_until(b'\n', buf)? == 0 {
+        return Ok(LineRead::Eof);
+    }
+    if buf.len() < limit || buf.ends_with(b"\n") {
+        return Ok(LineRead::Line);
+    }
+    loop {
+        buf.clear();
+        if io::Read::take(&mut *reader, cap).read_until(b'\n', buf)? == 0 || buf.ends_with(b"\n") {
+            buf.clear();
+            return Ok(LineRead::TooLong);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@
 //! clean rejection, never a stalled or dropped connection.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -40,7 +40,9 @@ use sqip::{CancelToken, CellEvent, Experiment, SqipError, SweepEngine};
 
 use crate::journal::{Journal, PendingJob};
 use crate::lock_unpoisoned;
-use crate::protocol::{from_line, to_line, Request, Response, StatsSnapshot};
+use crate::protocol::{
+    from_line, read_bounded_line, to_line, LineRead, Request, Response, StatsSnapshot,
+};
 use crate::queue::{FairQueue, PushError};
 
 /// Per-connection response channel depth. Small on purpose: rows are
@@ -818,41 +820,6 @@ fn writer_loop(stream: TcpStream, rx: &Receiver<Response>) {
     }
 }
 
-/// What [`read_request_line`] found.
-enum LineRead {
-    /// A line (possibly unterminated at end of stream) is in the buffer.
-    Line,
-    /// The line was longer than the limit; it was read and dropped.
-    TooLong,
-    /// The stream ended.
-    Eof,
-}
-
-/// Reads one `\n`-terminated line into `buf`, keeping at most `limit`
-/// bytes: the rest of a longer line is read a bounded chunk at a time
-/// and dropped.
-fn read_request_line(
-    reader: &mut impl BufRead,
-    buf: &mut Vec<u8>,
-    limit: usize,
-) -> io::Result<LineRead> {
-    let cap = limit as u64;
-    buf.clear();
-    if io::Read::take(&mut *reader, cap).read_until(b'\n', buf)? == 0 {
-        return Ok(LineRead::Eof);
-    }
-    if buf.len() < limit || buf.ends_with(b"\n") {
-        return Ok(LineRead::Line);
-    }
-    loop {
-        buf.clear();
-        if io::Read::take(&mut *reader, cap).read_until(b'\n', buf)? == 0 || buf.ends_with(b"\n") {
-            buf.clear();
-            return Ok(LineRead::TooLong);
-        }
-    }
-}
-
 fn reader_loop(shared: &Arc<Shared>, client: u64, stream: &TcpStream, tx: &SyncSender<Response>) {
     let Ok(read_stream) = stream.try_clone() else {
         return;
@@ -867,7 +834,7 @@ fn reader_loop(shared: &Arc<Shared>, client: u64, stream: &TcpStream, tx: &SyncS
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match read_request_line(&mut lines, &mut buf, MAX_REQUEST_LINE) {
+        match read_bounded_line(&mut lines, &mut buf, MAX_REQUEST_LINE) {
             Ok(LineRead::Eof) | Err(_) => return,
             Ok(LineRead::TooLong) => {
                 let reason = format!("request line longer than {MAX_REQUEST_LINE} bytes");

@@ -57,7 +57,12 @@ use sqip_types::{Addr, AddrSpan, Cycle, DataSize, Pc, Seq, Ssn};
 pub const SNAP_MAGIC: [u8; 4] = *b"SQSN";
 
 /// Current snapshot format version.
-pub const SNAP_VERSION: u32 = 1;
+///
+/// Version 2 (from version 1): the dependence oracle's page table
+/// records its entries per page and pages one 64-B line at a time, the
+/// event engine's instruction slab holds one ROB's worth of slots, and
+/// in-flight instructions no longer carry a completion cycle.
+pub const SNAP_VERSION: u32 = 2;
 
 /// Everything that can go wrong saving, loading, or resuming from a
 /// snapshot. No code path in this crate panics on malformed input.
@@ -779,6 +784,21 @@ mod tests {
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         match SnapReader::new(&mut bytes.as_slice()) {
             Err(SnapError::UnsupportedVersion { found: 99, .. }) => {}
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn version_1_snapshots_are_refused() {
+        // Version 1 laid the oracle out in 4 KiB pages with no page-size
+        // field; parsing it as version 2 would misread every page.
+        let mut bytes = roundtrip_bytes(SnapWriter::new());
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        match SnapReader::new(&mut bytes.as_slice()) {
+            Err(SnapError::UnsupportedVersion {
+                found: 1,
+                supported: 2,
+            }) => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
     }
