@@ -22,9 +22,11 @@
 //!   the upstream pass genuinely dominates and the shared-pass win is
 //!   the paper-shaped one: N designs, one decode.
 //!
-//! The JSON report (default `BENCH_PR10.json`) is the repo's perf
-//! trajectory: each PR that touches the hot path appends a new
-//! `BENCH_<PR>.json` snapshot, so regressions are diffs, not folklore.
+//! The JSON report goes to `target/perf-report.json` unless `--out`
+//! names another path, so a smoke run never rewrites a committed report.
+//! The committed `BENCH_<PR>.json` snapshots are the repo's perf
+//! trajectory (each written with `--out`), so regressions are diffs, not
+//! folklore.
 //!
 //! Every event-engine cell also carries the engine's **scheduling-cost
 //! counters** (wheel ops, off-wheel near ops, broadcasts delivered and
@@ -620,7 +622,7 @@ fn fuse_gate(cells: &[Cell]) -> usize {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = "BENCH_PR10.json".to_string();
+    let mut out = "target/perf-report.json".to_string();
     let mut quick = false;
     let mut baseline: Option<String> = None;
     let mut ratios_only = false;
@@ -762,6 +764,9 @@ fn main() {
         trace_sweep,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
+    if let Some(dir) = std::path::Path::new(&out).parent() {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
+    }
     std::fs::write(&out, json + "\n").unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("report written to {out}");
 

@@ -2,9 +2,10 @@
 //!
 //! [`OracleBuilder`] computes, for every dynamic load, the youngest older
 //! store that wrote any of its bytes. The analysis is a *streaming* pass:
-//! the byte map it maintains is forward-only, so each record's oracle info
-//! is complete the moment the record is ingested — the pipeline computes
-//! it on the fly as records arrive from a
+//! the byte map it maintains (per 64-B line, each byte's last writer,
+//! with each writer stored once) is forward-only, so each record's
+//! oracle info is complete the moment the record is ingested — the
+//! pipeline computes it on the fly as records arrive from a
 //! [`TraceSource`](sqip_isa::TraceSource), with no whole-trace
 //! preprocessing. The `IdealOracle` configuration schedules loads with
 //! this information (perfect, violation-free scheduling — the paper's
@@ -12,8 +13,11 @@
 //! architectural load forwarding rate of Table 3's first column.
 //! [`OracleInfo`] is the batch form over a materialized [`Trace`].
 
+use std::ops::Range;
+
 use sqip_isa::{Trace, TraceRecord};
 use sqip_mem::PageTable;
+use sqip_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use sqip_types::Seq;
 
 /// The architectural forwarding source of one dynamic load.
@@ -34,11 +38,14 @@ pub struct OracleFwd {
 /// each one's [`OracleFwd`] info immediately.
 ///
 /// Memory use scales with the program's *address footprint*, not with run
-/// length — so arbitrarily long streams analyse in bounded space. The byte
-/// map costs 16 B per byte of memory and is allocated one 64-B cache line
-/// at a time (a 1 KiB page), so a store pays for the line it writes, not
-/// for the 4 KiB page around it: scattered stores would otherwise fill
-/// 64 KiB of oracle state apiece.
+/// length — so arbitrarily long streams analyse in bounded space. Memory
+/// is shadowed one 64-B cache line at a time: each written line holds a
+/// byte-to-writer map (one byte per byte of memory) and the line's live
+/// writers, each `(store seq, store ordinal)` stored once however many
+/// bytes it wrote. A writer no byte names any more is reclaimed as the
+/// store that overwrites its last byte lands, so a line never lists more
+/// than 64 writers. A line written by one store costs 152 B (88 B inline
+/// plus a four-slot writer list), where a 16-B entry per byte cost 1 KiB.
 ///
 /// # Example
 ///
@@ -66,27 +73,124 @@ pub struct OracleFwd {
 /// ```
 #[derive(Debug, Clone)]
 pub struct OracleBuilder {
-    /// Per-byte (store seq, store ordinal) last-writer entries, organised
-    /// as a [`PageTable`] of one-line pages so a memory access resolves
-    /// one page (usually via the table's one-entry cache) and then
-    /// indexes; a span that crosses a line takes the per-byte path. The
-    /// per-byte `HashMap` formulation this replaces hashed every byte of
-    /// every store and load — a measurable share of the whole
-    /// simulator's runtime. `ord == 0` means never written.
-    last_writer: PageTable<(Seq, u64), ORACLE_PAGE_ENTRIES>,
+    /// The written lines of memory, organised as a [`PageTable`] of
+    /// one-line pages so a memory access resolves its line once (usually
+    /// via the table's one-entry cache) and then indexes; a span that
+    /// crosses a line resolves both. The per-byte `HashMap` formulation
+    /// this replaces hashed every byte of every store and load — a
+    /// measurable share of the whole simulator's runtime.
+    lines: PageTable<OracleLine>,
     store_count: u64,
 }
 
-/// Byte-map entries per oracle page: one 64-B cache line of memory.
-const ORACLE_PAGE_ENTRIES: usize = 64;
-const ORACLE_PAGE_BYTES: u64 = ORACLE_PAGE_ENTRIES as u64;
+/// Bytes of memory per oracle line: one cache line.
+const LINE_BYTES: usize = 64;
+
+/// One 64-B line of the oracle's byte map.
+///
+/// Invariant: every writer is named by at least one byte, so `writers`
+/// never holds more than [`LINE_BYTES`] entries and a slot number always
+/// fits the byte map's `u8`.
+#[derive(Debug, Clone)]
+struct OracleLine {
+    /// Per byte, the 1-based slot in `writers` of the store that last
+    /// wrote it; 0 means never written.
+    owner: [u8; LINE_BYTES],
+    /// The line's live writers, `(store seq, store ordinal)`, in slot
+    /// order.
+    writers: Vec<(Seq, u64)>,
+}
+
+impl Default for OracleLine {
+    fn default() -> OracleLine {
+        OracleLine {
+            owner: [0; LINE_BYTES],
+            writers: Vec::new(),
+        }
+    }
+}
+
+impl OracleLine {
+    /// Records `writer` as the last writer of `bytes`, reclaiming every
+    /// writer whose last byte it overwrites: the first freed slot is
+    /// reused, the others are filled from the end of the list.
+    fn store(&mut self, bytes: Range<usize>, writer: (Seq, u64)) {
+        let mut old = [0u8; 8];
+        let n = bytes.len();
+        old[..n].copy_from_slice(&self.owner[bytes.clone()]);
+        self.owner[bytes.clone()].fill(0);
+        let mut dead = [0u8; 8];
+        let mut n_dead = 0;
+        for &slot in &old[..n] {
+            if slot != 0 && !dead[..n_dead].contains(&slot) && !self.owner.contains(&slot) {
+                dead[n_dead] = slot;
+                n_dead += 1;
+            }
+        }
+        let slot = if n_dead == 0 {
+            self.writers.push(writer);
+            self.writers.len() as u8
+        } else {
+            let dead = &mut dead[..n_dead];
+            dead.sort_unstable();
+            // Removing the highest slots first keeps the moved tail entry
+            // live: every dead slot above it is already gone.
+            for &slot in dead[1..].iter().rev() {
+                let last = self.writers.len() as u8;
+                self.writers.swap_remove(usize::from(slot) - 1);
+                if slot != last {
+                    for o in &mut self.owner {
+                        if *o == last {
+                            *o = slot;
+                        }
+                    }
+                }
+            }
+            self.writers[usize::from(dead[0]) - 1] = writer;
+            dead[0]
+        };
+        self.owner[bytes].fill(slot);
+    }
+
+    /// How this line breaks its invariant, if it does. (A list of more
+    /// than 64 writers always has one that owns no byte.)
+    fn invariant_error(&self) -> Option<String> {
+        let n = self.writers.len();
+        if let Some(&slot) = self.owner.iter().find(|&&slot| usize::from(slot) > n) {
+            return Some(format!("oracle line byte names writer {slot} of {n}"));
+        }
+        (1..=n.min(LINE_BYTES + 1) as u8)
+            .find(|slot| !self.owner.contains(slot))
+            .map(|slot| format!("oracle line writer {slot} owns no byte"))
+    }
+
+    /// The last writer of byte `i`, if any store wrote it.
+    #[inline]
+    fn writer(&self, i: usize) -> Option<(Seq, u64)> {
+        match self.owner[i] {
+            0 => None,
+            slot => Some(self.writers[usize::from(slot) - 1]),
+        }
+    }
+}
+
+/// Splits the `n`-byte span at `base` into its (line number, byte range)
+/// parts: one, or two when the span crosses a line boundary.
+fn line_parts(base: u64, n: u64) -> impl Iterator<Item = (u64, Range<usize>)> {
+    let line = base / LINE_BYTES as u64;
+    let off = (base % LINE_BYTES as u64) as usize;
+    let end = off + n as usize;
+    let first = (line, off..end.min(LINE_BYTES));
+    let second = (end > LINE_BYTES).then(|| (line + 1, 0..end - LINE_BYTES));
+    std::iter::once(first).chain(second)
+}
 
 impl OracleBuilder {
     /// A fresh oracle with an empty byte map.
     #[must_use]
     pub fn new() -> OracleBuilder {
         OracleBuilder {
-            last_writer: PageTable::new((Seq(0), 0)),
+            lines: PageTable::new(),
             store_count: 0,
         }
     }
@@ -98,62 +202,34 @@ impl OracleBuilder {
     pub fn ingest(&mut self, r: &TraceRecord) -> Option<OracleFwd> {
         if r.is_store() {
             self.store_count += 1;
-            let span = r.mem_addr().span(r.size);
-            let base = span.base().0;
-            let n = u64::from(r.size.bytes());
-            let (seq, ord) = (r.seq, self.store_count);
-            if base / ORACLE_PAGE_BYTES == (base + n - 1) / ORACLE_PAGE_BYTES {
-                let page = self.last_writer.page_mut_or_alloc(base / ORACLE_PAGE_BYTES);
-                let off = (base % ORACLE_PAGE_BYTES) as usize;
-                for e in &mut page[off..off + n as usize] {
-                    *e = (seq, ord);
-                }
-            } else {
-                for b in span.byte_addrs() {
-                    let page = self.last_writer.page_mut_or_alloc(b.0 / ORACLE_PAGE_BYTES);
-                    page[(b.0 % ORACLE_PAGE_BYTES) as usize] = (seq, ord);
-                }
+            let writer = (r.seq, self.store_count);
+            for (line, bytes) in line_parts(r.mem_addr().0, u64::from(r.size.bytes())) {
+                self.lines.page_mut_or_alloc(line).store(bytes, writer);
             }
             None
         } else if r.is_load() {
-            let span = r.mem_addr().span(r.size);
-            let base = span.base().0;
-            let n = u64::from(r.size.bytes());
             // One pass: the youngest writer over the load's bytes, plus
-            // whether that writer covers every byte. The common
-            // non-straddling span resolves its page once.
+            // whether that writer covers every byte.
             let mut newest: Option<(Seq, u64)> = None;
             let mut writers_agree = true;
-            let mut scan = |entry: Option<(Seq, u64)>| match (entry, newest) {
-                (None, _) => writers_agree = false,
-                (Some(e), None) => newest = Some(e),
-                (Some((s, ord)), Some((ns, nord))) => {
-                    if s != ns {
-                        writers_agree = false;
-                    }
-                    if ord > nord {
-                        newest = Some((s, ord));
-                    }
-                }
-            };
-            if base / ORACLE_PAGE_BYTES == (base + n - 1) / ORACLE_PAGE_BYTES {
-                match self.last_writer.page(base / ORACLE_PAGE_BYTES) {
-                    None => writers_agree = false,
-                    Some(page) => {
-                        let off = (base % ORACLE_PAGE_BYTES) as usize;
-                        for e in &page[off..off + n as usize] {
-                            scan(Some(*e).filter(|&(_, ord)| ord != 0));
+            for (line, bytes) in line_parts(r.mem_addr().0, u64::from(r.size.bytes())) {
+                let Some(line) = self.lines.page(line) else {
+                    writers_agree = false;
+                    continue;
+                };
+                for i in bytes {
+                    match (line.writer(i), newest) {
+                        (None, _) => writers_agree = false,
+                        (Some(w), None) => newest = Some(w),
+                        (Some((s, ord)), Some((ns, nord))) => {
+                            if s != ns {
+                                writers_agree = false;
+                            }
+                            if ord > nord {
+                                newest = Some((s, ord));
+                            }
                         }
                     }
-                }
-            } else {
-                for b in span.byte_addrs() {
-                    let entry = self
-                        .last_writer
-                        .page(b.0 / ORACLE_PAGE_BYTES)
-                        .map(|page| page[(b.0 % ORACLE_PAGE_BYTES) as usize])
-                        .filter(|&(_, ord)| ord != 0);
-                    scan(entry);
                 }
             }
             newest.map(|(store_seq, ord)| OracleFwd {
@@ -186,10 +262,34 @@ sqip_snapshot::snapshot_struct!(OracleFwd {
     covers,
     store_dist,
 });
-sqip_snapshot::snapshot_struct!(OracleBuilder {
-    last_writer,
-    store_count,
-});
+sqip_snapshot::snapshot_struct!(OracleBuilder { lines, store_count });
+
+impl Snapshot for OracleLine {
+    fn save(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+        // As laid out: the 64 owner bytes, then the writer list in slot
+        // order.
+        w.put_bytes(&self.owner);
+        self.writers.save(w)
+    }
+    fn load(r: &mut SnapReader) -> Result<OracleLine, SnapError> {
+        let mut owner = [0u8; LINE_BYTES];
+        owner.copy_from_slice(r.take_bytes(LINE_BYTES)?);
+        let n = usize::load(r)?;
+        if n > LINE_BYTES {
+            return Err(SnapError::Corrupt(format!(
+                "oracle line lists {n} writers (at most {LINE_BYTES})"
+            )));
+        }
+        let writers = (0..n)
+            .map(|_| <(Seq, u64)>::load(r))
+            .collect::<Result<Vec<_>, _>>()?;
+        let line = OracleLine { owner, writers };
+        match line.invariant_error() {
+            None => Ok(line),
+            Some(detail) => Err(SnapError::Corrupt(detail)),
+        }
+    }
+}
 
 /// Per-record oracle forwarding info (`None` for non-loads and for loads
 /// whose bytes were never written by a traced store).
@@ -371,6 +471,15 @@ mod tests {
         z ^ (z >> 31)
     }
 
+    /// Checks every touched line's invariant.
+    fn assert_lines_compact(oracle: &OracleBuilder, lines: impl IntoIterator<Item = u64>) {
+        for line_no in lines {
+            if let Some(line) = oracle.lines.page(line_no) {
+                assert_eq!(line.invariant_error(), None, "line {line_no:#x}");
+            }
+        }
+    }
+
     #[test]
     fn oracle_matches_a_per_byte_map_on_random_streams() {
         let (mut forwards, mut partial, mut straddles) = (0u32, 0u32, 0u32);
@@ -411,6 +520,62 @@ mod tests {
         );
         assert!(partial > 100, "and partial overlaps ({partial})");
         assert!(straddles > 1_000, "and line-straddling spans ({straddles})");
+
+        // Reclamation mode: mixed-size traffic crowded onto three lines,
+        // mostly stores, so writers keep losing their last bytes (often
+        // several to one wide store) and their slots are reused or filled
+        // from the tail of the list.
+        let mut hot_partial = 0u32;
+        for seed in 100..116u64 {
+            let mut rng = seed;
+            let mut oracle = OracleBuilder::new();
+            let mut reference = ByteMapOracle::default();
+            for seq in 0..3_000u64 {
+                let r = splitmix(&mut rng);
+                let size = DataSize::ALL[(r & 3) as usize];
+                let rec = mem_record(seq, (r >> 40) % 5 < 3, 0x2000 + (r >> 8) % 184, size);
+                let got = oracle.ingest(&rec);
+                assert_eq!(
+                    got,
+                    reference.ingest(&rec),
+                    "seed {seed} seq {seq}: {rec:?}"
+                );
+                hot_partial += u32::from(got.is_some_and(|f| !f.covers));
+                assert_lines_compact(&oracle, [0x80, 0x81, 0x82, 0x83]);
+            }
+            assert!(reference.stores > 3 * 64 * 8, "far more stores than slots");
+        }
+        assert!(
+            hot_partial > 1_000,
+            "reclamation under partial overlaps ({hot_partial})"
+        );
+    }
+
+    #[test]
+    fn a_hot_line_keeps_at_most_64_writers() {
+        // 10^5 byte and half-word stores into one line, read back by
+        // every load size: the line's writer list stays bounded by its
+        // bytes however long the run.
+        let mut oracle = OracleBuilder::new();
+        let mut reference = ByteMapOracle::default();
+        let mut rng = 42u64;
+        let mut most = 0;
+        for seq in 0..100_000u64 {
+            let r = splitmix(&mut rng);
+            let store = seq % 8 != 7;
+            let size = if store {
+                [DataSize::Byte, DataSize::Half][(r & 1) as usize]
+            } else {
+                DataSize::ALL[(r & 3) as usize]
+            };
+            let rec = mem_record(seq, store, 0x4000 + (r >> 8) % 57, size);
+            assert_eq!(oracle.ingest(&rec), reference.ingest(&rec), "seq {seq}");
+            most = most.max(oracle.lines.page(0x100).unwrap().writers.len());
+        }
+        assert_eq!(oracle.lines.resident_pages(), 1);
+        assert_lines_compact(&oracle, [0x100]);
+        assert!(most <= LINE_BYTES, "{most} writers in one line");
+        assert!(most > 32, "byte stores keep many writers live ({most})");
     }
 
     #[test]
@@ -419,12 +584,91 @@ mod tests {
         for page in 0..256u64 {
             oracle.ingest(&mem_record(page, true, page * 4096 + 8, DataSize::Quad));
         }
-        let line_pages = oracle.last_writer.resident_pages();
-        let resident = line_pages * ORACLE_PAGE_ENTRIES * std::mem::size_of::<(Seq, u64)>();
-        assert_eq!(line_pages, 256);
+        assert_eq!(oracle.lines.resident_pages(), 256);
+        // Each line: its byte map and list header inline, plus one
+        // small writer-list allocation.
+        let resident: usize = (0..256u64)
+            .map(|page| {
+                let line = oracle.lines.page(page * 64).expect("the store's line");
+                assert_eq!(line.writers.len(), 1);
+                std::mem::size_of::<OracleLine>()
+                    + line.writers.capacity() * std::mem::size_of::<(Seq, u64)>()
+            })
+            .sum();
         assert!(
-            resident <= 256 << 10,
-            "{resident} bytes of oracle pages for 256 stores"
+            resident <= 256 * 160,
+            "{resident} bytes of oracle lines for 256 stores"
+        );
+    }
+
+    fn snapshot_bytes<S: Snapshot>(value: &S) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        value.save(&mut w).unwrap();
+        let mut bytes = Vec::new();
+        w.finish(&mut bytes).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn a_reclaimed_oracle_round_trips_byte_for_byte() {
+        let mut oracle = OracleBuilder::new();
+        let mut rng = 7u64;
+        let stream: Vec<TraceRecord> = (0..20_000u64)
+            .map(|seq| {
+                let r = splitmix(&mut rng);
+                let size = DataSize::ALL[(r & 3) as usize];
+                mem_record(seq, !r.is_multiple_of(3), 0x9000 + (r >> 8) % 300, size)
+            })
+            .collect();
+        let (head, tail) = stream.split_at(15_000);
+        for rec in head {
+            oracle.ingest(rec);
+        }
+        let bytes = snapshot_bytes(&oracle);
+        let mut r = SnapReader::new(&mut bytes.as_slice()).unwrap();
+        let mut back = OracleBuilder::load(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(snapshot_bytes(&back), bytes, "save -> load -> save");
+        for rec in tail {
+            assert_eq!(back.ingest(rec), oracle.ingest(rec), "{rec:?}");
+        }
+        assert_eq!(snapshot_bytes(&back), snapshot_bytes(&oracle));
+    }
+
+    /// Loads one oracle line from a hand-written payload.
+    fn load_line(
+        owner: &[u8; LINE_BYTES],
+        writers: &[(Seq, u64)],
+    ) -> Result<OracleLine, SnapError> {
+        let mut w = SnapWriter::new();
+        w.put_bytes(owner);
+        writers.to_vec().save(&mut w).unwrap();
+        let mut bytes = Vec::new();
+        w.finish(&mut bytes).unwrap();
+        let mut r = SnapReader::new(&mut bytes.as_slice())?;
+        OracleLine::load(&mut r)
+    }
+
+    #[test]
+    fn a_corrupt_oracle_line_is_refused() {
+        let mut owner = [0u8; LINE_BYTES];
+        owner[..8].fill(1);
+        owner[8..12].fill(2);
+        let two = [(Seq(3), 1), (Seq(5), 2)];
+        let line = load_line(&owner, &two).expect("a well-formed line loads");
+        assert_eq!(line.writer(9), Some((Seq(5), 2)));
+
+        let mut bad = owner;
+        bad[20] = 3;
+        let corrupt = |res: Result<OracleLine, SnapError>, what: &str| match res {
+            Err(SnapError::Corrupt(detail)) => assert!(detail.contains(what), "{detail}"),
+            other => panic!("expected Corrupt({what}), got {other:?}"),
+        };
+        corrupt(load_line(&bad, &two), "names writer 3");
+        corrupt(load_line(&owner, &[(Seq(1), 1); 65]), "65 writers");
+        corrupt(
+            load_line(&owner, &[two[0], two[1], (Seq(9), 3)]),
+            "writer 3 owns no byte",
         );
     }
 }

@@ -949,8 +949,7 @@ impl RefCore<'_> {
             ),
         };
 
-        self.lq
-            .record_execution(seq, span, value, svw, older_unknown);
+        self.lq.record_execution(seq, span, svw);
         {
             let inst = self.insts.get_mut(&seq.0).expect("load in flight");
             inst.forwarded_from = forwarded;

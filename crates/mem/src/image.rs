@@ -2,7 +2,7 @@
 
 use sqip_types::{Addr, DataSize};
 
-use crate::pagetable::{PageTable, PAGE_ENTRIES};
+use crate::pagetable::{BytePage, PageTable, PAGE_ENTRIES};
 
 const PAGE_BYTES: usize = PAGE_ENTRIES;
 
@@ -21,7 +21,7 @@ const PAGE_BYTES: usize = PAGE_ENTRIES;
 /// short-circuiting the hash lookup for repeated traffic to one page.
 #[derive(Debug, Clone)]
 pub struct MemImage {
-    pages: PageTable<u8>,
+    pages: PageTable<BytePage>,
 }
 
 impl Default for MemImage {
@@ -35,7 +35,7 @@ impl MemImage {
     #[must_use]
     pub fn new() -> MemImage {
         MemImage {
-            pages: PageTable::new(0),
+            pages: PageTable::new(),
         }
     }
 

@@ -4,29 +4,30 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 
 use sqip_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
-/// Default entries per page (4KB pages for byte-granular tables).
+/// Bytes per data page of [`MemImage`](crate::MemImage) (4 KiB).
 pub const PAGE_ENTRIES: usize = 4096;
 
-/// A sparse array of `T` organised as `N`-entry pages allocated on first
-/// write (`N` defaults to [`PAGE_ENTRIES`]).
+/// A sparse array of pages of type `P`, keyed by page number and
+/// allocated (as `P::default()`) on first write.
 ///
-/// The page size is the table's unit of allocation, so it should match
+/// The page type is the table's unit of allocation, so it should match
 /// how densely the table is written. [`MemImage`](crate::MemImage) keeps
-/// the default 4096-entry pages: its entries are the data bytes
-/// themselves. The dependence oracle stores 16 B per byte of memory and
-/// its stores scatter across lines, so it uses 64-entry pages (one cache
-/// line per 1 KiB page) rather than paying 64 KiB for the first store
-/// into each 4 KiB of memory.
+/// 4 KiB pages of data bytes. The dependence oracle's stores scatter
+/// across lines, so its pages are single 64-B cache lines, each a
+/// byte-to-writer map plus the line's live writers (88 B inline and one
+/// small writer list per line, where a 16-B entry per byte would cost
+/// 1 KiB).
 ///
 /// Two properties make it fit the simulator's per-memory-access hot
 /// path:
 ///
 /// * callers resolve a page **once per span** (via [`PageTable::page`] /
-///   [`PageTable::page_mut_or_alloc`]) and then index the returned
-///   array directly, instead of paying a map lookup per entry;
+///   [`PageTable::page_mut_or_alloc`]) and then index into it directly,
+///   instead of paying a map lookup per entry;
 /// * a one-entry most-recently-resolved cache short-circuits the hash
 ///   lookup for the common case of repeated traffic to one page. Pages
 ///   are never deallocated, so the cached slot stays valid for the
@@ -34,22 +35,25 @@ pub const PAGE_ENTRIES: usize = 4096;
 ///   page numbers are addresses divided by the page size — so it
 ///   doubles as the empty sentinel.)
 #[derive(Debug, Clone)]
-pub struct PageTable<T, const N: usize = PAGE_ENTRIES> {
-    /// The value unwritten entries read as (pages are born filled with
-    /// it).
-    empty: T,
+pub struct PageTable<P> {
     /// Page number -> slot in `pages`.
     index: HashMap<u64, u32>,
-    pages: Vec<Box<[T; N]>>,
+    pages: Vec<P>,
     /// Most recently resolved (page number, slot).
     last: Cell<(u64, u32)>,
 }
 
-impl<T: Copy, const N: usize> PageTable<T, N> {
-    /// An empty table whose entries read as `empty`.
-    pub fn new(empty: T) -> PageTable<T, N> {
+impl<P: Default> Default for PageTable<P> {
+    fn default() -> PageTable<P> {
+        PageTable::new()
+    }
+}
+
+impl<P: Default> PageTable<P> {
+    /// An empty table: every page reads as absent until written.
+    #[must_use]
+    pub fn new() -> PageTable<P> {
         PageTable {
-            empty,
             index: HashMap::new(),
             pages: Vec::new(),
             last: Cell::new((u64::MAX, 0)),
@@ -65,7 +69,7 @@ impl<T: Copy, const N: usize> PageTable<T, N> {
     /// The page `page_no`, if resident (reads never allocate).
     #[inline]
     #[must_use]
-    pub fn page(&self, page_no: u64) -> Option<&[T; N]> {
+    pub fn page(&self, page_no: u64) -> Option<&P> {
         let (lp, li) = self.last.get();
         if lp == page_no {
             return Some(&self.pages[li as usize]);
@@ -75,10 +79,9 @@ impl<T: Copy, const N: usize> PageTable<T, N> {
         Some(&self.pages[i as usize])
     }
 
-    /// The page `page_no`, allocated (filled with the empty value) on
-    /// first touch.
+    /// The page `page_no`, allocated (as `P::default()`) on first touch.
     #[inline]
-    pub fn page_mut_or_alloc(&mut self, page_no: u64) -> &mut [T; N] {
+    pub fn page_mut_or_alloc(&mut self, page_no: u64) -> &mut P {
         let (lp, li) = self.last.get();
         if lp == page_no {
             return &mut self.pages[li as usize];
@@ -86,53 +89,27 @@ impl<T: Copy, const N: usize> PageTable<T, N> {
         let next = self.pages.len() as u32;
         let i = *self.index.entry(page_no).or_insert(next);
         if i == next {
-            self.pages.push(Box::new([self.empty; N]));
+            self.pages.push(P::default());
         }
         self.last.set((page_no, i));
         &mut self.pages[i as usize]
     }
 }
 
-impl<T: Snapshot + Copy, const N: usize> Snapshot for PageTable<T, N> {
+impl<P: Snapshot> Snapshot for PageTable<P> {
     fn save(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        self.empty.save(w)?;
-        // The page geometry comes first: a table of another page size
-        // would otherwise parse as garbage.
-        w.put_u64(N as u64);
         // Pages in slot order (slot numbering must survive, the index
         // maps into it), then the index as sorted pairs so the encoding
-        // is independent of HashMap iteration order.
-        w.put_u64(self.pages.len() as u64);
-        for page in &self.pages {
-            for entry in page.iter() {
-                entry.save(w)?;
-            }
-        }
+        // is independent of HashMap iteration order. Each page type
+        // encodes (and on load validates) its own layout.
+        self.pages.save(w)?;
         let mut pairs: Vec<(u64, u32)> = self.index.iter().map(|(&p, &s)| (p, s)).collect();
         pairs.sort_unstable();
         pairs.save(w)
     }
-    fn load(r: &mut SnapReader) -> Result<PageTable<T, N>, SnapError> {
-        let empty = T::load(r)?;
-        let entries = u64::load(r)?;
-        if entries != N as u64 {
-            return Err(SnapError::Corrupt(format!(
-                "page table of {entries} entries per page (this table has {N})"
-            )));
-        }
-        let n_pages = usize::load(r)?;
-        let mut pages = Vec::with_capacity(n_pages.min(64));
-        for _ in 0..n_pages {
-            let mut page = Vec::with_capacity(N);
-            for _ in 0..N {
-                page.push(T::load(r)?);
-            }
-            let boxed: Box<[T; N]> = page
-                .into_boxed_slice()
-                .try_into()
-                .map_err(|_| SnapError::Corrupt("page size mismatch".into()))?;
-            pages.push(boxed);
-        }
+    fn load(r: &mut SnapReader) -> Result<PageTable<P>, SnapError> {
+        let pages = Vec::<P>::load(r)?;
+        let n_pages = pages.len();
         let pairs = Vec::<(u64, u32)>::load(r)?;
         if pairs.len() != n_pages {
             return Err(SnapError::Corrupt(format!(
@@ -150,7 +127,6 @@ impl<T: Snapshot + Copy, const N: usize> Snapshot for PageTable<T, N> {
             }
         }
         Ok(PageTable {
-            empty,
             index,
             pages,
             // The one-entry lookup cache is a pure accelerator; restore
@@ -160,24 +136,69 @@ impl<T: Snapshot + Copy, const N: usize> Snapshot for PageTable<T, N> {
     }
 }
 
+/// A 4 KiB page of data bytes, born zero-filled (the page type of
+/// [`MemImage`](crate::MemImage)).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct BytePage(Box<[u8; PAGE_ENTRIES]>);
+
+impl Default for BytePage {
+    fn default() -> BytePage {
+        BytePage(Box::new([0; PAGE_ENTRIES]))
+    }
+}
+
+impl Deref for BytePage {
+    type Target = [u8; PAGE_ENTRIES];
+    fn deref(&self) -> &[u8; PAGE_ENTRIES] {
+        &self.0
+    }
+}
+
+impl DerefMut for BytePage {
+    fn deref_mut(&mut self) -> &mut [u8; PAGE_ENTRIES] {
+        &mut self.0
+    }
+}
+
+impl Snapshot for BytePage {
+    fn save(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+        // Length-prefixed, so a page of another size is refused on load
+        // rather than parsed as garbage.
+        w.put_u64(PAGE_ENTRIES as u64);
+        w.put_bytes(&self.0[..]);
+        Ok(())
+    }
+    fn load(r: &mut SnapReader) -> Result<BytePage, SnapError> {
+        let len = u64::load(r)?;
+        if len != PAGE_ENTRIES as u64 {
+            return Err(SnapError::Corrupt(format!(
+                "data page of {len} bytes (pages hold {PAGE_ENTRIES})"
+            )));
+        }
+        let mut page = BytePage::default();
+        page.copy_from_slice(r.take_bytes(PAGE_ENTRIES)?);
+        Ok(page)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn reads_never_allocate_and_writes_do() {
-        let mut t: PageTable<u32> = PageTable::new(7);
+        let mut t: PageTable<BytePage> = PageTable::new();
         assert!(t.page(3).is_none());
         assert_eq!(t.resident_pages(), 0);
         t.page_mut_or_alloc(3)[17] = 99;
         assert_eq!(t.resident_pages(), 1);
         assert_eq!(t.page(3).unwrap()[17], 99);
-        assert_eq!(t.page(3).unwrap()[18], 7, "untouched entries read empty");
+        assert_eq!(t.page(3).unwrap()[18], 0, "untouched entries read empty");
     }
 
     #[test]
     fn page_cache_survives_interleaving_and_growth() {
-        let mut t: PageTable<u8> = PageTable::new(0);
+        let mut t: PageTable<BytePage> = PageTable::new();
         for p in 0..32u64 {
             t.page_mut_or_alloc(p)[0] = p as u8;
         }
@@ -197,15 +218,18 @@ mod tests {
 
     #[test]
     fn line_sized_pages_round_trip_through_a_snapshot() {
-        let mut t: PageTable<(u64, u64), 64> = PageTable::new((0, 0));
+        // Any snapshot-able page type rides the table: here a 64-entry
+        // line of (u64, u64) pairs.
+        let mut t: PageTable<Vec<(u64, u64)>> = PageTable::new();
         for (i, p) in [9u64, 2, 1 << 40, 3].into_iter().enumerate() {
             let page = t.page_mut_or_alloc(p);
+            page.resize(64, (0, 0));
             page[i] = (p, i as u64 + 1);
             page[63] = (p, 99);
         }
         let bytes = snapshot_bytes(&t);
         let mut r = SnapReader::new(&mut bytes.as_slice()).unwrap();
-        let back = PageTable::<(u64, u64), 64>::load(&mut r).unwrap();
+        let back = PageTable::<Vec<(u64, u64)>>::load(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.resident_pages(), 4);
         for (i, p) in [9u64, 2, 1 << 40, 3].into_iter().enumerate() {
@@ -222,11 +246,13 @@ mod tests {
 
     #[test]
     fn a_snapshot_of_another_page_size_is_corrupt() {
-        let mut t: PageTable<u8, 64> = PageTable::new(0);
-        t.page_mut_or_alloc(5)[1] = 1;
+        // A 64-byte page has the same length-prefixed encoding as a data
+        // page, so only the length tells them apart.
+        let mut t: PageTable<Vec<u8>> = PageTable::new();
+        t.page_mut_or_alloc(5).resize(64, 1);
         let bytes = snapshot_bytes(&t);
         let mut r = SnapReader::new(&mut bytes.as_slice()).unwrap();
-        match PageTable::<u8>::load(&mut r) {
+        match PageTable::<BytePage>::load(&mut r) {
             Err(SnapError::Corrupt(detail)) => assert!(detail.contains("64"), "{detail}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }

@@ -2,8 +2,8 @@
 //!
 //! Following Roth (ISCA'05) and the paper's baseline, the LQ has **no
 //! address CAM**: memory ordering is verified by SVW-filtered in-order
-//! re-execution before commit. Each entry therefore carries the executed
-//! value and the SVW SSN instead of participating in associative search.
+//! re-execution before commit. Each entry therefore carries the SVW SSN
+//! instead of participating in associative search.
 
 use std::collections::VecDeque;
 
@@ -20,15 +20,10 @@ pub struct LqEntry {
     pub pc: Pc,
     /// Address span, known once the load executes.
     pub span: Option<AddrSpan>,
-    /// The value the load obtained at execute (SQ or cache).
-    pub value: u64,
     /// SVW field: the SSN of the youngest older store the load is *not*
     /// vulnerable to — the forwarding store's SSN, or `SSNcmt` at execute
     /// time if the load got its value from the cache.
     pub svw: Ssn,
-    /// Whether the load executed in the presence of an older store with an
-    /// unknown address (the unfiltered re-execution trigger).
-    pub older_store_unknown: bool,
 }
 
 impl LqEntry {
@@ -108,31 +103,20 @@ impl LoadQueue {
             seq,
             pc,
             span: None,
-            value: 0,
             svw: Ssn::NONE,
-            older_store_unknown: false,
         });
         Ok(())
     }
 
-    /// Records an executing load's address, value, and SVW metadata.
+    /// Records an executing load's address and SVW SSN.
     ///
     /// # Panics
     ///
     /// Panics if `seq` is not in flight.
-    pub fn record_execution(
-        &mut self,
-        seq: Seq,
-        span: AddrSpan,
-        value: u64,
-        svw: Ssn,
-        older_store_unknown: bool,
-    ) {
+    pub fn record_execution(&mut self, seq: Seq, span: AddrSpan, svw: Ssn) {
         let e = self.entry_mut(seq).expect("load not in flight");
         e.span = Some(span);
-        e.value = value;
         e.svw = svw;
-        e.older_store_unknown = older_store_unknown;
     }
 
     /// The in-flight entry for `seq`, if present.
@@ -179,14 +163,7 @@ impl LoadQueue {
     }
 }
 
-sqip_snapshot::snapshot_struct!(LqEntry {
-    seq,
-    pc,
-    span,
-    value,
-    svw,
-    older_store_unknown,
-});
+sqip_snapshot::snapshot_struct!(LqEntry { seq, pc, span, svw });
 sqip_snapshot::snapshot_struct!(LoadQueue { entries, capacity });
 
 #[cfg(test)]
@@ -199,15 +176,11 @@ mod tests {
         let mut lq = LoadQueue::new(4);
         lq.allocate(Seq(10), Pc::new(0x40)).unwrap();
         assert!(!lq.entry(Seq(10)).unwrap().is_executed());
-        lq.record_execution(
-            Seq(10),
-            Addr::new(0x100).span(DataSize::Quad),
-            7,
-            Ssn::new(3),
-            false,
-        );
+        let span = Addr::new(0x100).span(DataSize::Quad);
+        lq.record_execution(Seq(10), span, Ssn::new(3));
+        assert!(lq.entry(Seq(10)).unwrap().is_executed());
         let e = lq.commit_head();
-        assert_eq!(e.value, 7);
+        assert_eq!(e.span, Some(span));
         assert_eq!(e.svw, Ssn::new(3));
         assert!(lq.is_empty());
     }

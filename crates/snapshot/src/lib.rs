@@ -62,7 +62,18 @@ pub const SNAP_MAGIC: [u8; 4] = *b"SQSN";
 /// records its entries per page and pages one 64-B line at a time, the
 /// event engine's instruction slab holds one ROB's worth of slots, and
 /// in-flight instructions no longer carry a completion cycle.
-pub const SNAP_VERSION: u32 = 2;
+///
+/// Version 3 (from version 2):
+/// - a page table saves its pages in slot order, each in its page
+///   type's own layout, with no empty value or entries-per-page field;
+/// - a memory-image page is its length (4096) and then its bytes;
+/// - a dependence-oracle line is its 64 owner bytes (per byte, the
+///   1-based slot of its last writer, 0 for never written) and then its
+///   writer list, each `(store seq, store ordinal)` once, in slot order
+///   and at most 64 long, every writer owned by some byte;
+/// - load-queue entries no longer carry the executed value or the
+///   older-unknown-store flag.
+pub const SNAP_VERSION: u32 = 3;
 
 /// Everything that can go wrong saving, loading, or resuming from a
 /// snapshot. No code path in this crate panics on malformed input.
@@ -797,7 +808,23 @@ mod tests {
         match SnapReader::new(&mut bytes.as_slice()) {
             Err(SnapError::UnsupportedVersion {
                 found: 1,
-                supported: 2,
+                supported: SNAP_VERSION,
+            }) => {}
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn version_2_snapshots_are_refused() {
+        // Version 2 stored 16 B per byte of oracle memory and two LQ
+        // fields version 3 dropped; parsing it as version 3 would
+        // misread every oracle line.
+        let mut bytes = roundtrip_bytes(SnapWriter::new());
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        match SnapReader::new(&mut bytes.as_slice()) {
+            Err(SnapError::UnsupportedVersion {
+                found: 2,
+                supported: 3,
             }) => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
