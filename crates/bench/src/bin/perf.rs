@@ -432,8 +432,10 @@ fn record_trace_file(workload: &str, path: &std::path::Path) -> u64 {
         .unwrap_or_else(|e| panic!("workload `{workload}` failed to open: {e}"));
     let file =
         std::fs::File::create(path).unwrap_or_else(|e| panic!("creating {}: {e}", path.display()));
-    // `record_trace` finishes with an explicit flush, so the BufWriter
-    // never drops unwritten bytes.
+    // `record_trace` hands its sink the header, whole 64 KiB chunks
+    // (which bypass the BufWriter's smaller buffer) and a final tail,
+    // then flushes, so the BufWriter never drops unwritten bytes; it
+    // only saves a write on files shorter than its buffer.
     sqip_isa::tracefile::record_trace(source.as_mut(), std::io::BufWriter::new(file))
         .unwrap_or_else(|e| panic!("recording `{workload}` to {}: {e}", path.display()))
 }

@@ -16,10 +16,24 @@
 //!
 //! Sequence numbers are implicit (records are stored in fetch order),
 //! access widths ride in the opcode, and `next_pc` is encoded as a
-//! zig-zag delta from the fall-through PC — so straight-line code costs a
-//! single byte for its control-flow fields. The terminator carries the
-//! record count, letting the reader distinguish a complete file from a
-//! truncated one.
+//! zig-zag delta from the fall-through PC (`pc + 4`, wrapping at the top
+//! of the address space) — so straight-line code costs a single byte for
+//! its control-flow fields. The terminator carries the record count,
+//! letting the reader distinguish a complete file from a truncated one.
+//! The format is frozen: a golden test pins the bytes of a fixed program.
+//!
+//! # Recording and replaying
+//!
+//! The two directions mirror each other. [`TraceWriter`] encodes records
+//! straight into a 64 KiB chunk and hands its sink one `write_all` per
+//! full chunk; [`TraceWriter::finish`] writes the last partial chunk with
+//! the terminator. A writer dropped before `finish` leaves the header and
+//! its full chunks only, which the reader reports as truncated.
+//! [`TraceReader`] decodes block pulls straight out of its `BufRead`
+//! buffer. Both sides check the same rules: the writer refuses any
+//! record the reader would reject, and a refused record leaves the
+//! writer usable. The reader's first error is sticky, and so is the
+//! writer's first I/O error.
 //!
 //! # Example
 //!
@@ -34,9 +48,7 @@
 //! // Record...
 //! let mut file = Vec::new();
 //! let mut w = TraceWriter::new(&mut file)?;
-//! for r in trace.records() {
-//!     w.write_record(r)?;
-//! }
+//! w.write_block(trace.records())?;
 //! w.finish()?;
 //!
 //! // ...replay.
@@ -161,25 +173,22 @@ fn op_from_code(code: u8) -> Option<Op> {
 
 // ---- varints ----
 
-fn write_uv(w: &mut impl Write, mut v: u64) -> Result<(), IsaError> {
-    let mut buf = [0u8; 10];
-    let mut n = 0;
-    loop {
-        let byte = (v & 0x7F) as u8;
+/// Encodes `v` as a uvarint at `out[pos..]`; returns the position after it.
+#[inline]
+fn put_uv(out: &mut [u8], mut pos: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        out[pos] = v as u8 | 0x80;
         v >>= 7;
-        buf[n] = byte | if v == 0 { 0 } else { 0x80 };
-        n += 1;
-        if v == 0 {
-            break;
-        }
+        pos += 1;
     }
-    w.write_all(&buf[..n])
-        .map_err(|e| io_err("writing record", &e))
+    out[pos] = v as u8;
+    pos + 1
 }
 
-fn write_sv(w: &mut impl Write, v: i64) -> Result<(), IsaError> {
-    // Zig-zag: small magnitudes of either sign stay short.
-    write_uv(w, ((v << 1) ^ (v >> 63)) as u64)
+/// Zig-zag: small magnitudes of either sign stay short.
+#[inline]
+fn zigzag_encode(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
 }
 
 fn zigzag_decode(v: u64) -> i64 {
@@ -188,14 +197,88 @@ fn zigzag_decode(v: u64) -> i64 {
 
 // ---- writer ----
 
+/// The most bytes one record takes: opcode, flags, three registers and
+/// five varints of at most 10 bytes each.
+const MAX_RECORD_BYTES: usize = 5 + 5 * 10;
+
+/// The writer hands its sink one `write_all` per chunk of this many bytes.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Records per [`TraceSource::next_block`] pull in [`record_trace`].
+const RECORD_BLOCK: usize = 64;
+
+/// Encodes record `seq` at the front of `out` (at least
+/// [`MAX_RECORD_BYTES`] long) and returns the bytes used, or refuses a
+/// record the reader would reject. A refused record may leave scratch
+/// bytes in `out`.
+#[inline]
+fn encode_record(rec: &TraceRecord, seq: u64, out: &mut [u8]) -> Result<usize, IsaError> {
+    if rec.op.mem_size().is_some() && rec.addr.is_none() {
+        return Err(corrupt(format!(
+            "record {seq}: memory op `{}` without an address",
+            rec.op
+        )));
+    }
+    let mut flags = F_TAKEN * u8::from(rec.taken);
+    flags |= F_DST * u8::from(rec.dst.is_some());
+    flags |= F_SRC0 * u8::from(rec.srcs[0].is_some());
+    flags |= F_SRC1 * u8::from(rec.srcs[1].is_some());
+    flags |= F_ADDR * u8::from(rec.addr.is_some());
+    out[0] = op_code(rec.op);
+    out[1] = flags;
+    let mut pos = 2;
+    for reg in [rec.dst, rec.srcs[0], rec.srcs[1]].into_iter().flatten() {
+        if reg.is_zero() {
+            return Err(corrupt(format!("record {seq}: invalid register index 0")));
+        }
+        out[pos] = reg.index() as u8;
+        pos += 1;
+    }
+    pos = put_uv(out, pos, rec.pc.0);
+    pos = put_uv(out, pos, zigzag_encode(rec.imm));
+    if let Some(addr) = rec.addr {
+        pos = put_uv(out, pos, addr.0);
+    }
+    pos = put_uv(out, pos, rec.result);
+    let delta = rec.next_pc.0.wrapping_sub(rec.pc.next().0) as i64;
+    Ok(put_uv(out, pos, zigzag_encode(delta)))
+}
+
 /// Streams [`TraceRecord`]s into the compact binary format.
 ///
-/// Call [`TraceWriter::finish`] when done — it writes the terminator the
-/// reader uses to tell a complete file from a truncated one.
-#[derive(Debug)]
+/// Records are encoded straight into a 64 KiB chunk buffer, and the sink
+/// sees one `write_all` for the header, one per full chunk and one from
+/// [`TraceWriter::finish`], which adds the terminator the reader uses to
+/// tell a complete file from a truncated one. A writer dropped unfinished
+/// leaves the header and its full chunks and nothing more — no terminator
+/// — so the reader reports the file as truncated.
+///
+/// A record the reader would reject (a memory op without an address, a
+/// zero register index) is refused with [`IsaError::TraceFormat`] and
+/// nothing of it is buffered. The first write error is sticky: every
+/// later call returns it again, and no chunk is ever written twice.
 pub struct TraceWriter<W: Write> {
     w: W,
+    /// The chunk being filled, with room for one record past its end: a
+    /// record that crosses the edge is encoded whole, and its tail moves
+    /// to the front once the chunk is written.
+    buf: Box<[u8]>,
+    /// Encoded bytes at the front of `buf`; below `CHUNK_BYTES` between
+    /// calls.
+    len: usize,
     count: u64,
+    error: Option<IsaError>,
+}
+
+impl<W: Write + std::fmt::Debug> std::fmt::Debug for TraceWriter<W> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceWriter")
+            .field("w", &self.w)
+            .field("buffered", &self.len)
+            .field("count", &self.count)
+            .field("error", &self.error)
+            .finish()
+    }
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -210,60 +293,82 @@ impl<W: Write> TraceWriter<W> {
         header[4..6].copy_from_slice(&TRACE_VERSION.to_le_bytes());
         w.write_all(&header)
             .map_err(|e| io_err("writing header", &e))?;
-        Ok(TraceWriter { w, count: 0 })
+        Ok(TraceWriter {
+            w,
+            buf: vec![0; CHUNK_BYTES + MAX_RECORD_BYTES].into_boxed_slice(),
+            len: 0,
+            count: 0,
+            error: None,
+        })
     }
 
-    /// Appends one record.
+    /// Appends one record: a block of one.
     ///
     /// # Errors
     ///
-    /// [`IsaError::TraceIo`] on write failure.
+    /// As [`TraceWriter::write_block`].
     pub fn write_record(&mut self, rec: &TraceRecord) -> Result<(), IsaError> {
-        let mut flags = 0u8;
-        flags |= F_TAKEN * u8::from(rec.taken);
-        flags |= F_DST * u8::from(rec.dst.is_some());
-        flags |= F_SRC0 * u8::from(rec.srcs[0].is_some());
-        flags |= F_SRC1 * u8::from(rec.srcs[1].is_some());
-        flags |= F_ADDR * u8::from(rec.addr.is_some());
-        self.w
-            .write_all(&[op_code(rec.op), flags])
-            .map_err(|e| io_err("writing record", &e))?;
-        for reg in [rec.dst, rec.srcs[0], rec.srcs[1]].into_iter().flatten() {
-            self.w
-                .write_all(&[reg.index() as u8])
-                .map_err(|e| io_err("writing record", &e))?;
+        self.write_block(std::slice::from_ref(rec))
+    }
+
+    /// Appends `recs` in order, exactly as calling
+    /// [`TraceWriter::write_record`] on each and stopping at the first
+    /// error: the records before a refused one are kept.
+    ///
+    /// # Errors
+    ///
+    /// [`IsaError::TraceFormat`] for a record the reader would reject,
+    /// [`IsaError::TraceIo`] when writing a full chunk fails (then and on
+    /// every later call).
+    pub fn write_block(&mut self, recs: &[TraceRecord]) -> Result<(), IsaError> {
+        if let Some(e) = &self.error {
+            return Err(e.clone());
         }
-        write_uv(&mut self.w, rec.pc.0)?;
-        write_sv(&mut self.w, rec.imm)?;
-        if let Some(addr) = rec.addr {
-            write_uv(&mut self.w, addr.0)?;
+        for rec in recs {
+            self.len += encode_record(rec, self.count, &mut self.buf[self.len..])?;
+            self.count += 1;
+            if self.len >= CHUNK_BYTES {
+                self.write_chunk()?;
+            }
         }
-        write_uv(&mut self.w, rec.result)?;
-        write_sv(
-            &mut self.w,
-            rec.next_pc.0.wrapping_sub(rec.pc.next().0) as i64,
-        )?;
-        self.count += 1;
         Ok(())
     }
 
-    /// Records written so far.
+    /// Writes the full chunk at the front of `buf` and moves the bytes
+    /// past it to the front.
+    fn write_chunk(&mut self) -> Result<(), IsaError> {
+        if let Err(e) = self.w.write_all(&self.buf[..CHUNK_BYTES]) {
+            let e = io_err("writing records", &e);
+            self.error = Some(e.clone());
+            return Err(e);
+        }
+        self.buf.copy_within(CHUNK_BYTES..self.len, 0);
+        self.len -= CHUNK_BYTES;
+        Ok(())
+    }
+
+    /// Records accepted so far.
     #[must_use]
     pub fn count(&self) -> u64 {
         self.count
     }
 
-    /// Writes the terminator (with the record count) and returns the
-    /// underlying writer.
+    /// Writes the buffered records and the terminator (with the record
+    /// count), flushes, and returns the underlying writer.
     ///
     /// # Errors
     ///
-    /// [`IsaError::TraceIo`] on write or flush failure.
+    /// [`IsaError::TraceIo`] on write or flush failure, or the sticky
+    /// error of an earlier call.
     pub fn finish(mut self) -> Result<W, IsaError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        self.buf[self.len] = END_MARKER;
+        let end = put_uv(&mut self.buf, self.len + 1, self.count);
         self.w
-            .write_all(&[END_MARKER])
-            .map_err(|e| io_err("writing terminator", &e))?;
-        write_uv(&mut self.w, self.count)?;
+            .write_all(&self.buf[..end])
+            .map_err(|e| io_err("writing records and terminator", &e))?;
         self.w.flush().map_err(|e| io_err("flushing trace", &e))?;
         Ok(self.w)
     }
@@ -273,18 +378,24 @@ impl<W: Write> TraceWriter<W> {
 ///
 /// This is the "record once" half of record/replay: pair it with
 /// [`TraceReader`] to capture any source — a generator, an interpreter, a
-/// filtered stream — as a portable artifact.
+/// filtered stream — as a portable artifact. Records are pulled in
+/// blocks of 64 and encoded a block at a time.
 ///
 /// # Errors
 ///
-/// Propagates source errors and [`IsaError::TraceIo`] write failures.
+/// Propagates source errors, and the [`TraceWriter`]'s refusals and
+/// [`IsaError::TraceIo`] write failures.
 pub fn record_trace<S: TraceSource + ?Sized>(
     source: &mut S,
     w: impl Write,
 ) -> Result<u64, IsaError> {
     let mut writer = TraceWriter::new(w)?;
-    while let Some(rec) = source.next_record()? {
-        writer.write_record(&rec)?;
+    let mut block = [TraceRecord::default(); RECORD_BLOCK];
+    loop {
+        match source.next_block(&mut block)? {
+            0 => break,
+            n => writer.write_block(&block[..n])?,
+        }
     }
     let n = writer.count();
     writer.finish()?;
@@ -697,13 +808,7 @@ mod tests {
 
     /// Byte offset of each record in an encoded trace.
     fn record_offsets(trace: &crate::Trace) -> Vec<usize> {
-        let mut w = TraceWriter::new(Vec::new()).unwrap();
-        let mut offsets = Vec::new();
-        for r in trace.records() {
-            offsets.push(w.w.len());
-            w.write_record(r).unwrap();
-        }
-        offsets
+        byte_wise_encode(trace.records()).1
     }
 
     #[test]
@@ -787,5 +892,572 @@ mod tests {
                 check(&bad, &format!("byte {at} ^ {flip:#x}"));
             }
         }
+    }
+
+    // ---- the byte-wise reference encoder ----
+
+    /// The original encoder, one `write_all` per field, kept as the
+    /// reference the chunked encoder must match byte for byte.
+    fn byte_wise_uv(w: &mut impl Write, mut v: u64) {
+        let mut buf = [0u8; 10];
+        let mut n = 0;
+        loop {
+            let byte = (v & 0x7F) as u8;
+            v >>= 7;
+            buf[n] = byte | if v == 0 { 0 } else { 0x80 };
+            n += 1;
+            if v == 0 {
+                break;
+            }
+        }
+        w.write_all(&buf[..n]).unwrap();
+    }
+
+    fn byte_wise_sv(w: &mut impl Write, v: i64) {
+        byte_wise_uv(w, ((v << 1) ^ (v >> 63)) as u64);
+    }
+
+    fn byte_wise_record(w: &mut impl Write, rec: &TraceRecord) {
+        let mut flags = 0u8;
+        flags |= F_TAKEN * u8::from(rec.taken);
+        flags |= F_DST * u8::from(rec.dst.is_some());
+        flags |= F_SRC0 * u8::from(rec.srcs[0].is_some());
+        flags |= F_SRC1 * u8::from(rec.srcs[1].is_some());
+        flags |= F_ADDR * u8::from(rec.addr.is_some());
+        w.write_all(&[op_code(rec.op), flags]).unwrap();
+        for reg in [rec.dst, rec.srcs[0], rec.srcs[1]].into_iter().flatten() {
+            w.write_all(&[reg.index() as u8]).unwrap();
+        }
+        byte_wise_uv(w, rec.pc.0);
+        byte_wise_sv(w, rec.imm);
+        if let Some(addr) = rec.addr {
+            byte_wise_uv(w, addr.0);
+        }
+        byte_wise_uv(w, rec.result);
+        byte_wise_sv(w, rec.next_pc.0.wrapping_sub(rec.pc.next().0) as i64);
+    }
+
+    /// The reference encoding of `records` as a whole file, and the byte
+    /// offset of each record in it.
+    fn byte_wise_encode(records: &[TraceRecord]) -> (Vec<u8>, Vec<usize>) {
+        let mut out = Vec::new();
+        out.extend_from_slice(&TRACE_MAGIC);
+        out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
+        out.extend_from_slice(&[0, 0]);
+        let mut offsets = Vec::with_capacity(records.len());
+        for rec in records {
+            offsets.push(out.len());
+            byte_wise_record(&mut out, rec);
+        }
+        out.push(END_MARKER);
+        byte_wise_uv(&mut out, records.len() as u64);
+        (out, offsets)
+    }
+
+    // ---- seeded inputs ----
+
+    /// SplitMix64: a tiny seeded generator for the randomized tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A value biased toward varint edges: 0, 127, 128, `u64::MAX` and
+    /// its neighbours, and values of every length.
+    fn edgy_u64(rng: &mut Rng) -> u64 {
+        match rng.below(8) {
+            0 => 0,
+            1 => 127,
+            2 => 128,
+            3 => u64::MAX,
+            4 => u64::MAX - rng.below(300),
+            5 => rng.next(),
+            _ => rng.next() >> rng.below(64),
+        }
+    }
+
+    fn edgy_i64(rng: &mut Rng) -> i64 {
+        match rng.below(6) {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => -(rng.below(200) as i64),
+            _ => edgy_u64(rng) as i64,
+        }
+    }
+
+    /// A record the reader accepts: opcode `code`, with the optional
+    /// fields chosen by the `F_*` bits of `flags` (memory ops always
+    /// carry an address), and `next_pc` falling through, jumping back,
+    /// wrapping round the address space or anywhere.
+    fn record(rng: &mut Rng, seq: u64, code: u8, flags: u8) -> TraceRecord {
+        let op = op_from_code(code).unwrap();
+        let mut reg = |bit: u8| (flags & bit != 0).then(|| Reg::new(1 + rng.below(63) as u8));
+        let (dst, src0, src1) = (reg(F_DST), reg(F_SRC0), reg(F_SRC1));
+        let pc = Pc::new(edgy_u64(rng));
+        let next_pc = match rng.below(4) {
+            0 => pc.next(),
+            1 => Pc::new(pc.0.wrapping_sub(4 * rng.below(1000))),
+            2 => Pc::new(rng.below(64)),
+            _ => Pc::new(edgy_u64(rng)),
+        };
+        let has_addr = flags & F_ADDR != 0 || op.mem_size().is_some();
+        TraceRecord {
+            seq: Seq(seq),
+            pc,
+            op,
+            dst,
+            srcs: [src0, src1],
+            imm: edgy_i64(rng),
+            addr: has_addr.then(|| Addr::new(edgy_u64(rng))),
+            size: op.mem_size().unwrap_or_default(),
+            result: edgy_u64(rng),
+            taken: flags & F_TAKEN != 0,
+            next_pc,
+        }
+    }
+
+    /// Every opcode (so every access size) with every flag combination,
+    /// then `extra` random records.
+    fn seeded_records(seed: u64, extra: usize) -> Vec<TraceRecord> {
+        let mut rng = Rng(seed);
+        let mut records = Vec::new();
+        for code in 0..=30 {
+            for flags in 0..32 {
+                records.push(record(&mut rng, records.len() as u64, code, flags));
+            }
+        }
+        for _ in 0..extra {
+            let (code, flags) = (rng.below(31) as u8, rng.below(32) as u8);
+            records.push(record(&mut rng, records.len() as u64, code, flags));
+        }
+        records
+    }
+
+    /// A source over a record slice, pulled through the default
+    /// [`TraceSource::next_block`].
+    struct Records<'a>(std::slice::Iter<'a, TraceRecord>);
+
+    impl TraceSource for Records<'_> {
+        fn next_record(&mut self) -> Result<Option<TraceRecord>, IsaError> {
+            Ok(self.0.next().copied())
+        }
+    }
+
+    /// A `Write` that logs each call and accepts at most `budget` bytes
+    /// in all, failing every call once they are used up.
+    #[derive(Debug)]
+    struct Sink {
+        bytes: Vec<u8>,
+        writes: Vec<usize>,
+        budget: usize,
+    }
+
+    impl Sink {
+        fn new(budget: usize) -> Sink {
+            Sink {
+                bytes: Vec::new(),
+                writes: Vec::new(),
+                budget,
+            }
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            let n = buf.len().min(self.budget - self.bytes.len());
+            if n == 0 && !buf.is_empty() {
+                return Err(std::io::Error::other("disk full"));
+            }
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The records of a whole file, pulled by scalar and by block decode,
+    /// must be exactly `records`.
+    fn assert_round_trips(bytes: &[u8], records: &[TraceRecord]) {
+        let want = (records.to_vec(), None);
+        assert_eq!(scalar_outcome(bytes), Some(want.clone()), "scalar decode");
+        for (cap, block) in [(None, 64), (Some(13), 5)] {
+            let got = block_outcome(bytes, cap, block);
+            assert_eq!(got.as_ref(), Some(&want), "buffer {cap:?}, block {block}");
+        }
+    }
+
+    // ---- encoder tests ----
+
+    #[test]
+    fn chunked_encoder_matches_the_byte_wise_reference() {
+        let records = seeded_records(0x5EED, 12_000);
+        let (want, offsets) = byte_wise_encode(&records);
+
+        // The stream crosses several chunk edges, and a record straddles
+        // one (the header is written before the first chunk).
+        let edges: Vec<usize> = (1..)
+            .map(|k| 8 + k * CHUNK_BYTES)
+            .take_while(|&e| e < want.len())
+            .collect();
+        assert!(edges.len() >= 3, "{} bytes", want.len());
+        let straddles = offsets
+            .windows(2)
+            .filter(|w| edges.iter().any(|&e| w[0] < e && e < w[1]))
+            .count();
+        assert!(straddles > 0, "no record straddles a chunk edge");
+
+        let mut scalar = TraceWriter::new(Sink::new(usize::MAX)).unwrap();
+        for rec in &records {
+            scalar.write_record(rec).unwrap();
+        }
+        assert_eq!(scalar.count(), records.len() as u64);
+        let scalar = scalar.finish().unwrap();
+        assert_eq!(scalar.bytes, want, "write_record");
+        // One write for the header, one per full chunk, one at finish.
+        assert_eq!(scalar.writes[0], 8);
+        assert!(scalar.writes[1..=edges.len()]
+            .iter()
+            .all(|&n| n == CHUNK_BYTES));
+        assert_eq!(scalar.writes.len(), edges.len() + 2);
+
+        let mut rng = Rng(7);
+        let mut blocks = TraceWriter::new(Vec::new()).unwrap();
+        let mut rest = records.as_slice();
+        while !rest.is_empty() {
+            let (block, tail) = rest.split_at((rng.below(100) as usize).min(rest.len()));
+            blocks.write_block(block).unwrap();
+            rest = tail;
+        }
+        assert_eq!(blocks.finish().unwrap(), want, "write_block");
+
+        let mut recorded = Vec::new();
+        let n = record_trace(&mut Records(records.iter()), &mut recorded);
+        assert_eq!(n.unwrap(), records.len() as u64);
+        assert_eq!(recorded, want, "record_trace");
+
+        assert_round_trips(&want, &records);
+    }
+
+    #[test]
+    fn pc_fall_through_wraps_at_the_top_of_the_address_space() {
+        let mut rng = Rng(0xFA11);
+        let records: Vec<TraceRecord> = (u64::MAX - 8..=u64::MAX)
+            .enumerate()
+            .map(|(i, pc)| TraceRecord {
+                pc: Pc::new(pc),
+                ..record(&mut rng, i as u64, 0, 0)
+            })
+            .collect();
+        let mut w = TraceWriter::new(Vec::new()).unwrap();
+        w.write_block(&records).unwrap();
+        let bytes = w.finish().unwrap();
+        assert_eq!(bytes, byte_wise_encode(&records).0);
+        assert_round_trips(&bytes, &records);
+    }
+
+    /// `bad` is refused with a format error, buffers nothing and leaves
+    /// the writer usable: the file is exactly the records around it.
+    fn assert_refused(bad: TraceRecord, want: &str) {
+        let good = mixed_trace().records()[..4].to_vec();
+        let mut w = TraceWriter::new(Vec::new()).unwrap();
+        w.write_block(&good[..2]).unwrap();
+        let err = w.write_record(&bad).unwrap_err();
+        assert!(matches!(err, IsaError::TraceFormat { .. }), "{err}");
+        assert!(
+            err.to_string().contains(&format!("record 2: {want}")),
+            "{err}"
+        );
+        // In a block, the records before the refused one are kept.
+        let err = w.write_block(&[good[2], bad, good[3]]).unwrap_err();
+        assert!(
+            err.to_string().contains(&format!("record 3: {want}")),
+            "{err}"
+        );
+        assert_eq!(w.count(), 3);
+        w.write_record(&good[3]).unwrap();
+        assert_eq!(w.finish().unwrap(), byte_wise_encode(&good).0);
+    }
+
+    #[test]
+    fn writer_refuses_a_memory_op_without_an_address() {
+        let mut bad = mixed_trace().records()[2];
+        assert_eq!(bad.op, Op::Store(DataSize::Half));
+        bad.addr = None;
+        assert_refused(bad, "memory op `st2B` without an address");
+    }
+
+    #[test]
+    fn writer_refuses_a_zero_register_index() {
+        let rec = mixed_trace().records()[0];
+        let bad_dst = TraceRecord {
+            dst: Some(Reg::ZERO),
+            ..rec
+        };
+        assert_refused(bad_dst, "invalid register index 0");
+        let bad_src = TraceRecord {
+            srcs: [Some(Reg::new(5)), Some(Reg::ZERO)],
+            ..rec
+        };
+        assert_refused(bad_src, "invalid register index 0");
+    }
+
+    #[test]
+    fn write_errors_are_sticky_and_nothing_is_written_twice() {
+        let records = seeded_records(0xD15C, 6_000);
+        let (want, offsets) = byte_wise_encode(&records);
+        // Where each record ends: the next one starts, or the terminator.
+        let mut count = Vec::new();
+        byte_wise_uv(&mut count, records.len() as u64);
+        let mut ends = offsets[1..].to_vec();
+        ends.push(want.len() - 1 - count.len());
+        let chunks = (want.len() - 8) / CHUNK_BYTES;
+        let budgets = [
+            9,
+            100,
+            8 + CHUNK_BYTES - 1,
+            8 + CHUNK_BYTES,
+            8 + CHUNK_BYTES + 1,
+            8 + 2 * CHUNK_BYTES + 77,
+            8 + chunks * CHUNK_BYTES,
+            want.len() - 1,
+        ];
+        for budget in budgets {
+            for block in [1, 64] {
+                let mut w = TraceWriter::new(Sink::new(budget)).unwrap();
+                // The call that writes the chunk holding byte `budget`
+                // fails; every call before it succeeds.
+                let failing_chunk = (budget - 8) / CHUNK_BYTES;
+                let mut failed = None;
+                for (i, part) in records.chunks(block).enumerate() {
+                    match w.write_block(part) {
+                        Ok(()) => assert!(failed.is_none(), "budget {budget}: call {i} recovered"),
+                        Err(e) => {
+                            assert!(matches!(e, IsaError::TraceIo { .. }), "{e}");
+                            if let Some((_, first)) = &failed {
+                                assert_eq!(&e, first, "budget {budget}: not sticky");
+                            } else {
+                                // The first record to reach the chunk's end.
+                                let edge = 8 + (failing_chunk + 1) * CHUNK_BYTES;
+                                let rec = ends.iter().position(|&end| end >= edge).unwrap();
+                                assert_eq!(i, rec / block, "budget {budget}, block {block}");
+                                failed = Some((w.w.writes.len(), e));
+                            }
+                        }
+                    }
+                }
+                // Whatever reached the sink is a prefix of the file.
+                assert_eq!(w.w.bytes, want[..w.w.bytes.len()], "budget {budget}");
+                let err = match failed {
+                    Some((calls, first)) => {
+                        assert_eq!(w.w.writes.len(), calls, "budget {budget}: wrote again");
+                        assert_eq!(w.write_record(&records[0]).unwrap_err(), first);
+                        assert_eq!(w.w.writes.len(), calls, "budget {budget}: wrote again");
+                        let err = w.finish().unwrap_err();
+                        assert_eq!(err, first, "budget {budget}: finish");
+                        err
+                    }
+                    // Every full chunk fit: finish writes the tail.
+                    None => {
+                        assert!(budget >= 8 + chunks * CHUNK_BYTES);
+                        w.finish().unwrap_err()
+                    }
+                };
+                assert!(matches!(err, IsaError::TraceIo { .. }), "{err}");
+            }
+        }
+        // The header write fails in `new`.
+        let err = TraceWriter::new(Sink::new(5)).unwrap_err();
+        assert!(matches!(err, IsaError::TraceIo { .. }), "{err}");
+        // With room to spare, the sink holds exactly the reference bytes:
+        // nothing was written twice.
+        let mut w = TraceWriter::new(Sink::new(want.len())).unwrap();
+        w.write_block(&records).unwrap();
+        assert_eq!(w.finish().unwrap().bytes, want);
+    }
+
+    #[test]
+    fn an_unfinished_writer_leaves_only_full_chunks() {
+        let records = seeded_records(0xAB, 4_000);
+        let (want, _) = byte_wise_encode(&records);
+        let mut sink = Sink::new(usize::MAX);
+        let mut w = TraceWriter::new(&mut sink).unwrap();
+        w.write_block(&records).unwrap();
+        drop(w);
+        let chunks = (want.len() - 8) / CHUNK_BYTES;
+        assert!(chunks >= 1);
+        assert_eq!(sink.bytes, want[..8 + chunks * CHUNK_BYTES]);
+        let (_, err) = scalar_outcome(&sink.bytes).unwrap();
+        assert!(err.unwrap().contains("truncated"));
+    }
+
+    // ---- hostile bytes ----
+
+    /// The byte ranges of record `at`'s varint fields (pc, imm, [addr],
+    /// result, next_pc delta).
+    fn varint_fields(bytes: &[u8], at: usize) -> Vec<std::ops::Range<usize>> {
+        let flags = bytes[at + 1];
+        let regs = (flags & (F_DST | F_SRC0 | F_SRC1)).count_ones() as usize;
+        let fields = if flags & F_ADDR != 0 { 5 } else { 4 };
+        let mut pos = at + 2 + regs;
+        (0..fields)
+            .map(|_| {
+                let start = pos;
+                while bytes[pos] & 0x80 != 0 {
+                    pos += 1;
+                }
+                pos += 1;
+                start..pos
+            })
+            .collect()
+    }
+
+    /// Every scalar and block pull over `bytes` returns a record, the end
+    /// or a typed error — never a panic — and the block paths agree with
+    /// the scalar one.
+    fn assert_pulls_are_typed(bytes: &[u8], what: &str) {
+        let typed =
+            |e: &IsaError| matches!(e, IsaError::TraceFormat { .. } | IsaError::TraceIo { .. });
+        let scalar = std::panic::catch_unwind(|| {
+            let mut reader = match TraceReader::new(bytes) {
+                Ok(r) => r,
+                Err(e) => return (None, Some(e)),
+            };
+            let mut got = Vec::new();
+            loop {
+                match reader.next_record() {
+                    Ok(Some(r)) => got.push(r),
+                    Ok(None) => return (Some(got), None),
+                    Err(e) => return (Some(got), Some(e)),
+                }
+            }
+        });
+        let (records, err) = scalar.unwrap_or_else(|_| panic!("{what}: scalar pull panicked"));
+        assert!(err.as_ref().is_none_or(typed), "{what}: {err:?}");
+        let want = records.map(|r| (r, err.map(|e| e.to_string())));
+        for (cap, block) in [(None, 64), (Some(7), 3), (Some(1), 1)] {
+            let got = std::panic::catch_unwind(|| block_outcome(bytes, cap, block))
+                .unwrap_or_else(|_| panic!("{what}: block pull panicked"));
+            assert_eq!(got, want, "{what}, buffer {cap:?}, block {block}");
+        }
+    }
+
+    #[test]
+    fn hostile_sqtr_bytes_get_a_typed_error_never_a_panic() {
+        let trace = mixed_trace();
+        let (base, offsets) = byte_wise_encode(trace.records());
+        let inflated: [&[u8]; 4] = [
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01], // u64::MAX
+            &[0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01], // u64::MAX - 1
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02], // overflows
+            &[0xFF; 11],                                                   // too long
+        ];
+        let mut rng = Rng(0xBAD5);
+        for case in 0..3_000 {
+            let mut bytes = base.clone();
+            let kind = case % 4;
+            match kind {
+                // Bit flips.
+                0 => {
+                    for _ in 0..=rng.below(3) {
+                        let at = 8 + rng.below(bytes.len() as u64 - 8) as usize;
+                        bytes[at] ^= 1 << rng.below(8);
+                    }
+                }
+                // A truncation.
+                1 => bytes.truncate(rng.below(bytes.len() as u64) as usize),
+                // An inflated varint field of some record.
+                2 => {
+                    let at = offsets[rng.below(offsets.len() as u64) as usize];
+                    let fields = varint_fields(&bytes, at);
+                    let field = fields[rng.below(fields.len() as u64) as usize].clone();
+                    let with = inflated[rng.below(inflated.len() as u64) as usize];
+                    bytes.splice(field, with.iter().copied());
+                }
+                // A splice: a run of the file copied over another place.
+                _ => {
+                    let from = rng.below(bytes.len() as u64) as usize;
+                    let len = rng.below(40) as usize;
+                    let run = bytes[from..(from + len).min(bytes.len())].to_vec();
+                    let to = 8 + rng.below(bytes.len() as u64 - 8) as usize;
+                    let end = (to + rng.below(40) as usize).min(bytes.len());
+                    bytes.splice(to..end, run);
+                }
+            }
+            assert_pulls_are_typed(&bytes, &format!("case {case} (kind {kind})"));
+        }
+        // Each pc varint in turn set to the top of the address space.
+        for (i, &at) in offsets.iter().enumerate() {
+            for with in &inflated[..2] {
+                let mut bytes = base.clone();
+                bytes.splice(varint_fields(&base, at)[0].clone(), with.iter().copied());
+                assert_pulls_are_typed(&bytes, &format!("record {i}: pc inflated"));
+            }
+        }
+    }
+
+    // ---- the frozen format ----
+
+    /// A fixed program over every opcode, every access size and every
+    /// kind of control transfer, taken and not.
+    fn golden_trace() -> crate::Trace {
+        let mut b = ProgramBuilder::new();
+        let (i, a, c, t) = (Reg::new(1), Reg::new(2), Reg::new(3), Reg::new(4));
+        let link = Reg::new(31);
+        b.load_imm(i, 9).load_imm(a, -0x1234_5678);
+        let top = b.label("top");
+        b.add(c, a, i).sub(t, c, i).mul(c, c, t).and(t, t, a);
+        b.or(c, c, t).xor(t, t, i).shl(c, c, i).shr(t, t, i);
+        b.cmp_lt(c, t, c).emit(crate::StaticInst {
+            op: Op::CmpEq,
+            dst: Some(t),
+            src1: Some(c),
+            src2: Some(i),
+            imm: 0,
+        });
+        b.add_imm(a, a, 0x55).mul_imm(t, t, -3);
+        b.fadd(c, c, t).fmul(t, t, c).fdiv(c, c, t);
+        for (k, size) in SIZES.into_iter().enumerate() {
+            let disp = 0x1000 + 8 * k as i64;
+            b.store(size, a, i, disp).load(size, t, i, disp);
+        }
+        b.call_to(link, "leaf");
+        b.add_imm(i, i, -1);
+        b.branch_z_to(i, "done");
+        b.branch_nz(i, top);
+        b.place("leaf");
+        b.nop().ret(link);
+        b.place("done");
+        b.halt();
+        trace_program(&b.build().unwrap(), 10_000).unwrap()
+    }
+
+    const GOLDEN_LEN: usize = 3412;
+    const GOLDEN_FNV: &str = "3cc579c45d121a23";
+
+    /// The SQTR format is frozen: these bytes must never change, whatever
+    /// the encoder's internals. A deliberate format change bumps
+    /// [`TRACE_VERSION`] and re-pins the hash.
+    #[test]
+    fn sqtr_golden_bytes_are_frozen() {
+        let trace = golden_trace();
+        let bytes = encode(&trace);
+        let mut fnv = sqip_snapshot::Fnv::new();
+        fnv.update(&bytes);
+        assert_eq!((bytes.len(), fnv.hex().as_str()), (GOLDEN_LEN, GOLDEN_FNV));
+        assert_eq!(bytes, byte_wise_encode(trace.records()).0);
     }
 }

@@ -16,10 +16,11 @@ impl Pc {
     }
 
     /// The PC of the sequentially next instruction (4-byte fixed encoding,
-    /// matching the Alpha ISA the paper simulates).
+    /// matching the Alpha ISA the paper simulates). Wraps at the top of
+    /// the address space, so any PC a trace file names has a successor.
     #[must_use]
     pub fn next(self) -> Pc {
-        Pc(self.0 + 4)
+        Pc(self.0.wrapping_add(4))
     }
 
     /// The instruction index for a PC within a program whose first
@@ -77,6 +78,12 @@ mod tests {
         assert_eq!(p, Pc(40));
         assert_eq!(p.index(), 10);
         assert_eq!(p.next().index(), 11);
+    }
+
+    #[test]
+    fn next_wraps_at_the_top_of_the_address_space() {
+        assert_eq!(Pc(u64::MAX - 3).next(), Pc(0));
+        assert_eq!(Pc(u64::MAX).next(), Pc(3));
     }
 
     #[test]
