@@ -9,18 +9,15 @@
 //! * **Sweep section** — the paper-shaped sweep: every registered design
 //!   over one streamed `mix` workload, run through the
 //!   [`sqip::SweepEngine`] and, as the baseline, as one plain
-//!   `Processor::try_from_source(..).try_run()` per design. The per-cell
-//!   baseline re-runs the generator and dependence oracle once per
-//!   design; the shared pass pulls the stream once and drives all cells
-//!   in lock-step, so the section also reports the shared-ring
-//!   high-water mark and each consumer's peak window/lag (the memory
-//!   observables), alongside the wall-clock speedup. Results are
-//!   asserted bit-identical on every iteration.
-//! * **Trace-file sweep section** — the same sweep over an on-disk SQTR
-//!   trace (`tracefile:` workload; the mix stream recorded once at
-//!   startup). Replay pays a per-byte varint decode on every record, so
-//!   the upstream pass genuinely dominates and the shared-pass win is
-//!   the paper-shaped one: N designs, one decode.
+//!   `Processor::try_from_source(..).try_run()` per design. Both do the
+//!   same simulation work (each cell opens its own stream and runs its
+//!   own dependence oracle), so the wall-clock ratio per-cell / sweep is
+//!   the cost of the sweep driver itself — its cancel checks, observer
+//!   hooks, row events and result collection — and should read about
+//!   1.0. Results are asserted bit-identical on every iteration.
+//! * **Trace-file sweep section** — the same comparison over an on-disk
+//!   SQTR trace (`tracefile:` workload; the mix stream recorded once at
+//!   startup), where every cell pays the per-record varint decode.
 //!
 //! The JSON report goes to `target/perf-report.json` unless `--out`
 //! names another path, so a smoke run never rewrites a committed report.
@@ -45,9 +42,9 @@
 //! 15% noise floor fails the run (exit 1). `--baseline-ratios-only`
 //! restricts the comparison to the event/reference speedup *ratios*,
 //! which survive hardware changes — the mode CI uses, since absolute
-//! insts/sec only transfer between same-class machines. Sweep
-//! mode-speedups (per-cell wall / shared-pass wall) are also ratios of
-//! two runs of the same binary, so they are gated in both modes when
+//! insts/sec only transfer between same-class machines. Sweep wall
+//! ratios (per-cell wall / sweep wall) are also ratios of two runs of
+//! the same binary, so they are gated in both modes when
 //! the baseline carries them (PR9-schema and later), as are the
 //! scheduling counters (PR10-schema and later) — those are exact, so
 //! their drift tolerance is a rounding allowance, not a noise floor.
@@ -143,8 +140,8 @@ struct Speedup {
     speedup: f64,
 }
 
-/// The sweep section: every registered design over one streamed `mix`
-/// workload, per-cell vs shared-pass.
+/// The sweep section: every registered design over one streamed
+/// workload, per-cell runs vs the sweep engine.
 #[derive(Debug, Clone, Serialize)]
 struct Sweep {
     workload: String,
@@ -155,26 +152,15 @@ struct Sweep {
     total_insts: u64,
     /// Records the workload stream yields once.
     stream_records: u64,
-    /// Upstream passes paid by each mode (the redundancy being removed).
-    per_cell_passes: u64,
-    shared_passes: u64,
     /// Minimum wall seconds over the timed iterations, per mode.
     per_cell_wall_s: f64,
-    shared_wall_s: f64,
-    /// Wall-clock ratio per-cell / shared (same binary, same iteration
-    /// count) — the honest like-for-like sweep speedup.
+    sweep_wall_s: f64,
+    /// Wall-clock ratio per-cell / sweep (same binary, same iteration
+    /// count, same simulation work): the sweep driver's overhead gate.
     speedup: f64,
     /// Aggregate throughput (total_insts / wall), per mode.
     per_cell_insts_per_sec: f64,
-    shared_insts_per_sec: f64,
-    /// Shared-ring memory observables (reported separately from each
-    /// cell's own window peak, below).
-    ring_capacity: u64,
-    ring_high_water: u64,
-    /// Per cell: peak records in the cell's own commit→fetch window.
-    consumer_peak_buffered: Vec<u64>,
-    /// Per cell: peak lag behind the shared pull frontier.
-    consumer_peak_lag: Vec<u64>,
+    sweep_insts_per_sec: f64,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -342,7 +328,7 @@ fn materialized(name: &str, iterations: u32) -> Input {
 }
 
 /// Measures the sweep section: every registered design over one streamed
-/// workload, per-cell vs shared-pass, min wall over `iters`.
+/// workload, per-cell runs vs the sweep engine, min wall over `iters`.
 fn measure_sweep(workload: &str, iters: u32) -> Sweep {
     let designs: Vec<SqDesign> = DesignRegistry::global()
         .names()
@@ -357,11 +343,11 @@ fn measure_sweep(workload: &str, iters: u32) -> Sweep {
     let run = || {
         SweepEngine::new()
             .threads(1)
-            .run_with_telemetry(&experiment)
+            .run(&experiment)
             .unwrap_or_else(|e| panic!("sweep: {e}"))
     };
-    // The per-cell baseline: every design simulates the workload alone,
-    // re-running the generator and the dependence oracle each time.
+    // The baseline: every design simulates the workload alone through a
+    // bare `try_run`, with no sweep driver around it.
     let cells = experiment.cells().unwrap_or_else(|e| panic!("{e}"));
     let per_cell = || -> Vec<SimStats> {
         cells
@@ -375,49 +361,39 @@ fn measure_sweep(workload: &str, iters: u32) -> Sweep {
             .collect()
     };
     // Warmup both and pin equality once up front.
-    let (shared_results, telemetry) = run();
+    let sweep_results = run();
     let per_cell_results = per_cell();
-    let shared_stats: Vec<SimStats> = shared_results.iter().map(|r| r.stats.clone()).collect();
+    let sweep_stats: Vec<SimStats> = sweep_results.iter().map(|r| r.stats.clone()).collect();
     assert_eq!(
-        shared_stats, per_cell_results,
-        "shared-pass sweep must be bit-identical to per-cell runs"
+        sweep_stats, per_cell_results,
+        "the sweep must be bit-identical to per-cell runs"
     );
 
-    let mut shared_wall = f64::INFINITY;
+    let mut sweep_wall = f64::INFINITY;
     let mut per_cell_wall = f64::INFINITY;
     for _ in 0..iters {
         let t = Instant::now();
-        let (again, _) = run();
-        shared_wall = shared_wall.min(t.elapsed().as_secs_f64());
-        assert_eq!(again, shared_results, "non-deterministic shared sweep");
+        let again = run();
+        sweep_wall = sweep_wall.min(t.elapsed().as_secs_f64());
+        assert_eq!(again, sweep_results, "non-deterministic sweep");
         let t = Instant::now();
         let again = per_cell();
         per_cell_wall = per_cell_wall.min(t.elapsed().as_secs_f64());
         assert_eq!(again, per_cell_results, "non-deterministic per-cell runs");
     }
 
-    let total_insts: u64 = shared_results.iter().map(|r| r.stats.committed).sum();
-    let group = telemetry
-        .groups
-        .first()
-        .expect("one workload, one shared group");
+    let total_insts: u64 = sweep_results.iter().map(|r| r.stats.committed).sum();
     Sweep {
         workload: workload.to_string(),
         designs: designs.iter().map(|d| d.name().to_string()).collect(),
         threads: 1,
         total_insts,
-        stream_records: group.records_pulled,
-        per_cell_passes: designs.len() as u64,
-        shared_passes: 1,
+        stream_records: per_cell_results[0].committed,
         per_cell_wall_s: per_cell_wall,
-        shared_wall_s: shared_wall,
-        speedup: per_cell_wall / shared_wall,
+        sweep_wall_s: sweep_wall,
+        speedup: per_cell_wall / sweep_wall,
         per_cell_insts_per_sec: total_insts as f64 / per_cell_wall,
-        shared_insts_per_sec: total_insts as f64 / shared_wall,
-        ring_capacity: group.ring_capacity,
-        ring_high_water: group.ring_high_water,
-        consumer_peak_buffered: group.peak_buffered.clone(),
-        consumer_peak_lag: group.peak_lag.clone(),
+        sweep_insts_per_sec: total_insts as f64 / sweep_wall,
     }
 }
 
@@ -560,7 +536,7 @@ fn compare_baseline(report: &Report, path: &str, ratios_only: bool) -> usize {
             );
         }
     }
-    // Sweep mode-speedups are wall-clock ratios of the same binary, so
+    // Sweep wall ratios are wall-clock ratios of the same binary, so
     // like the engine ratios they transfer across machines and are
     // gated in ratios-only mode too.
     for (label, ours, base) in [
@@ -578,7 +554,7 @@ fn compare_baseline(report: &Report, path: &str, ratios_only: bool) -> usize {
             failures += 1;
         }
         println!(
-            "  {} {label} shared-pass speedup: {:.2}x vs {:.2}x ({:+.1}%)",
+            "  {} {label} per-cell/sweep wall ratio: {:.2}x vs {:.2}x ({:+.1}%)",
             if ok { "ok  " } else { "FAIL" },
             ours.speedup,
             base.speedup,
@@ -720,17 +696,12 @@ fn main() {
     };
     let sweep = measure_sweep(sweep_workload, iters);
     println!(
-        "sweep {} x {} designs: per-cell {:.2}s, shared-pass {:.2}s ({:.2}x; \
-         {} upstream pass instead of {}; ring high-water {} of {})",
+        "sweep {} x {} designs: per-cell {:.2}s, sweep {:.2}s (per-cell/sweep {:.2}x)",
         sweep.workload,
         sweep.designs.len(),
         sweep.per_cell_wall_s,
-        sweep.shared_wall_s,
+        sweep.sweep_wall_s,
         sweep.speedup,
-        sweep.shared_passes,
-        sweep.per_cell_passes,
-        sweep.ring_high_water,
-        sweep.ring_capacity,
     );
 
     // Trace-file sweep section: the same mix stream, recorded once to
@@ -747,13 +718,11 @@ fn main() {
     let _ = std::fs::remove_file(&trace_path);
     println!(
         "trace sweep ({recorded} records on disk) x {} designs: per-cell {:.2}s, \
-         shared-pass {:.2}s ({:.2}x; decode paid {} time(s) instead of {})",
+         sweep {:.2}s (per-cell/sweep {:.2}x)",
         trace_sweep.designs.len(),
         trace_sweep.per_cell_wall_s,
-        trace_sweep.shared_wall_s,
+        trace_sweep.sweep_wall_s,
         trace_sweep.speedup,
-        trace_sweep.shared_passes,
-        trace_sweep.per_cell_passes,
     );
 
     let report = Report {

@@ -45,7 +45,6 @@ use crate::oracle::OracleBuilder;
 use crate::pipeline::window::{RecordWindow, SeqRing};
 use crate::pipeline::{StepOutcome, WATCHDOG_CYCLES};
 use crate::policy::{DesignCaps, PolicyHost};
-use crate::shared::Analysis;
 use crate::stats::SimStats;
 
 pub(crate) use structs::{fits_near, InstSlab, NearRing, ReadyLanes, WaiterRing};
@@ -115,9 +114,8 @@ pub(crate) struct EventCore<'t> {
     /// Records between the commit point and the fetch frontier, with
     /// their oracle info (computed once at ingest).
     pub(crate) window: RecordWindow,
-    /// The dependence analysis feeding `window`: an owned incremental
-    /// oracle, or a shared sweep pass's feed.
-    analysis: Analysis,
+    /// The incremental dependence oracle feeding `window`.
+    oracle: OracleBuilder,
     /// Exact total record count: the source's up-front hint, or measured
     /// at exhaustion.
     total_records: Option<u64>,
@@ -235,21 +233,13 @@ pub(crate) struct EventCore<'t> {
 
 impl<'t> EventCore<'t> {
     pub(crate) fn new_unchecked(cfg: SimConfig, source: impl TraceSource + 't) -> EventCore<'t> {
-        EventCore::with_analysis(cfg, source, Analysis::Own(OracleBuilder::new()))
-    }
-
-    pub(crate) fn with_analysis(
-        cfg: SimConfig,
-        source: impl TraceSource + 't,
-        analysis: Analysis,
-    ) -> EventCore<'t> {
         let policy = PolicyHost::instantiate(&cfg);
         let caps = policy.caps();
         EventCore {
             total_records: source.len_hint(),
             source: Box::new(source),
             window: RecordWindow::new(cfg.rob_size, cfg.fetch_width),
-            analysis,
+            oracle: OracleBuilder::new(),
             source_done: false,
             source_error: None,
             fetch_buf: vec![TraceRecord::default(); FETCH_BLOCK],
@@ -539,7 +529,7 @@ impl<'t> EventCore<'t> {
                         // sequential in pull order whatever the source
                         // put in `seq`.
                         rec.seq = Seq(self.window.end());
-                        let fwd = self.analysis.fwd_for(&rec);
+                        let fwd = self.oracle.ingest(&rec);
                         self.window.push(rec, fwd);
                     }
                 }
@@ -579,15 +569,8 @@ impl EventCore<'_> {
                 "cannot checkpoint with a pending trace-source error: {e}"
             )));
         }
-        let Analysis::Own(oracle) = &self.analysis else {
-            return Err(sqip_snapshot::SnapError::Unsupported(
-                "shared-analysis processors cannot be checkpointed (the \
-                 oracle feed belongs to the sweep pass)"
-                    .into(),
-            ));
-        };
         self.window.save(w)?;
-        oracle.save(w)?;
+        self.oracle.save(w)?;
         self.total_records.save(w)?;
         self.source_done.save(w)?;
         self.cycle.save(w)?;
@@ -634,7 +617,7 @@ impl EventCore<'_> {
     ) -> Result<(), sqip_snapshot::SnapError> {
         use sqip_snapshot::Snapshot as _;
         self.window = RecordWindow::load(r)?;
-        self.analysis = Analysis::Own(OracleBuilder::load(r)?);
+        self.oracle = OracleBuilder::load(r)?;
         self.total_records = Option::<u64>::load(r)?;
         self.source_done = bool::load(r)?;
         self.cycle = u64::load(r)?;

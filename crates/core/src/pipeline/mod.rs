@@ -37,7 +37,6 @@ use sqip_types::{Addr, DataSize};
 use crate::config::{Engine, SimConfig};
 use crate::error::SimError;
 use crate::observer::{ObserverAction, SimObserver};
-use crate::shared::{Analysis, OracleFeed};
 use crate::stats::SimStats;
 
 use event::EventCore;
@@ -225,34 +224,6 @@ impl<'t> Processor<'t> {
         Processor { core }
     }
 
-    /// Builds a processor that reads a **shared** dependence-analysis
-    /// pass instead of running its own: `source` is typically a
-    /// [`sqip_isa::TeeCursor`] over a stream wrapped by
-    /// [`crate::oracle_tap`], and `feed` the matching [`OracleFeed`] —
-    /// the shared-pass sweep configuration, where one workload pass
-    /// drives many design cells. Statistics are bit-identical to a
-    /// per-cell run over the same stream.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] if the configuration is inconsistent
-    /// (see [`SimConfig::try_validate`]).
-    pub fn try_from_shared(
-        cfg: SimConfig,
-        source: impl TraceSource + 't,
-        feed: OracleFeed,
-    ) -> Result<Processor<'t>, SimError> {
-        cfg.try_validate()?;
-        let analysis = Analysis::Shared(feed);
-        let core = match cfg.engine {
-            Engine::Event => Core::Event(Box::new(EventCore::with_analysis(cfg, source, analysis))),
-            Engine::Reference => {
-                Core::Reference(Box::new(RefCore::with_analysis(cfg, source, analysis)))
-            }
-        };
-        Ok(Processor { core })
-    }
-
     /// Whether the whole record stream has committed. Until the source is
     /// exhausted (or declared an exact length up front) the total is
     /// unknown and this is `false`.
@@ -365,7 +336,7 @@ impl<'t> Processor<'t> {
     ///
     /// This is the one stepping primitive: [`Processor::step`],
     /// [`Processor::run_until`], [`Processor::run_observed`] and the
-    /// sweep engine's lock-step loop all drive the simulation through
+    /// sweep engine's per-cell loop all drive the simulation through
     /// it, which is how observers land on their interval boundaries
     /// exactly wherever they run.
     ///
@@ -480,8 +451,7 @@ impl<'t> Processor<'t> {
     ///
     /// [`sqip_snapshot::SnapError::Unsupported`] when the state is not
     /// checkpointable — a custom [`ForwardingPolicy`](crate::ForwardingPolicy)
-    /// design, a shared-analysis processor (built by
-    /// [`Processor::try_from_shared`]), or a pending trace-source error —
+    /// design or a pending trace-source error —
     /// and [`sqip_snapshot::SnapError::Io`] when writing `out` fails.
     ///
     /// # Example
@@ -578,20 +548,12 @@ impl<'t> Processor<'t> {
         }
         let core = match cfg.engine {
             Engine::Event => {
-                let mut c = Box::new(EventCore::with_analysis(
-                    cfg,
-                    source,
-                    Analysis::Own(crate::oracle::OracleBuilder::new()),
-                ));
+                let mut c = Box::new(EventCore::new_unchecked(cfg, source));
                 c.load_state(&mut r)?;
                 Core::Event(c)
             }
             Engine::Reference => {
-                let mut c = Box::new(RefCore::with_analysis(
-                    cfg,
-                    source,
-                    Analysis::Own(crate::oracle::OracleBuilder::new()),
-                ));
+                let mut c = Box::new(RefCore::new_unchecked(cfg, source));
                 c.load_state(&mut r)?;
                 Core::Reference(c)
             }

@@ -32,7 +32,6 @@ use crate::oracle::OracleBuilder;
 use crate::pipeline::window::{RecordWindow, SeqRing};
 use crate::pipeline::{EvKind, StepOutcome, NOT_READY, WATCHDOG_CYCLES};
 use crate::policy::{DesignCaps, LoadCommitInfo, OracleHint, PipelineView, PolicyHost, SqProbe};
-use crate::shared::Analysis;
 use crate::stats::SimStats;
 
 pub(crate) struct RefCore<'t> {
@@ -42,9 +41,8 @@ pub(crate) struct RefCore<'t> {
     /// Records between the commit point and the fetch frontier, with
     /// their oracle info (computed once at ingest).
     pub(crate) window: RecordWindow,
-    /// The dependence analysis feeding `window`: an owned incremental
-    /// oracle, or a shared sweep pass's feed.
-    analysis: Analysis,
+    /// The incremental dependence oracle feeding `window`.
+    oracle: OracleBuilder,
     /// Exact total record count: the source's up-front hint, or measured
     /// at exhaustion.
     total_records: Option<u64>,
@@ -118,21 +116,13 @@ pub(crate) struct RefCore<'t> {
 
 impl<'t> RefCore<'t> {
     pub(crate) fn new_unchecked(cfg: SimConfig, source: impl TraceSource + 't) -> RefCore<'t> {
-        RefCore::with_analysis(cfg, source, Analysis::Own(OracleBuilder::new()))
-    }
-
-    pub(crate) fn with_analysis(
-        cfg: SimConfig,
-        source: impl TraceSource + 't,
-        analysis: Analysis,
-    ) -> RefCore<'t> {
         let policy = PolicyHost::instantiate(&cfg);
         let caps = policy.caps();
         RefCore {
             total_records: source.len_hint(),
             source: Box::new(source),
             window: RecordWindow::new(cfg.rob_size, cfg.fetch_width),
-            analysis,
+            oracle: OracleBuilder::new(),
             source_done: false,
             source_error: None,
             cycle: 0,
@@ -315,7 +305,7 @@ impl<'t> RefCore<'t> {
                     // Consumers own the numbering: records are sequential
                     // in pull order whatever the source put in `seq`.
                     rec.seq = Seq(self.window.end());
-                    let fwd = self.analysis.fwd_for(&rec);
+                    let fwd = self.oracle.ingest(&rec);
                     self.window.push(rec, fwd);
                 }
                 Ok(None) => {
@@ -1229,15 +1219,8 @@ impl RefCore<'_> {
                 "cannot checkpoint with a pending trace-source error: {e}"
             )));
         }
-        let Analysis::Own(oracle) = &self.analysis else {
-            return Err(sqip_snapshot::SnapError::Unsupported(
-                "shared-analysis processors cannot be checkpointed (the \
-                 oracle feed belongs to the sweep pass)"
-                    .into(),
-            ));
-        };
         self.window.save(w)?;
-        oracle.save(w)?;
+        self.oracle.save(w)?;
         self.total_records.save(w)?;
         self.source_done.save(w)?;
         self.cycle.save(w)?;
@@ -1287,7 +1270,7 @@ impl RefCore<'_> {
     ) -> Result<(), sqip_snapshot::SnapError> {
         use sqip_snapshot::Snapshot as _;
         self.window = RecordWindow::load(r)?;
-        self.analysis = Analysis::Own(OracleBuilder::load(r)?);
+        self.oracle = OracleBuilder::load(r)?;
         self.total_records = Option::<u64>::load(r)?;
         self.source_done = bool::load(r)?;
         self.cycle = u64::load(r)?;

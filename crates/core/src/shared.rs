@@ -1,15 +1,15 @@
 //! The shared oracle pass: compute each record's [`OracleFwd`] **once**
-//! per workload stream, however many design cells consume it.
+//! for a stream that several consumers read through a
+//! [`sqip_isa::TraceTee`].
 //!
-//! In a per-cell run every [`Processor`](crate::Processor) ingests the
-//! record stream into its own [`OracleBuilder`] (and its own last-writer
-//! page table). Under a shared-pass sweep the stream is teed
-//! ([`sqip_isa::TraceTee`]) and the dependence analysis would be repeated
-//! per consumer — identical inputs, identical outputs. [`oracle_tap`]
-//! hoists it: the tap wraps the *upstream* source (before the tee),
+//! Every [`Processor`](crate::Processor) ingests its record stream into
+//! its own [`OracleBuilder`]; sweeps run each cell alone, so that is the
+//! whole analysis a sweep pays. [`oracle_tap`] is the building block for
+//! a hand-built fan-out, where the analysis would otherwise repeat per
+//! consumer: the tap wraps the *upstream* source (before the tee),
 //! renumbers and analyses each record as it is pulled, and publishes the
-//! per-record oracle info in a bounded ring the consumers' [`OracleFeed`]
-//! handles read instead of ingesting.
+//! per-record oracle info in a bounded ring that [`OracleFeed`] handles
+//! read. perfbench's layer probes time the tap and the tee this way.
 //!
 //! The feed ring is sized past the tee window, so an entry lives at least
 //! as long as the teed record it describes; consumers read a record's
@@ -182,28 +182,6 @@ impl std::fmt::Debug for OracleFeed {
         f.debug_struct("OracleFeed")
             .field("analysed", &self.analysed())
             .finish()
-    }
-}
-
-/// How a simulation core obtains per-record oracle info: by running its
-/// own incremental [`OracleBuilder`] over the records it pulls (per-cell
-/// runs), or by reading a shared pass's [`OracleFeed`] (sweep groups).
-pub(crate) enum Analysis {
-    /// Per-cell: ingest each pulled record into an owned oracle.
-    Own(OracleBuilder),
-    /// Shared pass: the record was analysed upstream; read the feed.
-    Shared(OracleFeed),
-}
-
-impl Analysis {
-    /// The oracle info for a just-pulled record (already renumbered to
-    /// its consumer-side sequence number).
-    #[inline]
-    pub(crate) fn fwd_for(&mut self, rec: &TraceRecord) -> Option<OracleFwd> {
-        match self {
-            Analysis::Own(oracle) => oracle.ingest(rec),
-            Analysis::Shared(feed) => feed.fwd(rec.seq),
-        }
     }
 }
 

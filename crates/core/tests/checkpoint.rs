@@ -126,21 +126,28 @@ fn short_source_on_restore_is_a_source_error() {
     assert!(matches!(err, SnapError::Source(_)), "unexpected {err:?}");
 }
 
+/// Every processor owns its dependence oracle, whatever feeds it
+/// records: one reading a tee cursor over an `oracle_tap` checkpoints,
+/// and resumes over a plain source bit-identically.
 #[test]
-fn shared_analysis_processors_refuse_to_checkpoint() {
-    let program = workload(20);
-    let (tap, feed) = sqip_core::oracle_tap(source(&program), 4096);
-    let (_tee, cursors) = sqip_isa::TraceTee::new(tap, 1, 4096);
+fn tee_fed_processors_checkpoint_and_resume() {
+    let program = workload(120);
     let cfg = SimConfig::with_design(SqDesign::Associative3);
+    let (tap, _feed) = sqip_core::oracle_tap(source(&program), 4096);
+    let (_tee, cursors) = sqip_isa::TraceTee::new(tap, 1, 4096);
     let cursor = cursors.into_iter().next().unwrap();
-    let mut p = Processor::try_from_shared(cfg, cursor, feed).unwrap();
-    p.step().unwrap();
-    let mut out = Vec::new();
-    let err = p.checkpoint(&mut out).expect_err("must refuse");
-    assert!(
-        matches!(err, SnapError::Unsupported(_)),
-        "unexpected {err:?}"
-    );
+    let mut p = Processor::try_from_source(cfg.clone(), cursor).unwrap();
+    for _ in 0..250 {
+        p.step().unwrap();
+    }
+    let mut snap = Vec::new();
+    p.checkpoint(&mut snap)
+        .expect("a tee-fed processor checkpoints");
+    let resumed = Processor::restore(&mut snap.as_slice(), source(&program)).unwrap();
+
+    let straight = finish(Processor::from_source(cfg, source(&program)));
+    assert_eq!(finish(resumed), straight, "resume diverges");
+    assert_eq!(finish(p), straight, "the tee-fed run diverges");
 }
 
 #[test]

@@ -12,11 +12,13 @@
 //! than a ring's worth of records ahead of the slowest consumer is asked
 //! to wait (see [`TeePoll::Blocked`]).
 //!
-//! The tee is single-threaded by design (`Rc`-shared, not `Arc`): a sweep
-//! engine drives one workload group's consumers in lock-step on one worker
-//! thread, which is also what makes a bounded ring viable at all — the
-//! scheduler simply refrains from stepping consumers that are about to
-//! outrun the window.
+//! The tee is single-threaded by design (`Rc`-shared, not `Arc`): its
+//! caller drives the consumers in lock-step on one thread, which is also
+//! what makes a bounded ring viable at all — the caller simply refrains
+//! from stepping consumers that are about to outrun the window. (The
+//! sweep engine no longer uses a tee: each of its cells simulates its own
+//! stream, so rows stream as cells finish; perfbench's layer probes time
+//! the tee on its own.)
 
 use std::cell::RefCell;
 use std::rc::Rc;

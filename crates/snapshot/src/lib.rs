@@ -109,7 +109,7 @@ pub enum SnapError {
     /// out-of-range index, trailing bytes, ...).
     Corrupt(String),
     /// The live state cannot be checkpointed (e.g. a custom boxed
-    /// policy, or a shared-pass oracle feed).
+    /// policy, or a pending trace-source error).
     Unsupported(String),
     /// The trace source handed to restore does not match the
     /// checkpointed run (exhausted early, or failed while fast-forwarding).

@@ -30,7 +30,7 @@ pub const BASE_VARIANT: &str = "base";
 /// A Table 3 model ([`WorkloadSpec`]), a name resolved from the
 /// [`WorkloadRegistry`] (models, `mix:`/`chase:`/`stride:` generators,
 /// `tracefile:` replays) and any [`RegisteredWorkload`] factory are all
-/// the same thing here: each sweep group opens one fresh stream
+/// the same thing here: each sweep cell opens one fresh stream
 /// ([`Workload::open`]) and pulls it through the simulator in O(window)
 /// memory — nothing is materialized, so run length is unbounded.
 #[derive(Clone)]
@@ -290,9 +290,10 @@ impl Experiment {
         if self.designs.is_empty() {
             return Err(SqipError::Config("experiment has no designs".into()));
         }
-        // Sweeps group cells by workload *name*, so two distinct
-        // workloads under one name would silently simulate the same
-        // stream; reject the ambiguity up front.
+        // Cell labels, and so result rows, cache entries and shard
+        // ownership, name a workload by its name, so two distinct
+        // workloads under one name would be indistinguishable; reject
+        // the ambiguity up front.
         for (i, w) in self.workloads.iter().enumerate() {
             if self.workloads[..i].iter().any(|p| p.name() == w.name()) {
                 return Err(SqipError::Config(format!(
@@ -341,14 +342,12 @@ impl Experiment {
 
     /// Executes the sweep and collects the results in cell order.
     ///
-    /// Cells are grouped by workload and each group's record stream is
-    /// pulled **once**, driving all of the group's processors in
-    /// lock-step off the shared pass (see [`SweepEngine`]); groups are
-    /// distributed over worker threads by a work-stealing queue. Because
-    /// the simulator is deterministic and results are collected by cell
-    /// index, the returned [`ResultSet`] is bit-identical for any thread
-    /// count — and bit-identical to simulating each cell alone, pinned by
-    /// proptest.
+    /// Each cell simulates its own record stream on one worker thread
+    /// (see [`SweepEngine`]); cells are handed to the workers in cell
+    /// order. Because the simulator is deterministic and results are
+    /// collected by cell index, the returned [`ResultSet`] is
+    /// bit-identical for any thread count — and bit-identical to
+    /// simulating each cell alone, pinned by proptest.
     ///
     /// Observers ride the same loop and fire exactly on their interval
     /// boundaries, as under [`Processor::run_observed`](sqip_core::Processor::run_observed).
@@ -372,7 +371,7 @@ impl Experiment {
 
     /// Runs the sweep through a content-addressed result cache: cells
     /// whose results are already cached are answered without simulating,
-    /// the rest run through the shared-pass driver (as [`Experiment::run`]
+    /// the rest run through the sweep driver (as [`Experiment::run`]
     /// would run them) and are persisted for the next run.
     ///
     /// The returned [`ResultSet`] is bit-identical to [`Experiment::run`]
@@ -394,7 +393,7 @@ impl Experiment {
             executed: misses.len(),
             cached: cells.len() - misses.len(),
         };
-        let (stats, _) = SweepEngine::new().drive(self, &cells, &misses, None);
+        let stats = SweepEngine::new().drive(self, &cells, &misses, None);
         for (&index, stats) in misses.iter().zip(stats) {
             let record = cells[index].record(stats?);
             cache.store(&cells[index], &record)?;
@@ -408,7 +407,7 @@ impl Experiment {
     }
 
     /// Runs only the cells owned by `shard` (see [`ShardSpec::owns`])
-    /// through the shared-pass driver, producing the artifact
+    /// through the sweep driver, producing the artifact
     /// [`merge_shards`](crate::merge_shards) (or the `sqip-merge` binary)
     /// reassembles into the full sweep.
     ///
@@ -425,7 +424,7 @@ impl Experiment {
         let owned: Vec<usize> = (0..cells.len())
             .filter(|&i| shard.owns(&cells[i].label()))
             .collect();
-        let (stats, _) = SweepEngine::new().drive(self, &cells, &owned, self.observer_fn());
+        let stats = SweepEngine::new().drive(self, &cells, &owned, self.observer_fn());
         let records = owned
             .iter()
             .zip(stats)

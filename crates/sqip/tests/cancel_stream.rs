@@ -1,11 +1,12 @@
 //! Cooperative cancellation and incremental row streaming: a cancelled
-//! sweep stops within one ring window and leaks no tee cursors; streamed
-//! per-cell rows arrive in completion order and concatenate into the
-//! batch `ResultSet` bytes exactly.
+//! sweep stops within one step, never opens a workload it has not
+//! started, and leaks no source; each cell's row streams before the next
+//! cell starts, and streamed rows concatenate into the batch `ResultSet`
+//! bytes exactly.
 
 mod common;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use common::per_cell_reference;
@@ -16,13 +17,12 @@ use sqip::{
 use sqip_isa::{ProgramBuilder, ProgramSource, Reg};
 use sqip_types::DataSize;
 
-/// A long-running streaming workload whose upstream pulls are counted and
-/// whose drop is observable — the probe for "stops promptly, leaks
-/// nothing".
+/// A long-running streaming workload whose pulls, opens and drops are
+/// counted — the probe for "stops promptly, leaks nothing".
 struct ProbeSource {
     inner: ProgramSource,
     pulls: Arc<AtomicU64>,
-    dropped: Arc<AtomicBool>,
+    dropped: Arc<AtomicU64>,
 }
 
 impl TraceSource for ProbeSource {
@@ -37,19 +37,37 @@ impl TraceSource for ProbeSource {
 
 impl Drop for ProbeSource {
     fn drop(&mut self) {
-        self.dropped.store(true, Ordering::Relaxed);
+        self.dropped.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-fn probe_workload(
-    name: &str,
-    budget: u64,
+/// The probe's counters: records pulled, sources opened, sources dropped.
+#[derive(Default, Clone)]
+struct Probe {
     pulls: Arc<AtomicU64>,
-    dropped: Arc<AtomicBool>,
-) -> Workload {
+    opened: Arc<AtomicU64>,
+    dropped: Arc<AtomicU64>,
+}
+
+impl Probe {
+    fn pulls(&self) -> u64 {
+        self.pulls.load(Ordering::Relaxed)
+    }
+    fn opened(&self) -> u64 {
+        self.opened.load(Ordering::Relaxed)
+    }
+    /// Every source the sweep opened has been dropped.
+    fn nothing_leaked(&self) -> bool {
+        self.opened() == self.dropped.load(Ordering::Relaxed)
+    }
+}
+
+/// A store/load loop of `iters` iterations (`i64::MAX`: until the
+/// budget runs out, an error).
+fn probe_workload(name: &str, budget: u64, iters: i64, probe: &Probe) -> Workload {
     let mut b = ProgramBuilder::new();
     let ctr = Reg::new(60);
-    b.load_imm(ctr, i64::MAX);
+    b.load_imm(ctr, iters);
     let top = b.label("top");
     b.store(DataSize::Quad, ctr, Reg::ZERO, 0x100);
     b.load(DataSize::Quad, Reg::new(2), Reg::ZERO, 0x100);
@@ -57,34 +75,30 @@ fn probe_workload(
     b.branch_nz(ctr, top);
     b.halt();
     let program = b.build().unwrap();
+    let probe = probe.clone();
     Workload::from(RegisteredWorkload::from_factory(
         name,
         "cancellation probe",
         move || {
+            probe.opened.fetch_add(1, Ordering::Relaxed);
             Ok(Box::new(ProbeSource {
                 inner: ProgramSource::new(program.clone(), budget),
-                pulls: Arc::clone(&pulls),
-                dropped: Arc::clone(&dropped),
+                pulls: Arc::clone(&probe.pulls),
+                dropped: Arc::clone(&probe.dropped),
             }) as Box<_>)
         },
     ))
 }
 
-/// A sweep whose token is already cancelled stops within one ring window
-/// — the shared pass pulls at most the initial fill — and the upstream
-/// source (with every tee cursor above it) is dropped.
+/// A sweep whose token is already cancelled stops before its first
+/// cell opens the workload: nothing is pulled, let alone a ring window,
+/// and no source is left alive.
 #[test]
 fn pre_cancelled_sweep_stops_within_one_ring_window() {
-    let pulls = Arc::new(AtomicU64::new(0));
-    let dropped = Arc::new(AtomicBool::new(false));
+    let probe = Probe::default();
     let budget = 50_000_000u64; // far beyond a ring window
     let experiment = Experiment::new()
-        .workload(probe_workload(
-            "cancel-pre",
-            budget,
-            Arc::clone(&pulls),
-            Arc::clone(&dropped),
-        ))
+        .workload(probe_workload("cancel-pre", budget, i64::MAX, &probe))
         .designs([SqDesign::IdealOracle, SqDesign::Indexed3FwdDly])
         .threads(1);
 
@@ -97,24 +111,21 @@ fn pre_cancelled_sweep_stops_within_one_ring_window() {
         .unwrap_err();
     assert!(matches!(err, SqipError::Cancelled { .. }), "{err}");
 
-    let pulled = pulls.load(Ordering::Relaxed);
+    let pulled = probe.pulls();
     assert!(
         pulled <= SweepEngine::RING_CAPACITY as u64,
         "pre-cancelled sweep pulled {pulled} records (> one ring window)"
     );
-    assert!(
-        dropped.load(Ordering::Relaxed),
-        "upstream source leaked: tee cursors were not dropped"
-    );
+    assert_eq!(probe.opened(), 0, "a cancelled sweep opened a workload");
+    assert!(probe.nothing_leaked(), "upstream source leaked");
 }
 
 /// Cancelling mid-run (from an observer callback, i.e. from inside the
-/// lock-step loop) stops the sweep within one ring window of the cancel
-/// point and drops the shared pass.
+/// step loop) stops the sweep within one ring window of the cancel
+/// point, drops the running cell's source and opens no other.
 #[test]
 fn mid_run_cancel_stops_within_one_ring_window() {
-    let pulls = Arc::new(AtomicU64::new(0));
-    let dropped = Arc::new(AtomicBool::new(false));
+    let probe = Probe::default();
     let budget = 50_000_000u64;
     let token = CancelToken::new();
     let pulls_at_cancel = Arc::new(AtomicU64::new(0));
@@ -137,17 +148,12 @@ fn mid_run_cancel_stops_within_one_ring_window() {
     }
 
     let experiment = Experiment::new()
-        .workload(probe_workload(
-            "cancel-mid",
-            budget,
-            Arc::clone(&pulls),
-            Arc::clone(&dropped),
-        ))
+        .workload(probe_workload("cancel-mid", budget, i64::MAX, &probe))
         .designs([SqDesign::IdealOracle, SqDesign::Indexed3FwdDly])
         .threads(1)
         .observe({
             let token = token.clone();
-            let pulls = Arc::clone(&pulls);
+            let pulls = Arc::clone(&probe.pulls);
             let pulls_at_cancel = Arc::clone(&pulls_at_cancel);
             move |_| {
                 Box::new(CancelAt {
@@ -165,7 +171,7 @@ fn mid_run_cancel_stops_within_one_ring_window() {
         .unwrap_err();
     assert!(matches!(err, SqipError::Cancelled { .. }), "{err}");
 
-    let total = pulls.load(Ordering::Relaxed);
+    let total = probe.pulls();
     let at_cancel = pulls_at_cancel.load(Ordering::Relaxed);
     assert!(at_cancel > 0, "the observer never fired");
     assert!(
@@ -173,21 +179,21 @@ fn mid_run_cancel_stops_within_one_ring_window() {
         "sweep ran on after cancel: {total} pulls vs {at_cancel} at cancel"
     );
     assert!(total < budget, "sweep consumed the whole stream anyway");
-    assert!(dropped.load(Ordering::Relaxed), "upstream source leaked");
+    assert_eq!(probe.opened(), 1, "the second cell never starts");
+    assert!(probe.nothing_leaked(), "upstream source leaked");
 }
 
-/// A group of one (no shared ring: the cell simulates its stream
-/// directly) honours the token too, and drops its source.
+/// A single-cell sweep honours the token too: it opens nothing, so
+/// nothing can leak.
 #[test]
 fn single_cell_groups_cancel() {
-    let pulls = Arc::new(AtomicU64::new(0));
-    let dropped = Arc::new(AtomicBool::new(false));
+    let probe = Probe::default();
     let experiment = Experiment::new()
         .workload(probe_workload(
             "cancel-single",
             50_000_000,
-            Arc::clone(&pulls),
-            Arc::clone(&dropped),
+            i64::MAX,
+            &probe,
         ))
         .design(SqDesign::Indexed3FwdDly)
         .threads(1);
@@ -199,8 +205,9 @@ fn single_cell_groups_cancel() {
         .run(&experiment)
         .unwrap_err();
     assert!(matches!(err, SqipError::Cancelled { .. }), "{err}");
-    assert_eq!(pulls.load(Ordering::Relaxed), 0, "nothing simulated");
-    assert!(dropped.load(Ordering::Relaxed), "upstream source leaked");
+    assert_eq!(probe.pulls(), 0, "nothing simulated");
+    assert_eq!(probe.opened(), 0, "a cancelled sweep opened a workload");
+    assert!(probe.nothing_leaked(), "upstream source leaked");
 }
 
 fn streaming_experiment() -> Experiment {
@@ -211,8 +218,7 @@ fn streaming_experiment() -> Experiment {
         .threads(1)
 }
 
-/// [`streaming_experiment`] under one design: every group is a group of
-/// one.
+/// [`streaming_experiment`] under one design.
 fn single_design_experiment() -> Experiment {
     Experiment::new()
         .workload(Workload::from_registry("mix:0xbeef:15k").unwrap())
@@ -236,11 +242,11 @@ fn collect_events(engine: SweepEngine, experiment: &Experiment) -> (ResultSet, V
 /// streamed record at index `i` is the batch record at index `i` bit for
 /// bit, and the concatenation of streamed rows (ordered by index)
 /// reproduces the batch JSON and CSV serializations byte-identically —
-/// for shared-pass groups and groups of one alike.
+/// with one design per workload or several.
 #[test]
 fn streamed_rows_concatenate_into_batch_bytes() {
     for (shape, experiment) in [
-        ("shared", streaming_experiment()),
+        ("multi-design", streaming_experiment()),
         ("single", single_design_experiment()),
     ] {
         let cells = experiment.cells().unwrap().len();
@@ -305,19 +311,106 @@ fn event_order_is_completion_order_and_deterministic() {
         "completion order is not deterministic"
     );
 
-    // Within one workload group the lock-step scheduler finishes cells as
-    // they drain the stream — the ideal-oracle cell (indices 0 and 2 are
-    // the first design) never finishes after its group partner under a
-    // serial run of this workload pair. We pin only determinism and
-    // completeness here; which cell wins is a property of the designs.
-    assert_eq!(first.len(), 4);
+    // One worker runs the cells one after another in cell order, so
+    // completion order is cell order.
+    assert_eq!(order(&first), vec![0, 1, 2, 3]);
 }
 
-/// The PR 5 gap, closed: an experiment with an observer now runs on the
-/// shared pass (telemetry proves it — the fallback used to return no
-/// groups) and the observer still sees start/interval/finish callbacks.
+/// Rows stream per cell: on one worker, cell k's `Finished` event
+/// arrives before cell k+1's observer starts. Cancelling from inside the
+/// first event's sink leaves the later cells `Cancelled` without ever
+/// opening their workload.
 #[test]
-fn observers_ride_the_shared_pass() {
+fn each_row_streams_before_the_next_cell_starts() {
+    #[derive(Debug, Clone, PartialEq)]
+    enum Seen {
+        Start(String),
+        Finished(usize),
+    }
+    struct Starts {
+        label: String,
+        log: Arc<Mutex<Vec<Seen>>>,
+    }
+    impl sqip::SimObserver for Starts {
+        fn on_start(&mut self, _config: &sqip::SimConfig, _len: Option<usize>) {
+            self.log
+                .lock()
+                .unwrap()
+                .push(Seen::Start(self.label.clone()));
+        }
+    }
+
+    let probe = Probe::default();
+    let log: Arc<Mutex<Vec<Seen>>> = Arc::default();
+    let experiment = Experiment::new()
+        .workload(probe_workload("stream-order", 50_000, 5_000, &probe))
+        .designs([
+            SqDesign::IdealOracle,
+            SqDesign::Associative3,
+            SqDesign::Indexed3FwdDly,
+        ])
+        .threads(1)
+        .observe({
+            let log = Arc::clone(&log);
+            move |run| {
+                Box::new(Starts {
+                    label: run.label(),
+                    log: Arc::clone(&log),
+                })
+            }
+        });
+    let labels: Vec<String> = experiment
+        .cells()
+        .unwrap()
+        .iter()
+        .map(sqip::Run::label)
+        .collect();
+    let engine = |token: Option<CancelToken>| {
+        let sink_log = Arc::clone(&log);
+        SweepEngine::new().threads(1).on_cell(move |event| {
+            sink_log.lock().unwrap().push(Seen::Finished(event.index()));
+            if let Some(token) = &token {
+                token.cancel();
+            }
+        })
+    };
+
+    engine(None).run(&experiment).unwrap();
+    let expected: Vec<Seen> = (0..3)
+        .flat_map(|k| [Seen::Start(labels[k].clone()), Seen::Finished(k)])
+        .collect();
+    assert_eq!(*log.lock().unwrap(), expected, "rows must stream per cell");
+    assert_eq!(probe.opened(), 3, "one open per cell");
+
+    log.lock().unwrap().clear();
+    let opened_before = probe.opened();
+    let token = CancelToken::new();
+    let err = engine(Some(token.clone()))
+        .cancel_token(token)
+        .run(&experiment)
+        .unwrap_err();
+    match &err {
+        SqipError::Cancelled { cell } => assert_eq!(cell, &labels[1], "first unfinished cell"),
+        other => panic!("expected a cancellation, got {other}"),
+    }
+    assert_eq!(
+        *log.lock().unwrap(),
+        vec![Seen::Start(labels[0].clone()), Seen::Finished(0)],
+        "cells 2 and 3 must never start"
+    );
+    assert_eq!(
+        probe.opened() - opened_before,
+        1,
+        "cancelled cells opened their workload"
+    );
+    assert!(probe.nothing_leaked(), "upstream source leaked");
+}
+
+/// An experiment with an observer runs through the same sweep loop —
+/// no shared pass, so its telemetry holds no groups — and the observer
+/// sees start/interval/finish callbacks once per cell.
+#[test]
+fn observers_ride_the_sweep_loop() {
     #[derive(Default)]
     struct Counts {
         starts: Arc<AtomicU64>,
@@ -371,11 +464,7 @@ fn observers_ride_the_shared_pass() {
         .threads(1)
         .run_with_telemetry(&experiment)
         .unwrap();
-    assert_eq!(
-        telemetry.groups.len(),
-        1,
-        "observer experiments must use the shared pass (one group), not fall back per-cell"
-    );
+    assert!(telemetry.groups.is_empty(), "no sweep shares a pass");
     assert_eq!(starts.load(Ordering::Relaxed), 2, "one on_start per cell");
     assert_eq!(
         finishes.load(Ordering::Relaxed),

@@ -1,8 +1,8 @@
-//! Shared-pass sweep pinning: the [`SweepEngine`]'s lock-step shared
-//! pass must be **bit-identical** to simulating each cell alone — for
-//! random programs, every registered design, and any thread count —
-//! while pulling each workload's record stream exactly once, whether
-//! the cells run whole, from a cold cache or as shards.
+//! Sweep pinning: the [`SweepEngine`] must be **bit-identical** to
+//! simulating each cell alone — for random programs, every registered
+//! design, and any thread count — while each executed cell opens its
+//! workload once and pulls exactly the records it commits, whether the
+//! cells run whole, from a cold cache or as shards.
 
 mod common;
 
@@ -13,9 +13,9 @@ use std::sync::{Arc, Mutex};
 use common::per_cell_reference;
 use proptest::prelude::*;
 use sqip::{
-    oracle_tap, CacheDir, DesignRegistry, Experiment, ObserverAction, OrderingMode, Processor,
+    CacheDir, DesignRegistry, Experiment, ObserverAction, OrderingMode, Processor,
     RegisteredWorkload, ShardSpec, SimConfig, SimObserver, SimStats, SqDesign, SweepEngine,
-    TraceSource, TraceTee, Workload,
+    TraceSource, Workload,
 };
 use sqip_isa::{Program, ProgramBuilder, ProgramSource, Reg};
 use sqip_types::DataSize;
@@ -108,42 +108,46 @@ fn all_designs() -> Vec<SqDesign> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
-    /// The acceptance pin: shared-pass `ResultSet` ≡ each cell simulated
+    /// The acceptance pin: the sweep's `ResultSet` ≡ each cell simulated
     /// alone by `Processor::try_run`, bit for bit, across random programs
-    /// × every registered design (all 8) × random thread counts —
+    /// × every registered design (all 8), on one worker and on two —
     /// including the serialized bytes.
     #[test]
-    fn shared_pass_sweep_is_bit_identical_to_per_cell(
+    fn sweep_is_bit_identical_to_per_cell_reference(
         body_a in proptest::collection::vec(stmt_strategy(), 1..14),
         body_b in proptest::collection::vec(stmt_strategy(), 1..14),
         iters in 3i64..40,
-        threads in 1usize..5,
     ) {
         let experiment = Experiment::new()
             .workload(program_workload("sweep-prop-a", build_program(&body_a, iters), 1_000_000))
             .workload(program_workload("sweep-prop-b", build_program(&body_b, iters), 1_000_000))
-            .designs(all_designs())
-            .threads(threads);
+            .designs(all_designs());
 
-        let per_cell = per_cell_reference(&experiment);
-        let shared = SweepEngine::new()
-            .threads(threads)
-            .run(&experiment)
-            .expect("shared-pass sweep runs");
-        prop_assert_eq!(&shared, &per_cell, "stats diverge (threads={})", threads);
-        prop_assert_eq!(shared.to_json(), per_cell.to_json(), "serialized bytes diverge");
+        let reference = per_cell_reference(&experiment);
+        for threads in [1, 2] {
+            let swept = SweepEngine::new()
+                .threads(threads)
+                .run(&experiment)
+                .expect("sweep runs");
+            prop_assert_eq!(&swept, &reference, "stats diverge (threads={})", threads);
+            prop_assert_eq!(
+                swept.to_json(),
+                reference.to_json(),
+                "serialized bytes diverge (threads={})",
+                threads
+            );
+        }
 
-        // And the default entry point (`Experiment::run`) is the shared
-        // path, also pinned.
+        // And the default entry point (`Experiment::run`) is the same
+        // driver, also pinned.
         let default_run = experiment.run().expect("default run");
-        prop_assert_eq!(&default_run, &per_cell);
+        prop_assert_eq!(&default_run, &reference);
     }
 }
 
-/// A `TraceSource` that counts upstream pulls, so a test can prove the
-/// tee pulled the generator exactly once however consumers squash.
+/// A `TraceSource` that counts the records it yields.
 struct CountingSource {
-    inner: ProgramSource,
+    inner: Box<dyn TraceSource + Send>,
     pulls: Arc<AtomicU64>,
 }
 
@@ -155,6 +159,36 @@ impl TraceSource for CountingSource {
         }
         Ok(rec)
     }
+}
+
+/// One pull counter per time a workload was opened, in open order.
+type Opens = Arc<Mutex<Vec<Arc<AtomicU64>>>>;
+
+/// Wraps `inner` so every open is logged in `opens` with its own pull
+/// counter.
+fn counting_workload(name: &str, inner: Workload, opens: Opens) -> Workload {
+    Workload::from(RegisteredWorkload::from_factory(
+        name,
+        "counting workload",
+        move || {
+            let pulls = Arc::new(AtomicU64::new(0));
+            opens.lock().unwrap().push(Arc::clone(&pulls));
+            Ok(Box::new(CountingSource {
+                inner: inner.open()?,
+                pulls,
+            }) as Box<_>)
+        },
+    ))
+}
+
+/// The records each logged open yielded, in open order.
+fn pulls_per_open(opens: &Opens) -> Vec<u64> {
+    opens
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|pulls| pulls.load(Ordering::Relaxed))
+        .collect()
 }
 
 /// A program whose stores are data-delayed behind a multiply chain while
@@ -181,8 +215,8 @@ fn squashy_program(iters: i64) -> Program {
 
 /// Squash re-fetches replay records whose positions straddle the event
 /// engine's fetch-block edges (the block-pull tentpole's nastiest
-/// corner): the shared pass must stay bit-identical to per-cell runs
-/// through them, for every registered design.
+/// corner): the sweep must stay bit-identical to per-cell runs through
+/// them, for every registered design.
 #[test]
 fn squash_straddling_fetch_block_edges_is_mode_invariant() {
     // ~11 records per iteration: 100 iterations crosses many
@@ -196,122 +230,113 @@ fn squash_straddling_fetch_block_edges_is_mode_invariant() {
         ))
         .designs(all_designs())
         .threads(1);
-    let shared = experiment.run().expect("shared sweep runs");
+    let swept = experiment.run().expect("sweep runs");
     let per_cell = per_cell_reference(&experiment);
-    assert_eq!(shared, per_cell, "squash across block edges diverged");
+    assert_eq!(swept, per_cell, "squash across block edges diverged");
 }
 
-/// Exactly-once delivery under squash/re-fetch: squashed consumers replay
-/// records out of their own windows, never re-pulling through the tee —
-/// the upstream pull count equals the stream length exactly, and the
-/// shared-pass stats still match a per-cell run of the same cell.
+/// Squash re-fetches replay records out of the cell's own window, never
+/// re-pulling the source: each cell opens its workload once and pulls
+/// exactly the records it commits, and still matches a plain run of the
+/// same cell.
 #[test]
-fn squashing_consumers_do_not_repull_the_shared_stream() {
+fn squashing_cells_pull_exactly_their_committed_records() {
     let budget = 100_000u64;
-    let mut cam = SimConfig::with_design(SqDesign::Associative3);
-    cam.ordering = OrderingMode::LqCam;
-    let cfgs = [cam.clone(), SimConfig::with_design(SqDesign::IdealOracle)];
+    let opens: Opens = Arc::default();
+    let experiment = Experiment::new()
+        .workload(counting_workload(
+            "squashy-counted",
+            program_workload("squashy", squashy_program(40), budget),
+            Arc::clone(&opens),
+        ))
+        .designs([SqDesign::Associative3, SqDesign::IdealOracle])
+        .configure(|cfg| cfg.ordering = OrderingMode::LqCam)
+        .threads(1);
+    let results = experiment.run().unwrap();
+    assert_eq!(results, per_cell_reference(&experiment));
+    assert!(
+        results.records()[0].stats.flushes > 0,
+        "the CAM cell must actually squash"
+    );
 
-    // Reference: each cell on its own pass.
-    let solo: Vec<_> = cfgs
-        .iter()
-        .map(|cfg| {
-            Processor::try_from_source(cfg.clone(), ProgramSource::new(squashy_program(40), budget))
-                .unwrap()
-                .try_run()
-                .unwrap()
-        })
-        .collect();
-    assert!(solo[0].flushes > 0, "the CAM cell must actually squash");
-    let len = solo[0].committed;
+    // `per_cell_reference` opened the workload once more per cell.
+    let pulls = pulls_per_open(&opens);
+    assert_eq!(pulls.len(), 2 * results.len(), "one open per cell per run");
+    for (i, record) in results.iter().enumerate() {
+        assert_eq!(
+            pulls[i], record.stats.committed,
+            "cell {i}: squash re-fetches must replay from the window, not the source"
+        );
+    }
+}
 
-    // Shared pass over a counting upstream.
-    let pulls = Arc::new(AtomicU64::new(0));
-    let counting = CountingSource {
-        inner: ProgramSource::new(squashy_program(40), budget),
-        pulls: Arc::clone(&pulls),
-    };
-    let (tap, feed) = oracle_tap(counting, 512);
-    let (tee, cursors) = TraceTee::new(tap, 2, 512);
-    let mut procs: Vec<_> = cursors
-        .into_iter()
-        .zip(&cfgs)
-        .map(|(cursor, cfg)| {
-            Some(Processor::try_from_shared(cfg.clone(), cursor, feed.clone()).unwrap())
-        })
-        .collect();
-    // A deliberately tiny lock-step quantum, to interleave squashes with
-    // the other consumer's progress as unfavourably as possible.
-    let mut stats: [Option<sqip::SimStats>; 2] = [None, None];
-    while stats.iter().any(Option::is_none) {
-        for (i, slot) in procs.iter_mut().enumerate() {
-            let Some(p) = slot.as_mut() else { continue };
-            let may_pull = !(tee.is_done() && tee.position(i) == tee.pulled());
-            if may_pull && tee.position(i) + 8 > tee.base() + tee.capacity() as u64 {
-                continue;
-            }
-            for _ in 0..16 {
-                match p.step().expect("lock-step cell steps") {
-                    sqip::StepOutcome::Running => {}
-                    sqip::StepOutcome::Done => {
-                        stats[i] = Some(p.stats().clone());
-                        *slot = None;
-                        break;
-                    }
-                }
-            }
+/// Sweeps share no pass, so their telemetry holds no groups; each cell's
+/// own window (records pulled but not yet committed) stays within the
+/// machine's window bound throughout the run.
+#[test]
+fn sweep_telemetry_reports_bounded_buffering() {
+    struct Buffered {
+        pulls: Arc<AtomicU64>,
+        peak: Arc<AtomicU64>,
+    }
+    impl SimObserver for Buffered {
+        fn interval(&self) -> u64 {
+            1
+        }
+        fn on_interval(&mut self, _cycle: u64, stats: &SimStats) -> ObserverAction {
+            let buffered = self.pulls.load(Ordering::Relaxed) - stats.committed;
+            self.peak.fetch_max(buffered, Ordering::Relaxed);
+            ObserverAction::Continue
         }
     }
 
-    assert_eq!(stats[0].as_ref().unwrap(), &solo[0], "CAM cell diverged");
-    assert_eq!(stats[1].as_ref().unwrap(), &solo[1], "oracle cell diverged");
-    assert_eq!(
-        pulls.load(Ordering::Relaxed),
-        len,
-        "squash re-fetches must replay from consumer windows, not the tee"
-    );
-    assert_eq!(tee.pulled(), len);
-}
-
-/// Sweep telemetry reports the shared-ring high-water mark and per-cell
-/// buffering separately, and both stay within their structural bounds
-/// (the PR 3 memory-boundedness story, extended to shared passes).
-#[test]
-fn sweep_telemetry_reports_bounded_buffering() {
+    let opens: Opens = Arc::default();
+    let peaks: Arc<Mutex<Vec<Arc<AtomicU64>>>> = Arc::default();
     let experiment = Experiment::new()
-        .workload(Workload::from_registry("mix:0xabc:60k").unwrap())
+        .workload(counting_workload(
+            "mix-counted",
+            Workload::from_registry("mix:0xabc:60k").unwrap(),
+            Arc::clone(&opens),
+        ))
         .designs([
             SqDesign::IdealOracle,
             SqDesign::Associative3,
             SqDesign::Indexed3FwdDly,
         ])
-        .threads(1);
+        .threads(1)
+        .observe({
+            let (opens, peaks) = (Arc::clone(&opens), Arc::clone(&peaks));
+            move |_| {
+                // One worker: the cell being observed is the one whose
+                // workload was opened last.
+                let pulls = Arc::clone(opens.lock().unwrap().last().expect("opened first"));
+                let peak = Arc::new(AtomicU64::new(0));
+                peaks.lock().unwrap().push(Arc::clone(&peak));
+                Box::new(Buffered { pulls, peak })
+            }
+        });
     let (results, telemetry) = SweepEngine::new()
         .threads(1)
         .run_with_telemetry(&experiment)
         .unwrap();
     assert_eq!(results.len(), 3);
-    assert_eq!(telemetry.groups.len(), 1, "one workload, one group");
-    let group = &telemetry.groups[0];
-    assert_eq!(group.cells.len(), 3);
-    assert!(group.records_pulled > 0);
-    assert!(group.ring_high_water > 0);
+    assert!(telemetry.groups.is_empty(), "no sweep shares a pass");
 
-    // Each cell's own window obeys the PR 3 bound; the shared ring obeys
-    // its capacity. The two observables are reported separately. The
-    // event engine's batched fetch front may run up to one fetch block
-    // ahead of the scalar frontier, hence the FETCH_BLOCK slack term.
+    // The event engine's batched fetch front may run up to one fetch
+    // block ahead of the scalar frontier, hence the FETCH_BLOCK slack.
     let cfg = SimConfig::with_design(SqDesign::IdealOracle);
     let window_bound =
         (cfg.rob_size + 5 * cfg.fetch_width) as u64 + sqip_core::engine::FETCH_BLOCK as u64;
-    for (&peak, lag) in group.peak_buffered.iter().zip(&group.peak_lag) {
+    let peaks = peaks.lock().unwrap();
+    assert_eq!(peaks.len(), 3, "one observer per cell");
+    for peak in peaks.iter() {
+        let peak = peak.load(Ordering::Relaxed);
         assert!(peak > 0 && peak <= window_bound, "peak {peak}");
-        assert!(*lag <= group.records_pulled);
     }
 }
 
 /// The per-cell reference and observed experiments both match the
-/// shared results bit for bit.
+/// sweep's results bit for bit.
 #[test]
 fn per_cell_reference_and_observed_runs_match_shared_results() {
     let experiment = Experiment::new()
@@ -364,8 +389,8 @@ impl SimObserver for Recorder {
     }
 }
 
-/// Observers fire exactly on interval boundaries inside a shared-pass
-/// group: each cell of a 2-design group sees the same `on_interval`
+/// Observers fire exactly on interval boundaries inside a sweep: each
+/// cell of a 2-design sweep sees the same `on_interval`
 /// `(cycle, stats)` sequence and `on_finish` stats as
 /// `Processor::run_observed` on that cell alone. The interval is odd and
 /// the 4MB pointer chase idles on memory misses, so the event engine's
@@ -389,11 +414,7 @@ fn observers_fire_exactly_on_interval_boundaries_in_a_group() {
                 })
             }
         });
-    let (results, telemetry) = SweepEngine::new()
-        .threads(1)
-        .run_with_telemetry(&experiment)
-        .unwrap();
-    assert_eq!(telemetry.groups.len(), 1, "the cells share one pass");
+    let results = SweepEngine::new().threads(1).run(&experiment).unwrap();
 
     let logs = logs.lock().unwrap();
     for (cell, record) in experiment.cells().unwrap().iter().zip(&results) {
@@ -418,43 +439,25 @@ fn observers_fire_exactly_on_interval_boundaries_in_a_group() {
     }
 }
 
-/// A streamed program workload that counts how often it is opened and
-/// how many records it yields.
-fn counting_workload(
-    name: &str,
-    program: Program,
-    opens: Arc<AtomicU64>,
-    pulls: Arc<AtomicU64>,
-) -> Workload {
-    Workload::from(RegisteredWorkload::from_factory(
-        name,
-        "counting program",
-        move || {
-            opens.fetch_add(1, Ordering::Relaxed);
-            Ok(Box::new(CountingSource {
-                inner: ProgramSource::new(program.clone(), 1_000_000),
-                pulls: Arc::clone(&pulls),
-            }) as Box<_>)
-        },
-    ))
-}
-
-/// Cached and sharded runs ride the shared pass too: a cold `run_cached`
-/// and each `run_shard` of a split open each workload's stream once per
-/// group and pull every record exactly once.
+/// Cached and sharded runs go through the same driver: a cold
+/// `run_cached` and each `run_shard` of a split open each executed
+/// cell's workload once and pull exactly that cell's committed records,
+/// while a warm `run_cached` and unowned cells open nothing.
 #[test]
-fn cached_and_sharded_runs_pull_each_stream_once_per_group() {
-    let counters: Vec<(Arc<AtomicU64>, Arc<AtomicU64>)> =
-        (0..2).map(|_| (Arc::default(), Arc::default())).collect();
-    let experiment = counters
+fn cached_and_sharded_runs_open_each_executed_cell_once() {
+    let opens: Vec<Opens> = (0..2).map(|_| Arc::default()).collect();
+    let experiment = opens
         .iter()
         .enumerate()
-        .fold(Experiment::new(), |exp, (w, (opens, pulls))| {
+        .fold(Experiment::new(), |exp, (w, opens)| {
             exp.workload(counting_workload(
                 &format!("count-once-{w}"),
-                squashy_program(30 + 10 * w as i64),
+                program_workload(
+                    &format!("squashy-{w}"),
+                    squashy_program(30 + 10 * w as i64),
+                    1_000_000,
+                ),
                 Arc::clone(opens),
-                Arc::clone(pulls),
             ))
         })
         .designs([
@@ -464,34 +467,46 @@ fn cached_and_sharded_runs_pull_each_stream_once_per_group() {
             SqDesign::Indexed3FwdDly,
         ])
         .threads(1);
-    let reset = || {
-        for (opens, pulls) in &counters {
-            opens.store(0, Ordering::Relaxed);
-            pulls.store(0, Ordering::Relaxed);
-        }
-    };
     let reference = per_cell_reference(&experiment);
     let cells = experiment.cells().unwrap();
-    let len = |w: usize| reference.records()[w * 4].stats.committed;
+    // Cells `4w..4w + 4` are workload `w`'s; with one worker they run in
+    // cell order, so the k-th open of a workload is its k-th executed cell.
+    let expect = |executed: &[usize], w: usize| -> Vec<u64> {
+        executed
+            .iter()
+            .filter(|&&i| i / 4 == w)
+            .map(|&i| reference.records()[i].stats.committed)
+            .collect()
+    };
+    let reset = || {
+        for opens in &opens {
+            opens.lock().unwrap().clear();
+        }
+    };
 
     let dir = std::env::temp_dir().join(format!("sqip-sweep-count-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     reset();
-    let (cold, outcome) = experiment
-        .run_cached(&CacheDir::open(&dir).unwrap())
-        .unwrap();
+    let cache = CacheDir::open(&dir).unwrap();
+    let (cold, outcome) = experiment.run_cached(&cache).unwrap();
     assert_eq!(outcome.executed, cells.len());
     assert_eq!(cold, reference);
-    for (w, (opens, pulls)) in counters.iter().enumerate() {
+    let all: Vec<usize> = (0..cells.len()).collect();
+    for (w, opens) in opens.iter().enumerate() {
         assert_eq!(
-            opens.load(Ordering::Relaxed),
-            1,
-            "cold cache: workload {w} opens"
+            pulls_per_open(opens),
+            expect(&all, w),
+            "cold cache: workload {w}"
         );
-        assert_eq!(
-            pulls.load(Ordering::Relaxed),
-            len(w),
-            "cold cache: workload {w} pulls"
+    }
+    reset();
+    let (warm, outcome) = experiment.run_cached(&cache).unwrap();
+    assert_eq!(outcome.executed, 0);
+    assert_eq!(warm, reference);
+    for (w, opens) in opens.iter().enumerate() {
+        assert!(
+            pulls_per_open(opens).is_empty(),
+            "warm cache: workload {w} opened"
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -501,18 +516,11 @@ fn cached_and_sharded_runs_pull_each_stream_once_per_group() {
         let shard = experiment
             .run_shard(ShardSpec::new(index, 2).unwrap())
             .unwrap();
-        for (w, (opens, pulls)) in counters.iter().enumerate() {
-            let owned = shard.indices.iter().any(|&i| i / 4 == w);
-            let (want_opens, want_pulls) = if owned { (1, len(w)) } else { (0, 0) };
+        for (w, opens) in opens.iter().enumerate() {
             assert_eq!(
-                opens.load(Ordering::Relaxed),
-                want_opens,
-                "shard {index}: workload {w} opens"
-            );
-            assert_eq!(
-                pulls.load(Ordering::Relaxed),
-                want_pulls,
-                "shard {index}: workload {w} pulls"
+                pulls_per_open(opens),
+                expect(&shard.indices, w),
+                "shard {index}: workload {w}"
             );
         }
     }
