@@ -1,6 +1,6 @@
 //! `perf` — the simulator's performance-regression harness.
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! * **Per-cell matrix** — 3 store-queue designs × 3 workloads (two
 //!   materialized SPEC models and one *streamed* generator) under both
@@ -15,9 +15,6 @@
 //!   the cost of the sweep driver itself — its cancel checks, observer
 //!   hooks, row events and result collection — and should read about
 //!   1.0. Results are asserted bit-identical on every iteration.
-//! * **Trace-file sweep section** — the same comparison over an on-disk
-//!   SQTR trace (`tracefile:` workload; the mix stream recorded once at
-//!   startup), where every cell pays the per-record varint decode.
 //!
 //! The JSON report goes to `target/perf-report.json` unless `--out`
 //! names another path, so a smoke run never rewrites a committed report.
@@ -29,32 +26,26 @@
 //! counters** (wheel ops, off-wheel near ops, broadcasts delivered and
 //! ready-lane touches, each per committed instruction). The counters are
 //! deterministic per (workload, design) and independent of the host, so
-//! they are the hardware-portable face of the PR 10 scheduler overhaul:
-//! `pr9_wheel_ops_per_inst` reconstructs what the same run cost when
-//! every broadcast and speculative store wake also rode the wheel
-//! (`wheel + near` — each off-wheel op was a wheel op then), and the
-//! run itself fails unless the fused scheduler cuts wheel ops/inst by
-//! at least 2x against that figure on every event cell.
+//! they are the hardware-portable face of the scheduler.
 //!
-//! **Regression gate:** `--baseline <json>` compares this run's per-cell
-//! matrix against a committed report (PR4-schema or later): any matched
-//! (workload, design, engine) cell whose insts/sec drops more than the
-//! 15% noise floor fails the run (exit 1). `--baseline-ratios-only`
-//! restricts the comparison to the event/reference speedup *ratios*,
-//! which survive hardware changes — the mode CI uses, since absolute
-//! insts/sec only transfer between same-class machines. Sweep wall
-//! ratios (per-cell wall / sweep wall) are also ratios of two runs of
-//! the same binary, so they are gated in both modes when
-//! the baseline carries them (PR9-schema and later), as are the
-//! scheduling counters (PR10-schema and later) — those are exact, so
-//! their drift tolerance is a rounding allowance, not a noise floor.
+//! **Regression gate:** `--baseline <json>` compares this run against a
+//! report of the same [`SCHEMA`] (any other schema is refused, exit 2):
+//! any matched (workload, design, engine) cell whose insts/sec drops
+//! more than the 15% noise floor fails the run (exit 1).
+//! `--baseline-ratios-only` skips that absolute comparison — the mode
+//! CI uses, since absolute insts/sec only transfer between same-class
+//! machines. Both modes gate the hardware-portable numbers: the
+//! event/reference speedup *ratios*, the sweep's per-cell/sweep wall
+//! ratio (two runs of the same binary), and the scheduling counters —
+//! those are exact, so their drift tolerance is a rounding allowance,
+//! not a noise floor.
 //!
 //! ```text
 //! cargo run --release -p sqip-bench --bin perf             # full matrix
 //! cargo run --release -p sqip-bench --bin perf -- --quick  # CI smoke
 //! cargo run --release -p sqip-bench --bin perf -- --out my.json
 //! cargo run --release -p sqip-bench --bin perf -- --quick \
-//!     --baseline BENCH_PR4.json --baseline-ratios-only
+//!     --baseline crates/bench/perf-smoke-baseline.json --baseline-ratios-only
 //! ```
 //!
 //! `SQIP_BENCH_ITERS` controls the timed iterations per cell (default 3;
@@ -89,11 +80,9 @@ const RATIO_FLOOR: f64 = 0.20;
 /// division — not measurement noise.
 const COUNTER_FLOOR: f64 = 0.01;
 
-/// The PR 10 acceptance headline: minimum factor by which the fused
-/// scheduler must cut wheel ops/inst versus the PR 9 shape (`wheel +
-/// near`, since each off-wheel op was a wheel op then) on every event
-/// cell.
-const FUSE_FACTOR: f64 = 2.0;
+/// The report schema this bin writes and the only one `--baseline`
+/// reads. Bump it whenever a field the gates read changes.
+const SCHEMA: u32 = 1;
 
 /// One (workload, design, engine) measurement.
 #[derive(Debug, Clone, Serialize)]
@@ -122,10 +111,9 @@ struct Cell {
 struct SchedCost {
     /// Event-wheel schedules per committed instruction.
     wheel_ops_per_inst: f64,
-    /// What the same run cost under PR 9's scheduling shape, where every
-    /// broadcast and speculative store wake also rode the wheel: wheel
-    /// ops plus off-wheel near ops, per instruction.
-    pr9_wheel_ops_per_inst: f64,
+    /// Executions, broadcasts and store wakes scheduled on the near
+    /// structures instead of the wheel, per instruction.
+    near_ops_per_inst: f64,
     /// Value broadcasts delivered per instruction.
     broadcasts_per_inst: f64,
     /// Ready-lane tail peeks per instruction during issue selection.
@@ -165,34 +153,26 @@ struct Sweep {
 
 #[derive(Debug, Clone, Serialize)]
 struct Report {
-    /// Report schema / provenance marker.
-    bench: String,
+    /// Always [`SCHEMA`].
+    schema: u32,
     /// Timed iterations per cell (minimum wall time is reported).
     iters: u32,
     cells: Vec<Cell>,
     speedups: Vec<Speedup>,
-    /// The PR4 acceptance headline: event/reference on the mix generator
-    /// at the paper's default configuration (geomean over designs run).
+    /// Event/reference on the mix generator at the paper's default
+    /// configuration (geomean over designs run).
     mix_speedup: f64,
-    /// The PR5 sweep section (always present: the bin aborts if the
-    /// sweep fails to build or run).
+    /// The sweep section (always present: the bin aborts if the sweep
+    /// fails to build or run).
     sweep: Sweep,
-    /// The PR9 trace-file sweep: the same mix stream recorded to an
-    /// on-disk SQTR trace and replayed through `tracefile:`, so the
-    /// upstream pass carries a real per-record decode cost.
-    trace_sweep: Sweep,
 }
 
-/// The subset of a committed report `--baseline` reads (works against
-/// PR4-schema reports and later).
+/// The subset of a committed [`SCHEMA`] report `--baseline` reads.
 #[derive(Debug, Deserialize)]
 struct BaselineReport {
-    bench: String,
     cells: Vec<BaselineCell>,
     speedups: Vec<BaselineSpeedup>,
-    /// Absent in pre-PR9 baselines; the sweep gates simply don't run.
-    sweep: Option<BaselineSweep>,
-    trace_sweep: Option<BaselineSweep>,
+    sweep: BaselineSweep,
 }
 
 #[derive(Debug, Deserialize)]
@@ -201,8 +181,7 @@ struct BaselineCell {
     design: String,
     engine: String,
     insts_per_sec: f64,
-    /// `null` on reference-engine cells (and in any baseline predating
-    /// the counters); the counter gates simply don't run for those.
+    /// `null` on reference-engine cells.
     sched: Option<SchedCost>,
 }
 
@@ -219,12 +198,20 @@ struct BaselineSweep {
     speedup: f64,
 }
 
-/// Sweep workloads are compared by their trailing path component so a
-/// `tracefile:` workload recorded under a different temp directory
-/// still matches: the file *name* is deterministic, its directory is
-/// not. Plain generator names contain no `/` and compare whole.
-fn sweep_key(workload: &str) -> &str {
-    workload.rsplit('/').next().unwrap_or(workload)
+/// Parses a `--baseline` report, refusing any schema but [`SCHEMA`]: a
+/// report of another schema may lack fields the gates read or mean
+/// something else by them.
+fn parse_baseline(text: &str) -> Result<BaselineReport, String> {
+    let value: serde_json::Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    let schema = value.get("schema").and_then(|v| u32::deserialize(v).ok());
+    if schema != Some(SCHEMA) {
+        let found = schema.map_or("no schema".to_string(), |s| format!("schema {s}"));
+        return Err(format!(
+            "the report has {found}, this bin reads schema {SCHEMA} only; \
+             re-record the baseline with this bin"
+        ));
+    }
+    BaselineReport::deserialize(&value).map_err(|e| e.to_string())
 }
 
 fn timed_iters() -> u32 {
@@ -309,7 +296,7 @@ fn measure(input: &Input, design: SqDesign, engine: Engine, iters: u32) -> Cell 
         peak_buffered: peak,
         sched: counters.map(|c| SchedCost {
             wheel_ops_per_inst: per_inst(c.wheel_ops),
-            pr9_wheel_ops_per_inst: per_inst(c.wheel_ops + c.near_ops),
+            near_ops_per_inst: per_inst(c.near_ops),
             broadcasts_per_inst: per_inst(c.broadcasts),
             ready_touches_per_inst: per_inst(c.ready_touches),
         }),
@@ -397,32 +384,14 @@ fn measure_sweep(workload: &str, iters: u32) -> Sweep {
     }
 }
 
-/// Records a streamed workload to an on-disk SQTR trace so the
-/// trace-file sweep replays it with a real per-record decode cost.
-/// Returns the number of records written.
-fn record_trace_file(workload: &str, path: &std::path::Path) -> u64 {
-    let mut source = WorkloadRegistry::global()
-        .resolve(workload)
-        .unwrap_or_else(|e| panic!("workload `{workload}`: {e}"))
-        .open()
-        .unwrap_or_else(|e| panic!("workload `{workload}` failed to open: {e}"));
-    let file =
-        std::fs::File::create(path).unwrap_or_else(|e| panic!("creating {}: {e}", path.display()));
-    // `record_trace` hands its sink the header, whole 64 KiB chunks
-    // (which bypass the BufWriter's smaller buffer) and a final tail,
-    // then flushes, so the BufWriter never drops unwritten bytes; it
-    // only saves a write on files shorter than its buffer.
-    sqip_isa::tracefile::record_trace(source.as_mut(), std::io::BufWriter::new(file))
-        .unwrap_or_else(|e| panic!("recording `{workload}` to {}: {e}", path.display()))
-}
-
 /// Applies the `--baseline` gate. Returns the number of failures.
-fn compare_baseline(report: &Report, path: &str, ratios_only: bool) -> usize {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading baseline {path}: {e}"));
-    let baseline: BaselineReport =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("parsing baseline {path}: {e}"));
-    println!("\nbaseline gate vs {path} ({}):", baseline.bench);
+fn compare_baseline(
+    report: &Report,
+    baseline: &BaselineReport,
+    path: &str,
+    ratios_only: bool,
+) -> usize {
+    println!("\nbaseline gate vs {path} (schema {SCHEMA}):");
     let mut failures = 0;
     let mut matched = 0;
 
@@ -496,20 +465,22 @@ fn compare_baseline(report: &Report, path: &str, ratios_only: bool) -> usize {
     // baseline is an improvement) and with only a rounding allowance.
     for cell in &report.cells {
         let Some(sched) = &cell.sched else { continue };
-        let Some(base) = baseline
-            .cells
-            .iter()
-            .filter(|b| b.sched.is_some())
-            .find(|b| {
-                b.workload == cell.workload
-                    && b.design == cell.design.name()
-                    && b.engine == format!("{:?}", cell.engine)
-            })
-        else {
+        let Some(base) = baseline.cells.iter().find(|b| {
+            b.workload == cell.workload
+                && b.design == cell.design.name()
+                && b.engine == format!("{:?}", cell.engine)
+        }) else {
             continue;
         };
-        let base_sched = base.sched.as_ref().expect("filtered to cells with sched");
         matched += 1;
+        let Some(base_sched) = &base.sched else {
+            failures += 1;
+            println!(
+                "  FAIL {}/{}: the baseline's event cell has no scheduling counters",
+                cell.workload, cell.design
+            );
+            continue;
+        };
         for (label, ours, base_v) in [
             (
                 "wheel ops",
@@ -536,17 +507,11 @@ fn compare_baseline(report: &Report, path: &str, ratios_only: bool) -> usize {
             );
         }
     }
-    // Sweep wall ratios are wall-clock ratios of the same binary, so
-    // like the engine ratios they transfer across machines and are
-    // gated in ratios-only mode too.
-    for (label, ours, base) in [
-        ("sweep", &report.sweep, &baseline.sweep),
-        ("trace sweep", &report.trace_sweep, &baseline.trace_sweep),
-    ] {
-        let Some(base) = base else { continue };
-        if sweep_key(&base.workload) != sweep_key(&ours.workload) {
-            continue;
-        }
+    // The sweep wall ratio is a wall-clock ratio of the same binary, so
+    // like the engine ratios it transfers across machines and is gated
+    // in ratios-only mode too.
+    let (ours, base) = (&report.sweep, &baseline.sweep);
+    if base.workload == ours.workload {
         matched += 1;
         let ratio = ours.speedup / base.speedup;
         let ok = ratio >= 1.0 - RATIO_FLOOR;
@@ -554,7 +519,7 @@ fn compare_baseline(report: &Report, path: &str, ratios_only: bool) -> usize {
             failures += 1;
         }
         println!(
-            "  {} {label} per-cell/sweep wall ratio: {:.2}x vs {:.2}x ({:+.1}%)",
+            "  {} sweep per-cell/sweep wall ratio: {:.2}x vs {:.2}x ({:+.1}%)",
             if ok { "ok  " } else { "FAIL" },
             ours.speedup,
             base.speedup,
@@ -565,36 +530,6 @@ fn compare_baseline(report: &Report, path: &str, ratios_only: bool) -> usize {
         matched > 0,
         "baseline {path} shares no (workload, design, engine) cells with this run"
     );
-    failures
-}
-
-/// The PR 10 headline gate, self-contained in every run: on each event
-/// cell the fused scheduler must cut wheel ops/inst by at least
-/// [`FUSE_FACTOR`] against the PR 9 shape reconstructed from the same
-/// run's counters. Returns the number of failing cells.
-fn fuse_gate(cells: &[Cell]) -> usize {
-    let mut failures = 0;
-    println!("\nfused-scheduler gate (wheel ops/inst vs the PR9 shape, >= {FUSE_FACTOR:.0}x):");
-    for cell in cells {
-        let Some(sched) = &cell.sched else { continue };
-        let reduction = sched.pr9_wheel_ops_per_inst / sched.wheel_ops_per_inst;
-        let ok = reduction >= FUSE_FACTOR;
-        if !ok {
-            failures += 1;
-        }
-        println!(
-            "  {} {}/{}: {:.3} -> {:.3} wheel ops/inst ({:.2}x; {:.3} broadcasts/inst, \
-             {:.2} ready touches/inst)",
-            if ok { "ok  " } else { "FAIL" },
-            cell.workload,
-            cell.design,
-            sched.pr9_wheel_ops_per_inst,
-            sched.wheel_ops_per_inst,
-            reduction,
-            sched.broadcasts_per_inst,
-            sched.ready_touches_per_inst,
-        );
-    }
     failures
 }
 
@@ -620,6 +555,17 @@ fn main() {
             }
         }
     }
+
+    // Read the baseline before the run, so a refused one costs nothing.
+    let baseline = baseline.map(|path| {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("reading baseline {path}: {e}"));
+        let base = parse_baseline(&text).unwrap_or_else(|e| {
+            eprintln!("error: baseline {path}: {e}");
+            std::process::exit(2);
+        });
+        (path, base)
+    });
 
     // The fixed matrix: two materialized SPEC workload models and the
     // streamed `mix` generator (pulled through the bounded record
@@ -686,8 +632,6 @@ fn main() {
     );
     println!("\nmix-generator event/reference speedup (geomean): {mix_speedup:.2}x");
 
-    let fuse_failures = fuse_gate(&cells);
-
     // Sweep section: all registered designs, one streamed mix workload.
     let sweep_workload = if quick {
         "mix:0xbeef:50k"
@@ -704,35 +648,13 @@ fn main() {
         sweep.speedup,
     );
 
-    // Trace-file sweep section: the same mix stream, recorded once to
-    // an on-disk SQTR trace and replayed through `tracefile:`. The file
-    // name is deterministic (only the temp directory varies) so the
-    // workload string stays baseline-matchable across machines.
-    let trace_path = std::env::temp_dir().join(if quick {
-        "sqip-perf-mix-50k.sqtr"
-    } else {
-        "sqip-perf-mix-2m.sqtr"
-    });
-    let recorded = record_trace_file(sweep_workload, &trace_path);
-    let trace_sweep = measure_sweep(&format!("tracefile:{}", trace_path.display()), iters);
-    let _ = std::fs::remove_file(&trace_path);
-    println!(
-        "trace sweep ({recorded} records on disk) x {} designs: per-cell {:.2}s, \
-         sweep {:.2}s (per-cell/sweep {:.2}x)",
-        trace_sweep.designs.len(),
-        trace_sweep.per_cell_wall_s,
-        trace_sweep.sweep_wall_s,
-        trace_sweep.speedup,
-    );
-
     let report = Report {
-        bench: "sqip-perf/PR10".to_string(),
+        schema: SCHEMA,
         iters,
         cells,
         speedups,
         mix_speedup,
         sweep,
-        trace_sweep,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     if let Some(dir) = std::path::Path::new(&out).parent() {
@@ -741,18 +663,32 @@ fn main() {
     std::fs::write(&out, json + "\n").unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("report written to {out}");
 
-    if fuse_failures > 0 {
-        eprintln!(
-            "error: {fuse_failures} cell(s) below the {FUSE_FACTOR:.0}x fused-scheduler gate"
-        );
-        std::process::exit(1);
-    }
-    if let Some(path) = baseline {
-        let failures = compare_baseline(&report, &path, ratios_only);
+    if let Some((path, base)) = baseline {
+        let failures = compare_baseline(&report, &base, &path, ratios_only);
         if failures > 0 {
             eprintln!("error: {failures} comparison(s) regressed past the noise floor");
             std::process::exit(1);
         }
         println!("baseline gate passed");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_committed_quick_baseline_parses_as_the_current_schema() {
+        let text = include_str!("../../perf-smoke-baseline.json");
+        let base = parse_baseline(text).expect("the committed baseline is current");
+        assert!(base.cells.iter().any(|c| c.sched.is_some()));
+    }
+
+    #[test]
+    fn a_baseline_of_another_schema_is_refused() {
+        let err = parse_baseline(r#"{"cells": [], "speedups": []}"#).unwrap_err();
+        assert!(err.contains("no schema"), "{err}");
+        let err = parse_baseline(&format!(r#"{{"schema": {}}}"#, SCHEMA + 1)).unwrap_err();
+        assert!(err.contains(&format!("schema {}", SCHEMA + 1)), "{err}");
     }
 }

@@ -77,12 +77,13 @@ pub use shared::{oracle_tap, OracleFeed, OracleTap};
 /// Building blocks of the event-driven engine, exposed for
 /// documentation, benchmarking and reuse.
 ///
-/// The central type is [`engine::EventWheel`] — the O(1) replacement for
-/// the reference engine's event heap; [`EvKind`] names the event kinds
-/// it carries. Engine selection is a configuration knob
-/// ([`SimConfig::engine`], an [`Engine`]), not a compile-time feature,
-/// so the differential tests and the `perf` harness can run both cores
-/// in one process.
+/// [`engine::EventWheel`] is the event engine's queue for the events its
+/// near rings cannot hold (re-wakes, far broadcasts, past-requested
+/// executions), delivered in the reference engine's heap order;
+/// [`EvKind`] names the event kinds it carries. Engine selection is a
+/// configuration knob ([`SimConfig::engine`], an [`Engine`]), not a
+/// compile-time feature, so the differential tests and the `perf`
+/// harness can run both cores in one process.
 pub mod engine {
     pub use crate::pipeline::event::{EventWheel, SchedCounters, WheelEvent, FETCH_BLOCK};
 }

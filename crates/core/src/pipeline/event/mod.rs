@@ -11,9 +11,8 @@
 //! * wake/waiter lists live in [`WaiterRing`]s: FIFO chains through one
 //!   node pool per ring with a free list, so pushes allocate only while
 //!   the pool grows toward its peak number of live waiters;
-//! * wakeups, latencies and replays sit in an [`EventWheel`]
-//!   (O(1) schedule, bucket drain instead of heap sift);
-//! * the common case never touches the wheel: issue schedules **zero**
+//! * the common case never touches the [`EventWheel`] (a binary heap
+//!   in the reference engine's event order): issue schedules **zero**
 //!   wheel events per instruction — executions and value broadcasts
 //!   ride 64-cycle [`NearRing`]s and speculative store wakes a
 //!   monotonic FIFO, drained around the wheel each cycle in an order
@@ -57,11 +56,6 @@ pub use wheel::{EventWheel, WheelEvent};
 /// snapshots (a restore resets them), and therefore incapable of
 /// perturbing bit-identity. The perf bin divides them by the committed
 /// instruction count to report hardware-portable scheduling costs.
-///
-/// PR 9's engine routed every broadcast and speculative store wake
-/// through the wheel, so its wheel-ops figure for the same run equals
-/// `wheel_ops + near_ops` here — that sum is the honest baseline when
-/// comparing against the fused scheduler.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCounters {
     /// Events scheduled on the event wheel.

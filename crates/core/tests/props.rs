@@ -102,13 +102,14 @@ struct ConfigKnobs {
     rename_width: usize,
     commit_width: usize,
     front_latency: u64,
-    /// Zero exercises events scheduled "in the past" (wheel clamping).
+    /// Zero exercises events scheduled "in the past" (delivered on the
+    /// wheel's next pass).
     issue_to_exec: u64,
     post_exec_depth: u64,
     reexec_ports: usize,
     ssn_bits: u32,
-    /// Ranges across the event wheel's 512-cycle span so the overflow
-    /// heap (far-event migration) is exercised end-to-end.
+    /// Ranges past the near rings' 64-cycle span, so broadcasts fall back
+    /// to the event wheel and far events are exercised end-to-end.
     memory_latency: u64,
 }
 

@@ -61,6 +61,6 @@ pub use op::{Op, OpClass};
 pub use program::{Label, Program, ProgramBuilder};
 pub use reg::{Reg, NUM_REGS};
 pub use source::{ProgramSource, TraceCursor, TraceSource};
-pub use tee::{TeeCursor, TeePoll, TraceTee};
+pub use tee::{TeeCursor, TraceTee};
 pub use trace::{trace_program, trace_program_with_state, Trace, TraceRecord, MAX_SRCS};
 pub use tracefile::{record_trace, TraceReader, TraceWriter};

@@ -73,7 +73,13 @@ pub const SNAP_MAGIC: [u8; 4] = *b"SQSN";
 ///   and at most 64 long, every writer owned by some byte;
 /// - load-queue entries no longer carry the executed value or the
 ///   older-unknown-store flag.
-pub const SNAP_VERSION: u32 = 3;
+///
+/// Version 4 (from version 3): the event engine's event wheel is its
+/// pending events alone, as one list of `(delivery cycle, event)` pairs
+/// sorted ascending, with no buckets, overflow heap, drained cycle,
+/// earliest cycle, ring length or bucket in drain. A delivery cycle
+/// before its event's requested cycle is corrupt.
+pub const SNAP_VERSION: u32 = 4;
 
 /// Everything that can go wrong saving, loading, or resuming from a
 /// snapshot. No code path in this crate panics on malformed input.
@@ -824,7 +830,23 @@ mod tests {
         match SnapReader::new(&mut bytes.as_slice()) {
             Err(SnapError::UnsupportedVersion {
                 found: 2,
-                supported: 3,
+                supported: SNAP_VERSION,
+            }) => {}
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn version_3_snapshots_are_refused() {
+        // Version 3 laid the event wheel out as 512 buckets, an overflow
+        // heap and the wheel's cursor fields; parsing it as version 4
+        // would read the bucket count as the pending-event count.
+        let mut bytes = roundtrip_bytes(SnapWriter::new());
+        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        match SnapReader::new(&mut bytes.as_slice()) {
+            Err(SnapError::UnsupportedVersion {
+                found: 3,
+                supported: 4,
             }) => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }

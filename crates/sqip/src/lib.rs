@@ -107,8 +107,8 @@ pub use sqip_snapshot::{Fnv, SnapError, SnapReader, SnapWriter, Snapshot};
 // producers (materialized-trace cursor, streaming program interpreter,
 // on-disk trace record/replay).
 pub use sqip_isa::{
-    record_trace, ProgramSource, TeeCursor, TeePoll, TraceCursor, TraceReader, TraceSource,
-    TraceTee, TraceWriter,
+    record_trace, ProgramSource, TeeCursor, TraceCursor, TraceReader, TraceSource, TraceTee,
+    TraceWriter,
 };
 // The workload roster and its open registry.
 pub use sqip_workloads::{
