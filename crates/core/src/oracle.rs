@@ -16,7 +16,7 @@
 use std::ops::Range;
 
 use sqip_isa::{Trace, TraceRecord};
-use sqip_mem::PageTable;
+use sqip_mem::{line_parts, LineStore, LINE_BYTES};
 use sqip_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use sqip_types::Seq;
 
@@ -44,8 +44,9 @@ pub struct OracleFwd {
 /// writers, each `(store seq, store ordinal)` stored once however many
 /// bytes it wrote. A writer no byte names any more is reclaimed as the
 /// store that overwrites its last byte lands, so a line never lists more
-/// than 64 writers. A line written by one store costs 152 B (88 B inline
-/// plus a four-slot writer list), where a 16-B entry per byte cost 1 KiB.
+/// than 64 writers. A line with one live writer holds it inline; only a
+/// line shared by several writers has a heap list. So a line written by
+/// one store costs 88 B, where a 16-B entry per byte cost 1 KiB.
 ///
 /// # Example
 ///
@@ -73,18 +74,15 @@ pub struct OracleFwd {
 /// ```
 #[derive(Debug, Clone)]
 pub struct OracleBuilder {
-    /// The written lines of memory, organised as a [`PageTable`] of
-    /// one-line pages so a memory access resolves its line once (usually
-    /// via the table's one-entry cache) and then indexes; a span that
-    /// crosses a line resolves both. The per-byte `HashMap` formulation
-    /// this replaces hashed every byte of every store and load — a
-    /// measurable share of the whole simulator's runtime.
-    lines: PageTable<OracleLine>,
+    /// The written lines of memory, in a [`LineStore`], so a memory
+    /// access resolves its line directly (its frame usually via the
+    /// store's one-entry cache); a span that crosses a line resolves
+    /// both. The per-byte `HashMap` formulation this replaces hashed
+    /// every byte of every store and load — a measurable share of the
+    /// whole simulator's runtime.
+    lines: LineStore<OracleLine>,
     store_count: u64,
 }
-
-/// Bytes of memory per oracle line: one cache line.
-const LINE_BYTES: usize = 64;
 
 /// One 64-B line of the oracle's byte map.
 ///
@@ -96,16 +94,73 @@ struct OracleLine {
     /// Per byte, the 1-based slot in `writers` of the store that last
     /// wrote it; 0 means never written.
     owner: [u8; LINE_BYTES],
-    /// The line's live writers, `(store seq, store ordinal)`, in slot
-    /// order.
-    writers: Vec<(Seq, u64)>,
+    /// The line's live writers, in slot order.
+    writers: Writers,
 }
 
 impl Default for OracleLine {
     fn default() -> OracleLine {
         OracleLine {
             owner: [0; LINE_BYTES],
-            writers: Vec::new(),
+            writers: Writers::default(),
+        }
+    }
+}
+
+/// A line's live writers, `(store seq, store ordinal)`: one inline, or
+/// several in a heap list. A line written by one store — most lines —
+/// allocates nothing.
+#[derive(Debug, Clone)]
+enum Writers {
+    One((Seq, u64)),
+    /// Never exactly one writer: an empty list is a line no store has
+    /// written yet.
+    Many(Vec<(Seq, u64)>),
+}
+
+impl Default for Writers {
+    fn default() -> Writers {
+        Writers::Many(Vec::new())
+    }
+}
+
+impl Writers {
+    fn as_slice(&self) -> &[(Seq, u64)] {
+        match self {
+            Writers::One(w) => std::slice::from_ref(w),
+            Writers::Many(ws) => ws,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(Seq, u64)] {
+        match self {
+            Writers::One(w) => std::slice::from_mut(w),
+            Writers::Many(ws) => ws,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    fn push(&mut self, writer: (Seq, u64)) {
+        match self {
+            Writers::Many(ws) if !ws.is_empty() => ws.push(writer),
+            Writers::Many(_) => *self = Writers::One(writer),
+            Writers::One(first) => *self = Writers::Many(vec![*first, writer]),
+        }
+    }
+
+    /// Removes slot `i` (0-based), moving the last writer into it. Only
+    /// a line of several writers loses one (to a store that then takes
+    /// another slot), so a list left with one writer goes back inline.
+    fn swap_remove(&mut self, i: usize) {
+        let Writers::Many(ws) = self else {
+            unreachable!("a lone writer is overwritten in place, never removed")
+        };
+        ws.swap_remove(i);
+        if let [only] = ws[..] {
+            *self = Writers::One(only);
         }
     }
 }
@@ -146,7 +201,7 @@ impl OracleLine {
                     }
                 }
             }
-            self.writers[usize::from(dead[0]) - 1] = writer;
+            self.writers.as_mut_slice()[usize::from(dead[0]) - 1] = writer;
             dead[0]
         };
         self.owner[bytes].fill(slot);
@@ -156,6 +211,9 @@ impl OracleLine {
     /// than 64 writers always has one that owns no byte.)
     fn invariant_error(&self) -> Option<String> {
         let n = self.writers.len();
+        if n == 0 {
+            return Some("oracle line lists no writer".into());
+        }
         if let Some(&slot) = self.owner.iter().find(|&&slot| usize::from(slot) > n) {
             return Some(format!("oracle line byte names writer {slot} of {n}"));
         }
@@ -169,20 +227,9 @@ impl OracleLine {
     fn writer(&self, i: usize) -> Option<(Seq, u64)> {
         match self.owner[i] {
             0 => None,
-            slot => Some(self.writers[usize::from(slot) - 1]),
+            slot => Some(self.writers.as_slice()[usize::from(slot) - 1]),
         }
     }
-}
-
-/// Splits the `n`-byte span at `base` into its (line number, byte range)
-/// parts: one, or two when the span crosses a line boundary.
-fn line_parts(base: u64, n: u64) -> impl Iterator<Item = (u64, Range<usize>)> {
-    let line = base / LINE_BYTES as u64;
-    let off = (base % LINE_BYTES as u64) as usize;
-    let end = off + n as usize;
-    let first = (line, off..end.min(LINE_BYTES));
-    let second = (end > LINE_BYTES).then(|| (line + 1, 0..end - LINE_BYTES));
-    std::iter::once(first).chain(second)
 }
 
 impl OracleBuilder {
@@ -190,7 +237,7 @@ impl OracleBuilder {
     #[must_use]
     pub fn new() -> OracleBuilder {
         OracleBuilder {
-            lines: PageTable::new(),
+            lines: LineStore::new(),
             store_count: 0,
         }
     }
@@ -203,8 +250,8 @@ impl OracleBuilder {
         if r.is_store() {
             self.store_count += 1;
             let writer = (r.seq, self.store_count);
-            for (line, bytes) in line_parts(r.mem_addr().0, u64::from(r.size.bytes())) {
-                self.lines.page_mut_or_alloc(line).store(bytes, writer);
+            for (line, bytes) in line_parts(r.mem_addr().0, usize::from(r.size.bytes())) {
+                self.lines.line_mut_or_alloc(line).store(bytes, writer);
             }
             None
         } else if r.is_load() {
@@ -212,8 +259,8 @@ impl OracleBuilder {
             // whether that writer covers every byte.
             let mut newest: Option<(Seq, u64)> = None;
             let mut writers_agree = true;
-            for (line, bytes) in line_parts(r.mem_addr().0, u64::from(r.size.bytes())) {
-                let Some(line) = self.lines.page(line) else {
+            for (line, bytes) in line_parts(r.mem_addr().0, usize::from(r.size.bytes())) {
+                let Some(line) = self.lines.line(line) else {
                     writers_agree = false;
                     continue;
                 };
@@ -269,7 +316,11 @@ impl Snapshot for OracleLine {
         // As laid out: the 64 owner bytes, then the writer list in slot
         // order.
         w.put_bytes(&self.owner);
-        self.writers.save(w)
+        w.put_u64(self.writers.len() as u64);
+        for writer in self.writers.as_slice() {
+            writer.save(w)?;
+        }
+        Ok(())
     }
     fn load(r: &mut SnapReader) -> Result<OracleLine, SnapError> {
         let mut owner = [0u8; LINE_BYTES];
@@ -280,9 +331,10 @@ impl Snapshot for OracleLine {
                 "oracle line lists {n} writers (at most {LINE_BYTES})"
             )));
         }
-        let writers = (0..n)
-            .map(|_| <(Seq, u64)>::load(r))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut writers = Writers::default();
+        for _ in 0..n {
+            writers.push(<(Seq, u64)>::load(r)?);
+        }
         let line = OracleLine { owner, writers };
         match line.invariant_error() {
             None => Ok(line),
@@ -474,7 +526,7 @@ mod tests {
     /// Checks every touched line's invariant.
     fn assert_lines_compact(oracle: &OracleBuilder, lines: impl IntoIterator<Item = u64>) {
         for line_no in lines {
-            if let Some(line) = oracle.lines.page(line_no) {
+            if let Some(line) = oracle.lines.line(line_no) {
                 assert_eq!(line.invariant_error(), None, "line {line_no:#x}");
             }
         }
@@ -570,9 +622,9 @@ mod tests {
             };
             let rec = mem_record(seq, store, 0x4000 + (r >> 8) % 57, size);
             assert_eq!(oracle.ingest(&rec), reference.ingest(&rec), "seq {seq}");
-            most = most.max(oracle.lines.page(0x100).unwrap().writers.len());
+            most = most.max(oracle.lines.line(0x100).unwrap().writers.len());
         }
-        assert_eq!(oracle.lines.resident_pages(), 1);
+        assert_eq!(oracle.lines.resident_lines(), 1);
         assert_lines_compact(&oracle, [0x100]);
         assert!(most <= LINE_BYTES, "{most} writers in one line");
         assert!(most > 32, "byte stores keep many writers live ({most})");
@@ -584,21 +636,36 @@ mod tests {
         for page in 0..256u64 {
             oracle.ingest(&mem_record(page, true, page * 4096 + 8, DataSize::Quad));
         }
-        assert_eq!(oracle.lines.resident_pages(), 256);
-        // Each line: its byte map and list header inline, plus one
-        // small writer-list allocation.
-        let resident: usize = (0..256u64)
-            .map(|page| {
-                let line = oracle.lines.page(page * 64).expect("the store's line");
-                assert_eq!(line.writers.len(), 1);
-                std::mem::size_of::<OracleLine>()
-                    + line.writers.capacity() * std::mem::size_of::<(Seq, u64)>()
-            })
-            .sum();
+        assert_eq!(oracle.lines.resident_lines(), 256);
+        // Each line: its byte map and its lone writer inline, with no
+        // heap list.
+        for page in 0..256u64 {
+            let line = oracle.lines.line(page * 64).expect("the store's line");
+            assert!(matches!(line.writers, Writers::One(_)), "{line:?}");
+        }
         assert!(
-            resident <= 256 * 160,
-            "{resident} bytes of oracle lines for 256 stores"
+            std::mem::size_of::<OracleLine>() <= 88,
+            "{} bytes per oracle line",
+            std::mem::size_of::<OracleLine>()
         );
+    }
+
+    #[test]
+    fn a_line_back_to_one_writer_holds_it_inline() {
+        let mut oracle = OracleBuilder::new();
+        oracle.ingest(&mem_record(0, true, 0x100, DataSize::Word));
+        oracle.ingest(&mem_record(1, true, 0x104, DataSize::Word));
+        let line = oracle.lines.line(4).unwrap();
+        assert!(matches!(line.writers, Writers::Many(ref ws) if ws.len() == 2));
+        // One quad store overwrites both writers' last bytes.
+        oracle.ingest(&mem_record(2, true, 0x100, DataSize::Quad));
+        let line = oracle.lines.line(4).unwrap();
+        assert!(
+            matches!(line.writers, Writers::One((Seq(2), 3))),
+            "{line:?}"
+        );
+        let fwd = oracle.ingest(&mem_record(3, false, 0x102, DataSize::Half));
+        assert_eq!(fwd.map(|f| (f.store_seq, f.covers)), Some((Seq(2), true)));
     }
 
     fn snapshot_bytes<S: Snapshot>(value: &S) -> Vec<u8> {
@@ -670,5 +737,6 @@ mod tests {
             load_line(&owner, &[two[0], two[1], (Seq(9), 3)]),
             "writer 3 owns no byte",
         );
+        corrupt(load_line(&[0; LINE_BYTES], &[]), "lists no writer");
     }
 }

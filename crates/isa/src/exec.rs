@@ -4,6 +4,7 @@ use sqip_mem::MemImage;
 use sqip_types::{Addr, Pc};
 
 use crate::error::IsaError;
+use crate::inst::StaticInst;
 use crate::op::Op;
 use crate::program::Program;
 use crate::reg::{Reg, NUM_REGS};
@@ -101,11 +102,17 @@ impl ArchState {
     /// Returns [`IsaError::PcOutOfRange`] if the PC walks past the program
     /// without hitting `halt`.
     pub fn step(&mut self, program: &Program) -> Result<StepOutcome, IsaError> {
-        let pc = self.pc;
-        let inst = program
-            .fetch(pc)
-            .ok_or(IsaError::PcOutOfRange { index: pc.index() })?;
+        let inst = program.fetch(self.pc).ok_or(IsaError::PcOutOfRange {
+            index: self.pc.index(),
+        })?;
+        Ok(self.execute(inst))
+    }
 
+    /// Executes `inst` as the instruction at the current PC, updating
+    /// state (the second half of [`ArchState::step`], for callers that
+    /// have already fetched it).
+    pub(crate) fn execute(&mut self, inst: &StaticInst) -> StepOutcome {
+        let pc = self.pc;
         let s1 = inst.src1.map_or(0, |r| self.reg(r));
         let s2 = inst.src2.map_or(0, |r| self.reg(r));
 
@@ -174,7 +181,7 @@ impl ArchState {
         }
 
         self.pc = out.next_pc;
-        Ok(out)
+        out
     }
 }
 

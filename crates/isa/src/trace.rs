@@ -5,7 +5,6 @@ use sqip_types::{Addr, DataSize, Pc, Seq};
 
 use crate::error::IsaError;
 use crate::exec::ArchState;
-use crate::inst::StaticInst;
 use crate::op::Op;
 use crate::program::Program;
 use crate::reg::Reg;
@@ -243,10 +242,10 @@ pub(crate) fn step_record(
         return Ok(None);
     }
     let pc = state.pc();
-    let inst: StaticInst = *program
+    let inst = program
         .fetch(pc)
         .ok_or(IsaError::PcOutOfRange { index: pc.index() })?;
-    let out = state.step(program)?;
+    let out = state.execute(inst);
     Ok(Some(TraceRecord {
         seq: Seq(seq),
         pc,

@@ -1,14 +1,13 @@
 //! A sparse, byte-addressable memory image.
 
+use sqip_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use sqip_types::{Addr, DataSize};
 
-use crate::pagetable::{BytePage, PageTable, PAGE_ENTRIES};
+use crate::linestore::{line_parts, LineStore, LINE_BYTES};
 
-const PAGE_BYTES: usize = PAGE_ENTRIES;
-
-/// A sparse 64-bit byte-addressable memory, allocated in 4KB pages on first
-/// touch. Unwritten bytes read as zero, like a fresh zero-filled process
-/// image.
+/// A sparse 64-bit byte-addressable memory, allocated one 64-B line at a
+/// time on first write. Unwritten bytes read as zero, like a fresh
+/// zero-filled process image.
 ///
 /// Two images are kept by the timing simulator: the functional executor's
 /// architectural image and the commit-time image that backs the data cache,
@@ -16,17 +15,35 @@ const PAGE_BYTES: usize = PAGE_ENTRIES;
 /// stale committed value.
 ///
 /// The image sits on the simulator's per-load and per-store hot path, so
-/// it rides on [`PageTable`]: an access resolves its page **once per
-/// span** (not per byte), with the table's one-entry page cache
-/// short-circuiting the hash lookup for repeated traffic to one page.
-#[derive(Debug, Clone)]
+/// it rides on [`LineStore`]: an access splits into its one or two line
+/// parts ([`line_parts`]) and resolves each line directly, with the
+/// store's one-entry frame cache short-circuiting the hash lookup for
+/// repeated traffic to one 4 KiB frame. A touched frame costs 256 B of
+/// line slots and a touched line 64 B.
+#[derive(Debug, Clone, Default)]
 pub struct MemImage {
-    pages: PageTable<BytePage>,
+    lines: LineStore<DataLine>,
 }
 
-impl Default for MemImage {
-    fn default() -> MemImage {
-        MemImage::new()
+/// One 64-B line of data bytes, born zero-filled.
+#[derive(Debug, Clone, Copy)]
+struct DataLine([u8; LINE_BYTES]);
+
+impl Default for DataLine {
+    fn default() -> DataLine {
+        DataLine([0; LINE_BYTES])
+    }
+}
+
+impl Snapshot for DataLine {
+    fn save(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+        w.put_bytes(&self.0);
+        Ok(())
+    }
+    fn load(r: &mut SnapReader) -> Result<DataLine, SnapError> {
+        let mut line = DataLine::default();
+        line.0.copy_from_slice(r.take_bytes(LINE_BYTES)?);
+        Ok(line)
     }
 }
 
@@ -34,81 +51,61 @@ impl MemImage {
     /// Creates an empty (all-zero) image.
     #[must_use]
     pub fn new() -> MemImage {
-        MemImage {
-            pages: PageTable::new(),
-        }
+        MemImage::default()
     }
 
-    /// Number of 4KB pages that have been touched.
+    /// Number of 64-B lines that have been written.
     #[must_use]
-    pub fn resident_pages(&self) -> usize {
-        self.pages.resident_pages()
+    pub fn resident_lines(&self) -> usize {
+        self.lines.resident_lines()
+    }
+
+    /// Number of 4 KiB frames that hold a written line.
+    #[must_use]
+    pub fn resident_frames(&self) -> usize {
+        self.lines.resident_frames()
     }
 
     /// Reads one byte.
     #[must_use]
     pub fn read_byte(&self, addr: Addr) -> u8 {
-        let (page, off) = split(addr);
-        self.pages.page(page).map_or(0, |p| p[off])
+        self.read(addr, DataSize::Byte) as u8
     }
 
-    /// Writes one byte, allocating the page if needed.
+    /// Writes one byte, allocating its line if needed.
     pub fn write_byte(&mut self, addr: Addr, value: u8) {
-        let (page, off) = split(addr);
-        self.pages.page_mut_or_alloc(page)[off] = value;
+        self.write(addr, DataSize::Byte, u64::from(value));
     }
 
     /// Reads a little-endian value of the given size.
     #[must_use]
     pub fn read(&self, addr: Addr, size: DataSize) -> u64 {
-        let (page, off) = split(addr);
-        let n = size.bytes() as usize;
-        if off + n <= PAGE_BYTES {
-            // Fast path: the span lives in one page, resolved once.
-            let Some(p) = self.pages.page(page) else {
-                return 0;
-            };
-            let mut v: u64 = 0;
-            for (k, &b) in p[off..off + n].iter().enumerate() {
-                v |= u64::from(b) << (8 * k);
+        let mut value = [0u8; 8];
+        let mut k = 0;
+        for (line, bytes) in line_parts(addr.0, size.bytes() as usize) {
+            let n = bytes.len();
+            if let Some(line) = self.lines.line(line) {
+                value[k..k + n].copy_from_slice(&line.0[bytes]);
             }
-            v
-        } else {
-            // Page-straddling access: byte-wise fallback.
-            let mut v: u64 = 0;
-            for (k, byte_addr) in addr.span(size).byte_addrs().enumerate() {
-                v |= u64::from(self.read_byte(byte_addr)) << (8 * k);
-            }
-            v
+            k += n;
         }
+        u64::from_le_bytes(value)
     }
 
     /// Writes a little-endian value of the given size (truncating `value`
     /// to the access width, as store datapaths do).
     pub fn write(&mut self, addr: Addr, size: DataSize, value: u64) {
-        let (page, off) = split(addr);
-        let n = size.bytes() as usize;
-        if off + n <= PAGE_BYTES {
-            let p = self.pages.page_mut_or_alloc(page);
-            for (k, b) in p[off..off + n].iter_mut().enumerate() {
-                *b = (value >> (8 * k)) as u8;
-            }
-        } else {
-            for (k, byte_addr) in addr.span(size).byte_addrs().enumerate() {
-                self.write_byte(byte_addr, (value >> (8 * k)) as u8);
-            }
+        let value = value.to_le_bytes();
+        let mut k = 0;
+        for (line, bytes) in line_parts(addr.0, size.bytes() as usize) {
+            let n = bytes.len();
+            self.lines.line_mut_or_alloc(line).0[bytes].copy_from_slice(&value[k..k + n]);
+            k += n;
         }
     }
 }
 
-fn split(addr: Addr) -> (u64, usize) {
-    (
-        addr.0 / PAGE_BYTES as u64,
-        (addr.0 % PAGE_BYTES as u64) as usize,
-    )
-}
-
-sqip_snapshot::snapshot_struct!(MemImage { pages });
+sqip_snapshot::snapshot_struct!(MemImage { lines });
 
 #[cfg(test)]
 mod tests {
@@ -118,7 +115,7 @@ mod tests {
     fn unwritten_memory_reads_zero() {
         let m = MemImage::new();
         assert_eq!(m.read(Addr::new(0x7fff_0000), DataSize::Quad), 0);
-        assert_eq!(m.resident_pages(), 0, "reads do not allocate");
+        assert_eq!(m.resident_lines(), 0, "reads do not allocate");
     }
 
     #[test]
@@ -143,10 +140,21 @@ mod tests {
     #[test]
     fn cross_page_access() {
         let mut m = MemImage::new();
-        let a = Addr::new(PAGE_BYTES as u64 - 4); // quad straddles page 0 / page 1
+        let a = Addr::new(4096 - 4); // quad straddles frame 0 / frame 1
         m.write(a, DataSize::Quad, 0x0102_0304_0506_0708);
         assert_eq!(m.read(a, DataSize::Quad), 0x0102_0304_0506_0708);
-        assert_eq!(m.resident_pages(), 2);
+        assert_eq!(m.read_byte(Addr::new(4096)), 0x04);
+        assert_eq!((m.resident_lines(), m.resident_frames()), (2, 2));
+    }
+
+    #[test]
+    fn cross_line_access_stays_in_one_frame() {
+        let mut m = MemImage::new();
+        let a = Addr::new(0x13e); // word straddles lines 4 / 5
+        m.write(a, DataSize::Word, 0xA1B2_C3D4);
+        assert_eq!(m.read(a, DataSize::Word), 0xA1B2_C3D4);
+        assert_eq!(m.read(Addr::new(0x140), DataSize::Half), 0xA1B2);
+        assert_eq!((m.resident_lines(), m.resident_frames()), (2, 1));
     }
 
     #[test]
@@ -171,8 +179,8 @@ mod tests {
 
     #[test]
     fn page_cache_tracks_interleaved_pages() {
-        // Alternating traffic to two pages exercises the one-entry cache's
-        // replacement; values must stay exact.
+        // Alternating traffic to two frames exercises the one-entry
+        // cache's replacement; values must stay exact.
         let mut m = MemImage::new();
         let a = Addr::new(0x1000);
         let b = Addr::new(0x9000);
@@ -182,6 +190,6 @@ mod tests {
             assert_eq!(m.read(a, DataSize::Quad), 0xAAAA);
             assert_eq!(m.read(b, DataSize::Quad), 0xBBBB);
         }
-        assert_eq!(m.resident_pages(), 2);
+        assert_eq!((m.resident_lines(), m.resident_frames()), (2, 2));
     }
 }

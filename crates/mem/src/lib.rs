@@ -3,6 +3,12 @@
 //! two-level hierarchy used by the paper's processor configuration
 //! (64KB 2-way 3-cycle L1D, 1MB 8-way 10-cycle L2, 150-cycle memory).
 //!
+//! Sparse memory state lives in a [`LineStore`]: 64-B lines found
+//! through a hash index of 4 KiB frames. It backs the [`MemImage`] and
+//! the simulator's dependence oracle, and it costs 256 B of line slots
+//! per touched frame plus one line per touched line (64 B of data in a
+//! memory image), never a whole page.
+//!
 //! The cache models are *timing* models: they track tags and replacement
 //! state and answer "how many cycles does this access take", while actual
 //! data lives in the flat [`MemImage`]. This mirrors how trace-driven
@@ -31,11 +37,11 @@
 mod cache;
 mod hierarchy;
 mod image;
-mod pagetable;
+mod linestore;
 mod tlb;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use hierarchy::{AccessOutcome, Hierarchy, HierarchyConfig, MemLevel};
 pub use image::MemImage;
-pub use pagetable::{PageTable, PAGE_ENTRIES};
+pub use linestore::{line_parts, LineStore, FRAME_BYTES, LINE_BYTES};
 pub use tlb::{Tlb, TlbConfig};

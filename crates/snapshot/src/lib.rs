@@ -79,7 +79,17 @@ pub const SNAP_MAGIC: [u8; 4] = *b"SQSN";
 /// sorted ascending, with no buckets, overflow heap, drained cycle,
 /// earliest cycle, ring length or bucket in drain. A delivery cycle
 /// before its event's requested cycle is corrupt.
-pub const SNAP_VERSION: u32 = 4;
+///
+/// Version 5 (from version 4): a memory image and the dependence oracle
+/// are each one line store, saved as its line count, its lines in arena
+/// order (a memory-image line is its 64 data bytes, with no length
+/// prefix; an oracle line keeps its version-3 layout), its frame count,
+/// and then each 4 KiB frame in ascending frame number: the number and
+/// its 64 `u32` line slots (1-based arena position, 0 for absent). A
+/// slot out of range, a line in two slots or in none, a frame with no
+/// line, and frames out of order are corrupt. Counts are checked
+/// against the payload left before anything is allocated for them.
+pub const SNAP_VERSION: u32 = 5;
 
 /// Everything that can go wrong saving, loading, or resuming from a
 /// snapshot. No code path in this crate panics on malformed input.
@@ -340,6 +350,24 @@ impl SnapReader {
         Ok(out)
     }
 
+    /// Reads a length prefix (a little-endian `u64` count) for items of
+    /// at least `min_bytes_each` encoded bytes, and checks it against the
+    /// payload left **before** the caller allocates anything for it.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Truncated`] when the remaining payload cannot hold
+    /// that many items (an inflated count), or at end of payload.
+    pub fn get_len(&mut self, min_bytes_each: usize) -> Result<usize, SnapError> {
+        let n = self.get_u64()?;
+        let available = (self.buf.len() - self.pos) as u64;
+        let needed = n.saturating_mul(min_bytes_each as u64);
+        if needed > available {
+            return Err(SnapError::Truncated { needed, available });
+        }
+        usize::try_from(n).map_err(|_| SnapError::Corrupt(format!("usize overflow: {n}")))
+    }
+
     /// Reads a `u8`.
     ///
     /// # Errors
@@ -573,9 +601,11 @@ impl<T: Snapshot> Snapshot for Option<T> {
     }
 }
 
-/// Pre-allocation cap for length-prefixed containers: a corrupt length
-/// must not translate into an unbounded allocation before element reads
-/// hit [`SnapError::Truncated`].
+/// Pre-allocation cap for length-prefixed containers. Every element
+/// encodes to at least one byte, so a count is first checked against
+/// the payload left ([`SnapReader::get_len`]); the cap then keeps a
+/// large but plausible count of wide elements from reserving far more
+/// than the bytes that back it.
 const PREALLOC_CAP: usize = 4096;
 
 impl<T: Snapshot> Snapshot for Vec<T> {
@@ -587,7 +617,7 @@ impl<T: Snapshot> Snapshot for Vec<T> {
         Ok(())
     }
     fn load(r: &mut SnapReader) -> Result<Vec<T>, SnapError> {
-        let n = usize::load(r)?;
+        let n = r.get_len(1)?;
         let mut out = Vec::with_capacity(n.min(PREALLOC_CAP));
         for _ in 0..n {
             out.push(T::load(r)?);
@@ -605,7 +635,7 @@ impl<T: Snapshot> Snapshot for VecDeque<T> {
         Ok(())
     }
     fn load(r: &mut SnapReader) -> Result<VecDeque<T>, SnapError> {
-        let n = usize::load(r)?;
+        let n = r.get_len(1)?;
         let mut out = VecDeque::with_capacity(n.min(PREALLOC_CAP));
         for _ in 0..n {
             out.push_back(T::load(r)?);
@@ -846,9 +876,47 @@ mod tests {
         match SnapReader::new(&mut bytes.as_slice()) {
             Err(SnapError::UnsupportedVersion {
                 found: 3,
-                supported: 4,
+                supported: SNAP_VERSION,
             }) => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn version_4_snapshots_are_refused() {
+        // Version 4 laid memory images out as 4 KiB pages and the oracle
+        // as a page table of one-line pages with a separate index;
+        // parsing it as version 5 would read page lengths as line bytes.
+        let mut bytes = roundtrip_bytes(SnapWriter::new());
+        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+        match SnapReader::new(&mut bytes.as_slice()) {
+            Err(SnapError::UnsupportedVersion {
+                found: 4,
+                supported: SNAP_VERSION,
+            }) => {}
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_inflated_count_is_refused_before_allocating() {
+        let mut w = SnapWriter::new();
+        vec![7u64; 3].save(&mut w).unwrap();
+        let mut bytes = roundtrip_bytes(w);
+        // Re-frame the payload with its count raised past what the 24
+        // bytes behind it could hold at 8 bytes an item.
+        let mut payload = bytes.split_off(24);
+        payload[..8].copy_from_slice(&4u64.to_le_bytes());
+        let mut w = SnapWriter::new();
+        w.put_bytes(&payload);
+        let bytes = roundtrip_bytes(w);
+        let mut r = SnapReader::new(&mut bytes.as_slice()).unwrap();
+        match r.get_len(8) {
+            Err(SnapError::Truncated {
+                needed: 32,
+                available: 24,
+            }) => {}
+            other => panic!("expected Truncated, got {other:?}"),
         }
     }
 
