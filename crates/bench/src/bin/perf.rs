@@ -26,8 +26,9 @@
 //! folklore.
 //!
 //! Every event-engine cell also carries the engine's **scheduling-cost
-//! counters** (wheel ops, off-wheel near ops, broadcasts delivered and
-//! ready-lane touches, each per committed instruction). The counters are
+//! counters** (wheel ops, off-wheel near ops, broadcasts delivered,
+//! ready-lane touches and steps — the active cycles simulated — each per
+//! committed instruction). The counters are
 //! deterministic per (workload, design) and independent of the host, so
 //! they are the hardware-portable face of the scheduler.
 //!
@@ -122,6 +123,9 @@ struct SchedCost {
     broadcasts_per_inst: f64,
     /// Ready-lane tail peeks per instruction during issue selection.
     ready_touches_per_inst: f64,
+    /// Engine steps (active cycles simulated; idle ones are skipped)
+    /// per instruction.
+    steps_per_inst: f64,
 }
 
 /// Event-over-reference throughput ratio for one (workload, design).
@@ -304,6 +308,7 @@ fn measure(input: &Input, design: SqDesign, engine: Engine, iters: u32) -> Cell 
             near_ops_per_inst: per_inst(c.near_ops),
             broadcasts_per_inst: per_inst(c.broadcasts),
             ready_touches_per_inst: per_inst(c.ready_touches),
+            steps_per_inst: per_inst(c.steps),
         }),
     }
 }
@@ -529,6 +534,7 @@ fn compare_baseline(
                 sched.broadcasts_per_inst,
                 base_sched.broadcasts_per_inst,
             ),
+            ("steps", sched.steps_per_inst, base_sched.steps_per_inst),
         ] {
             let ok = ours <= base_v * (1.0 + COUNTER_FLOOR);
             if !ok {

@@ -47,6 +47,11 @@ pub(crate) struct DynInst {
     pub op_class: OpClass,
     /// Cached `rec.dst.is_some()` (same contract as `op_class`).
     pub has_dst: bool,
+    /// For loads in the event engine: the load queue's id for this
+    /// load's entry, so execution records its address without a search.
+    /// Derived state like `op_class`: rebuilt from the restored load
+    /// queue on snapshot load.
+    pub lq_id: u64,
 
     /// Outstanding wake conditions (register producers + forwarding-store
     /// execution + delay-store commit). Ready when zero.
@@ -104,6 +109,7 @@ impl DynInst {
             state: InstState::Waiting,
             op_class: OpClass::None,
             has_dst: false,
+            lq_id: 0,
             gates: 0,
             srcs: [Operand::None, Operand::None],
             prev_store_ssn,
@@ -227,6 +233,8 @@ sqip_snapshot::snapshot_struct!(DynInst {
     // Rebuilt from the record window by `InstSlab::rebuild_record_cache`.
     op_class: OpClass::None,
     has_dst: false,
+    // Rebuilt from the load queue by the event engine's `load_state`.
+    lq_id: 0,
 });
 
 #[cfg(test)]

@@ -11,11 +11,12 @@ use sqip_types::{Seq, Ssn};
 
 use crate::config::OrderingMode;
 use crate::dyninst::InstState;
-use crate::pipeline::event::{EventCore, RenameStop};
+use crate::pipeline::event::{EventCore, RenameStop, Take};
 use crate::policy::LoadCommitInfo;
 
 impl EventCore<'_> {
-    #[inline(never)] // per-cycle stage entry: keep a distinct frame for profiles/codegen audits
+    // Per-cycle stage entry, inlined into the step. To time the stages
+    // apart, mark it `#[inline(never)]` in a local profiling build.
     pub(crate) fn commit_stage(&mut self) {
         let mut reexec_budget = self.cfg.reexec_ports;
         for _ in 0..self.cfg.commit_width {
@@ -178,15 +179,21 @@ impl EventCore<'_> {
     }
 
     /// Drains `wake_on_store_commit[ssn]`, releasing each waiter's delay
-    /// gate.
+    /// gate (a single waiter in place, as in `wake_all`).
     fn wake_commit_waiters(&mut self, ssn: u64) {
-        let mut scratch = std::mem::take(&mut self.wake_scratch);
-        debug_assert!(scratch.is_empty());
-        self.wake_on_store_commit.remove_into(ssn, &mut scratch);
-        for w in scratch.drain(..) {
-            self.wake_one(w, true);
+        match self.wake_on_store_commit.take_single(ssn) {
+            Take::Empty => {}
+            Take::One(w) => self.wake_one(w, true),
+            Take::Many => {
+                let mut scratch = std::mem::take(&mut self.wake_scratch);
+                debug_assert!(scratch.is_empty());
+                self.wake_on_store_commit.remove_into(ssn, &mut scratch);
+                for w in scratch.drain(..) {
+                    self.wake_one(w, true);
+                }
+                self.wake_scratch = scratch;
+            }
         }
-        self.wake_scratch = scratch;
     }
 
     /// Retires the ROB head. `value` is the instruction's committed

@@ -17,7 +17,8 @@ impl EventCore<'_> {
     // Fetch
     // ================================================================
 
-    #[inline(never)] // per-cycle stage entry: keep a distinct frame for profiles/codegen audits
+    // Per-cycle stage entry, inlined into the step. To time the stages
+    // apart, mark it `#[inline(never)]` in a local profiling build.
     pub(crate) fn fetch_stage(&mut self) {
         if self.cycle < self.fetch_stall_until || self.pending_redirect.is_some() {
             return;
@@ -100,7 +101,8 @@ impl EventCore<'_> {
     // Rename
     // ================================================================
 
-    #[inline(never)] // per-cycle stage entry: keep a distinct frame for profiles/codegen audits
+    // Per-cycle stage entry, inlined into the step. To time the stages
+    // apart, mark it `#[inline(never)]` in a local profiling build.
     pub(crate) fn rename_stage(&mut self) {
         self.rename_stop = RenameStop::Width;
         for _ in 0..self.cfg.rename_width {
@@ -198,7 +200,8 @@ impl EventCore<'_> {
         }
 
         if rec.is_load() {
-            self.lq
+            inst.lq_id = self
+                .lq
                 .allocate(seq, rec.pc)
                 .expect("LQ fullness checked before rename");
             gates += self.attach_load_predictions(&mut inst, rec);

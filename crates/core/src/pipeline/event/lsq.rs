@@ -153,9 +153,14 @@ impl EventCore<'_> {
 
     fn execute_load(&mut self, seq: Seq, rec: &TraceRecord) {
         let span = rec.mem_addr().span(rec.size);
-        let (prev_store_ssn, ssn_fwd, wait_exec) = {
+        let (prev_store_ssn, ssn_fwd, wait_exec, lq_id) = {
             let inst = self.insts.get(seq.0).expect("executing load in flight");
-            (inst.prev_store_ssn, inst.ssn_fwd, inst.wait_exec_ssn)
+            (
+                inst.prev_store_ssn,
+                inst.ssn_fwd,
+                inst.wait_exec_ssn,
+                inst.lq_id,
+            )
         };
 
         // The load was scheduled chasing a store's execution; if that store
@@ -221,7 +226,7 @@ impl EventCore<'_> {
             ),
         };
 
-        self.lq.record_execution(seq, span, svw);
+        self.lq.record_execution_at(lq_id, seq, span, svw);
         {
             let inst = self.insts.get_mut(seq.0).expect("load in flight");
             inst.forwarded_from = forwarded;

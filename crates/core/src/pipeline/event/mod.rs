@@ -46,7 +46,7 @@ use crate::pipeline::{StepOutcome, WATCHDOG_CYCLES};
 use crate::policy::{DesignCaps, PolicyHost};
 use crate::stats::SimStats;
 
-pub(crate) use structs::{fits_near, InstSlab, NearRing, ReadyLanes, WaiterRing};
+pub(crate) use structs::{fits_near, InstSlab, NearRing, ReadyLanes, Take, WaiterRing};
 pub use wheel::{EventWheel, WheelEvent};
 
 /// Scheduling-cost counters for the event engine, read through
@@ -67,6 +67,9 @@ pub struct SchedCounters {
     pub broadcasts: u64,
     /// Ready-lane tail peeks during issue selection.
     pub ready_touches: u64,
+    /// Steps taken: the active cycles the engine simulated. Every cycle
+    /// in between was skipped ahead as provably idle.
+    pub steps: u64,
 }
 
 mod commit;
@@ -92,10 +95,10 @@ pub(crate) enum RenameStop {
 }
 
 /// Records pulled from the trace source per block fetch: one virtual
-/// source call (and one tee/oracle-ring crossing behind it) amortised
-/// over up to this many records. Sized to the record window's slack
-/// past the structural pipeline bound, so pulling a full block ahead of
-/// the fetch frontier can never overflow the window.
+/// source call amortised over up to this many records, decoded straight
+/// into the record window. Sized to the record window's slack past the
+/// structural pipeline bound, so pulling a full block ahead of the fetch
+/// frontier can never overflow the window.
 pub const FETCH_BLOCK: usize = 64;
 
 /// The event-driven core. See the module docs; the public entry point is
@@ -117,9 +120,6 @@ pub(crate) struct EventCore<'t> {
     source_done: bool,
     /// A source failure, held until the next step surfaces it.
     source_error: Option<IsaError>,
-    /// Scratch for block fetches (transient: dead between
-    /// [`EventCore::fetch_record`] calls, so not checkpointed).
-    fetch_buf: Vec<TraceRecord>,
 
     pub(crate) cycle: u64,
     pub(crate) incarnation: u64,
@@ -201,6 +201,8 @@ pub(crate) struct EventCore<'t> {
     pub(crate) broadcasts: u64,
     /// Ready-lane tail peeks during issue selection.
     pub(crate) ready_touches: u64,
+    /// Active cycles simulated (steps that ran the stages).
+    pub(crate) steps: u64,
 
     // ---- dense per-seq value state (survives commit; slots reset as
     // their sequence numbers re-enter rename) ----
@@ -236,7 +238,6 @@ impl<'t> EventCore<'t> {
             oracle: OracleBuilder::new(),
             source_done: false,
             source_error: None,
-            fetch_buf: vec![TraceRecord::default(); FETCH_BLOCK],
             cycle: 0,
             incarnation: 0,
             last_commit_cycle: 0,
@@ -269,6 +270,7 @@ impl<'t> EventCore<'t> {
             near_ops: 0,
             broadcasts: 0,
             ready_touches: 0,
+            steps: 0,
             vals: SeqRing::new(cfg.rob_size, cfg.fetch_width),
             sq: StoreQueue::new(cfg.sq_size),
             lq: LoadQueue::new(cfg.lq_size),
@@ -330,6 +332,7 @@ impl<'t> EventCore<'t> {
         let watchdog = self.last_commit_cycle + WATCHDOG_CYCLES;
         let target = self.next_active_cycle().min(limit).min(watchdog);
         self.cycle = target.max(self.cycle + 1);
+        self.steps += 1;
 
         self.commit_stage();
         self.process_events();
@@ -463,33 +466,35 @@ impl<'t> EventCore<'t> {
             near_ops: self.near_ops,
             broadcasts: self.broadcasts,
             ready_touches: self.ready_touches,
+            steps: self.steps,
         }
     }
 
-    /// Drains `ring`'s waiters for `key` and wakes each one. The scratch
-    /// buffer is recycled across calls, so the drain is allocation-free.
+    /// Drains `ring`'s waiters for `key` and wakes each one, in push
+    /// order. A single waiter is taken in place; longer lists drain into
+    /// a scratch buffer recycled across calls, so neither path allocates.
     pub(crate) fn wake_all(&mut self, ring: WakeRing, key: u64) {
-        let table = match ring {
+        match self.waiters(ring).take_single(key) {
+            Take::Empty => {} // nobody registered — the common case
+            Take::One(w) => self.wake_one(w, false),
+            Take::Many => {
+                let mut scratch = std::mem::take(&mut self.wake_scratch);
+                debug_assert!(scratch.is_empty());
+                self.waiters(ring).remove_into(key, &mut scratch);
+                for w in scratch.drain(..) {
+                    self.wake_one(w, false);
+                }
+                self.wake_scratch = scratch;
+            }
+        }
+    }
+
+    fn waiters(&mut self, ring: WakeRing) -> &mut WaiterRing {
+        match ring {
             WakeRing::Value => &mut self.wake_on_value,
             WakeRing::StoreExec => &mut self.wake_on_store_exec,
             WakeRing::StoreExecStrict => &mut self.wake_on_store_exec_strict,
-        };
-        if !table.contains(key) {
-            return; // nobody registered — the common case
         }
-        let mut scratch = std::mem::take(&mut self.wake_scratch);
-        debug_assert!(scratch.is_empty());
-        match ring {
-            WakeRing::Value => self.wake_on_value.remove_into(key, &mut scratch),
-            WakeRing::StoreExec => self.wake_on_store_exec.remove_into(key, &mut scratch),
-            WakeRing::StoreExecStrict => self
-                .wake_on_store_exec_strict
-                .remove_into(key, &mut scratch),
-        }
-        for w in scratch.drain(..) {
-            self.wake_one(w, false);
-        }
-        self.wake_scratch = scratch;
     }
 
     /// Ensures the record at `fetch_idx` is in the window, pulling from
@@ -502,30 +507,26 @@ impl<'t> EventCore<'t> {
             if self.source_done || self.source_error.is_some() {
                 return None;
             }
-            // Pull a whole block ahead of the frontier: one virtual source
-            // call — and one tee/oracle-feed ring crossing behind it —
-            // amortised over up to FETCH_BLOCK records. Capped to the
-            // window's free slots so the pull-ahead can never overflow it;
-            // free is nonzero here because the frontier record itself
-            // fits within the structural bound.
-            let want = self.window.free().min(FETCH_BLOCK);
-            debug_assert!(want > 0, "window full at the fetch frontier");
-            match self.source.next_block(&mut self.fetch_buf[..want]) {
+            // Pull a whole block ahead of the frontier, decoded straight
+            // into the window's free slots: one virtual source call
+            // amortised over up to FETCH_BLOCK records. The span is capped
+            // to the window's free slots, so the pull-ahead can never
+            // overflow it, and to the ring's wrap; it is nonempty because
+            // the frontier record itself fits within the structural
+            // bound. A span cut short at the wrap is just a short block;
+            // whole blocks stay aligned to the ring, so only a source that
+            // returned a short block before ever makes one.
+            let span = self.window.spare_mut(FETCH_BLOCK);
+            debug_assert!(!span.is_empty(), "window full at the fetch frontier");
+            match self.source.next_block(span) {
                 Ok(0) => {
                     self.source_done = true;
                     self.total_records = Some(self.window.end());
                     return None;
                 }
                 Ok(n) => {
-                    for i in 0..n {
-                        let mut rec = self.fetch_buf[i];
-                        // Consumers own the numbering: records are
-                        // sequential in pull order whatever the source
-                        // put in `seq`.
-                        rec.seq = Seq(self.window.end());
-                        let fwd = self.oracle.ingest(&rec);
-                        self.window.push(rec, fwd);
-                    }
+                    let oracle = &mut self.oracle;
+                    self.window.admit(n, |rec| oracle.ingest(rec));
                 }
                 Err(e) => {
                     self.source_error = Some(e);
@@ -632,7 +633,8 @@ impl EventCore<'_> {
         self.insts.rebuild_record_cache(&self.window);
         self.iq_count = usize::load(r)?;
         self.ready_q = ReadyLanes::load(r)?;
-        self.ready_q.rebuild_classes(&self.window);
+        self.ready_q
+            .rebuild_classes(|s| self.window.rec(Seq(s)).op.class());
         self.wheel = EventWheel::load(r)?;
         self.near = NearRing::<u64>::load(r)?;
         self.near_execs = NearRing::<(u64, u64)>::load(r)?;
@@ -644,6 +646,15 @@ impl EventCore<'_> {
         self.vals = SeqRing::load(r)?;
         self.sq = StoreQueue::load(r)?;
         self.lq = LoadQueue::load(r)?;
+        for (pos, entry) in self.lq.iter().enumerate() {
+            let inst = self.insts.get_mut(entry.seq.0).ok_or_else(|| {
+                sqip_snapshot::SnapError::Corrupt(format!(
+                    "load queue entry {} is not in flight",
+                    entry.seq.0
+                ))
+            })?;
+            inst.lq_id = self.lq.head_id() + pos as u64;
+        }
         self.hierarchy = Hierarchy::load(r)?;
         self.commit_mem = MemImage::load(r)?;
         self.ssn_cmt = Ssn::load(r)?;
@@ -659,6 +670,7 @@ impl EventCore<'_> {
         self.near_ops = 0;
         self.broadcasts = 0;
         self.ready_touches = 0;
+        self.steps = 0;
         Ok(())
     }
 }

@@ -9,7 +9,8 @@ use crate::pipeline::event::{fits_near, EventCore, WakeRing, WheelEvent};
 use crate::pipeline::{EvKind, NOT_READY};
 
 impl EventCore<'_> {
-    #[inline(never)] // per-cycle stage entry: keep a distinct frame for profiles/codegen audits
+    // Per-cycle stage entry, inlined into the step. To time the stages
+    // apart, mark it `#[inline(never)]` in a local profiling build.
     pub(crate) fn issue_stage(&mut self) {
         let mix = self.cfg.issue;
         // Port budgets in a dense array indexed by `port_of` — one lane
@@ -143,7 +144,8 @@ impl EventCore<'_> {
     /// 4. **Fused near Execs**, in issue (= ascending seq) order —
     ///    matching the heap, which sorts same-cycle Execs after every
     ///    same-cycle delivery kind and by seq among themselves.
-    #[inline(never)] // per-cycle stage entry: keep a distinct frame for profiles/codegen audits
+    // Per-cycle stage entry, inlined into the step. To time the stages
+    // apart, mark it `#[inline(never)]` in a local profiling build.
     pub(crate) fn process_events(&mut self) {
         while let Some(ev) = self.wheel.pop_due_before(self.cycle, self.cycle) {
             self.dispatch_event(ev);

@@ -16,7 +16,21 @@
 //! its allocation). A short cell touches far more slots than it ever
 //! holds waiters at once, so a per-slot allocation would be paid on
 //! nearly every push. [`NearRing`] slots do own a `Vec` each, but there
-//! are only 64 and every cycle reuses them.
+//! are only 64 and every cycle reuses them (a drain swaps a slot's `Vec`
+//! with the empty scratch buffer, so the buffers circulate).
+//!
+//! Every per-event operation is O(1) in the structure's size:
+//!
+//! * a [`NearRing`] finds its next due slot from the occupancy bitmap
+//!   (rotate past the taken slot, `trailing_zeros`), because every
+//!   pending due cycle lies in one span-wide window;
+//! * [`ReadyLanes`] caches each lane's oldest seq in a `tails` array, so
+//!   issue selection's merge reads one small array;
+//! * [`WaiterRing::take_single`] pops a one-waiter list in place,
+//!   without a scratch buffer.
+//!
+//! Fetch, for its part, decodes straight into the record window
+//! ([`RecordWindow::spare_mut`](crate::pipeline::window::RecordWindow::spare_mut)).
 
 use crate::dyninst::DynInst;
 use sqip_isa::OpClass;
@@ -157,28 +171,51 @@ pub(crate) const NUM_LANES: usize = 5;
 /// skips (without consuming total-width budget) exactly the candidates
 /// whose port budget is zero, and the merge's min over budgeted lanes
 /// is exactly the next non-skipped candidate of that scan.
-#[derive(Default)]
+///
+/// Each lane's tail (its oldest seq) is also cached in one small array,
+/// so the merge reads [`NUM_LANES`] words instead of every lane's `Vec`
+/// header and buffer.
 pub(crate) struct ReadyLanes {
     lanes: [Vec<u64>; NUM_LANES],
+    /// Per lane: its oldest (smallest) seq, [`ReadyLanes::EMPTY`] when
+    /// the lane is empty. Derived from `lanes`, kept current by every
+    /// mutation.
+    tails: [u64; NUM_LANES],
     len: usize,
 }
 
+impl Default for ReadyLanes {
+    fn default() -> ReadyLanes {
+        ReadyLanes {
+            lanes: Default::default(),
+            tails: [ReadyLanes::EMPTY; NUM_LANES],
+            len: 0,
+        }
+    }
+}
+
 impl ReadyLanes {
+    /// Tail of an empty lane; no real sequence number reaches it.
+    const EMPTY: u64 = u64::MAX;
+
     #[inline]
     pub(crate) fn insert(&mut self, seq: u64, class: OpClass) {
-        let lane = &mut self.lanes[port_of(class)];
+        let l = port_of(class);
+        let lane = &mut self.lanes[l];
         // Descending order: oldest (smallest) seq at the tail.
         if let Err(pos) = lane.binary_search_by(|x| seq.cmp(x)) {
             lane.insert(pos, seq);
+            self.tails[l] = self.tails[l].min(seq);
             self.len += 1;
         }
     }
 
     #[cfg(test)]
     pub(crate) fn remove(&mut self, seq: u64) {
-        for lane in &mut self.lanes {
+        for (lane, tail) in self.lanes.iter_mut().zip(&mut self.tails) {
             if let Ok(pos) = lane.binary_search_by(|x| seq.cmp(x)) {
                 lane.remove(pos);
+                *tail = lane.last().copied().unwrap_or(ReadyLanes::EMPTY);
                 self.len -= 1;
                 return;
             }
@@ -202,9 +239,10 @@ impl ReadyLanes {
     }
 
     pub(crate) fn retain(&mut self, mut f: impl FnMut(&u64) -> bool) {
-        for lane in &mut self.lanes {
+        for (lane, tail) in self.lanes.iter_mut().zip(&mut self.tails) {
             let before = lane.len();
             lane.retain(|s| f(s));
+            *tail = lane.last().copied().unwrap_or(ReadyLanes::EMPTY);
             self.len -= before - lane.len();
         }
     }
@@ -222,24 +260,24 @@ impl ReadyLanes {
         touches: &mut u64,
     ) {
         while total > 0 {
-            let mut best = u64::MAX;
+            let mut best = ReadyLanes::EMPTY;
             let mut best_lane = usize::MAX;
-            for (l, lane) in self.lanes.iter().enumerate() {
-                if ports[l] == 0 {
+            for (l, &s) in self.tails.iter().enumerate() {
+                if ports[l] == 0 || s == ReadyLanes::EMPTY {
                     continue;
                 }
-                if let Some(&s) = lane.last() {
-                    *touches += 1;
-                    if s < best {
-                        best = s;
-                        best_lane = l;
-                    }
+                *touches += 1;
+                if s < best {
+                    best = s;
+                    best_lane = l;
                 }
             }
             if best_lane == usize::MAX {
                 break;
             }
-            self.lanes[best_lane].pop();
+            let lane = &mut self.lanes[best_lane];
+            lane.pop();
+            self.tails[best_lane] = lane.last().copied().unwrap_or(ReadyLanes::EMPTY);
             self.len -= 1;
             ports[best_lane] -= 1;
             total -= 1;
@@ -251,18 +289,19 @@ impl ReadyLanes {
         for lane in &mut self.lanes {
             lane.clear();
         }
+        self.tails = [ReadyLanes::EMPTY; NUM_LANES];
         self.len = 0;
     }
 
     /// Redistributes a flat snapshot-loaded seq list into per-port lanes
-    /// using each record's class from the window (used after checkpoint
-    /// restore, where only the merged sequence numbers are serialised —
-    /// the lane split is derived state).
-    pub(crate) fn rebuild_classes(&mut self, window: &crate::pipeline::window::RecordWindow) {
+    /// using each seq's class (the engine reads it from the record
+    /// window). Used after checkpoint restore, where only the merged
+    /// sequence numbers are serialised — the lane split is derived state.
+    pub(crate) fn rebuild_classes(&mut self, class_of: impl Fn(u64) -> OpClass) {
         let seqs = self.sorted_seqs();
         self.clear();
         for s in seqs {
-            self.insert(s, window.rec(Seq(s)).op.class());
+            self.insert(s, class_of(s));
         }
     }
 }
@@ -348,6 +387,13 @@ impl<T> NearRing<T> {
 
     /// Moves the earliest due slot's payloads into `out` if that slot
     /// is due at or before `now`. Returns whether anything was taken.
+    ///
+    /// The next earliest slot is found in O(1): every pending due cycle
+    /// lies in one `NEAR_SPAN`-wide window starting at the taken cycle
+    /// (schedules happen only after the cycle's drain, at most a span
+    /// ahead, and skip-ahead lands on every due cycle), so walking the
+    /// slots upward from the taken one, wrapping, visits them in due
+    /// order — the first occupied slot past it is the earliest.
     pub(crate) fn take_due(&mut self, now: u64, out: &mut Vec<T>) -> bool {
         if self.earliest > now {
             return false;
@@ -355,12 +401,30 @@ impl<T> NearRing<T> {
         let i = (self.earliest % NEAR_SPAN) as usize;
         debug_assert!(self.occ & (1u64 << i) != 0);
         self.len -= self.slots[i].len();
-        out.append(&mut self.slots[i]);
+        if out.is_empty() {
+            std::mem::swap(out, &mut self.slots[i]);
+        } else {
+            out.append(&mut self.slots[i]);
+        }
         self.occ &= !(1u64 << i);
-        self.earliest = self.rescan_earliest();
+        self.earliest = if self.occ == 0 {
+            u64::MAX
+        } else {
+            let past = (i + 1) % NEAR_SPAN as usize;
+            let next = (past + self.occ.rotate_right(past as u32).trailing_zeros() as usize)
+                % NEAR_SPAN as usize;
+            self.cycles[next]
+        };
+        debug_assert_eq!(
+            self.earliest,
+            self.rescan_earliest(),
+            "near-ring due cycles span more than one window"
+        );
         true
     }
 
+    /// The earliest occupied due cycle by a full scan: the debug oracle
+    /// for [`NearRing::take_due`]'s O(1) search.
     fn rescan_earliest(&self) -> u64 {
         let mut occ = self.occ;
         let mut earliest = u64::MAX;
@@ -375,6 +439,17 @@ impl<T> NearRing<T> {
 
 /// "No node": the end of a chain, or an empty slot's head.
 const NIL: u32 = u32::MAX;
+
+/// What [`WaiterRing::take_single`] found under a key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Take {
+    /// No waiters: nothing was taken.
+    Empty,
+    /// The list held exactly this one waiter, now taken.
+    One(u64),
+    /// Two or more waiters, left in place for [`WaiterRing::remove_into`].
+    Many,
+}
 
 /// Waiter lists in a ring keyed by `key % capacity` — the event engine's
 /// replacement for `HashMap<u64, Vec<u64>>` wake tables.
@@ -486,6 +561,27 @@ impl WaiterRing {
         self.heads[i] != NIL && self.keys[i] == key
     }
 
+    /// Takes `key`'s list in place if it holds exactly one waiter, so
+    /// the wake needs no scratch buffer. Longer lists are left for
+    /// [`WaiterRing::remove_into`].
+    #[inline]
+    pub(crate) fn take_single(&mut self, key: u64) -> Take {
+        if !self.contains(key) {
+            return Take::Empty;
+        }
+        let i = self.idx(key);
+        let head = self.heads[i];
+        if head != self.tails[i] {
+            return Take::Many;
+        }
+        let (waiter, _) = self.nodes[head as usize];
+        self.nodes[head as usize].1 = self.free;
+        self.free = head;
+        self.heads[i] = NIL;
+        self.len -= 1;
+        Take::One(waiter)
+    }
+
     /// Moves `key`'s waiters into `out` in push order; the chain's nodes
     /// go back on the free list.
     #[inline]
@@ -564,11 +660,12 @@ impl sqip_snapshot::Snapshot for ReadyLanes {
         // Staged into lane 0 (descending); the lane split is derived
         // state, recomputed by the engine's `rebuild_classes` once the
         // record window is restored.
-        let len = seqs.len();
-        let mut lanes: [Vec<u64>; NUM_LANES] = Default::default();
-        lanes[0] = seqs;
-        lanes[0].reverse();
-        Ok(ReadyLanes { lanes, len })
+        let mut ready = ReadyLanes::default();
+        ready.tails[0] = seqs.first().copied().unwrap_or(ReadyLanes::EMPTY);
+        ready.len = seqs.len();
+        ready.lanes[0] = seqs;
+        ready.lanes[0].reverse();
+        Ok(ready)
     }
 }
 
@@ -917,5 +1014,254 @@ mod tests {
         let mut r = sqip_snapshot::SnapReader::new(&mut got.as_slice()).unwrap();
         let back = WaiterRing::load(&mut r).unwrap();
         assert_eq!(container(|s| back.save(s).unwrap()), got);
+    }
+
+    /// SplitMix64: a seeded stream with no dependency.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A near ring against a naive model — a `Vec` of `(due, payload)`
+    /// kept sorted by due cycle, then push order — driven the way the
+    /// engine drives it: each cycle drains everything due, then
+    /// schedules within the span, then skips ahead no further than the
+    /// next due cycle. `next_at` and the drain order are checked at
+    /// every step; a quarter of the drains go into a non-empty buffer.
+    #[test]
+    fn near_ring_matches_a_sorted_model_under_the_engine_protocol() {
+        let (mut takes, mut appends, mut wraps) = (0u32, 0u32, 0u32);
+        for seed in 0..32u64 {
+            let mut rng = seed;
+            let mut n = NearRing::<u64>::new();
+            let mut model: Vec<(u64, u64)> = Vec::new();
+            let (mut now, mut payload) = (0u64, 0u64);
+            for step in 0..2_000u64 {
+                let r = splitmix(&mut rng);
+                let mut out = Vec::new();
+                if r.is_multiple_of(4) {
+                    out.push(u64::MAX);
+                    appends += 1;
+                }
+                let mut want = out.clone();
+                let due = model.partition_point(|&(d, _)| d <= now);
+                want.extend(model.drain(..due).map(|(_, p)| p));
+                while n.take_due(now, &mut out) {
+                    takes += 1;
+                }
+                assert_eq!(out, want, "seed {seed} step {step}: drain at {now}");
+                assert_eq!(n.next_at(), model.first().map(|&(d, _)| d));
+                for _ in 0..(r >> 8) % 6 {
+                    let at = now + 1 + splitmix(&mut rng) % NEAR_SPAN;
+                    wraps += u32::from(at % NEAR_SPAN < now % NEAR_SPAN);
+                    n.schedule(at, payload);
+                    let pos = model.partition_point(|&(d, _)| d <= at);
+                    model.insert(pos, (at, payload));
+                    payload += 1;
+                }
+                assert_eq!(
+                    n.next_at(),
+                    model.first().map(|&(d, _)| d),
+                    "seed {seed} step {step}: after scheduling at {now}"
+                );
+                assert_eq!(n.len, model.len());
+                let hop = 1 + (r >> 16) % 12;
+                now = (now + hop).min(n.next_at().unwrap_or(u64::MAX));
+            }
+        }
+        assert!(
+            takes > 10_000 && appends > 5_000 && wraps > 5_000,
+            "{takes} {appends} {wraps}"
+        );
+    }
+
+    /// Checks the cached lane tails, the lanes and the length against a
+    /// model map from ready seq to lane.
+    fn assert_lanes_match(
+        r: &ReadyLanes,
+        model: &std::collections::BTreeMap<u64, usize>,
+        what: &str,
+    ) {
+        for l in 0..NUM_LANES {
+            let oldest = model.iter().find(|&(_, &lane)| lane == l).map(|(&s, _)| s);
+            assert_eq!(
+                r.tails[l],
+                oldest.unwrap_or(ReadyLanes::EMPTY),
+                "{what}: lane {l} tail"
+            );
+            assert_eq!(r.lanes[l].last().copied(), oldest, "{what}: lane {l}");
+        }
+        assert_eq!(r.sorted_seqs(), model.keys().copied().collect::<Vec<_>>());
+        assert_eq!(r.len, model.len(), "{what}: len");
+    }
+
+    /// Ready lanes and their cached tails against a sorted model across
+    /// inserts, issue selections (with the reference oldest-first
+    /// port-budget scan and its lane-peek count as the model), squash
+    /// `retain`s, flush `clear`s and snapshot round trips.
+    #[test]
+    fn ready_lanes_tails_match_a_sorted_model() {
+        use sqip_snapshot::Snapshot;
+        use std::collections::BTreeMap;
+
+        let classes = [
+            OpClass::IntAlu,
+            OpClass::FpAdd,
+            OpClass::Branch,
+            OpClass::Load,
+            OpClass::Store,
+        ];
+        let (mut pops, mut retains, mut loads) = (0u32, 0u32, 0u32);
+        for seed in 0..24u64 {
+            let mut rng = seed;
+            let mut r = ReadyLanes::default();
+            let mut model: BTreeMap<u64, usize> = BTreeMap::new();
+            let mut base = 0u64;
+            for step in 0..1_500u64 {
+                let x = splitmix(&mut rng);
+                let what = format!("seed {seed} step {step}");
+                match x % 16 {
+                    0..=7 => {
+                        let seq = base + (x >> 8) % 48;
+                        let l = ((x >> 16) % NUM_LANES as u64) as usize;
+                        // A seq already ready stays in its first lane.
+                        let lane = *model.entry(seq).or_insert(l);
+                        r.insert(seq, classes[lane]);
+                    }
+                    8..=11 => {
+                        let mut ports = [0usize; NUM_LANES];
+                        for (i, p) in ports.iter_mut().enumerate() {
+                            *p = ((x >> (8 + 3 * i)) % 3) as usize;
+                        }
+                        let total = ((x >> 32) % 5) as usize;
+                        let (mut want, mut want_touches) = (Vec::new(), 0u64);
+                        let (mut model_ports, mut left) = (ports, total);
+                        while left > 0 {
+                            let live: Vec<(u64, usize)> = (0..NUM_LANES)
+                                .filter(|&l| model_ports[l] > 0)
+                                .filter_map(|l| {
+                                    model.iter().find(|&(_, &m)| m == l).map(|(&s, _)| (s, l))
+                                })
+                                .collect();
+                            want_touches += live.len() as u64;
+                            let Some(&(s, l)) = live.iter().min() else {
+                                break;
+                            };
+                            model.remove(&s);
+                            model_ports[l] -= 1;
+                            left -= 1;
+                            want.push(s);
+                        }
+                        let (mut out, mut touches) = (Vec::new(), 0u64);
+                        r.pop_selected(&mut ports, total, &mut out, &mut touches);
+                        assert_eq!(out, want, "{what}: selection");
+                        assert_eq!(touches, want_touches, "{what}: lane peeks");
+                        assert_eq!(ports, model_ports, "{what}: budgets");
+                        pops += u32::from(!out.is_empty());
+                    }
+                    12 | 13 => {
+                        let from = base + (x >> 8) % 48;
+                        r.retain(|&s| s < from);
+                        model.retain(|&s, _| s < from);
+                        retains += 1;
+                    }
+                    14 => {
+                        let bytes = container(|w| r.save(w).unwrap());
+                        let mut rd = sqip_snapshot::SnapReader::new(&mut bytes.as_slice()).unwrap();
+                        r = ReadyLanes::load(&mut rd).unwrap();
+                        let staged: BTreeMap<u64, usize> = model.keys().map(|&s| (s, 0)).collect();
+                        assert_lanes_match(&r, &staged, &format!("{what}: staged load"));
+                        r.rebuild_classes(|s| classes[model[&s]]);
+                        loads += 1;
+                    }
+                    _ => {
+                        if x % 64 == 15 {
+                            r.clear();
+                            model.clear();
+                        }
+                        base += (x >> 8) % 8;
+                    }
+                }
+                assert_lanes_match(&r, &model, &what);
+                assert_eq!(r.is_empty(), model.is_empty());
+            }
+        }
+        assert!(
+            pops > 5_000 && retains > 2_000 && loads > 1_000,
+            "{pops} {retains} {loads}"
+        );
+    }
+
+    /// A waiter ring drained through `take_single` (falling back to
+    /// `remove_into` for longer lists, as the engine does) against a
+    /// twin drained only through `remove_into`, over seeded push/drain
+    /// sequences: both yield each key's waiters in push order, and their
+    /// node pools and free lists stay equal, so a single-waiter take
+    /// recycles its node exactly like the general drain.
+    #[test]
+    fn take_single_matches_the_general_drain() {
+        use std::collections::VecDeque;
+
+        let (mut ones, mut manys, mut empties) = (0u32, 0u32, 0u32);
+        for seed in 0..24u64 {
+            let mut rng = seed;
+            let mut fast = WaiterRing::new(16);
+            let mut general = WaiterRing::new(16);
+            let mut model: Vec<VecDeque<u64>> = vec![VecDeque::new(); 16];
+            let mut keys: [u64; 16] = std::array::from_fn(|slot| slot as u64);
+            for step in 0..2_000u64 {
+                let x = splitmix(&mut rng);
+                let slot = ((x >> 8) % 16) as usize;
+                if x % 8 < 5 {
+                    // A slot's key moves on only once its list is empty.
+                    if model[slot].is_empty() {
+                        keys[slot] = slot as u64 + 16 * ((x >> 16) % 4);
+                    }
+                    let waiter = x >> 32;
+                    fast.push(keys[slot], waiter);
+                    general.push(keys[slot], waiter);
+                    model[slot].push_back(waiter);
+                } else {
+                    let key = keys[slot];
+                    let want: Vec<u64> = model[slot].drain(..).collect();
+                    let mut got = Vec::new();
+                    match fast.take_single(key) {
+                        Take::Empty => empties += 1,
+                        Take::One(w) => {
+                            got.push(w);
+                            ones += 1;
+                        }
+                        Take::Many => {
+                            fast.remove_into(key, &mut got);
+                            manys += 1;
+                        }
+                    }
+                    let mut general_got = Vec::new();
+                    general.remove_into(key, &mut general_got);
+                    assert_eq!(got, want, "seed {seed} step {step}: key {key}");
+                    assert_eq!(general_got, want, "seed {seed} step {step}: key {key}");
+                }
+                assert_eq!(fast.nodes, general.nodes, "seed {seed} step {step}: pools");
+                assert_eq!(
+                    fast.free, general.free,
+                    "seed {seed} step {step}: free lists"
+                );
+                assert_eq!(fast.len, model.iter().map(VecDeque::len).sum::<usize>());
+                assert_eq!(fast.lists(), general.lists());
+            }
+            // Freed nodes were reused: the pool never outgrew the peak.
+            assert!(
+                fast.nodes.len() < 200,
+                "seed {seed}: {} nodes",
+                fast.nodes.len()
+            );
+        }
+        assert!(
+            ones > 1_000 && manys > 1_000 && empties > 1_000,
+            "{ones} {manys} {empties}"
+        );
     }
 }

@@ -292,7 +292,7 @@ impl<'t> Processor<'t> {
     }
 
     /// The event engine's scheduling-cost counters (wheel ops, off-wheel
-    /// ops, broadcasts delivered, ready-lane touches) accumulated since
+    /// ops, broadcasts delivered, ready-lane touches, steps) accumulated since
     /// construction. `None` under the reference engine, which carries no
     /// scheduler instrumentation. Diagnostic state: never part of
     /// [`SimStats`] or checkpoints, so reading it cannot perturb

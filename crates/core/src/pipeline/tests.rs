@@ -800,4 +800,106 @@ mod engine_tests {
             assert_eq!(p.stats(), r.stats(), "stats mismatch at limit {limit}");
         }
     }
+
+    /// A checkpoint taken while loads wait in the load queue unexecuted,
+    /// after commits have moved the queue's ids on. The restored queue
+    /// numbers its entries from 0 again, so every in-flight load's id
+    /// must be re-read from it; the loads then execute by those ids and
+    /// the run finishes bit-identically to the straight one.
+    #[test]
+    fn restored_in_flight_loads_execute_by_their_rebuilt_lq_ids() {
+        use crate::pipeline::Core;
+
+        let trace = observed_workload();
+        let mut cfg = SimConfig::with_design(SqDesign::Indexed3FwdDly);
+        cfg.engine = Engine::Event;
+        let lq_ids = |p: &Processor<'_>| -> (u64, Vec<(u64, u64, bool)>) {
+            let Core::Event(c) = &p.core else {
+                unreachable!("event engine")
+            };
+            let loads =
+                c.lq.iter()
+                    .map(|e| {
+                        let inst = c.insts.get(e.seq.0).expect("queued load in flight");
+                        (e.seq.0, inst.lq_id, e.is_executed())
+                    })
+                    .collect();
+            (c.lq.head_id(), loads)
+        };
+        let mut p = Processor::new(cfg.clone(), &trace);
+        let (head, loads) = loop {
+            p.step().expect("no deadlock");
+            let (head, loads) = lq_ids(&p);
+            if head > 0 && loads.iter().filter(|l| !l.2).count() >= 2 {
+                break (head, loads);
+            }
+        };
+        for (pos, &(_, id, _)) in loads.iter().enumerate() {
+            assert_eq!(id, head + pos as u64, "straight run's ids");
+        }
+        let mut snap = Vec::new();
+        p.checkpoint(&mut snap).unwrap();
+        let restored = Processor::restore(&mut snap.as_slice(), trace.stream()).unwrap();
+        let (new_head, new_loads) = lq_ids(&restored);
+        assert_eq!(new_head, 0, "a restored queue renumbers from 0");
+        assert_eq!(new_loads.len(), loads.len());
+        for (pos, (&(seq, id, done), &(old_seq, _, old_done))) in
+            new_loads.iter().zip(&loads).enumerate()
+        {
+            assert_eq!((seq, done), (old_seq, old_done));
+            assert_eq!(id, pos as u64, "load {seq}: id rebuilt from the queue");
+        }
+        let straight = p.try_run().expect("straight run completes");
+        let resumed = restored.try_run().expect("resumed run completes");
+        assert_eq!(straight, resumed, "resume is bit-identical");
+    }
+
+    /// A source that hands out at most a few records per block pull
+    /// (1 to 7, cycling) and notes how many each pull asked for.
+    struct ShortBlocks<'a> {
+        inner: sqip_isa::TraceCursor<'a>,
+        asks: Vec<usize>,
+    }
+
+    impl sqip_isa::TraceSource for ShortBlocks<'_> {
+        fn next_record(&mut self) -> Result<Option<sqip_isa::TraceRecord>, sqip_isa::IsaError> {
+            self.inner.next_record()
+        }
+        fn next_block(
+            &mut self,
+            out: &mut [sqip_isa::TraceRecord],
+        ) -> Result<usize, sqip_isa::IsaError> {
+            self.asks.push(out.len());
+            let n = out.len().min(1 + self.asks.len() % 7);
+            self.inner.next_block(&mut out[..n])
+        }
+    }
+
+    /// Fetch decodes straight into the record window, so a block that
+    /// would run past the ring's wrap is asked for short. With whole
+    /// blocks the pulls stay aligned to the ring and never meet the
+    /// wrap mid-block; a source that returns short blocks knocks them
+    /// off that alignment, so here the fetch frontier crosses the wrap
+    /// inside a block on every lap. The run must match the reference
+    /// engine, which pulls record by record.
+    #[test]
+    fn event_fetch_across_the_window_wrap_matches_reference() {
+        use crate::pipeline::event::FETCH_BLOCK;
+
+        let trace = observed_workload();
+        let mut cfg = SimConfig::with_design(SqDesign::Associative3);
+        cfg.engine = Engine::Event;
+        let mut short = ShortBlocks {
+            inner: trace.stream(),
+            asks: Vec::new(),
+        };
+        let stats = Processor::from_source(cfg.clone(), &mut short).run();
+        cfg.engine = Engine::Reference;
+        assert_eq!(stats, Processor::new(cfg, &trace).run());
+        assert_eq!(stats.committed, trace.len() as u64);
+        // A span cut at the wrap is shorter than both a block and what
+        // the window could still take.
+        let cut = short.asks.iter().filter(|&&n| n < FETCH_BLOCK).count();
+        assert!(cut >= 2, "{cut} spans cut at the wrap");
+    }
 }

@@ -29,7 +29,8 @@ use crate::pipeline::NOT_READY;
 /// indexing is one mask and one load, with the in-window check a debug
 /// assertion. The occupancy bound is structural — commit trails the fetch
 /// frontier by at most ROB + frontend queue + one fetch group — and is
-/// enforced by an assertion on `push`.
+/// enforced by an assertion on every fetch into the window
+/// ([`RecordWindow::spare_mut`]).
 #[derive(Debug)]
 pub(crate) struct RecordWindow {
     /// Sequence number of the oldest buffered record.
@@ -64,22 +65,64 @@ impl RecordWindow {
         self.len
     }
 
-    /// Slots still free before [`RecordWindow::push`] would overflow —
-    /// the bound on how far a block fetch may pull ahead of the frontier.
+    /// Slots still free before the window would overflow — the bound on
+    /// how far a block fetch may pull ahead of the frontier.
     pub(crate) fn free(&self) -> usize {
         (self.mask as usize + 1) - self.len
     }
 
+    /// Appends one record at the fetch frontier (numbered like
+    /// [`admit`](RecordWindow::admit)'s).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is full.
     pub(crate) fn push(&mut self, rec: TraceRecord, fwd: Option<OracleFwd>) {
+        self.spare_mut(1)[0] = rec;
+        self.admit(1, |_| fwd);
+    }
+
+    /// The free slots at the fetch frontier that lie in one contiguous
+    /// run, at most `max` of them: a block fetch decodes straight into
+    /// this span and then [`admit`](RecordWindow::admit)s what it got.
+    /// The span stops at the ring's wrap, so it can be shorter than
+    /// [`free`](RecordWindow::free).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is full (the pipeline buffered more records
+    /// than the machine window can reference).
+    pub(crate) fn spare_mut(&mut self, max: usize) -> &mut [TraceRecord] {
         assert!(
             self.len as u64 <= self.mask,
             "record window overflow: the pipeline buffered more records \
              than the machine window can reference"
         );
         let slot = (self.end() & self.mask) as usize;
-        self.recs[slot] = rec;
-        self.fwds[slot] = fwd;
-        self.len += 1;
+        let n = max.min(self.free()).min(self.recs.len() - slot);
+        &mut self.recs[slot..slot + n]
+    }
+
+    /// Takes the first `n` records written into the
+    /// [`spare_mut`](RecordWindow::spare_mut) span into the window, in
+    /// order. Each is numbered with its pull position (consumers own the
+    /// numbering, whatever the source put in `seq`) and then passed to
+    /// `oracle`, whose answer is stored as its forwarding info.
+    pub(crate) fn admit(
+        &mut self,
+        n: usize,
+        mut oracle: impl FnMut(&TraceRecord) -> Option<OracleFwd>,
+    ) {
+        let slot = (self.end() & self.mask) as usize;
+        assert!(
+            n <= self.free() && slot + n <= self.recs.len(),
+            "admitting {n} records past the spare span"
+        );
+        for i in slot..slot + n {
+            self.recs[i].seq = Seq(self.end());
+            self.fwds[i] = oracle(&self.recs[i]);
+            self.len += 1;
+        }
     }
 
     /// Drops the oldest record (its instruction committed).
@@ -350,6 +393,68 @@ mod tests {
             rec.seq = Seq(s);
             w.push(rec, None);
         }
+    }
+
+    /// Block fetches straight into the window, the way the event engine
+    /// pulls: ask for up to a block, let the source fill a short prefix
+    /// of the span (a source may return fewer records than asked), admit
+    /// that prefix, and retire some records from the front. Spans never
+    /// cross the ring's wrap, every admitted record is numbered by its
+    /// pull position and reaches the oracle once, in order, and stays
+    /// readable until popped.
+    #[test]
+    fn block_fetch_into_the_window_across_the_wrap_with_short_blocks() {
+        let mut w = RecordWindow::new(4, 1);
+        let cap = w.recs.len() as u64;
+        let (mut rng, mut pulled, mut cut_at_wrap) = (7u64, 0u64, 0u32);
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut ingested = Vec::new();
+        while w.end() < 40 * cap {
+            let x = next();
+            if w.free() == 0 {
+                w.pop_front(); // the engine never fetches into a full window
+                continue;
+            }
+            let slot = (w.end() % cap) as usize;
+            let free = w.free();
+            let span = w.spare_mut(64);
+            assert!(!span.is_empty());
+            assert!(span.len() <= 64.min(free) && slot + span.len() <= cap as usize);
+            cut_at_wrap += u32::from(span.len() < 64.min(free));
+            // The source fills a short prefix; `seq` is whatever it says.
+            let n = (x % 9).min(span.len() as u64) as usize;
+            for (i, rec) in span[..n].iter_mut().enumerate() {
+                rec.seq = Seq(u64::MAX);
+                rec.imm = (pulled + i as u64) as i64;
+            }
+            w.admit(n, |rec| {
+                ingested.push(rec.seq.0);
+                (rec.seq.0 % 3 == 0).then_some(OracleFwd {
+                    store_seq: Seq(rec.seq.0 / 2),
+                    store_dist: 1,
+                    covers: true,
+                })
+            });
+            pulled += n as u64;
+            assert_eq!(w.end(), pulled);
+            for s in w.base..w.end() {
+                assert_eq!(w.rec(Seq(s)).seq, Seq(s), "numbered in pull order");
+                assert_eq!(w.rec(Seq(s)).imm, s as i64, "record {s} kept");
+                assert_eq!(w.fwd(Seq(s)).is_some(), s % 3 == 0);
+            }
+            for _ in 0..(x >> 8) % 8 {
+                if w.len() > 0 {
+                    w.pop_front();
+                }
+            }
+        }
+        assert_eq!(ingested, (0..pulled).collect::<Vec<_>>());
+        assert!(cut_at_wrap > 20, "{cut_at_wrap} spans cut at the wrap");
     }
 
     #[test]
