@@ -25,7 +25,6 @@
 #![forbid(unsafe_code)]
 
 use sqip::{all_workloads, geomean, Experiment, ResultSet, SqDesign, Suite, Workload};
-use sqip_bench::{designs, sweep_flags, workloads};
 
 const BASELINE: SqDesign = SqDesign::IdealOracle;
 const DEFAULT_DESIGNS: [SqDesign; 5] = [
@@ -37,42 +36,22 @@ const DEFAULT_DESIGNS: [SqDesign; 5] = [
 ];
 
 fn main() -> Result<(), sqip::SqipError> {
-    let (sweep, rest) = sweep_flags::parse_or_exit(std::env::args().skip(1));
-    let parsed = designs::parse_or_exit(rest, &DEFAULT_DESIGNS);
-    let compared: Vec<SqDesign> = parsed
-        .designs
-        .into_iter()
-        .filter(|&d| d != BASELINE)
-        .collect();
+    let args = sqip_bench::parse_or_exit(&sqip_bench::FIGURE4);
+    let designs = if args.designs.is_empty() {
+        &DEFAULT_DESIGNS[..]
+    } else {
+        &args.designs
+    };
+    let compared: Vec<SqDesign> = designs.iter().copied().filter(|&d| d != BASELINE).collect();
     if compared.is_empty() {
         eprintln!("error: --design selected only the {BASELINE} baseline; nothing to compare");
         std::process::exit(2);
     }
-    let parsed = workloads::parse_or_exit(parsed.rest);
-    let json = parsed.rest.iter().any(|a| a == "--json");
-    let csv = parsed.rest.iter().any(|a| a == "--csv");
-    let filter: Vec<&String> = parsed
-        .rest
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .collect();
-    if !filter.is_empty() && !parsed.workloads.is_empty() {
-        eprintln!(
-            "error: positional benchmark filters and --workload are mutually exclusive; \
-             pass everything via repeated --workload flags"
-        );
-        std::process::exit(2);
-    }
-    let subset = !filter.is_empty() || !parsed.workloads.is_empty();
-
-    let selected: Vec<Workload> = if parsed.workloads.is_empty() {
-        all_workloads()
-            .into_iter()
-            .filter(|w| filter.is_empty() || filter.iter().any(|f| **f == w.name))
-            .map(Workload::from)
-            .collect()
+    let subset = !args.workloads.is_empty();
+    let selected: Vec<Workload> = if subset {
+        args.workloads.clone()
     } else {
-        parsed.workloads
+        all_workloads().into_iter().map(Workload::from).collect()
     };
 
     let experiment = Experiment::new()
@@ -81,15 +60,15 @@ fn main() -> Result<(), sqip::SqipError> {
         .designs(compared.iter().copied());
     // `--shard i/n` runs this bin's slice of the sweep and emits a
     // `sqip-merge` artifact instead of the figure.
-    let Some(results) = sweep.run_or_emit_shard(&experiment)? else {
+    let Some(results) = args.run_or_emit_shard(&experiment)? else {
         return Ok(());
     };
 
-    if json {
+    if args.has("--json") {
         println!("{}", results.to_json_pretty());
         return Ok(());
     }
-    if csv {
+    if args.has("--csv") {
         print!("{}", results.to_csv());
         return Ok(());
     }

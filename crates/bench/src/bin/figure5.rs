@@ -23,39 +23,36 @@
 #![forbid(unsafe_code)]
 
 use sqip::{by_name, Experiment, ResultSet, SqDesign, Workload, FIGURE5_WORKLOADS};
-use sqip_bench::{designs, sweep_flags, workloads};
 use sqip_predictors::TrainRatio;
 
 fn main() -> Result<(), sqip::SqipError> {
-    let (sweep_args, rest) = sweep_flags::parse_or_exit(std::env::args().skip(1));
-    let parsed = designs::parse_or_exit(rest, &[SqDesign::Indexed3FwdDly]);
-    let [swept]: [SqDesign; 1] = match parsed.designs.try_into() {
-        Ok(one) => one,
-        Err(_) => {
+    let args = sqip_bench::parse_or_exit(&sqip_bench::FIGURE5);
+    let swept = match args.designs[..] {
+        [] => SqDesign::Indexed3FwdDly,
+        [one] => one,
+        _ => {
             eprintln!("error: figure5 sweeps exactly one design");
             std::process::exit(2);
         }
     };
-    let parsed = workloads::parse_or_exit(parsed.rest);
-    let which = parsed.rest;
-    let all = which.is_empty();
-    let roster: Vec<Workload> = if parsed.workloads.is_empty() {
+    let panel_on = |name: &str| args.panels.is_empty() || args.panels.iter().any(|p| p == name);
+    let roster: Vec<Workload> = if args.workloads.is_empty() {
         FIGURE5_WORKLOADS
             .iter()
             .map(|n| Workload::from(by_name(n).expect("figure 5 workload exists")))
             .collect()
     } else {
-        parsed.workloads
+        args.workloads.clone()
     };
 
     // Relative-time denominator: the ideal oracle baseline per workload.
-    let baselines = sweep_args.run(
+    let baselines = args.run(
         &Experiment::new()
             .workloads(roster.iter().cloned())
             .design(SqDesign::IdealOracle),
     )?;
 
-    if all || which.iter().any(|a| a == "capacity") {
+    if panel_on("capacity") {
         println!("Figure 5 (top): FSP/DDP capacity sweep (2-way), relative runtime\n");
         let sweep =
             [512usize, 1024, 2048, 4096, 8192]
@@ -66,20 +63,20 @@ fn main() -> Result<(), sqip::SqipError> {
                         cfg.ddp.entries = cap;
                     })
                 });
-        let sweep = sweep_args.run(&sweep)?;
+        let sweep = args.run(&sweep)?;
         print_panel(&sweep, &baselines);
     }
-    if all || which.iter().any(|a| a == "associativity") {
+    if panel_on("associativity") {
         println!("\nFigure 5 (middle): FSP associativity sweep (4K entries), relative runtime\n");
         let sweep = [1usize, 2, 4, 8, 32]
             .into_iter()
             .fold(panel(&roster, swept), |e, ways| {
                 e.vary(format!("{ways}"), move |cfg| cfg.fsp.ways = ways)
             });
-        let sweep = sweep_args.run(&sweep)?;
+        let sweep = args.run(&sweep)?;
         print_panel(&sweep, &baselines);
     }
-    if all || which.iter().any(|a| a == "ratio") {
+    if panel_on("ratio") {
         println!("\nFigure 5 (bottom): DDP training ratio sweep, relative runtime\n");
         let ratios = [(0u8, 1u8), (1, 1), (2, 1), (4, 1), (8, 1), (1, 0)];
         let sweep = ratios.into_iter().fold(panel(&roster, swept), |e, (p, n)| {
@@ -88,7 +85,7 @@ fn main() -> Result<(), sqip::SqipError> {
                 cfg.ddp.threshold = p.max(1);
             })
         });
-        let sweep = sweep_args.run(&sweep)?;
+        let sweep = args.run(&sweep)?;
         print_panel(&sweep, &baselines);
     }
     Ok(())

@@ -1,64 +1,36 @@
-//! `perf` — the simulator's performance-regression harness.
+//! `perf` — the simulator's counter-gated perf smoke.
 //!
-//! Two sections:
-//!
-//! * **Per-cell matrix** — 3 store-queue designs × 3 workloads (two
-//!   materialized SPEC models and one *streamed* generator) under both
-//!   simulation engines: insts/sec, wall time (min-of-N), cycles, and
-//!   peak buffered records per cell.
-//! * **Sweep section** — the paper-shaped sweep: every registered design
-//!   over one streamed `mix` workload, run through the
-//!   [`sqip::SweepEngine`] and, as the baseline, as one plain
-//!   `Processor::try_from_source(..).try_run()` per design. Both do the
-//!   same simulation work (each cell opens its own stream and runs its
-//!   own dependence oracle), so the wall-clock ratio per-cell / sweep is
-//!   the cost of the sweep driver itself — its cancel checks, observer
-//!   hooks, row events and result collection — and should read about
-//!   1.0. Each iteration times the two back to back, alternating which
-//!   goes first, and the reported ratio is the median of the per-pair
-//!   ratios, so one slow stretch of the machine moves one pair, not the
-//!   gate. Results are asserted bit-identical on every iteration.
-//!
-//! The JSON report goes to `target/perf-report.json` unless `--out`
-//! names another path, so a smoke run never rewrites a committed report.
-//! The committed `BENCH_<PR>.json` snapshots are the repo's perf
-//! trajectory (each written with `--out`), so regressions are diffs, not
-//! folklore.
+//! A fixed matrix — 3 store-queue designs × 3 workloads (two
+//! materialized SPEC models and one *streamed* generator) — runs under
+//! both simulation engines, [`ITERS`] timed iterations per cell after one
+//! untimed warmup: insts/sec and wall time (best iteration), cycles, and
+//! peak buffered records per cell. The results are asserted identical
+//! across iterations and the two engines' cycles equal.
 //!
 //! Every event-engine cell also carries the engine's **scheduling-cost
 //! counters** (wheel ops, off-wheel near ops, broadcasts delivered,
 //! ready-lane touches and steps — the active cycles simulated — each per
-//! committed instruction). The counters are
-//! deterministic per (workload, design) and independent of the host, so
-//! they are the hardware-portable face of the scheduler.
+//! committed instruction). The counters are deterministic per
+//! (workload, design) and independent of the host, so they are the
+//! hardware-portable face of the scheduler.
+//!
+//! The JSON report goes to `target/perf-report.json` unless `--out`
+//! names another path, so a run never rewrites a committed report.
 //!
 //! **Regression gate:** `--baseline <json>` compares this run against a
-//! report of the same [`SCHEMA`] (any other schema is refused, exit 2):
-//! any matched (workload, design, engine) cell whose insts/sec drops
-//! more than the 15% noise floor fails the run (exit 1).
-//! `--baseline-ratios-only` skips that absolute comparison — the mode
-//! CI uses, since absolute insts/sec only transfer between same-class
-//! machines. Both modes gate the hardware-portable numbers: the
-//! event/reference speedup *ratios*, the sweep's per-cell/sweep wall
-//! ratio (median of back-to-back pairs of the same binary), and the
-//! scheduling counters —
-//! those are exact, so their drift tolerance is a rounding allowance,
-//! not a noise floor.
+//! report of the same [`SCHEMA`] (any other schema is refused, exit 2).
+//! Every run cell and speedup must match a baseline entry and every
+//! baseline entry must match the run. It gates only hardware-portable
+//! numbers: the geomean of the event/reference speedup ratios, and the
+//! wheel-ops, broadcasts and steps counters, which are exact, so their
+//! drift tolerance is a rounding allowance, not a noise floor. Any
+//! failure exits 1.
 //!
 //! ```text
-//! cargo run --release -p sqip-bench --bin perf             # full matrix
-//! cargo run --release -p sqip-bench --bin perf -- --quick  # CI smoke
 //! cargo run --release -p sqip-bench --bin perf -- --out my.json
-//! cargo run --release -p sqip-bench --bin perf -- --quick \
-//!     --baseline crates/bench/perf-smoke-baseline.json --baseline-ratios-only
+//! cargo run --release -p sqip-bench --bin perf -- \
+//!     --baseline crates/bench/perf-smoke-baseline.json
 //! ```
-//!
-//! `SQIP_BENCH_ITERS` controls the timed iterations per cell (default 3;
-//! each cell also gets one untimed warmup). The minimum wall time is
-//! reported, the standard noise-rejection choice for throughput
-//! benchmarks. An unparsable or zero value aborts the run — a silent
-//! fallback here would time a different number of iterations than the
-//! caller believes.
 
 #![forbid(unsafe_code)]
 
@@ -66,17 +38,16 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use sqip::{
-    by_name, DesignRegistry, Engine, Experiment, Processor, SchedCounters, SimConfig, SimStats,
-    SqDesign, StepOutcome, SweepEngine, Workload, WorkloadRegistry,
+    by_name, geomean, Engine, Processor, SchedCounters, SimConfig, SimStats, SqDesign, StepOutcome,
+    WorkloadRegistry,
 };
-use sqip_bench::geomean;
 use sqip_isa::Trace;
 
-/// Relative insts/sec drop tolerated before `--baseline` fails a cell.
-const NOISE_FLOOR: f64 = 0.15;
+/// Timed iterations per cell (the minimum wall time is reported).
+const ITERS: u32 = 5;
 
-/// Wider floor for event/reference *ratio* comparisons: a ratio divides
-/// two independently noisy measurements, roughly doubling the variance.
+/// Floor for the event/reference *ratio* geomean: a ratio divides two
+/// independently noisy measurements, roughly doubling the variance.
 const RATIO_FLOOR: f64 = 0.20;
 
 /// Allowed upward drift in the scheduling counters before `--baseline`
@@ -136,30 +107,6 @@ struct Speedup {
     speedup: f64,
 }
 
-/// The sweep section: every registered design over one streamed
-/// workload, per-cell runs vs the sweep engine.
-#[derive(Debug, Clone, Serialize)]
-struct Sweep {
-    workload: String,
-    designs: Vec<String>,
-    /// Worker threads (1: the comparison is pure engine work).
-    threads: usize,
-    /// Committed instructions summed over every cell.
-    total_insts: u64,
-    /// Records the workload stream yields once.
-    stream_records: u64,
-    /// Minimum wall seconds over the timed iterations, per mode.
-    per_cell_wall_s: f64,
-    sweep_wall_s: f64,
-    /// Wall-clock ratio per-cell / sweep (same binary, same simulation
-    /// work): the median over the iterations of each back-to-back
-    /// pair's ratio, the sweep driver's overhead gate.
-    speedup: f64,
-    /// Aggregate throughput (total_insts / wall), per mode.
-    per_cell_insts_per_sec: f64,
-    sweep_insts_per_sec: f64,
-}
-
 #[derive(Debug, Clone, Serialize)]
 struct Report {
     /// Always [`SCHEMA`].
@@ -171,9 +118,6 @@ struct Report {
     /// Event/reference on the mix generator at the paper's default
     /// configuration (geomean over designs run).
     mix_speedup: f64,
-    /// The sweep section (always present: the bin aborts if the sweep
-    /// fails to build or run).
-    sweep: Sweep,
 }
 
 /// The subset of a committed [`SCHEMA`] report `--baseline` reads.
@@ -181,7 +125,6 @@ struct Report {
 struct BaselineReport {
     cells: Vec<BaselineCell>,
     speedups: Vec<BaselineSpeedup>,
-    sweep: BaselineSweep,
 }
 
 #[derive(Debug, Deserialize)]
@@ -189,7 +132,6 @@ struct BaselineCell {
     workload: String,
     design: String,
     engine: String,
-    insts_per_sec: f64,
     /// `null` on reference-engine cells.
     sched: Option<SchedCost>,
 }
@@ -198,12 +140,6 @@ struct BaselineCell {
 struct BaselineSpeedup {
     workload: String,
     design: String,
-    speedup: f64,
-}
-
-#[derive(Debug, Deserialize)]
-struct BaselineSweep {
-    workload: String,
     speedup: f64,
 }
 
@@ -221,17 +157,6 @@ fn parse_baseline(text: &str) -> Result<BaselineReport, String> {
         ));
     }
     BaselineReport::deserialize(&value).map_err(|e| e.to_string())
-}
-
-fn timed_iters() -> u32 {
-    let Ok(v) = std::env::var("SQIP_BENCH_ITERS") else {
-        return 3;
-    };
-    let iters: u32 = v.parse().unwrap_or_else(|_| {
-        panic!("SQIP_BENCH_ITERS=`{v}` is not a positive integer (unset it for the default of 3)")
-    });
-    assert!(iters >= 1, "SQIP_BENCH_ITERS must be >= 1, got {iters}");
-    iters
 }
 
 /// A matrix workload: a materialized SPEC model trace (traced once,
@@ -279,12 +204,12 @@ fn run_once(input: &Input, cfg: &SimConfig) -> (SimStats, u64, f64, Option<Sched
     (p.stats().clone(), peak, wall, p.sched_counters())
 }
 
-fn measure(input: &Input, design: SqDesign, engine: Engine, iters: u32) -> Cell {
+fn measure(input: &Input, design: SqDesign, engine: Engine) -> Cell {
     let mut cfg = SimConfig::with_design(design);
     cfg.engine = engine;
     let (stats, peak, _, counters) = run_once(input, &cfg); // warmup (and correctness)
     let mut best = f64::INFINITY;
-    for _ in 0..iters {
+    for _ in 0..ITERS {
         let (again, _, wall, again_counters) = run_once(input, &cfg);
         assert_eq!(again, stats, "non-deterministic simulation");
         assert_eq!(
@@ -324,150 +249,43 @@ fn materialized(name: &str, iterations: u32) -> Input {
     Input::Materialized(format!("{name}@{iterations}"), trace)
 }
 
-/// Measures the sweep section: every registered design over one streamed
-/// workload, per-cell runs vs the sweep engine, in `iters` back-to-back
-/// pairs.
-fn measure_sweep(workload: &str, iters: u32) -> Sweep {
-    let designs: Vec<SqDesign> = DesignRegistry::global()
-        .names()
-        .iter()
-        .map(|n| n.parse().expect("registered design name parses"))
-        .collect();
-    let experiment = Experiment::new()
-        .workload(Workload::from_registry(workload).unwrap_or_else(|e| panic!("{e}")))
-        .designs(designs.iter().copied())
-        .threads(1);
-
-    let run = || {
-        SweepEngine::new()
-            .threads(1)
-            .run(&experiment)
-            .unwrap_or_else(|e| panic!("sweep: {e}"))
-    };
-    // The baseline: every design simulates the workload alone through a
-    // bare `try_run`, with no sweep driver around it.
-    let cells = experiment.cells().unwrap_or_else(|e| panic!("{e}"));
-    let per_cell = || -> Vec<SimStats> {
-        cells
+/// Applies the `--baseline` gate, printing each comparison. Returns the
+/// number of failures.
+fn compare_baseline(report: &Report, baseline: &BaselineReport) -> usize {
+    // The matrix is fixed, so every cell and speedup must be on both
+    // sides: one renamed or resized cell would otherwise leave the gate
+    // without notice.
+    let mut failures = unmatched(
+        "cell",
+        &report
+            .cells
             .iter()
-            .map(|cell| {
-                let source = cell.workload.open().unwrap_or_else(|e| panic!("{e}"));
-                Processor::try_from_source(cell.config.clone(), source)
-                    .and_then(Processor::try_run)
-                    .unwrap_or_else(|e| panic!("per-cell {}: {e}", cell.label()))
-            })
-            .collect()
-    };
-    // Warmup both and pin equality once up front.
-    let sweep_results = run();
-    let per_cell_results = per_cell();
-    let sweep_stats: Vec<SimStats> = sweep_results.iter().map(|r| r.stats.clone()).collect();
-    assert_eq!(
-        sweep_stats, per_cell_results,
-        "the sweep must be bit-identical to per-cell runs"
+            .map(|c| format!("{}/{}/{:?}", c.workload, c.design.name(), c.engine))
+            .collect::<Vec<_>>(),
+        &baseline
+            .cells
+            .iter()
+            .map(|b| format!("{}/{}/{}", b.workload, b.design, b.engine))
+            .collect::<Vec<_>>(),
+    );
+    failures += unmatched(
+        "speedup",
+        &report
+            .speedups
+            .iter()
+            .map(|s| format!("{}/{}", s.workload, s.design.name()))
+            .collect::<Vec<_>>(),
+        &baseline
+            .speedups
+            .iter()
+            .map(|b| format!("{}/{}", b.workload, b.design))
+            .collect::<Vec<_>>(),
     );
 
-    // Each iteration times one sweep and one per-cell pass back to back,
-    // alternating which goes first, so both halves of a pair see the
-    // same machine state; the gate reads the median of the pair ratios.
-    let time_sweep = || {
-        let t = Instant::now();
-        let again = run();
-        let wall = t.elapsed().as_secs_f64();
-        assert_eq!(again, sweep_results, "non-deterministic sweep");
-        wall
-    };
-    let time_per_cell = || {
-        let t = Instant::now();
-        let again = per_cell();
-        let wall = t.elapsed().as_secs_f64();
-        assert_eq!(again, per_cell_results, "non-deterministic per-cell runs");
-        wall
-    };
-    let mut sweep_wall = f64::INFINITY;
-    let mut per_cell_wall = f64::INFINITY;
-    let mut ratios = Vec::with_capacity(iters as usize);
-    for i in 0..iters {
-        let (s, c) = if i.is_multiple_of(2) {
-            let s = time_sweep();
-            (s, time_per_cell())
-        } else {
-            let c = time_per_cell();
-            (time_sweep(), c)
-        };
-        sweep_wall = sweep_wall.min(s);
-        per_cell_wall = per_cell_wall.min(c);
-        ratios.push(c / s);
-    }
-
-    let total_insts: u64 = sweep_results.iter().map(|r| r.stats.committed).sum();
-    Sweep {
-        workload: workload.to_string(),
-        designs: designs.iter().map(|d| d.name().to_string()).collect(),
-        threads: 1,
-        total_insts,
-        stream_records: per_cell_results[0].committed,
-        per_cell_wall_s: per_cell_wall,
-        sweep_wall_s: sweep_wall,
-        speedup: median(&mut ratios),
-        per_cell_insts_per_sec: total_insts as f64 / per_cell_wall,
-        sweep_insts_per_sec: total_insts as f64 / sweep_wall,
-    }
-}
-
-/// The median of `xs` (the mean of the middle two for an even count).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let mid = xs.len() / 2;
-    if xs.len().is_multiple_of(2) {
-        (xs[mid - 1] + xs[mid]) / 2.0
-    } else {
-        xs[mid]
-    }
-}
-
-/// Applies the `--baseline` gate. Returns the number of failures.
-fn compare_baseline(
-    report: &Report,
-    baseline: &BaselineReport,
-    path: &str,
-    ratios_only: bool,
-) -> usize {
-    println!("\nbaseline gate vs {path} (schema {SCHEMA}):");
-    let mut failures = 0;
-    let mut matched = 0;
-
-    if !ratios_only {
-        for cell in &report.cells {
-            let Some(base) = baseline.cells.iter().find(|b| {
-                b.workload == cell.workload
-                    && b.design == cell.design.name()
-                    && b.engine == format!("{:?}", cell.engine)
-            }) else {
-                continue;
-            };
-            matched += 1;
-            let ratio = cell.insts_per_sec / base.insts_per_sec;
-            let ok = ratio >= 1.0 - NOISE_FLOOR;
-            if !ok {
-                failures += 1;
-            }
-            println!(
-                "  {} {}/{}/{:?}: {:.2}M/s vs {:.2}M/s ({:+.1}%)",
-                if ok { "ok  " } else { "FAIL" },
-                cell.workload,
-                cell.design,
-                cell.engine,
-                cell.insts_per_sec / 1e6,
-                base.insts_per_sec / 1e6,
-                (ratio - 1.0) * 100.0
-            );
-        }
-    }
-    // Event/reference ratios are hardware-portable: gate them always —
-    // on the *geomean* over matched cells, which averages out the
-    // per-cell jitter of the tiny `--quick` workloads (individual cells
-    // are printed for diagnosis but do not fail the gate alone).
+    // Event/reference ratios are hardware-portable: gate them on the
+    // *geomean*, which averages out the per-cell jitter of the tiny
+    // cells (individual cells are printed for diagnosis but do not fail
+    // the gate alone).
     let mut ratios = Vec::new();
     for s in &report.speedups {
         let Some(base) = baseline
@@ -477,7 +295,6 @@ fn compare_baseline(
         else {
             continue;
         };
-        matched += 1;
         let ratio = s.speedup / base.speedup;
         ratios.push(ratio);
         println!(
@@ -502,9 +319,9 @@ fn compare_baseline(
             (gm - 1.0) * 100.0
         );
     }
-    // The scheduling counters are deterministic and hardware-portable,
-    // so they are gated in both modes — one-sided (dropping below the
-    // baseline is an improvement) and with only a rounding allowance.
+    // The scheduling counters are deterministic and hardware-portable:
+    // gated one-sided (dropping below the baseline is an improvement)
+    // with only a rounding allowance.
     for cell in &report.cells {
         let Some(sched) = &cell.sched else { continue };
         let Some(base) = baseline.cells.iter().find(|b| {
@@ -514,7 +331,6 @@ fn compare_baseline(
         }) else {
             continue;
         };
-        matched += 1;
         let Some(base_sched) = &base.sched else {
             failures += 1;
             println!(
@@ -550,49 +366,39 @@ fn compare_baseline(
             );
         }
     }
-    // The sweep wall ratio is a wall-clock ratio of the same binary, so
-    // like the engine ratios it transfers across machines and is gated
-    // in ratios-only mode too.
-    let (ours, base) = (&report.sweep, &baseline.sweep);
-    if base.workload == ours.workload {
-        matched += 1;
-        let ratio = ours.speedup / base.speedup;
-        let ok = ratio >= 1.0 - RATIO_FLOOR;
-        if !ok {
-            failures += 1;
-        }
-        println!(
-            "  {} sweep per-cell/sweep wall ratio: {:.2}x vs {:.2}x ({:+.1}%)",
-            if ok { "ok  " } else { "FAIL" },
-            ours.speedup,
-            base.speedup,
-            (ratio - 1.0) * 100.0
-        );
-    }
-    assert!(
-        matched > 0,
-        "baseline {path} shares no (workload, design, engine) cells with this run"
-    );
     failures
 }
 
+/// Prints and counts the `what` keys that only one side has.
+fn unmatched(what: &str, run: &[String], base: &[String]) -> usize {
+    let ours = run.iter().filter(|k| !base.contains(k));
+    let theirs = base.iter().filter(|k| !run.contains(k));
+    for key in ours.clone() {
+        println!("  FAIL {what} {key}: not in the baseline");
+    }
+    for key in theirs.clone() {
+        println!("  FAIL {what} {key}: in the baseline, not in this run");
+    }
+    ours.count() + theirs.count()
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = "target/perf-report.json".to_string();
-    let mut quick = false;
     let mut baseline: Option<String> = None;
-    let mut ratios_only = false;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut path = || {
+            args.next().unwrap_or_else(|| {
+                eprintln!("error: {arg} requires a path");
+                std::process::exit(2);
+            })
+        };
         match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => out = it.next().expect("--out requires a path"),
-            "--baseline" => baseline = Some(it.next().expect("--baseline requires a path")),
-            "--baseline-ratios-only" => ratios_only = true,
+            "--out" => out = path(),
+            "--baseline" => baseline = Some(path()),
             other => {
                 eprintln!(
-                    "error: unknown flag `{other}` (expected --quick / --out <path> / \
-                     --baseline <json> / --baseline-ratios-only)"
+                    "error: unknown flag `{other}` (expected --out <path> / --baseline <json>)"
                 );
                 std::process::exit(2);
             }
@@ -612,37 +418,28 @@ fn main() {
 
     // The fixed matrix: two materialized SPEC workload models and the
     // streamed `mix` generator (pulled through the bounded record
-    // window, never materialized). `--quick` shrinks every cell for CI.
-    let workloads: Vec<Input> = if quick {
-        vec![
-            materialized("gzip", 40),
-            materialized("mcf", 30),
-            Input::Streamed("mix:0xbeef:50k".into()),
-        ]
-    } else {
-        vec![
-            materialized("gzip", 600),
-            materialized("mcf", 400),
-            Input::Streamed("mix:0xbeef:2m".into()),
-        ]
-    };
+    // window, never materialized), each small enough for a CI smoke.
+    let workloads = [
+        materialized("gzip", 40),
+        materialized("mcf", 30),
+        Input::Streamed("mix:0xbeef:50k".into()),
+    ];
     let designs = [
         SqDesign::IdealOracle,
         SqDesign::Associative3,
         SqDesign::Indexed3FwdDly,
     ];
-    let iters = timed_iters();
 
     let mut cells = Vec::new();
     let mut speedups = Vec::new();
     println!(
-        "{:<16} {:<22} {:>12} {:>12} {:>9}  ({} timed iters, min wall)",
-        "workload", "design", "event i/s", "ref i/s", "speedup", iters
+        "{:<16} {:<22} {:>12} {:>12} {:>9}  ({ITERS} timed iters, min wall)",
+        "workload", "design", "event i/s", "ref i/s", "speedup"
     );
     for workload in &workloads {
         for design in designs {
-            let ev = measure(workload, design, Engine::Event, iters);
-            let rf = measure(workload, design, Engine::Reference, iters);
+            let ev = measure(workload, design, Engine::Event);
+            let rf = measure(workload, design, Engine::Reference);
             assert_eq!(
                 (ev.insts, ev.cycles),
                 (rf.insts, rf.cycles),
@@ -675,29 +472,12 @@ fn main() {
     );
     println!("\nmix-generator event/reference speedup (geomean): {mix_speedup:.2}x");
 
-    // Sweep section: all registered designs, one streamed mix workload.
-    let sweep_workload = if quick {
-        "mix:0xbeef:50k"
-    } else {
-        "mix:0xbeef:2m"
-    };
-    let sweep = measure_sweep(sweep_workload, iters);
-    println!(
-        "sweep {} x {} designs: per-cell {:.2}s, sweep {:.2}s (per-cell/sweep {:.2}x)",
-        sweep.workload,
-        sweep.designs.len(),
-        sweep.per_cell_wall_s,
-        sweep.sweep_wall_s,
-        sweep.speedup,
-    );
-
     let report = Report {
         schema: SCHEMA,
-        iters,
+        iters: ITERS,
         cells,
         speedups,
         mix_speedup,
-        sweep,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     if let Some(dir) = std::path::Path::new(&out).parent() {
@@ -707,9 +487,10 @@ fn main() {
     println!("report written to {out}");
 
     if let Some((path, base)) = baseline {
-        let failures = compare_baseline(&report, &base, &path, ratios_only);
+        println!("\nbaseline gate vs {path} (schema {SCHEMA}):");
+        let failures = compare_baseline(&report, &base);
         if failures > 0 {
-            eprintln!("error: {failures} comparison(s) regressed past the noise floor");
+            eprintln!("error: {failures} comparison(s) failed the baseline gate");
             std::process::exit(1);
         }
         println!("baseline gate passed");
@@ -725,6 +506,63 @@ mod tests {
         let text = include_str!("../../perf-smoke-baseline.json");
         let base = parse_baseline(text).expect("the committed baseline is current");
         assert!(base.cells.iter().any(|c| c.sched.is_some()));
+    }
+
+    /// One event cell, its reference twin and their speedup.
+    fn tiny_report() -> Report {
+        let cell = |engine, sched| Cell {
+            workload: "w".into(),
+            design: SqDesign::Associative3,
+            engine,
+            insts: 10,
+            cycles: 20,
+            insts_per_sec: 1e6,
+            wall_s: 1e-5,
+            peak_buffered: 4,
+            sched,
+        };
+        let sched = SchedCost {
+            wheel_ops_per_inst: 0.1,
+            near_ops_per_inst: 2.0,
+            broadcasts_per_inst: 1.0,
+            ready_touches_per_inst: 2.0,
+            steps_per_inst: 0.5,
+        };
+        Report {
+            schema: SCHEMA,
+            iters: ITERS,
+            cells: vec![
+                cell(Engine::Event, Some(sched)),
+                cell(Engine::Reference, None),
+            ],
+            speedups: vec![Speedup {
+                workload: "w".into(),
+                design: SqDesign::Associative3,
+                speedup: 3.0,
+            }],
+            mix_speedup: 3.0,
+        }
+    }
+
+    fn as_baseline(report: &Report) -> BaselineReport {
+        parse_baseline(&serde_json::to_string(report).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn every_cell_and_speedup_must_match_a_baseline_entry_both_ways() {
+        let report = tiny_report();
+        assert_eq!(compare_baseline(&report, &as_baseline(&report)), 0);
+
+        // A renamed cell is both a run cell without a baseline entry and
+        // a baseline entry without a run cell.
+        let mut renamed = tiny_report();
+        renamed.cells[1].workload = "w@2".into();
+        assert_eq!(compare_baseline(&renamed, &as_baseline(&report)), 2);
+
+        let mut dropped = tiny_report();
+        dropped.speedups.clear();
+        assert_eq!(compare_baseline(&dropped, &as_baseline(&report)), 1);
+        assert_eq!(compare_baseline(&report, &as_baseline(&dropped)), 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use sqip_cacti::{
 };
 
 fn main() {
-    let energy = std::env::args().any(|a| a == "--energy");
+    let energy = sqip_bench::parse_or_exit(&sqip_bench::TABLE2).has("--energy");
     let tech = TechParams::default();
 
     println!("Table 2. Store queue latencies in 90nm process.");

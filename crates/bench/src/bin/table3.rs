@@ -23,44 +23,24 @@
 #![forbid(unsafe_code)]
 
 use sqip::{all_workloads, Experiment, RunRecord, SqDesign, Suite, Workload};
-use sqip_bench::{designs, sweep_flags, workloads};
 
 const DEFAULT_PAIR: [SqDesign; 2] = [SqDesign::Indexed3Fwd, SqDesign::Indexed3FwdDly];
 
 fn main() -> Result<(), sqip::SqipError> {
-    let (sweep, rest) = sweep_flags::parse_or_exit(std::env::args().skip(1));
-    let parsed = designs::parse_or_exit(rest, &DEFAULT_PAIR);
-    let [raw_design, dly_design]: [SqDesign; 2] = match parsed.designs.try_into() {
-        Ok(pair) => pair,
-        Err(_) => {
+    let args = sqip_bench::parse_or_exit(&sqip_bench::TABLE3);
+    let [raw_design, dly_design] = match args.designs[..] {
+        [] => DEFAULT_PAIR,
+        [raw, dly] => [raw, dly],
+        _ => {
             eprintln!("error: table3 compares exactly two designs (raw, then delayed)");
             std::process::exit(2);
         }
     };
-    let parsed = workloads::parse_or_exit(parsed.rest);
-    let json = parsed.rest.iter().any(|a| a == "--json");
-    let filter: Vec<&String> = parsed
-        .rest
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .collect();
-    if !filter.is_empty() && !parsed.workloads.is_empty() {
-        eprintln!(
-            "error: positional benchmark filters and --workload are mutually exclusive; \
-             pass everything via repeated --workload flags"
-        );
-        std::process::exit(2);
-    }
-    let subset = !filter.is_empty() || !parsed.workloads.is_empty();
-
-    let selected: Vec<Workload> = if parsed.workloads.is_empty() {
-        all_workloads()
-            .into_iter()
-            .filter(|w| filter.is_empty() || filter.iter().any(|f| **f == w.name))
-            .map(Workload::from)
-            .collect()
+    let subset = !args.workloads.is_empty();
+    let selected: Vec<Workload> = if subset {
+        args.workloads.clone()
     } else {
-        parsed.workloads
+        all_workloads().into_iter().map(Workload::from).collect()
     };
 
     let experiment = Experiment::new()
@@ -68,11 +48,11 @@ fn main() -> Result<(), sqip::SqipError> {
         .designs([raw_design, dly_design]);
     // `--shard i/n` runs this bin's slice of the sweep and emits a
     // `sqip-merge` artifact instead of the table.
-    let Some(results) = sweep.run_or_emit_shard(&experiment)? else {
+    let Some(results) = args.run_or_emit_shard(&experiment)? else {
         return Ok(());
     };
 
-    if json {
+    if args.has("--json") {
         println!("{}", results.to_json_pretty());
         return Ok(());
     }

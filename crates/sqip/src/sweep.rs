@@ -339,10 +339,11 @@ fn run_cell(
         name: cell.workload.name().to_string(),
         source,
     })?;
+    let len_hint = source.len_hint().map(|n| n as usize);
     let mut p = Processor::try_from_source(cell.config.clone(), source).map_err(sim_err)?;
     let mut observer = observer.map(|factory| {
         let mut obs = factory(cell);
-        obs.on_start(&cell.config, None);
+        obs.on_start(&cell.config, len_hint);
         let interval = obs.interval().max(1);
         (obs, interval)
     });

@@ -356,10 +356,11 @@ fn per_cell_reference_and_observed_runs_match_shared_results() {
     assert_eq!(observed, shared);
 }
 
-/// Everything one observer saw: each `on_interval` `(cycle, stats)` and
-/// the `on_finish` stats.
+/// Everything one observer saw: the `on_start` length hint, each
+/// `on_interval` `(cycle, stats)` and the `on_finish` stats.
 #[derive(Debug, Default, Clone, PartialEq)]
 struct ObserverLog {
+    start: Option<Option<usize>>,
     intervals: Vec<(u64, SimStats)>,
     finish: Option<SimStats>,
 }
@@ -375,6 +376,9 @@ impl SimObserver for Recorder {
     fn interval(&self) -> u64 {
         self.interval
     }
+    fn on_start(&mut self, _config: &SimConfig, trace_len: Option<usize>) {
+        self.log.start = Some(trace_len);
+    }
     fn on_interval(&mut self, cycle: u64, stats: &SimStats) -> ObserverAction {
         self.log.intervals.push((cycle, stats.clone()));
         ObserverAction::Continue
@@ -389,18 +393,52 @@ impl SimObserver for Recorder {
     }
 }
 
+/// A source that declares its exact length up front, as a materialized
+/// trace does.
+struct DeclaredLength {
+    inner: ProgramSource,
+    len: u64,
+}
+
+impl TraceSource for DeclaredLength {
+    fn next_record(&mut self) -> Result<Option<sqip_isa::TraceRecord>, sqip_isa::IsaError> {
+        self.inner.next_record()
+    }
+    fn len_hint(&self) -> Option<u64> {
+        Some(self.len)
+    }
+}
+
 /// Observers fire exactly on interval boundaries inside a sweep: each
-/// cell of a 2-design sweep sees the same `on_interval`
-/// `(cycle, stats)` sequence and `on_finish` stats as
+/// cell of a 2-design sweep sees the same `on_start` length hint,
+/// `on_interval` `(cycle, stats)` sequence and `on_finish` stats as
 /// `Processor::run_observed` on that cell alone. The interval is odd and
 /// the 4MB pointer chase idles on memory misses, so the event engine's
-/// skip-ahead would jump over boundaries if the loop did not cap it.
+/// skip-ahead would jump over boundaries if the loop did not cap it; the
+/// chase has no length hint, the program workload declares its length.
 #[test]
 fn observers_fire_exactly_on_interval_boundaries_in_a_group() {
     const INTERVAL: u64 = 97;
+    let program = squashy_program(200);
+    let mut counter = ProgramSource::new(program.clone(), 1_000_000);
+    let mut len = 0;
+    while counter.next_record().unwrap().is_some() {
+        len += 1;
+    }
+    let declared = Workload::from(RegisteredWorkload::from_factory(
+        "declared-length",
+        "a program source that declares its length",
+        move || {
+            Ok(Box::new(DeclaredLength {
+                inner: ProgramSource::new(program.clone(), 1_000_000),
+                len,
+            }) as Box<_>)
+        },
+    ));
     let logs: Arc<Mutex<BTreeMap<String, ObserverLog>>> = Arc::default();
     let experiment = Experiment::new()
         .workload(Workload::from_registry("chase:65536:64:20k").unwrap())
+        .workload(declared)
         .designs([SqDesign::IdealOracle, SqDesign::Indexed3FwdDly])
         .threads(1)
         .observe({
@@ -430,6 +468,8 @@ fn observers_fire_exactly_on_interval_boundaries_in_a_group() {
             .unwrap();
         assert_eq!(record.stats, stats);
         assert!(alone.log.intervals.len() > 10, "{}", cell.label());
+        let hint = (cell.workload.name() == "declared-length").then_some(len as usize);
+        assert_eq!(alone.log.start, Some(hint), "{}", cell.label());
         assert_eq!(
             logs.get(&cell.label()),
             Some(&alone.log),
