@@ -12,13 +12,11 @@ use serde::{Deserialize, Serialize};
 /// A store-queue design *name*.
 ///
 /// `SqDesign` is a thin, copyable, serializable handle that resolves
-/// through the [`DesignRegistry`] to a
-/// [`ForwardingPolicy`](crate::ForwardingPolicy) — the object that owns
-/// the design's predictor state and pipeline decisions. The seven designs
-/// of the paper's Figure 4 are pre-registered (the associated constants
-/// below), as is the `indexed-5-fwd+dly` extension; custom designs
-/// register under new names via [`DesignRegistry::register`] and then
-/// work everywhere a builtin does.
+/// through the [`DesignRegistry`] to the design's [`DesignCaps`]. The
+/// seven designs of the paper's Figure 4 are pre-registered (the
+/// associated constants below), as is the `indexed-5-fwd+dly` extension;
+/// new capability combinations register under new names via
+/// [`DesignRegistry::register`] and then work everywhere a builtin does.
 ///
 /// Names round-trip through [`std::fmt::Display`] / [`std::str::FromStr`]
 /// (so CLI flags and JSON results can name designs), and deserialization
@@ -96,19 +94,13 @@ impl SqDesign {
     /// The design's registered capabilities.
     ///
     /// This and the convenience predicates below resolve through
-    /// [`DesignRegistry::global`]. Handles created in an isolated
-    /// [`DesignRegistry::empty`] registry are not visible there — query
-    /// that registry's [`DesignRegistry::caps`] directly instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the design is not in the global registry (i.e. the
-    /// handle came from an isolated registry).
+    /// [`DesignRegistry::global`], which holds every design a handle can
+    /// name.
     #[must_use]
     pub fn caps(self) -> DesignCaps {
         DesignRegistry::global()
             .caps(self)
-            .unwrap_or_else(|| panic!("design `{}` is not registered", self.0))
+            .expect("every SqDesign handle names a registered design")
     }
 
     /// Whether loads access the SQ by predicted index (vs associatively).
@@ -468,35 +460,108 @@ impl SimConfig {
         }
     }
 
-    /// Validates cross-structure invariants.
+    /// Largest ROB, issue-queue, load-queue or store-queue size
+    /// [`SimConfig::try_validate`] accepts (128× the paper's SQ).
+    pub const MAX_WINDOW_ENTRIES: usize = 1 << 16;
+    /// Largest fetch, rename or commit width, or re-execution port count,
+    /// [`SimConfig::try_validate`] accepts.
+    pub const MAX_WIDTH: usize = 64;
+    /// Largest front-end, issue-to-execute or post-execute latency, in
+    /// cycles, [`SimConfig::try_validate`] accepts.
+    pub const MAX_LATENCY: u64 = 1024;
+    /// Largest predictor table (FSP, DDP, SAT, SSBF, SPCT, SSIT, LFST)
+    /// [`SimConfig::try_validate`] accepts (8× Figure 5's largest FSP).
+    pub const MAX_TABLE_ENTRIES: usize = 1 << 16;
+    /// Widest hardware SSN, in bits, [`SimConfig::try_validate`] accepts.
+    pub const MAX_SSN_BITS: u32 = 64;
+
+    /// Validates the configuration: every size, width and latency in its
+    /// accepted range, every predictor geometry constructible, and the
+    /// cross-structure invariants.
+    ///
+    /// The accepted ranges are 1..=[`SimConfig::MAX_WINDOW_ENTRIES`] for
+    /// the ROB, IQ, LQ and SQ; 1..=[`SimConfig::MAX_WIDTH`] for the fetch,
+    /// rename and commit widths and the re-execution ports;
+    /// 0..=[`SimConfig::MAX_LATENCY`] for the front-end, issue-to-execute
+    /// and post-execute latencies; 8..=[`SimConfig::MAX_SSN_BITS`] for the
+    /// SSN width. SAT, SSBF, SPCT, SSIT and LFST sizes are powers of two,
+    /// and FSP and DDP have at least one way and a power-of-two set count,
+    /// all at most [`SimConfig::MAX_TABLE_ENTRIES`] entries. The nested
+    /// memory-hierarchy and branch-predictor geometries are not checked.
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidConfig`] if the configuration is inconsistent
-    /// (e.g. DDP max distance differing from SQ size, zero widths).
+    /// [`SimError::InvalidConfig`], naming the field, if the configuration
+    /// is out of range or inconsistent (e.g. DDP max distance differing
+    /// from SQ size).
     pub fn try_validate(&self) -> Result<(), SimError> {
         let invalid = |msg: &str| Err(SimError::InvalidConfig(msg.to_string()));
-        let Some(caps) = DesignRegistry::global().caps(self.design) else {
-            return invalid(&format!(
-                "store-queue design `{}` is not registered",
-                self.design
-            ));
-        };
-        if self.rob_size == 0 || self.sq_size == 0 || self.lq_size == 0 {
-            return invalid("window structures (ROB/SQ/LQ) must be non-empty");
+        for (field, value, max) in [
+            ("rob_size", self.rob_size, Self::MAX_WINDOW_ENTRIES),
+            ("iq_size", self.iq_size, Self::MAX_WINDOW_ENTRIES),
+            ("lq_size", self.lq_size, Self::MAX_WINDOW_ENTRIES),
+            ("sq_size", self.sq_size, Self::MAX_WINDOW_ENTRIES),
+            ("fetch_width", self.fetch_width, Self::MAX_WIDTH),
+            ("rename_width", self.rename_width, Self::MAX_WIDTH),
+            ("commit_width", self.commit_width, Self::MAX_WIDTH),
+            ("reexec_ports", self.reexec_ports, Self::MAX_WIDTH),
+        ] {
+            if !(1..=max).contains(&value) {
+                return invalid(&format!("{field} must be in 1..={max} (got {value})"));
+            }
         }
-        if self.fetch_width == 0 || self.rename_width == 0 || self.commit_width == 0 {
-            return invalid("pipeline widths must be non-zero");
+        for (field, value) in [
+            ("front_latency", self.front_latency),
+            ("issue_to_exec", self.issue_to_exec),
+            ("post_exec_depth", self.post_exec_depth),
+        ] {
+            if value > Self::MAX_LATENCY {
+                return invalid(&format!(
+                    "{field} must be at most {} cycles (got {value})",
+                    Self::MAX_LATENCY
+                ));
+            }
+        }
+        for (field, entries, ways) in [
+            ("fsp", self.fsp.entries, self.fsp.ways),
+            ("ddp", self.ddp.entries, self.ddp.ways),
+        ] {
+            if entries > Self::MAX_TABLE_ENTRIES || ways == 0 || !(entries / ways).is_power_of_two()
+            {
+                return invalid(&format!(
+                    "{field}: {entries} entries in {ways} ways is not a table of at most {} \
+                     entries with at least one way and a power-of-two set count",
+                    Self::MAX_TABLE_ENTRIES
+                ));
+            }
+        }
+        for (field, entries) in [
+            ("sat_entries", self.sat_entries),
+            ("ssbf_entries", self.ssbf_entries),
+            ("spct_entries", self.spct_entries),
+            ("store_sets.ssit_entries", self.store_sets.ssit_entries),
+            ("store_sets.lfst_entries", self.store_sets.lfst_entries),
+        ] {
+            if !entries.is_power_of_two() || entries > Self::MAX_TABLE_ENTRIES {
+                return invalid(&format!(
+                    "{field} must be a power of two of at most {} (got {entries})",
+                    Self::MAX_TABLE_ENTRIES
+                ));
+            }
         }
         if self.ddp.max_distance as usize != self.sq_size {
             return invalid(
                 "DDP distances are bounded by SQ size (\u{2308}log2(SQ.size)\u{2309} bits)",
             );
         }
-        if self.ssn_bits < 8 {
-            return invalid("SSN width must cover the SQ");
+        if !(8..=Self::MAX_SSN_BITS).contains(&self.ssn_bits) {
+            return invalid(&format!(
+                "SSN width must cover the SQ: ssn_bits must be in 8..={} (got {})",
+                Self::MAX_SSN_BITS,
+                self.ssn_bits
+            ));
         }
-        if self.ordering == OrderingMode::LqCam && caps.indexed {
+        if self.ordering == OrderingMode::LqCam && self.design.is_indexed() {
             return invalid(
                 "an LQ CAM cannot detect wrong-entry forwarding; indexed designs \
                  require value-based re-execution (the paper's §2 argument)",

@@ -6,10 +6,12 @@
 //! # What this crate models
 //!
 //! An 8-way, 512-entry-window, 19-stage dynamically scheduled processor
-//! whose load/store unit is an open, pluggable design axis: each
-//! [`SqDesign`] name resolves through the [`DesignRegistry`] to a
-//! [`ForwardingPolicy`] object owning the design's predictor state and
-//! pipeline decisions (see the [`policy`] module). Pre-registered:
+//! whose load/store unit is an open design axis: each [`SqDesign`] name
+//! resolves through the [`DesignRegistry`] to a [`DesignCaps`]
+//! capability set, and one policy implements every capability
+//! combination, owning the predictor state and the pipeline decisions
+//! (see the [`policy`] module). New combinations register at runtime.
+//! Pre-registered:
 //!
 //! | [`SqDesign`] | SQ access | latency | scheduling |
 //! |---|---|---|---|
@@ -87,8 +89,5 @@ pub use shared::{oracle_tap, OracleFeed, OracleTap};
 pub mod engine {
     pub use crate::pipeline::event::{EventWheel, SchedCounters, WheelEvent, FETCH_BLOCK};
 }
-pub use policy::{
-    BuiltinPolicy, DesignCaps, DesignRegistry, ForwardingPolicy, LoadCommitInfo, LoadRename,
-    OracleHint, PipelineView, RegistryError, SqProbe,
-};
+pub use policy::{DesignCaps, DesignRegistry, RegistryError};
 pub use stats::SimStats;

@@ -43,7 +43,7 @@ use crate::error::SimError;
 use crate::oracle::OracleBuilder;
 use crate::pipeline::window::{RecordWindow, SeqRing};
 use crate::pipeline::{StepOutcome, WATCHDOG_CYCLES};
-use crate::policy::{DesignCaps, PolicyHost};
+use crate::policy::{BuiltinPolicy, DesignCaps};
 use crate::stats::SimStats;
 
 pub(crate) use structs::{fits_near, InstSlab, NearRing, ReadyLanes, Take, WaiterRing};
@@ -217,9 +217,8 @@ pub(crate) struct EventCore<'t> {
 
     // ---- design policy + design-independent branch prediction ----
     /// The store-queue design under test: predictor state + decisions at
-    /// the five pipeline touch-points (statically dispatched for builtin
-    /// designs).
-    pub(crate) policy: PolicyHost,
+    /// the five pipeline touch-points.
+    pub(crate) policy: BuiltinPolicy,
     /// The policy's capabilities, cached at construction for hot paths.
     pub(crate) caps: DesignCaps,
     pub(crate) bp: BranchPredictor,
@@ -229,8 +228,8 @@ pub(crate) struct EventCore<'t> {
 
 impl<'t> EventCore<'t> {
     pub(crate) fn new_unchecked(cfg: SimConfig, source: impl TraceSource + 't) -> EventCore<'t> {
-        let policy = PolicyHost::instantiate(&cfg);
-        let caps = policy.caps();
+        let caps = cfg.design.caps();
+        let policy = BuiltinPolicy::new(caps, &cfg);
         EventCore {
             total_records: source.len_hint(),
             source: Box::new(source),
@@ -599,7 +598,7 @@ impl EventCore<'_> {
         self.hierarchy.save(w)?;
         self.commit_mem.save(w)?;
         self.ssn_cmt.save(w)?;
-        self.policy.save_snapshot(w)?;
+        self.policy.save(w)?;
         self.bp.save(w)?;
         self.stats.save(w)
     }
@@ -658,8 +657,7 @@ impl EventCore<'_> {
         self.hierarchy = Hierarchy::load(r)?;
         self.commit_mem = MemImage::load(r)?;
         self.ssn_cmt = Ssn::load(r)?;
-        self.policy = PolicyHost::load_snapshot(r, &self.cfg)?;
-        self.caps = self.policy.caps();
+        self.policy = BuiltinPolicy::load_for(r, &self.cfg)?;
         self.bp = BranchPredictor::load(r)?;
         self.stats = SimStats::load(r)?;
         self.wake_scratch.clear();

@@ -510,13 +510,10 @@ impl WaiterRing {
     /// # Panics
     ///
     /// Panics if a *different* live key already occupies `key`'s slot.
-    /// The engine's windowing invariants make this unreachable for its
-    /// own keys; the one externally influenced key space is a custom
-    /// [`ForwardingPolicy`](crate::ForwardingPolicy) returning a
-    /// commit-gate SSN more than a ring capacity ahead of the commit
-    /// point — better a loud panic (with the reference engine as the
-    /// workaround) than a silently lost wakeup. The check is a compare
-    /// the hot path performs anyway.
+    /// The engine's windowing invariants make this unreachable: every
+    /// key is an in-flight sequence number or SSN, and better a loud
+    /// panic than a silently lost wakeup should that ever break. The
+    /// check is a compare the hot path performs anyway.
     #[inline]
     pub(crate) fn push(&mut self, key: u64, waiter: u64) {
         let i = self.idx(key);
@@ -526,8 +523,7 @@ impl WaiterRing {
             assert_eq!(
                 self.keys[i], key,
                 "waiter ring slot collision: two live keys share a slot \
-                 (a policy scheduled a wake implausibly far ahead; run \
-                 this design under Engine::Reference)"
+                 (a wake was scheduled more than a ring capacity ahead)"
             );
         }
         self.append(i, waiter);

@@ -7,8 +7,8 @@
 //! that recomputes *values* speculatively
 //! through the modelled dataflow. Store-load forwarding — the subject of
 //! the paper — is simulated exactly: loads obtain values from the store
-//! queue or from committed memory as decided by the configured
-//! [`ForwardingPolicy`](crate::ForwardingPolicy), wrong values propagate
+//! queue or from committed memory as decided by the configured design's
+//! [`policy`](crate::policy), wrong values propagate
 //! to dependents, and SVW-filtered pre-commit re-execution catches
 //! mis-speculations and flushes.
 //!
@@ -449,10 +449,9 @@ impl<'t> Processor<'t> {
     ///
     /// # Errors
     ///
-    /// [`sqip_snapshot::SnapError::Unsupported`] when the state is not
-    /// checkpointable — a custom [`ForwardingPolicy`](crate::ForwardingPolicy)
-    /// design or a pending trace-source error —
-    /// and [`sqip_snapshot::SnapError::Io`] when writing `out` fails.
+    /// [`sqip_snapshot::SnapError::Unsupported`] when a trace-source error
+    /// is pending (that state is not checkpointable), and
+    /// [`sqip_snapshot::SnapError::Io`] when writing `out` fails.
     ///
     /// # Example
     ///
@@ -517,10 +516,11 @@ impl<'t> Processor<'t> {
     /// # Errors
     ///
     /// Any [`SnapError`] for a truncated, corrupt, foreign-version or
-    /// inconsistent checkpoint; [`SnapError::Source`] when `source` fails
-    /// or ends before the checkpointed position;
-    /// [`SnapError::Unsupported`] when the checkpointed design is not a
-    /// builtin-capability design in this process's registry.
+    /// inconsistent checkpoint — including [`SnapError::Corrupt`] when
+    /// the configured design is not registered in this process, or when
+    /// the checkpointed policy's capabilities or SQ size differ from the
+    /// configured design's; [`SnapError::Source`] when `source` fails or
+    /// ends before the checkpointed position.
     pub fn restore(
         input: &mut impl std::io::Read,
         source: impl TraceSource + 't,

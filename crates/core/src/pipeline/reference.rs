@@ -31,7 +31,7 @@ use crate::error::SimError;
 use crate::oracle::OracleBuilder;
 use crate::pipeline::window::{RecordWindow, SeqRing};
 use crate::pipeline::{EvKind, StepOutcome, NOT_READY, WATCHDOG_CYCLES};
-use crate::policy::{DesignCaps, LoadCommitInfo, OracleHint, PipelineView, PolicyHost, SqProbe};
+use crate::policy::{BuiltinPolicy, DesignCaps, LoadCommitInfo, OracleHint, PipelineView, SqProbe};
 use crate::stats::SimStats;
 
 pub(crate) struct RefCore<'t> {
@@ -104,9 +104,8 @@ pub(crate) struct RefCore<'t> {
 
     // ---- design policy + design-independent branch prediction ----
     /// The store-queue design under test: predictor state + decisions at
-    /// the five pipeline touch-points (statically dispatched for builtin
-    /// designs).
-    pub(crate) policy: PolicyHost,
+    /// the five pipeline touch-points.
+    pub(crate) policy: BuiltinPolicy,
     /// The policy's capabilities, cached at construction for hot paths.
     pub(crate) caps: DesignCaps,
     pub(crate) bp: BranchPredictor,
@@ -116,8 +115,8 @@ pub(crate) struct RefCore<'t> {
 
 impl<'t> RefCore<'t> {
     pub(crate) fn new_unchecked(cfg: SimConfig, source: impl TraceSource + 't) -> RefCore<'t> {
-        let policy = PolicyHost::instantiate(&cfg);
-        let caps = policy.caps();
+        let caps = cfg.design.caps();
+        let policy = BuiltinPolicy::new(caps, &cfg);
         RefCore {
             total_records: source.len_hint(),
             source: Box::new(source),
@@ -1257,7 +1256,7 @@ impl RefCore<'_> {
         self.hierarchy.save(w)?;
         self.commit_mem.save(w)?;
         self.ssn_cmt.save(w)?;
-        self.policy.save_snapshot(w)?;
+        self.policy.save(w)?;
         self.bp.save(w)?;
         self.stats.save(w)
     }
@@ -1303,8 +1302,7 @@ impl RefCore<'_> {
         self.hierarchy = Hierarchy::load(r)?;
         self.commit_mem = MemImage::load(r)?;
         self.ssn_cmt = Ssn::load(r)?;
-        self.policy = PolicyHost::load_snapshot(r, &self.cfg)?;
-        self.caps = self.policy.caps();
+        self.policy = BuiltinPolicy::load_for(r, &self.cfg)?;
         self.bp = BranchPredictor::load(r)?;
         self.stats = SimStats::load(r)?;
         Ok(())

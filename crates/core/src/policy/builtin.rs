@@ -1,25 +1,24 @@
-//! The table-driven builtin policy behind all seven Figure 4 designs
-//! (and any capability combination a user registers).
+//! The table-driven policy behind every registered design: the seven
+//! Figure 4 designs and any capability combination registered later.
 
 use sqip_predictors::{Ddp, Fsp, Sat, Spct, Ssbf, StoreSets};
 use sqip_queues::{SqSearch, StoreQueue};
 use sqip_types::{AddrSpan, DataSize, Pc, Seq, Ssn};
 
 use crate::config::SimConfig;
-use crate::policy::{
-    DesignCaps, ForwardingPolicy, LoadCommitInfo, LoadRename, OracleHint, PipelineView, SqProbe,
-};
+use crate::policy::{DesignCaps, LoadCommitInfo, LoadRename, OracleHint, PipelineView, SqProbe};
 
-/// The paper's design family as one parameterised [`ForwardingPolicy`]:
-/// a [`DesignCaps`] descriptor plus the full predictor bank
+/// The paper's design family as one parameterised policy: a
+/// [`DesignCaps`] descriptor plus the full predictor bank
 /// (FSP/SAT/DDP/SSBF/SPCT/Store Sets), each structure sized from the
 /// [`SimConfig`].
 ///
-/// Every builtin design — and any new capability combination, such as the
-/// registry's `indexed-5-fwd+dly` — is an instance of this type; the old
-/// closed-enum capability branches live here now, keyed off `caps`.
+/// Every registered design, such as the registry's `indexed-5-fwd+dly`,
+/// is an instance of this type; the capability branches live here, keyed
+/// off `caps`. Its methods are the pipeline's touch-points (see the
+/// [module docs](crate::policy)).
 #[derive(Debug)]
-pub struct BuiltinPolicy {
+pub(crate) struct BuiltinPolicy {
     caps: DesignCaps,
     sq_size: usize,
     fsp: Fsp,
@@ -32,8 +31,7 @@ pub struct BuiltinPolicy {
 
 impl BuiltinPolicy {
     /// Builds the predictor bank for one run, sized from `cfg`.
-    #[must_use]
-    pub fn new(caps: DesignCaps, cfg: &SimConfig) -> BuiltinPolicy {
+    pub(crate) fn new(caps: DesignCaps, cfg: &SimConfig) -> BuiltinPolicy {
         BuiltinPolicy {
             caps,
             sq_size: cfg.sq_size,
@@ -52,14 +50,37 @@ impl BuiltinPolicy {
     fn store_pseudo_pc(&self, pc: Pc) -> Pc {
         Pc::from_index(self.fsp.partial_store_pc(pc) as usize)
     }
-}
 
-impl ForwardingPolicy for BuiltinPolicy {
-    fn caps(&self) -> DesignCaps {
-        self.caps
+    /// Restores a checkpointed policy for `cfg`, refusing one whose caps
+    /// or SQ size differ from what `cfg.design` builds: the checkpoint
+    /// would otherwise resume as another design under the configured name.
+    pub(crate) fn load_for(
+        r: &mut sqip_snapshot::SnapReader,
+        cfg: &SimConfig,
+    ) -> Result<BuiltinPolicy, sqip_snapshot::SnapError> {
+        use sqip_snapshot::Snapshot as _;
+        let policy = BuiltinPolicy::load(r)?;
+        let caps = cfg.design.caps();
+        if policy.caps != caps || policy.sq_size != cfg.sq_size {
+            return Err(sqip_snapshot::SnapError::Corrupt(format!(
+                "checkpointed policy ({:?}, SQ size {}) is not design `{}` \
+                 ({caps:?}, SQ size {})",
+                policy.caps, policy.sq_size, cfg.design, cfg.sq_size
+            )));
+        }
+        Ok(policy)
     }
 
-    fn rename_store(&mut self, pc: Pc, ssn: Ssn, seq: Seq, view: &PipelineView<'_>) -> Option<Ssn> {
+    /// **Rename (store):** observes a renaming store and optionally
+    /// returns a store SSN whose *execution* must gate this store's issue
+    /// (in-set serialisation under original Store Sets).
+    pub(crate) fn rename_store(
+        &mut self,
+        pc: Pc,
+        ssn: Ssn,
+        seq: Seq,
+        view: &PipelineView<'_>,
+    ) -> Option<Ssn> {
         self.sat.update(self.fsp.partial_store_pc(pc), ssn, seq);
         if self.caps.original_store_sets {
             // In-set store serialisation: this store becomes the set's
@@ -75,7 +96,10 @@ impl ForwardingPolicy for BuiltinPolicy {
         None
     }
 
-    fn rename_load(
+    /// **Rename (load):** predicts the load's forwarding behaviour and
+    /// scheduling gates. `oracle` carries golden forwarding information
+    /// iff [`DesignCaps::oracle`] is set.
+    pub(crate) fn rename_load(
         &mut self,
         pc: Pc,
         path: u64,
@@ -148,7 +172,10 @@ impl ForwardingPolicy for BuiltinPolicy {
         out
     }
 
-    fn wakeup_latency(&self, predicts_forward: bool, cache_latency: u64) -> u64 {
+    /// **Schedule:** the load latency the scheduler assumes when waking
+    /// dependents of a load (`predicts_forward`: whether it carries a
+    /// forwarding prediction).
+    pub(crate) fn wakeup_latency(&self, predicts_forward: bool, cache_latency: u64) -> u64 {
         if self.caps.fwd_latency_pred && predicts_forward {
             // Forward-predicted loads schedule dependents at SQ latency;
             // everything else at cache latency.
@@ -160,7 +187,9 @@ impl ForwardingPolicy for BuiltinPolicy {
         }
     }
 
-    fn probe_sq(
+    /// **Execute:** probes the store queue for an executing load, by
+    /// associative search or by speculative indexed read.
+    pub(crate) fn probe_sq(
         &self,
         sq: &StoreQueue,
         prev_store_ssn: Ssn,
@@ -197,14 +226,17 @@ impl ForwardingPolicy for BuiltinPolicy {
         }
     }
 
-    fn store_executed(&mut self, pc: Pc, ssn: Ssn) {
+    /// **Execute:** a store executed (address and data now known).
+    pub(crate) fn store_executed(&mut self, pc: Pc, ssn: Ssn) {
         if self.caps.original_store_sets {
             let pseudo = self.store_pseudo_pc(pc);
             self.store_sets.store_executed(pseudo, ssn);
         }
     }
 
-    fn cam_violation(&mut self, load_pc: Pc, store_pc: Pc) {
+    /// **Execute:** under the LQ-CAM ordering mode, an executing store
+    /// caught a younger already-executed load; train the scheduler.
+    pub(crate) fn cam_violation(&mut self, load_pc: Pc, store_pc: Pc) {
         if self.caps.original_store_sets {
             let pseudo = self.store_pseudo_pc(store_pc);
             self.store_sets.violation(load_pc, pseudo);
@@ -213,12 +245,16 @@ impl ForwardingPolicy for BuiltinPolicy {
         }
     }
 
-    fn svw_newest(&self, span: AddrSpan) -> Ssn {
+    /// **Commit/verify:** the SVW filter — the SSN of the youngest
+    /// committed store that wrote any byte of `span` (the SSBF read).
+    /// A committing load re-executes iff this exceeds its SVW field.
+    pub(crate) fn svw_newest(&self, span: AddrSpan) -> Ssn {
         self.ssbf.newest(span)
     }
 
-    /// FSP/DDP training at load commit, per Table 1 and §3.2–3.3.
-    fn train_load_commit(&mut self, load: &LoadCommitInfo) {
+    /// **Commit/verify:** FSP/DDP training at load commit, per Table 1
+    /// and §3.2–3.3.
+    pub(crate) fn train_load_commit(&mut self, load: &LoadCommitInfo) {
         if self.caps.oracle {
             return;
         }
@@ -328,21 +364,27 @@ impl ForwardingPolicy for BuiltinPolicy {
         }
     }
 
-    fn store_committed(&mut self, pc: Pc, span: AddrSpan, ssn: Ssn) {
+    /// **Commit/verify:** a store committed; update the SSBF and SPCT.
+    pub(crate) fn store_committed(&mut self, pc: Pc, span: AddrSpan, ssn: Ssn) {
         self.ssbf.update(span, ssn);
         self.spct.update(span, self.fsp.partial_store_pc(pc));
     }
 
-    fn on_retire(&mut self, seq: Seq) {
+    /// **Commit:** an instruction retired (SAT log pruning).
+    pub(crate) fn on_retire(&mut self, seq: Seq) {
         self.sat.prune_log(seq);
     }
 
-    fn on_flush(&mut self, from: Seq) {
+    /// **Flush repair:** instructions at or younger than `from` were
+    /// squashed; roll speculative predictor state back.
+    pub(crate) fn on_flush(&mut self, from: Seq) {
         self.sat.rollback_younger(from);
         self.store_sets.clear_lfst();
     }
 
-    fn on_ssn_wrap(&mut self) {
+    /// **Flush repair:** the hardware SSN space wrapped; the pipeline has
+    /// drained and every SSN-holding structure clears.
+    pub(crate) fn on_ssn_wrap(&mut self) {
         self.ssbf.clear();
         self.spct.clear();
         self.sat.clear();

@@ -1,128 +1,73 @@
-//! The open design-policy API: store-queue designs as pluggable objects.
+//! Store-queue designs as registered capability sets.
 //!
-//! The paper's whole evaluation is a comparison of store-queue *designs*;
-//! this module makes that axis open. A design is a [`ForwardingPolicy`]
-//! object owning its predictor state (FSP/SAT/DDP/SSBF/SPCT/Store Sets)
-//! and its decisions at the five pipeline touch-points:
+//! The paper's whole evaluation is a comparison of store-queue *designs*
+//! that differ only in a few capabilities: associative or indexed SQ
+//! access, SQ latency, delay index prediction, oracle scheduling, and
+//! original or reformulated Store Sets. A design is therefore a
+//! [`DesignCaps`] value registered by name in the [`DesignRegistry`];
+//! every [`SqDesign`](crate::SqDesign) resolves there to its caps.
 //!
-//! 1. **rename** — dependence / forwarding-index prediction
-//!    ([`ForwardingPolicy::rename_load`], [`ForwardingPolicy::rename_store`]);
-//! 2. **schedule** — load latency speculation
-//!    ([`ForwardingPolicy::wakeup_latency`]);
+//! One policy type implements the whole family: each engine owns a
+//! `BuiltinPolicy` built from the configured design's caps, holding the
+//! predictor state (FSP/SAT/DDP/SSBF/SPCT/Store Sets) and deciding at the
+//! five pipeline touch-points:
+//!
+//! 1. **rename** — dependence / forwarding-index prediction;
+//! 2. **schedule** — load latency speculation;
 //! 3. **execute** — how a load probes the store queue (associative search
-//!    vs speculative indexed read, [`ForwardingPolicy::probe_sq`]);
-//! 4. **commit / verify** — the SVW filter and predictor training
-//!    ([`ForwardingPolicy::svw_newest`], [`ForwardingPolicy::train_load_commit`],
-//!    [`ForwardingPolicy::store_committed`]);
-//! 5. **flush repair** — rolling predictor state back after a squash
-//!    ([`ForwardingPolicy::on_flush`], [`ForwardingPolicy::on_ssn_wrap`]).
+//!    vs speculative indexed read);
+//! 4. **commit / verify** — the SVW filter and predictor training;
+//! 5. **flush repair** — rolling predictor state back after a squash or
+//!    an SSN wrap.
 //!
 //! The pipeline ([`Processor`](crate::Processor)) never branches on a
 //! design name: it calls the policy and applies the returned decisions.
-//! All seven designs of the paper's Figure 4 are [`BuiltinPolicy`]
-//! instances differing only in their [`DesignCaps`]; new designs register
-//! by name in the [`DesignRegistry`] and immediately work everywhere a
-//! [`SqDesign`](crate::SqDesign) does — `Experiment` sweeps, JSON results,
-//! figure bins, CLI flags.
-//!
-//! # Implementing a custom policy
-//!
-//! A policy only has to answer the probe/verify hooks; everything else
-//! defaults to "no prediction". The policy below serialises every load
-//! behind all older stores (so loads always read committed memory and
-//! nothing is ever speculative — the classic maximally-conservative
-//! baseline):
+//! A new capability combination registers at runtime and immediately
+//! works everywhere a builtin design does — `Experiment` sweeps, JSON
+//! results, figure bins, CLI flags, checkpoints and `sqipd` jobs:
 //!
 //! ```
-//! use sqip_core::{
-//!     DesignCaps, DesignRegistry, ForwardingPolicy, LoadRename, OracleHint,
-//!     PipelineView, Processor, SimConfig, SqProbe,
-//! };
-//! use sqip_queues::StoreQueue;
-//! use sqip_types::{AddrSpan, DataSize, Pc, Ssn};
-//!
-//! #[derive(Debug)]
-//! struct SerializeLoads;
-//!
-//! impl ForwardingPolicy for SerializeLoads {
-//!     fn caps(&self) -> DesignCaps {
-//!         DesignCaps::associative(3)
-//!     }
-//!     fn rename_load(
-//!         &mut self,
-//!         _pc: Pc,
-//!         _path: u64,
-//!         _oracle: Option<OracleHint>,
-//!         view: &PipelineView<'_>,
-//!     ) -> LoadRename {
-//!         let mut decision = LoadRename::none();
-//!         if view.ssn_ren > view.ssn_cmt {
-//!             // Wait until every older store has committed.
-//!             decision.commit_gate = Some(view.ssn_ren);
-//!         }
-//!         decision
-//!     }
-//!     fn probe_sq(
-//!         &self,
-//!         _sq: &StoreQueue,
-//!         _prev_store_ssn: Ssn,
-//!         _ssn_fwd: Ssn,
-//!         _ssn_cmt: Ssn,
-//!         _span: AddrSpan,
-//!         _size: DataSize,
-//!     ) -> SqProbe {
-//!         SqProbe::Miss // loads always read committed memory
-//!     }
-//!     fn svw_newest(&self, _span: AddrSpan) -> Ssn {
-//!         Ssn::NONE // nothing is speculative, nothing to re-execute
-//!     }
-//!     fn store_committed(&mut self, _pc: Pc, _span: AddrSpan, _ssn: Ssn) {}
-//! }
-//!
-//! let design = DesignRegistry::global()
-//!     .register("serialize-loads", SerializeLoads.caps(), |_| {
-//!         Box::new(SerializeLoads)
-//!     })
-//!     .unwrap();
-//!
-//! // The custom design now runs through the ordinary front door.
+//! use sqip_core::{DesignCaps, DesignRegistry, Processor, SimConfig};
 //! use sqip_isa::{trace_program, ProgramBuilder, Reg};
-//! use sqip_types::DataSize as Sz;
+//! use sqip_types::DataSize;
+//!
+//! // The paper's indexed scheme with delay prediction at a 7-cycle SQ.
+//! let design = DesignRegistry::global()
+//!     .register("indexed-7-fwd+dly", DesignCaps::indexed(7).with_delay())?;
+//! assert_eq!(design.sq_latency(), 7);
+//!
 //! let mut b = ProgramBuilder::new();
 //! let (v, t) = (Reg::new(1), Reg::new(2));
 //! b.load_imm(v, 7);
-//! b.store(Sz::Quad, v, Reg::ZERO, 0x100);
-//! b.load(Sz::Quad, t, Reg::ZERO, 0x100);
+//! b.store(DataSize::Quad, v, Reg::ZERO, 0x100);
+//! b.load(DataSize::Quad, t, Reg::ZERO, 0x100);
 //! b.halt();
 //! let trace = trace_program(&b.build()?, 100)?;
 //! let stats = Processor::new(SimConfig::with_design(design), &trace).run();
 //! assert_eq!(stats.committed, trace.len() as u64);
-//! assert_eq!(stats.mis_forwards, 0, "fully serialised loads never misspeculate");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 mod builtin;
 mod registry;
 
-pub use builtin::BuiltinPolicy;
+pub(crate) use builtin::BuiltinPolicy;
 pub use registry::{DesignRegistry, RegistryError};
 
 use sqip_queues::StoreQueue;
-use sqip_types::{AddrSpan, DataSize, Pc, Seq, Ssn};
+use sqip_types::{AddrSpan, Pc, Ssn};
 
-/// Static capabilities of a store-queue design: what the surrounding
-/// machine needs to know about a policy without running it.
+/// Static capabilities of a store-queue design: everything that tells one
+/// design from another.
 ///
-/// Builtin designs are fully described by their capabilities (that is what
-/// made the old closed enum possible); custom [`ForwardingPolicy`]
-/// implementations may go beyond them, but must still report honest values
-/// here — in particular [`DesignCaps::indexed`], which configuration
-/// validation uses to reject the (unsound) LQ-CAM ordering mode for
-/// indexed designs.
+/// A design is fully described by its capabilities. Configuration
+/// validation also reads them: [`DesignCaps::indexed`] rejects the
+/// (unsound) LQ-CAM ordering mode for indexed designs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DesignCaps {
     /// Load scheduling is oracle: the pipeline feeds the policy golden
-    /// forwarding information ([`OracleHint`]) at rename.
+    /// forwarding information (the architectural producing store) at
+    /// rename.
     pub oracle: bool,
     /// Loads access the SQ by predicted index instead of associatively.
     pub indexed: bool,
@@ -142,7 +87,7 @@ impl DesignCaps {
     /// A plain associative design with the given SQ latency and the
     /// reformulated Store Sets (FSP/SAT) scheduler.
     #[must_use]
-    pub fn associative(sq_latency: u64) -> DesignCaps {
+    pub const fn associative(sq_latency: u64) -> DesignCaps {
         DesignCaps {
             oracle: false,
             indexed: false,
@@ -156,7 +101,7 @@ impl DesignCaps {
     /// A speculatively-indexed design with the given SQ latency and
     /// forwarding index prediction.
     #[must_use]
-    pub fn indexed(sq_latency: u64) -> DesignCaps {
+    pub const fn indexed(sq_latency: u64) -> DesignCaps {
         DesignCaps {
             indexed: true,
             ..DesignCaps::associative(sq_latency)
@@ -165,28 +110,28 @@ impl DesignCaps {
 
     /// Adds delay index prediction (the DDP).
     #[must_use]
-    pub fn with_delay(mut self) -> DesignCaps {
+    pub const fn with_delay(mut self) -> DesignCaps {
         self.delay = true;
         self
     }
 
     /// Switches scheduling to oracle (golden forwarding information).
     #[must_use]
-    pub fn with_oracle(mut self) -> DesignCaps {
+    pub const fn with_oracle(mut self) -> DesignCaps {
         self.oracle = true;
         self
     }
 
     /// Switches scheduling to the original SSIT/LFST Store Sets.
     #[must_use]
-    pub fn with_original_store_sets(mut self) -> DesignCaps {
+    pub const fn with_original_store_sets(mut self) -> DesignCaps {
         self.original_store_sets = true;
         self
     }
 
     /// Adds the forwarding-latency scheduling hybrid (§4.2).
     #[must_use]
-    pub fn with_fwd_latency_pred(mut self) -> DesignCaps {
+    pub const fn with_fwd_latency_pred(mut self) -> DesignCaps {
         self.fwd_latency_pred = true;
         self
     }
@@ -203,7 +148,7 @@ sqip_snapshot::snapshot_struct!(DesignCaps {
 
 /// The slice of pipeline state a policy may consult when deciding.
 #[derive(Debug)]
-pub struct PipelineView<'a> {
+pub(crate) struct PipelineView<'a> {
     /// SSN of the youngest renamed store (the rename-time counter).
     pub ssn_ren: Ssn,
     /// SSN of the youngest committed store (the high-water mark).
@@ -215,7 +160,7 @@ pub struct PipelineView<'a> {
 /// Golden forwarding information the pipeline hands an oracle policy at
 /// load rename (only when [`DesignCaps::oracle`] is set).
 #[derive(Debug, Clone, Copy)]
-pub struct OracleHint {
+pub(crate) struct OracleHint {
     /// The SSN of the architectural producing store, if it is in flight.
     pub store_ssn: Option<Ssn>,
     /// Whether that store fully covers the load's bytes.
@@ -227,7 +172,7 @@ pub struct OracleHint {
 /// The pipeline copies the prediction fields into the load's in-flight
 /// state and arms one scheduling gate per `Some` gate field.
 #[derive(Debug, Clone, Copy)]
-pub struct LoadRename {
+pub(crate) struct LoadRename {
     /// FSP-predicted (partial) store PC the load expects to forward from.
     pub pred_store_pc: Option<u64>,
     /// Predicted forwarding SSN (the indexed-SQ read index).
@@ -249,7 +194,7 @@ pub struct LoadRename {
 impl LoadRename {
     /// No prediction: the load schedules and executes unconstrained.
     #[must_use]
-    pub fn none() -> LoadRename {
+    pub(crate) fn none() -> LoadRename {
         LoadRename {
             pred_store_pc: None,
             ssn_fwd: Ssn::NONE,
@@ -262,15 +207,9 @@ impl LoadRename {
     }
 }
 
-impl Default for LoadRename {
-    fn default() -> LoadRename {
-        LoadRename::none()
-    }
-}
-
 /// Outcome of a policy's store-queue probe for an executing load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SqProbe {
+pub(crate) enum SqProbe {
     /// Forward `value` from store `ssn` at `latency` cycles.
     Forward {
         /// The forwarding store (also becomes the load's SVW field).
@@ -292,7 +231,7 @@ pub enum SqProbe {
 
 /// Everything a policy sees about a committing load when it trains.
 #[derive(Debug, Clone, Copy)]
-pub struct LoadCommitInfo {
+pub(crate) struct LoadCommitInfo {
     /// The load's static PC.
     pub pc: Pc,
     /// The load's address span.
@@ -310,269 +249,4 @@ pub struct LoadCommitInfo {
     pub was_delayed: bool,
     /// Fetch-time branch-path history (for path-qualified FSP training).
     pub path: u64,
-}
-
-/// A store-queue design: predictor state plus decisions at the five
-/// pipeline touch-points (see the [module docs](self)).
-///
-/// Policies must be [`Send`] (experiment sweeps execute cells on worker
-/// threads) and [`Debug`] (the processor is debug-printable).
-///
-/// Methods with default implementations are optional; the required core
-/// is [`ForwardingPolicy::caps`], the execute-time probe and the
-/// commit-time verify hooks.
-pub trait ForwardingPolicy: Send + std::fmt::Debug {
-    /// The design's static capabilities.
-    fn caps(&self) -> DesignCaps;
-
-    /// **Rename (store):** observes a renaming store and optionally
-    /// returns a store SSN whose *execution* must gate this store's issue
-    /// (in-set serialisation under original Store Sets).
-    fn rename_store(&mut self, pc: Pc, ssn: Ssn, seq: Seq, view: &PipelineView<'_>) -> Option<Ssn> {
-        let _ = (pc, ssn, seq, view);
-        None
-    }
-
-    /// **Rename (load):** predicts the load's forwarding behaviour and
-    /// scheduling gates. `oracle` carries golden forwarding information
-    /// iff [`DesignCaps::oracle`] is set.
-    fn rename_load(
-        &mut self,
-        pc: Pc,
-        path: u64,
-        oracle: Option<OracleHint>,
-        view: &PipelineView<'_>,
-    ) -> LoadRename {
-        let _ = (pc, path, oracle, view);
-        LoadRename::none()
-    }
-
-    /// **Schedule:** the load latency the scheduler assumes when waking
-    /// dependents. `predicts_forward` is whether the load carries a
-    /// forwarding prediction; the default assumes a cache hit (dependents
-    /// of forwarded loads replay if the SQ is slower).
-    fn wakeup_latency(&self, predicts_forward: bool, cache_latency: u64) -> u64 {
-        let _ = predicts_forward;
-        cache_latency
-    }
-
-    /// **Execute:** how a load probes the store queue — associative
-    /// search, speculative indexed read, or anything else expressible
-    /// over the [`StoreQueue`] API.
-    fn probe_sq(
-        &self,
-        sq: &StoreQueue,
-        prev_store_ssn: Ssn,
-        ssn_fwd: Ssn,
-        ssn_cmt: Ssn,
-        span: AddrSpan,
-        size: DataSize,
-    ) -> SqProbe;
-
-    /// **Execute:** a store executed (address and data now known).
-    fn store_executed(&mut self, pc: Pc, ssn: Ssn) {
-        let _ = (pc, ssn);
-    }
-
-    /// **Execute:** under the LQ-CAM ordering mode, an executing store
-    /// caught a younger already-executed load (an ordering violation);
-    /// train the scheduler.
-    fn cam_violation(&mut self, load_pc: Pc, store_pc: Pc) {
-        let _ = (load_pc, store_pc);
-    }
-
-    /// **Commit/verify:** the SVW filter — the SSN of the youngest
-    /// committed store that wrote any byte of `span` (the SSBF read).
-    /// A committing load re-executes iff this exceeds its SVW field.
-    fn svw_newest(&self, span: AddrSpan) -> Ssn;
-
-    /// **Commit/verify:** trains the predictors on a committing load.
-    fn train_load_commit(&mut self, load: &LoadCommitInfo) {
-        let _ = load;
-    }
-
-    /// **Commit/verify:** a store committed; update the verification
-    /// structures (SSBF/SPCT in the builtin designs).
-    fn store_committed(&mut self, pc: Pc, span: AddrSpan, ssn: Ssn);
-
-    /// **Commit:** an instruction retired (predictor log pruning).
-    fn on_retire(&mut self, seq: Seq) {
-        let _ = seq;
-    }
-
-    /// **Flush repair:** instructions at or younger than `from` were
-    /// squashed; roll speculative predictor state back.
-    fn on_flush(&mut self, from: Seq) {
-        let _ = from;
-    }
-
-    /// **Flush repair:** the hardware SSN space wrapped; the pipeline has
-    /// drained and every SSN-holding structure must clear.
-    fn on_ssn_wrap(&mut self) {}
-}
-
-/// The engines' policy handle: **statically dispatched** to the builtin
-/// machinery when the design was registered through
-/// [`DesignRegistry::register_builtin`] (every figure-sweep design — the
-/// hot path, where the per-memory-op virtual calls and their lost
-/// inlining are measurable), and dynamically to the registered factory's
-/// [`ForwardingPolicy`] otherwise. The two arms behave identically; the
-/// enum only recovers the concrete type the registry's `Box<dyn>` erases.
-pub(crate) enum PolicyHost {
-    /// A builtin-capability design, dispatched without a vtable.
-    Builtin(Box<BuiltinPolicy>),
-    /// A custom registered policy, dispatched through the trait object.
-    Custom(Box<dyn ForwardingPolicy>),
-}
-
-macro_rules! host_dispatch {
-    ($self:ident, $p:ident => $call:expr) => {
-        match $self {
-            PolicyHost::Builtin($p) => $call,
-            PolicyHost::Custom($p) => $call,
-        }
-    };
-}
-
-impl PolicyHost {
-    /// Builds the policy for `cfg.design`, recovering static dispatch for
-    /// builtin-capability designs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the design is unregistered (callers validate the
-    /// configuration first, which resolves the design).
-    pub(crate) fn instantiate(cfg: &crate::config::SimConfig) -> PolicyHost {
-        let registry = DesignRegistry::global();
-        if let Some(caps) = registry.builtin_caps(cfg.design) {
-            PolicyHost::Builtin(Box::new(BuiltinPolicy::new(caps, cfg)))
-        } else {
-            PolicyHost::Custom(
-                registry
-                    .instantiate(cfg.design, cfg)
-                    .expect("design resolved during config validation"),
-            )
-        }
-    }
-
-    #[inline]
-    pub(crate) fn caps(&self) -> DesignCaps {
-        host_dispatch!(self, p => p.caps())
-    }
-
-    /// Serialises the policy's predictor state into a checkpoint.
-    ///
-    /// Only builtin designs are checkpointable: a custom
-    /// [`ForwardingPolicy`] is an opaque trait object whose state the
-    /// snapshot layer cannot see.
-    pub(crate) fn save_snapshot(
-        &self,
-        w: &mut sqip_snapshot::SnapWriter,
-    ) -> Result<(), sqip_snapshot::SnapError> {
-        match self {
-            PolicyHost::Builtin(p) => {
-                use sqip_snapshot::Snapshot as _;
-                p.save(w)
-            }
-            PolicyHost::Custom(p) => Err(sqip_snapshot::SnapError::Unsupported(format!(
-                "custom forwarding policies cannot be checkpointed: {p:?}"
-            ))),
-        }
-    }
-
-    /// Restores a checkpointed builtin policy for `cfg.design`.
-    pub(crate) fn load_snapshot(
-        r: &mut sqip_snapshot::SnapReader,
-        cfg: &crate::config::SimConfig,
-    ) -> Result<PolicyHost, sqip_snapshot::SnapError> {
-        if DesignRegistry::global().builtin_caps(cfg.design).is_none() {
-            return Err(sqip_snapshot::SnapError::Unsupported(format!(
-                "design {} is not a builtin-capability design; custom \
-                 policies cannot be restored from a checkpoint",
-                cfg.design
-            )));
-        }
-        use sqip_snapshot::Snapshot as _;
-        Ok(PolicyHost::Builtin(Box::new(BuiltinPolicy::load(r)?)))
-    }
-
-    #[inline]
-    pub(crate) fn rename_store(
-        &mut self,
-        pc: Pc,
-        ssn: Ssn,
-        seq: Seq,
-        view: &PipelineView<'_>,
-    ) -> Option<Ssn> {
-        host_dispatch!(self, p => p.rename_store(pc, ssn, seq, view))
-    }
-
-    #[inline]
-    pub(crate) fn rename_load(
-        &mut self,
-        pc: Pc,
-        path: u64,
-        oracle: Option<OracleHint>,
-        view: &PipelineView<'_>,
-    ) -> LoadRename {
-        host_dispatch!(self, p => p.rename_load(pc, path, oracle, view))
-    }
-
-    #[inline]
-    pub(crate) fn wakeup_latency(&self, predicts_forward: bool, cache_latency: u64) -> u64 {
-        host_dispatch!(self, p => p.wakeup_latency(predicts_forward, cache_latency))
-    }
-
-    #[inline]
-    pub(crate) fn probe_sq(
-        &self,
-        sq: &StoreQueue,
-        prev_store_ssn: Ssn,
-        ssn_fwd: Ssn,
-        ssn_cmt: Ssn,
-        span: AddrSpan,
-        size: DataSize,
-    ) -> SqProbe {
-        host_dispatch!(self, p => p.probe_sq(sq, prev_store_ssn, ssn_fwd, ssn_cmt, span, size))
-    }
-
-    #[inline]
-    pub(crate) fn store_executed(&mut self, pc: Pc, ssn: Ssn) {
-        host_dispatch!(self, p => p.store_executed(pc, ssn));
-    }
-
-    #[inline]
-    pub(crate) fn cam_violation(&mut self, load_pc: Pc, store_pc: Pc) {
-        host_dispatch!(self, p => p.cam_violation(load_pc, store_pc));
-    }
-
-    #[inline]
-    pub(crate) fn svw_newest(&self, span: AddrSpan) -> Ssn {
-        host_dispatch!(self, p => p.svw_newest(span))
-    }
-
-    #[inline]
-    pub(crate) fn train_load_commit(&mut self, load: &LoadCommitInfo) {
-        host_dispatch!(self, p => p.train_load_commit(load));
-    }
-
-    #[inline]
-    pub(crate) fn store_committed(&mut self, pc: Pc, span: AddrSpan, ssn: Ssn) {
-        host_dispatch!(self, p => p.store_committed(pc, span, ssn));
-    }
-
-    #[inline]
-    pub(crate) fn on_retire(&mut self, seq: Seq) {
-        host_dispatch!(self, p => p.on_retire(seq));
-    }
-
-    #[inline]
-    pub(crate) fn on_flush(&mut self, from: Seq) {
-        host_dispatch!(self, p => p.on_flush(from));
-    }
-
-    #[inline]
-    pub(crate) fn on_ssn_wrap(&mut self) {
-        host_dispatch!(self, p => p.on_ssn_wrap());
-    }
 }

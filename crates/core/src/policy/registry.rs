@@ -1,24 +1,12 @@
-//! The global design registry: name → capabilities + policy factory.
+//! The global design registry: name → capabilities.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
-use crate::config::{SimConfig, SqDesign};
-use crate::policy::{BuiltinPolicy, DesignCaps, ForwardingPolicy};
+use crate::config::SqDesign;
+use crate::policy::DesignCaps;
 
-/// A shareable policy constructor: one fresh policy per simulation run.
-type PolicyFactory = Arc<dyn Fn(&SimConfig) -> Box<dyn ForwardingPolicy> + Send + Sync>;
-
-struct Entry {
-    design: SqDesign,
-    caps: DesignCaps,
-    factory: PolicyFactory,
-    /// `Some` iff registered through [`DesignRegistry::register_builtin`]
-    /// — lets the engines dispatch the builtin machinery statically.
-    builtin_caps: Option<DesignCaps>,
-}
-
-/// A failure registering or resolving a design.
+/// A failure registering a design.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegistryError {
     /// A design with this name is already registered.
@@ -27,8 +15,6 @@ pub enum RegistryError {
     /// resolution (`FromStr`, JSON, `--design`) rewrites it to the
     /// builtin, so a design registered under it would be unreachable.
     ReservedAlias(String),
-    /// No design with this name is registered.
-    Unknown(String),
 }
 
 impl std::fmt::Display for RegistryError {
@@ -43,9 +29,6 @@ impl std::fmt::Display for RegistryError {
                     "design name `{name}` is reserved as a legacy alias of a builtin design"
                 )
             }
-            RegistryError::Unknown(name) => {
-                write!(f, "unknown store-queue design `{name}`")
-            }
         }
     }
 }
@@ -54,57 +37,49 @@ impl std::error::Error for RegistryError {}
 
 /// The open roster of store-queue designs.
 ///
-/// Every [`SqDesign`] name resolves here to a [`DesignCaps`] descriptor
-/// and a [`ForwardingPolicy`] factory. The [`DesignRegistry::global`]
-/// instance is pre-populated with the paper's seven builtin designs plus
-/// the `indexed-5-fwd+dly` extension (all registered through the same
-/// public [`DesignRegistry::register_builtin`] API any caller can use),
-/// and accepts custom registrations at any time.
+/// Every [`SqDesign`] name resolves here to a [`DesignCaps`] descriptor.
+/// The one [`DesignRegistry::global`] instance is pre-populated with the
+/// paper's seven builtin designs plus the `indexed-5-fwd+dly` extension
+/// (all registered through the same public [`DesignRegistry::register`]
+/// any caller can use), and accepts new capability combinations at any
+/// time.
 pub struct DesignRegistry {
     inner: RwLock<Inner>,
 }
 
 #[derive(Default)]
 struct Inner {
-    entries: BTreeMap<&'static str, Entry>,
+    caps: BTreeMap<&'static str, DesignCaps>,
     /// Registration order, for stable `names()` listings.
     order: Vec<&'static str>,
 }
 
 impl DesignRegistry {
-    /// An empty registry (no builtins). Most callers want
-    /// [`DesignRegistry::global`]; isolated registries exist for tests of
-    /// the registry itself.
-    #[must_use]
-    pub fn empty() -> DesignRegistry {
-        DesignRegistry {
-            inner: RwLock::new(Inner::default()),
-        }
-    }
-
     /// The process-wide registry every [`SqDesign`] resolves through,
     /// pre-populated with the builtin designs.
     pub fn global() -> &'static DesignRegistry {
         static GLOBAL: OnceLock<DesignRegistry> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            let registry = DesignRegistry::empty();
+            let registry = DesignRegistry {
+                inner: RwLock::new(Inner::default()),
+            };
             for (name, caps) in BUILTIN_DESIGNS {
                 registry
-                    .register_builtin(name, caps)
+                    .register(name, caps)
                     .expect("builtin design names are unique");
             }
             // The first design the closed enum could not express: the
             // paper's indexed scheme at a 5-cycle SQ — added through the
             // exact same public API a downstream crate would use.
             registry
-                .register_builtin("indexed-5-fwd+dly", DesignCaps::indexed(5).with_delay())
+                .register("indexed-5-fwd+dly", DesignCaps::indexed(5).with_delay())
                 .expect("extension design name is unique");
             registry
         })
     }
 
-    /// Registers a design under `name` with an arbitrary policy factory.
-    /// Returns the (copyable) [`SqDesign`] handle naming it.
+    /// Registers the capability combination `caps` as a design named
+    /// `name`. Returns the (copyable) [`SqDesign`] handle naming it.
     ///
     /// # Errors
     ///
@@ -112,22 +87,7 @@ impl DesignRegistry {
     /// [`RegistryError::ReservedAlias`] if it is a legacy spelling of a
     /// builtin (those resolve to the builtin, so the new design would be
     /// unreachable by name).
-    pub fn register(
-        &self,
-        name: &str,
-        caps: DesignCaps,
-        factory: impl Fn(&SimConfig) -> Box<dyn ForwardingPolicy> + Send + Sync + 'static,
-    ) -> Result<SqDesign, RegistryError> {
-        self.register_inner(name, caps, factory, None)
-    }
-
-    fn register_inner(
-        &self,
-        name: &str,
-        caps: DesignCaps,
-        factory: impl Fn(&SimConfig) -> Box<dyn ForwardingPolicy> + Send + Sync + 'static,
-        builtin_caps: Option<DesignCaps>,
-    ) -> Result<SqDesign, RegistryError> {
+    pub fn register(&self, name: &str, caps: DesignCaps) -> Result<SqDesign, RegistryError> {
         if crate::config::LEGACY_ALIASES
             .iter()
             .any(|(alias, _)| *alias == name)
@@ -135,96 +95,32 @@ impl DesignRegistry {
             return Err(RegistryError::ReservedAlias(name.to_string()));
         }
         let mut inner = self.inner.write().expect("registry lock poisoned");
-        if inner.entries.contains_key(name) {
+        if inner.caps.contains_key(name) {
             return Err(RegistryError::Duplicate(name.to_string()));
         }
         // Design names are interned so `SqDesign` stays `Copy`; the
         // registry is append-only and small, so the leak is bounded.
         let interned: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let design = SqDesign::from_static(interned);
-        inner.entries.insert(
-            interned,
-            Entry {
-                design,
-                caps,
-                factory: Arc::new(factory),
-                builtin_caps,
-            },
-        );
+        inner.caps.insert(interned, caps);
         inner.order.push(interned);
-        Ok(design)
-    }
-
-    /// Registers a design backed by the paper's [`BuiltinPolicy`]
-    /// machinery with the given capability combination — the one-liner
-    /// path for "Figure 4-style" design variants.
-    ///
-    /// # Errors
-    ///
-    /// [`RegistryError::Duplicate`] if the name is taken;
-    /// [`RegistryError::ReservedAlias`] if it is a legacy spelling of a
-    /// builtin.
-    pub fn register_builtin(
-        &self,
-        name: &str,
-        caps: DesignCaps,
-    ) -> Result<SqDesign, RegistryError> {
-        // Registered in one lock acquisition, so a concurrent resolve can
-        // never observe the entry without its builtin marker (which would
-        // silently fall back to dynamic dispatch).
-        self.register_inner(
-            name,
-            caps,
-            move |cfg| Box::new(BuiltinPolicy::new(caps, cfg)),
-            Some(caps),
-        )
+        Ok(SqDesign::from_static(interned))
     }
 
     /// Resolves a design name.
     #[must_use]
     pub fn lookup(&self, name: &str) -> Option<SqDesign> {
         let inner = self.inner.read().expect("registry lock poisoned");
-        inner.entries.get(name).map(|e| e.design)
+        inner
+            .caps
+            .get_key_value(name)
+            .map(|(&interned, _)| SqDesign::from_static(interned))
     }
 
     /// The capabilities registered for `design`.
     #[must_use]
     pub fn caps(&self, design: SqDesign) -> Option<DesignCaps> {
         let inner = self.inner.read().expect("registry lock poisoned");
-        inner.entries.get(design.name()).map(|e| e.caps)
-    }
-
-    /// The capability descriptor of a design registered through
-    /// [`DesignRegistry::register_builtin`]; `None` for custom policies.
-    /// Engines use this to recover static dispatch onto the builtin
-    /// machinery.
-    pub(crate) fn builtin_caps(&self, design: SqDesign) -> Option<DesignCaps> {
-        let inner = self.inner.read().expect("registry lock poisoned");
-        inner
-            .entries
-            .get(design.name())
-            .and_then(|e| e.builtin_caps)
-    }
-
-    /// Builds a fresh policy instance for one simulation run.
-    ///
-    /// # Errors
-    ///
-    /// [`RegistryError::Unknown`] if the design is not registered.
-    pub fn instantiate(
-        &self,
-        design: SqDesign,
-        cfg: &SimConfig,
-    ) -> Result<Box<dyn ForwardingPolicy>, RegistryError> {
-        let factory = {
-            let inner = self.inner.read().expect("registry lock poisoned");
-            inner
-                .entries
-                .get(design.name())
-                .map(|e| Arc::clone(&e.factory))
-                .ok_or_else(|| RegistryError::Unknown(design.name().to_string()))?
-        };
-        Ok(factory(cfg))
+        inner.caps.get(design.name()).copied()
     }
 
     /// All registered design names, in registration order (builtins
@@ -246,83 +142,19 @@ impl std::fmt::Debug for DesignRegistry {
 
 /// The paper's seven designs, in Figure 4's left-to-right order.
 const BUILTIN_DESIGNS: [(&str, DesignCaps); 7] = [
-    (
-        "ideal-oracle",
-        DesignCaps {
-            oracle: true,
-            indexed: false,
-            delay: false,
-            original_store_sets: false,
-            fwd_latency_pred: false,
-            sq_latency: 3,
-        },
-    ),
+    ("ideal-oracle", DesignCaps::associative(3).with_oracle()),
     (
         "associative-3-storesets",
-        DesignCaps {
-            oracle: false,
-            indexed: false,
-            delay: false,
-            original_store_sets: true,
-            fwd_latency_pred: false,
-            sq_latency: 3,
-        },
+        DesignCaps::associative(3).with_original_store_sets(),
     ),
-    (
-        "associative-3",
-        DesignCaps {
-            oracle: false,
-            indexed: false,
-            delay: false,
-            original_store_sets: false,
-            fwd_latency_pred: false,
-            sq_latency: 3,
-        },
-    ),
-    (
-        "associative-5-replay",
-        DesignCaps {
-            oracle: false,
-            indexed: false,
-            delay: false,
-            original_store_sets: false,
-            fwd_latency_pred: false,
-            sq_latency: 5,
-        },
-    ),
+    ("associative-3", DesignCaps::associative(3)),
+    ("associative-5-replay", DesignCaps::associative(5)),
     (
         "associative-5-fwdpred",
-        DesignCaps {
-            oracle: false,
-            indexed: false,
-            delay: false,
-            original_store_sets: false,
-            fwd_latency_pred: true,
-            sq_latency: 5,
-        },
+        DesignCaps::associative(5).with_fwd_latency_pred(),
     ),
-    (
-        "indexed-3-fwd",
-        DesignCaps {
-            oracle: false,
-            indexed: true,
-            delay: false,
-            original_store_sets: false,
-            fwd_latency_pred: false,
-            sq_latency: 3,
-        },
-    ),
-    (
-        "indexed-3-fwd+dly",
-        DesignCaps {
-            oracle: false,
-            indexed: true,
-            delay: true,
-            original_store_sets: false,
-            fwd_latency_pred: false,
-            sq_latency: 3,
-        },
-    ),
+    ("indexed-3-fwd", DesignCaps::indexed(3)),
+    ("indexed-3-fwd+dly", DesignCaps::indexed(3).with_delay()),
 ];
 
 #[cfg(test)]
@@ -351,12 +183,17 @@ mod tests {
 
     #[test]
     fn duplicate_registration_is_rejected() {
-        let r = DesignRegistry::empty();
+        let r = DesignRegistry::global();
         let caps = DesignCaps::associative(3);
-        r.register_builtin("dup", caps).unwrap();
+        r.register("registry-test-dup", caps).unwrap();
         assert_eq!(
-            r.register_builtin("dup", caps).unwrap_err(),
-            RegistryError::Duplicate("dup".to_string())
+            r.register("registry-test-dup", caps).unwrap_err(),
+            RegistryError::Duplicate("registry-test-dup".to_string())
+        );
+        // A builtin name is taken too.
+        assert_eq!(
+            r.register("associative-3", caps).unwrap_err(),
+            RegistryError::Duplicate("associative-3".to_string())
         );
     }
 
@@ -364,37 +201,49 @@ mod tests {
     fn legacy_alias_names_are_reserved() {
         // Name resolution rewrites legacy spellings to the builtins, so a
         // design registered under one could never be reached by name.
-        let r = DesignRegistry::empty();
+        let r = DesignRegistry::global();
         assert_eq!(
-            r.register_builtin("IdealOracle", DesignCaps::associative(3))
+            r.register("IdealOracle", DesignCaps::associative(3))
                 .unwrap_err(),
             RegistryError::ReservedAlias("IdealOracle".to_string())
         );
         assert!(matches!(
-            DesignRegistry::global().register_builtin("Indexed3FwdDly", DesignCaps::indexed(3)),
+            r.register("Indexed3FwdDly", DesignCaps::indexed(3)),
             Err(RegistryError::ReservedAlias(_))
         ));
-    }
-
-    #[test]
-    fn instantiate_unknown_design_errors() {
-        let r = DesignRegistry::empty();
-        let d = DesignRegistry::global().lookup("associative-3").unwrap();
-        let cfg = SimConfig::with_design(d);
-        assert!(matches!(
-            r.instantiate(d, &cfg),
-            Err(RegistryError::Unknown(_))
-        ));
+        assert_eq!(r.lookup("IdealOracle"), None);
     }
 
     #[test]
     fn registered_policies_report_their_caps() {
-        let r = DesignRegistry::empty();
+        use sqip_isa::{trace_program, ProgramBuilder, Reg};
+        use sqip_types::DataSize;
+
         let caps = DesignCaps::indexed(4).with_delay();
-        let d = r.register_builtin("custom-idx-4", caps).unwrap();
-        assert_eq!(r.caps(d), Some(caps));
-        let cfg = SimConfig::with_design(SqDesign::Indexed3FwdDly);
-        let policy = r.instantiate(d, &cfg).unwrap();
-        assert_eq!(policy.caps(), caps);
+        let d = DesignRegistry::global()
+            .register("registry-test-idx-4", caps)
+            .unwrap();
+        assert_eq!(DesignRegistry::global().caps(d), Some(caps));
+        assert_eq!(d.caps(), caps);
+        assert_eq!(
+            DesignRegistry::global().lookup("registry-test-idx-4"),
+            Some(d)
+        );
+
+        // A processor over the new design runs to completion.
+        let mut b = ProgramBuilder::new();
+        let (ctr, v, t) = (Reg::new(1), Reg::new(2), Reg::new(3));
+        b.load_imm(ctr, 100);
+        b.load_imm(v, 7);
+        let top = b.label("top");
+        b.store(DataSize::Quad, v, Reg::ZERO, 0x100);
+        b.load(DataSize::Quad, t, Reg::ZERO, 0x100);
+        b.add_imm(ctr, ctr, -1);
+        b.branch_nz(ctr, top);
+        b.halt();
+        let trace = trace_program(&b.build().unwrap(), 10_000).unwrap();
+        let stats = crate::Processor::new(crate::SimConfig::with_design(d), &trace).run();
+        assert_eq!(stats.committed, trace.len() as u64);
+        assert!(stats.loads_forwarded > 0, "the indexed SQ forwards");
     }
 }

@@ -4,7 +4,9 @@
 //! arbitrary point and resuming, for every design under both engines.
 
 use proptest::prelude::*;
-use sqip_core::{Engine, Processor, SimConfig, SimStats, SqDesign, StepOutcome};
+use sqip_core::{
+    DesignCaps, DesignRegistry, Engine, Processor, SimConfig, SimStats, SqDesign, StepOutcome,
+};
 use sqip_isa::{Program, ProgramBuilder, ProgramSource, Reg};
 use sqip_snapshot::SnapError;
 use sqip_types::DataSize;
@@ -179,6 +181,35 @@ fn checkpoint_at_completion_resumes_done() {
     let p = Processor::restore(&mut snap.as_slice(), source(&program)).unwrap();
     assert!(p.is_done(), "a finished run restores finished");
     assert_eq!(finish(p), straight);
+}
+
+/// A capability combination registered at runtime checkpoints and
+/// resumes like a builtin: the snapshot names the design, and restore
+/// rebuilds its policy from the registry's caps.
+#[test]
+fn runtime_registered_designs_checkpoint_and_resume() {
+    let design = DesignRegistry::global()
+        .register(
+            "checkpoint-test-indexed-2",
+            DesignCaps::indexed(2).with_delay().with_fwd_latency_pred(),
+        )
+        .unwrap();
+    let program = workload(200);
+    for engine in [Engine::Event, Engine::Reference] {
+        let mut cfg = SimConfig::with_design(design);
+        cfg.engine = engine;
+        let straight = Processor::from_source(cfg.clone(), source(&program))
+            .try_run()
+            .unwrap();
+        let snap = checkpoint_after(&cfg, &program, 300);
+        let resumed = Processor::restore(&mut snap.as_slice(), source(&program)).unwrap();
+        assert!(!resumed.is_done(), "{engine:?}: checkpointed mid-run");
+        assert_eq!(
+            finish(resumed),
+            straight,
+            "{engine:?} diverges after resume"
+        );
+    }
 }
 
 proptest! {

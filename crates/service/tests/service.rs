@@ -391,6 +391,44 @@ fn bad_input_is_reported_without_killing_the_connection() {
     server.shutdown();
 }
 
+/// A spec whose knob passes the schema but builds no processor (a
+/// zero-way FSP) is refused at submit, before it can reach a worker, and
+/// the single worker still serves the next valid job.
+#[test]
+fn unbuildable_configuration_is_refused_at_submit() {
+    let server = spawn(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut conn = Connection::connect(server.addr()).unwrap();
+    // A refused job never settles on its own, so bound every wait.
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+
+    let bad = ExperimentSpec::new(["mix:1:1k"], ["associative-3"])
+        .variant("no-ways", vec![("fsp_ways".to_string(), 0)]);
+    conn.send(&Request::Submit {
+        id: "bad".into(),
+        spec: bad,
+        timeout_ms: None,
+    })
+    .unwrap();
+    match conn.recv().unwrap() {
+        Response::Error { id, reason } => {
+            assert_eq!(id, "bad");
+            assert!(reason.contains("fsp"), "reason: {reason}");
+        }
+        other => panic!("expected a submit-time error, got {other:?}"),
+    }
+    assert_eq!(server.stats().accepted, 0);
+
+    let outcome = conn.run_job("good", &small_spec(), None).unwrap();
+    assert_eq!(outcome.status, Some(JobStatus::Done), "{outcome:?}");
+    assert!(outcome.is_complete(), "{outcome:?}");
+
+    server.shutdown();
+}
+
 /// An oversized request line is answered with an error, never
 /// buffered whole, and the server keeps serving: a second connection
 /// still gets `Pong`.

@@ -45,12 +45,11 @@
 //!
 //! # Custom store-queue designs
 //!
-//! The design axis is open: register a new design by name in the
-//! [`DesignRegistry`] (either a capability combination of the builtin
-//! machinery, as below, or a from-scratch [`ForwardingPolicy`]
-//! implementation) and sweep it like any builtin — the [`SqDesign`]
-//! handle it returns works in [`Experiment::designs`], JSON results and
-//! the figure bins' `--design` flags alike.
+//! The design axis is open: a design is a [`DesignCaps`] capability set,
+//! and registering a new combination by name in the [`DesignRegistry`]
+//! makes it sweepable like any builtin — the [`SqDesign`] handle it
+//! returns works in [`Experiment::designs`], JSON results, the figure
+//! bins' `--design` flags, checkpoints and `sqipd` jobs alike.
 //!
 //! ```
 //! use sqip::{by_name, DesignCaps, DesignRegistry, Experiment, SqDesign};
@@ -58,7 +57,7 @@
 //! // The paper's indexed scheme with delay prediction, at a (hypothetical)
 //! // 2-cycle store queue.
 //! let fast_indexed = DesignRegistry::global()
-//!     .register_builtin("indexed-2-fwd+dly", DesignCaps::indexed(2).with_delay())?;
+//!     .register("indexed-2-fwd+dly", DesignCaps::indexed(2).with_delay())?;
 //!
 //! let results = Experiment::new()
 //!     .workload(by_name("gzip").unwrap().with_iterations(100))
@@ -92,13 +91,11 @@ pub use spec::{ExperimentSpec, VariantSpec, KNOBS, SPEC_VERSION};
 pub use sweep::{CancelToken, CellEvent, CellEventFn, GroupTelemetry, SweepEngine, SweepTelemetry};
 
 // The simulator core: configs, stats, the resumable processor, its
-// observation hooks, and the open design-policy API.
+// observation hooks, and the design registry.
 pub use sqip_core::{
-    engine::SchedCounters, oracle_tap, BuiltinPolicy, DesignCaps, DesignRegistry, Engine,
-    ForwardingPolicy, LoadCommitInfo, LoadRename, ObserverAction, OracleBuilder, OracleFeed,
-    OracleFwd, OracleHint, OracleInfo, OracleTap, OrderingMode, ParseDesignError, PipelineView,
-    Processor, RegistryError, SimConfig, SimError, SimObserver, SimStats, SqDesign, SqProbe,
-    StepOutcome,
+    engine::SchedCounters, oracle_tap, DesignCaps, DesignRegistry, Engine, ObserverAction,
+    OracleBuilder, OracleFeed, OracleFwd, OracleInfo, OracleTap, OrderingMode, ParseDesignError,
+    Processor, RegistryError, SimConfig, SimError, SimObserver, SimStats, SqDesign, StepOutcome,
 };
 // The checkpoint container: [`Processor::checkpoint`]/[`Processor::restore`]
 // speak this format, and the result cache addresses entries by [`Fnv`].

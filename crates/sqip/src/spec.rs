@@ -47,6 +47,23 @@ pub const SPEC_VERSION: u32 = 1;
 /// All knobs take unsigned integer values. `sq_size` also sets
 /// `ddp.max_distance` (the simulator requires the two to be equal: delay
 /// distances are stored in ⌈log2(SQ size)⌉ bits).
+///
+/// [`Experiment::cells`] validates every cell's configuration with
+/// [`SimConfig::try_validate`], so a value outside these ranges is
+/// refused before anything runs:
+///
+/// * `rob_size`, `iq_size`, `lq_size`, `sq_size`:
+///   1..=[`SimConfig::MAX_WINDOW_ENTRIES`] (65,536);
+/// * `fetch_width`, `rename_width`, `commit_width`, `reexec_ports`:
+///   1..=[`SimConfig::MAX_WIDTH`] (64);
+/// * `front_latency`, `issue_to_exec`, `post_exec_depth`:
+///   0..=[`SimConfig::MAX_LATENCY`] (1,024 cycles);
+/// * `fsp_entries`, `fsp_ways`, `ddp_entries`: at most
+///   [`SimConfig::MAX_TABLE_ENTRIES`] (65,536) entries, at least one way,
+///   and a power-of-two set count (entries / ways);
+/// * `sat_entries`, `ssbf_entries`, `spct_entries`: a power of two of at
+///   most [`SimConfig::MAX_TABLE_ENTRIES`];
+/// * `ssn_bits`: 8..=[`SimConfig::MAX_SSN_BITS`] (64).
 pub const KNOBS: &[(&str, &str)] = &[
     ("rob_size", "reorder-buffer entries"),
     ("iq_size", "issue-queue entries"),

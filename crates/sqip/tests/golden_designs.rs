@@ -3,9 +3,9 @@
 //! `SqDesign` enum dispatch on a representative workload subset.
 //!
 //! The fixture (`tests/fixtures/golden_designs.json`) was generated from
-//! the enum-dispatch implementation immediately before design dispatch
-//! moved behind the `ForwardingPolicy` trait; this test pins the policy
-//! implementations to it. Regenerate (only when an *intentional* modelling
+//! the enum-dispatch implementation immediately before designs became
+//! registered capability sets; this test pins the one policy that
+//! implements them to it. Regenerate (only when an *intentional* modelling
 //! change lands) with:
 //!
 //! ```text

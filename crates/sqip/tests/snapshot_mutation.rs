@@ -360,3 +360,21 @@ fn a_version_4_snapshot_is_refused() {
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 }
+
+/// A checkpoint's configuration and its policy state must name the same
+/// design: renaming the configured design to another registered one of
+/// the same length (so only the checksum needs mending) must not resume
+/// the old policy under the new name.
+#[test]
+fn a_policy_of_another_design_is_refused() {
+    let fx = fixture();
+    let mut payload = fx.snap[HEADER..].to_vec();
+    let at = find(&payload, SqDesign::Indexed3FwdDly.name().as_bytes());
+    let renamed = b"indexed-5-fwd+dly";
+    assert_eq!(renamed.len(), SqDesign::Indexed3FwdDly.name().len());
+    payload[at..at + renamed.len()].copy_from_slice(renamed);
+    match refused(&payload, "a renamed design").0 {
+        SnapError::Corrupt(msg) => assert!(msg.contains("indexed-5-fwd+dly"), "{msg}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}

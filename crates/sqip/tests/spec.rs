@@ -3,7 +3,10 @@
 //! does not know (unknown fields, unknown names, unknown knobs, foreign
 //! versions).
 
-use sqip::{DesignRegistry, ExperimentSpec, SqipError, WorkloadRegistry, SPEC_VERSION};
+use sqip::{
+    DesignRegistry, ExperimentSpec, SimConfig, SimError, SqipError, WorkloadRegistry, KNOBS,
+    SPEC_VERSION,
+};
 
 const CANONICAL: &str = r#"{"version":1,"workloads":["mix:0xfeed:20k","gzip"],"designs":["ideal-oracle","indexed-3-fwd+dly"],"variants":[{"name":"small-fsp","set":{"fsp_entries":512}}]}"#;
 
@@ -134,4 +137,64 @@ fn specs_run_end_to_end() {
     let results = spec.to_experiment().unwrap().run().unwrap();
     assert_eq!(results.len(), 2);
     assert!(results.records().iter().all(|r| r.stats.committed > 0));
+}
+
+/// The largest value `SimConfig::try_validate` accepts for each knob.
+fn knob_bound(knob: &str) -> u64 {
+    match knob {
+        "rob_size" | "iq_size" | "lq_size" | "sq_size" => SimConfig::MAX_WINDOW_ENTRIES as u64,
+        "fetch_width" | "rename_width" | "commit_width" | "reexec_ports" => {
+            SimConfig::MAX_WIDTH as u64
+        }
+        "front_latency" | "issue_to_exec" | "post_exec_depth" => SimConfig::MAX_LATENCY,
+        "fsp_entries" | "fsp_ways" | "ddp_entries" | "sat_entries" | "ssbf_entries"
+        | "spct_entries" => SimConfig::MAX_TABLE_ENTRIES as u64,
+        "ssn_bits" => u64::from(SimConfig::MAX_SSN_BITS),
+        other => panic!("knob `{other}` has no documented bound"),
+    }
+}
+
+/// Every knob value a spec can carry either fails admission with a typed
+/// error naming the knob, or runs to completion: nothing that passes
+/// `to_experiment` and `cells` (the `sqipd` admission check) may panic
+/// or deadlock inside the sweep.
+#[test]
+fn every_knob_value_is_refused_up_front_or_runs_to_completion() {
+    for &(knob, _) in KNOBS {
+        let bound = knob_bound(knob);
+        for value in [0, 3, bound, bound + 1, 1 << 62, u64::MAX] {
+            let label = format!("{knob} = {value}");
+            let spec = ExperimentSpec::new(["mix:1:1k"], ["associative-3"])
+                .variant("v", vec![(knob.to_string(), value)]);
+            let experiment = match spec.to_experiment() {
+                Ok(experiment) => experiment,
+                Err(err) => {
+                    assert!(matches!(err, SqipError::Config(_)), "{label}: {err}");
+                    continue;
+                }
+            };
+            let refused = match experiment.cells() {
+                Ok(_) => false,
+                Err(SqipError::Sim {
+                    source: SimError::InvalidConfig(msg),
+                    ..
+                }) => {
+                    let field = knob.split('_').next().unwrap();
+                    assert!(msg.contains(field), "{label}: `{msg}` names no field");
+                    true
+                }
+                Err(err) => panic!("{label}: untyped refusal {err}"),
+            };
+            assert!(
+                refused || value <= bound,
+                "{label} is past the bound {bound} but was admitted"
+            );
+            if !refused {
+                let results = experiment
+                    .run()
+                    .unwrap_or_else(|e| panic!("{label}: admitted but failed: {e}"));
+                assert_eq!(results.len(), 1, "{label}");
+            }
+        }
+    }
 }
