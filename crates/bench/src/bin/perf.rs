@@ -8,9 +8,9 @@
 //! across iterations and the two engines' cycles equal.
 //!
 //! Every event-engine cell also carries the engine's **scheduling-cost
-//! counters** (wheel ops, off-wheel near ops, broadcasts delivered,
-//! ready-lane touches and steps — the active cycles simulated — each per
-//! committed instruction). The counters are deterministic per
+//! counters** (wheel ops, off-wheel near ops, broadcasts delivered and
+//! cancelled, ready-lane touches and steps — the active cycles simulated
+//! — each per committed instruction). The counters are deterministic per
 //! (workload, design) and independent of the host, so they are the
 //! hardware-portable face of the scheduler.
 //!
@@ -58,7 +58,7 @@ const COUNTER_FLOOR: f64 = 0.01;
 
 /// The report schema this bin writes and the only one `--baseline`
 /// reads. Bump it whenever a field the gates read changes.
-const SCHEMA: u32 = 1;
+const SCHEMA: u32 = 2;
 
 /// One (workload, design, engine) measurement.
 #[derive(Debug, Clone, Serialize)]
@@ -92,6 +92,9 @@ struct SchedCost {
     near_ops_per_inst: f64,
     /// Value broadcasts delivered per instruction.
     broadcasts_per_inst: f64,
+    /// Value broadcasts cancelled per instruction: their producer was
+    /// certain to replay, so they woke nobody (reported, not gated).
+    cancelled_broadcasts_per_inst: f64,
     /// Ready-lane tail peeks per instruction during issue selection.
     ready_touches_per_inst: f64,
     /// Engine steps (active cycles simulated; idle ones are skipped)
@@ -232,6 +235,7 @@ fn measure(input: &Input, design: SqDesign, engine: Engine) -> Cell {
             wheel_ops_per_inst: per_inst(c.wheel_ops),
             near_ops_per_inst: per_inst(c.near_ops),
             broadcasts_per_inst: per_inst(c.broadcasts),
+            cancelled_broadcasts_per_inst: per_inst(c.cancelled_broadcasts),
             ready_touches_per_inst: per_inst(c.ready_touches),
             steps_per_inst: per_inst(c.steps),
         }),
@@ -525,6 +529,7 @@ mod tests {
             wheel_ops_per_inst: 0.1,
             near_ops_per_inst: 2.0,
             broadcasts_per_inst: 1.0,
+            cancelled_broadcasts_per_inst: 0.01,
             ready_touches_per_inst: 2.0,
             steps_per_inst: 0.5,
         };

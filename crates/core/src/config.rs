@@ -474,6 +474,19 @@ impl SimConfig {
     pub const MAX_TABLE_ENTRIES: usize = 1 << 16;
     /// Widest hardware SSN, in bits, [`SimConfig::try_validate`] accepts.
     pub const MAX_SSN_BITS: u32 = 64;
+    /// Highest associativity of a cache, the TLB or the BTB
+    /// [`SimConfig::try_validate`] accepts.
+    pub const MAX_WAYS: usize = 64;
+    /// Most sets in one cache level [`SimConfig::try_validate`] accepts
+    /// (32× the paper's L2).
+    pub const MAX_CACHE_SETS: usize = 1 << 16;
+    /// Longest cache line, in bytes, [`SimConfig::try_validate`] accepts.
+    pub const MAX_LINE_BYTES: usize = 4096;
+    /// Deepest return-address stack [`SimConfig::try_validate`] accepts.
+    pub const MAX_RAS_DEPTH: usize = 1024;
+    /// Longest global branch history, in bits, [`SimConfig::try_validate`]
+    /// accepts (the history register is 64 bits wide).
+    pub const MAX_HISTORY_BITS: u32 = 63;
 
     /// Validates the configuration: every size, width and latency in its
     /// accepted range, every predictor geometry constructible, and the
@@ -486,8 +499,20 @@ impl SimConfig {
     /// and post-execute latencies; 8..=[`SimConfig::MAX_SSN_BITS`] for the
     /// SSN width. SAT, SSBF, SPCT, SSIT and LFST sizes are powers of two,
     /// and FSP and DDP have at least one way and a power-of-two set count,
-    /// all at most [`SimConfig::MAX_TABLE_ENTRIES`] entries. The nested
-    /// memory-hierarchy and branch-predictor geometries are not checked.
+    /// all at most [`SimConfig::MAX_TABLE_ENTRIES`] entries.
+    ///
+    /// The nested geometries are checked the same way, so every
+    /// constructor they feed succeeds. Each cache level has
+    /// 1..=[`SimConfig::MAX_WAYS`] ways, a power-of-two line of at most
+    /// [`SimConfig::MAX_LINE_BYTES`] bytes, and a power-of-two set count
+    /// of at most [`SimConfig::MAX_CACHE_SETS`]. The TLB and the BTB have
+    /// 1..=[`SimConfig::MAX_WAYS`] ways, a power-of-two set count and at
+    /// most [`SimConfig::MAX_TABLE_ENTRIES`] entries, and TLB pages are a
+    /// power of two. The branch direction tables are a power of two of at
+    /// most [`SimConfig::MAX_TABLE_ENTRIES`], the return-address stack is
+    /// 1..=[`SimConfig::MAX_RAS_DEPTH`] deep, and the global history has
+    /// at most [`SimConfig::MAX_HISTORY_BITS`] bits. Hit, miss and memory
+    /// latencies are at most [`SimConfig::MAX_LATENCY`].
     ///
     /// # Errors
     ///
@@ -514,6 +539,13 @@ impl SimConfig {
             ("front_latency", self.front_latency),
             ("issue_to_exec", self.issue_to_exec),
             ("post_exec_depth", self.post_exec_depth),
+            ("hierarchy.l1.hit_latency", self.hierarchy.l1.hit_latency),
+            ("hierarchy.l2.hit_latency", self.hierarchy.l2.hit_latency),
+            (
+                "hierarchy.tlb.miss_latency",
+                self.hierarchy.tlb.miss_latency,
+            ),
+            ("hierarchy.memory_latency", self.hierarchy.memory_latency),
         ] {
             if value > Self::MAX_LATENCY {
                 return invalid(&format!(
@@ -549,6 +581,7 @@ impl SimConfig {
                 ));
             }
         }
+        self.validate_nested()?;
         if self.ddp.max_distance as usize != self.sq_size {
             return invalid(
                 "DDP distances are bounded by SQ size (\u{2308}log2(SQ.size)\u{2309} bits)",
@@ -566,6 +599,78 @@ impl SimConfig {
                 "an LQ CAM cannot detect wrong-entry forwarding; indexed designs \
                  require value-based re-execution (the paper's §2 argument)",
             );
+        }
+        Ok(())
+    }
+
+    /// The memory-hierarchy and branch-predictor part of
+    /// [`SimConfig::try_validate`].
+    fn validate_nested(&self) -> Result<(), SimError> {
+        let invalid = |msg: String| Err(SimError::InvalidConfig(msg));
+        let h = &self.hierarchy;
+        for (field, c) in [("hierarchy.l1", h.l1), ("hierarchy.l2", h.l2)] {
+            let geometry_ok = (1..=Self::MAX_WAYS).contains(&c.ways)
+                && c.line_bytes.is_power_of_two()
+                && c.line_bytes <= Self::MAX_LINE_BYTES
+                && c.capacity_bytes / (c.ways * c.line_bytes) <= Self::MAX_CACHE_SETS
+                && c.sets().is_power_of_two();
+            if !geometry_ok {
+                return invalid(format!(
+                    "{field}: {} bytes in {} ways of {}-byte lines is not a cache with \
+                     1..={} ways, a power-of-two line of at most {} bytes and a \
+                     power-of-two set count of at most {}",
+                    c.capacity_bytes,
+                    c.ways,
+                    c.line_bytes,
+                    Self::MAX_WAYS,
+                    Self::MAX_LINE_BYTES,
+                    Self::MAX_CACHE_SETS
+                ));
+            }
+        }
+        let b = &self.branch;
+        for (field, entries, ways) in [
+            ("hierarchy.tlb", h.tlb.entries, h.tlb.ways),
+            ("branch.btb", b.btb_entries, b.btb_ways),
+        ] {
+            if !(1..=Self::MAX_WAYS).contains(&ways)
+                || entries > Self::MAX_TABLE_ENTRIES
+                || !(entries / ways).is_power_of_two()
+            {
+                return invalid(format!(
+                    "{field}: {entries} entries in {ways} ways is not a table of at most {} \
+                     entries with 1..={} ways and a power-of-two set count",
+                    Self::MAX_TABLE_ENTRIES,
+                    Self::MAX_WAYS
+                ));
+            }
+        }
+        if !h.tlb.page_bytes.is_power_of_two() {
+            return invalid(format!(
+                "hierarchy.tlb.page_bytes must be a power of two (got {})",
+                h.tlb.page_bytes
+            ));
+        }
+        if !b.direction_entries.is_power_of_two() || b.direction_entries > Self::MAX_TABLE_ENTRIES {
+            return invalid(format!(
+                "branch.direction_entries must be a power of two of at most {} (got {})",
+                Self::MAX_TABLE_ENTRIES,
+                b.direction_entries
+            ));
+        }
+        if !(1..=Self::MAX_RAS_DEPTH).contains(&b.ras_depth) {
+            return invalid(format!(
+                "branch.ras_depth must be in 1..={} (got {})",
+                Self::MAX_RAS_DEPTH,
+                b.ras_depth
+            ));
+        }
+        if b.history_bits > Self::MAX_HISTORY_BITS {
+            return invalid(format!(
+                "branch.history_bits must be at most {} (got {})",
+                Self::MAX_HISTORY_BITS,
+                b.history_bits
+            ));
         }
         Ok(())
     }
@@ -667,6 +772,59 @@ mod tests {
             ..SimConfig::default()
         };
         c.validate();
+    }
+
+    /// Every degenerate nested geometry is refused by name, and each
+    /// largest accepted value still builds a processor.
+    #[test]
+    fn nested_geometries_are_bounded() {
+        type Mutation = (&'static str, fn(&mut SimConfig));
+        let refused: [Mutation; 14] = [
+            ("hierarchy.l1", |c| c.hierarchy.l1.ways = 0),
+            ("hierarchy.l1", |c| c.hierarchy.l1.line_bytes = 48),
+            ("hierarchy.l2", |c| c.hierarchy.l2.capacity_bytes = 3 << 20),
+            ("hierarchy.l2", |c| c.hierarchy.l2.capacity_bytes = 1 << 40),
+            ("hierarchy.tlb", |c| c.hierarchy.tlb.ways = 0),
+            ("hierarchy.tlb", |c| c.hierarchy.tlb.entries = 96),
+            ("hierarchy.tlb.page_bytes", |c| {
+                c.hierarchy.tlb.page_bytes = 0
+            }),
+            ("hierarchy.memory_latency", |c| {
+                c.hierarchy.memory_latency = u64::MAX
+            }),
+            ("branch.btb", |c| c.branch.btb_ways = 0),
+            ("branch.btb", |c| {
+                c.branch.btb_ways = SimConfig::MAX_WAYS + 1
+            }),
+            ("branch.btb", |c| c.branch.btb_entries = usize::MAX),
+            ("branch.direction_entries", |c| {
+                c.branch.direction_entries = 0
+            }),
+            ("branch.ras_depth", |c| c.branch.ras_depth = 0),
+            ("branch.history_bits", |c| c.branch.history_bits = 64),
+        ];
+        for (field, mutate) in refused {
+            let mut c = SimConfig::default();
+            mutate(&mut c);
+            let err = c.try_validate().expect_err(field).to_string();
+            assert!(err.contains(field), "{field}: {err}");
+        }
+
+        let mut c = SimConfig::default();
+        c.hierarchy.l2.ways = SimConfig::MAX_WAYS;
+        c.hierarchy.l2.line_bytes = SimConfig::MAX_LINE_BYTES;
+        c.hierarchy.l2.capacity_bytes = SimConfig::MAX_WAYS * SimConfig::MAX_LINE_BYTES;
+        c.hierarchy.tlb.ways = SimConfig::MAX_WAYS;
+        c.hierarchy.tlb.entries = SimConfig::MAX_TABLE_ENTRIES;
+        c.branch.btb_ways = SimConfig::MAX_WAYS;
+        c.branch.btb_entries = SimConfig::MAX_TABLE_ENTRIES;
+        c.branch.direction_entries = SimConfig::MAX_TABLE_ENTRIES;
+        c.branch.ras_depth = SimConfig::MAX_RAS_DEPTH;
+        c.branch.history_bits = SimConfig::MAX_HISTORY_BITS;
+        c.try_validate()
+            .expect("the largest nested geometries are valid");
+        let _ = sqip_mem::Hierarchy::new(c.hierarchy);
+        let _ = sqip_predictors::BranchPredictor::new(c.branch);
     }
 
     #[test]

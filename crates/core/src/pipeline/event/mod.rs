@@ -65,6 +65,9 @@ pub struct SchedCounters {
     pub near_ops: u64,
     /// Value broadcasts delivered (each fans out to its waiter list).
     pub broadcasts: u64,
+    /// Value broadcasts cancelled with consumers waiting, because their
+    /// producer was certain to replay (see the scheduler's cancel rule).
+    pub cancelled_broadcasts: u64,
     /// Ready-lane tail peeks during issue selection.
     pub ready_touches: u64,
     /// Steps taken: the active cycles the engine simulated. Every cycle
@@ -199,6 +202,8 @@ pub(crate) struct EventCore<'t> {
     pub(crate) near_ops: u64,
     /// Value broadcasts delivered.
     pub(crate) broadcasts: u64,
+    /// Value broadcasts cancelled (the producer was certain to replay).
+    pub(crate) cancelled_broadcasts: u64,
     /// Ready-lane tail peeks during issue selection.
     pub(crate) ready_touches: u64,
     /// Active cycles simulated (steps that ran the stages).
@@ -268,6 +273,7 @@ impl<'t> EventCore<'t> {
             issue_scratch: Vec::new(),
             near_ops: 0,
             broadcasts: 0,
+            cancelled_broadcasts: 0,
             ready_touches: 0,
             steps: 0,
             vals: SeqRing::new(cfg.rob_size, cfg.fetch_width),
@@ -464,6 +470,7 @@ impl<'t> EventCore<'t> {
             wheel_ops: self.wheel.ops(),
             near_ops: self.near_ops,
             broadcasts: self.broadcasts,
+            cancelled_broadcasts: self.cancelled_broadcasts,
             ready_touches: self.ready_touches,
             steps: self.steps,
         }
@@ -667,6 +674,7 @@ impl EventCore<'_> {
         // Diagnostic counters restart at zero, like the wheel's.
         self.near_ops = 0;
         self.broadcasts = 0;
+        self.cancelled_broadcasts = 0;
         self.ready_touches = 0;
         self.steps = 0;
         Ok(())

@@ -4,7 +4,7 @@
 use sqip_isa::OpClass;
 use sqip_types::Seq;
 
-use crate::dyninst::InstState;
+use crate::dyninst::{DynInst, InstState, Operand};
 use crate::pipeline::event::{fits_near, EventCore, WakeRing, WheelEvent};
 use crate::pipeline::{EvKind, NOT_READY};
 
@@ -135,7 +135,13 @@ impl EventCore<'_> {
     ///    deliveries (Broadcast / Wake / StoreWake, in any key order)
     ///    commute — gate releases at one cycle are order-independent
     ///    arithmetic, duplicate wakes no-op on the state check, and
-    ///    waiter registration happens only inside Exec arms.
+    ///    waiter registration happens only inside Exec arms. The
+    ///    broadcast cancel rule ([`EventCore::wakeup_cancelled`]) keeps
+    ///    this: it treats `Waiting` and `Ready` alike and otherwise
+    ///    reads only what Exec arms and the issue stage write, so no
+    ///    same-cycle delivery (whose only state change is `Waiting` →
+    ///    `Ready`) can flip a later broadcast's verdict. A rule that
+    ///    told `Waiting` from `Ready` would not commute.
     /// 3. **The wheel**, whose internal order is unchanged. It holds
     ///    only wake deliveries for this cycle (every same-cycle Exec is
     ///    either fused or, under `issue_to_exec = 0`, clamped into
@@ -210,8 +216,73 @@ impl EventCore<'_> {
     }
 
     fn do_broadcast(&mut self, producer: u64) {
+        // A cancelled broadcast leaves the waiter list in place: the
+        // producer's next issue, or its completion's re-broadcast, wakes
+        // these consumers on time.
+        if self.wake_on_value.contains(producer) && self.wakeup_cancelled(producer) {
+            self.cancelled_broadcasts += 1;
+            return;
+        }
         self.broadcasts += 1;
         self.wake_all(WakeRing::Value, producer);
+    }
+
+    /// **The cancel rule.** A value broadcast is cancelled when its
+    /// producer is known to be certain to replay:
+    ///
+    /// * the producer has replayed and not issued again (`Waiting` or
+    ///   `Ready`), so the broadcast belongs to a cancelled issue; or
+    /// * the producer is `Issued` and a source is known late for its
+    ///   execute: the source has replayed (`Waiting` or `Ready`, so it
+    ///   cannot execute before anything already issued), or it has
+    ///   executed and its value is ready only after the producer's
+    ///   execute cycle (a miss the scheduler has already seen).
+    ///
+    /// This is the scheduler's cancel signal (Kim & Lipasti, HPCA 2004):
+    /// once a latency mis-speculation is known, the wakeups of the
+    /// instructions issued in its shadow die, so a doomed instruction
+    /// does not wake its own consumers. The rule looks one dependence
+    /// level deep; an issued source that is itself doomed, but not yet
+    /// known to be, does not cancel.
+    ///
+    /// The rule reads only instruction states (with `Waiting` and
+    /// `Ready` alike), executed values' ready cycles and issue-time wake
+    /// cycles. No wake delivery changes any of these — a delivery only
+    /// turns `Waiting` into `Ready` — so it commutes with same-cycle
+    /// deliveries (see [`EventCore::process_events`]). The reference
+    /// engine applies the same rule.
+    fn wakeup_cancelled(&self, producer: u64) -> bool {
+        let Some(p) = self.insts.get(producer) else {
+            return false; // committed: its value is architectural
+        };
+        match p.state {
+            InstState::Waiting | InstState::Ready => return true,
+            InstState::Done => return false,
+            InstState::Issued => {}
+        }
+        p.srcs.iter().any(|&src| {
+            let Operand::InFlight(s) = src else {
+                return false;
+            };
+            match self.insts.get(s.0).map(|source| source.state) {
+                Some(InstState::Waiting | InstState::Ready) => true,
+                // The producer executes this cycle at the earliest, so a
+                // value ready by now is never late.
+                Some(InstState::Done) => {
+                    let ready = self.vals.value_ready(s.0);
+                    ready > self.cycle && ready > self.exec_cycle(p)
+                }
+                Some(InstState::Issued) | None => false,
+            }
+        })
+    }
+
+    /// The execute cycle of an issued instruction that has a
+    /// destination, recovered from the wake cycle its issue armed
+    /// (`issue + max(predicted latency, 1)`).
+    fn exec_cycle(&self, inst: &DynInst) -> u64 {
+        let latency = self.latency_for(inst.op_class, inst.ssn_fwd.is_some());
+        self.vals.wake_time(inst.seq.0) - latency.max(1) + self.cfg.issue_to_exec
     }
 
     pub(crate) fn wake_one(&mut self, seq: u64, is_delay_gate: bool) {

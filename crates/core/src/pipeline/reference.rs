@@ -681,12 +681,42 @@ impl RefCore<'_> {
     }
 
     fn do_broadcast(&mut self, producer: u64) {
-        let Some(consumers) = self.wake_on_value.remove(&producer) else {
+        // The cancel rule: a broadcast whose producer is certain to replay
+        // wakes nobody, and its waiter list stays for the next broadcast.
+        if !self.wake_on_value.contains_key(&producer) || self.wakeup_cancelled(producer) {
             return;
-        };
-        for c in consumers {
+        }
+        for c in self.wake_on_value.remove(&producer).unwrap_or_default() {
             self.wake_one(c, false);
         }
+    }
+
+    /// Whether `producer` is known to be certain to replay: it has
+    /// replayed and not issued again, or it is issued and a source has
+    /// replayed or has executed with its value ready only after the
+    /// producer's execute cycle.
+    fn wakeup_cancelled(&self, producer: u64) -> bool {
+        let Some(p) = self.insts.get(&producer) else {
+            return false;
+        };
+        match p.state {
+            InstState::Waiting | InstState::Ready => return true,
+            InstState::Done => return false,
+            InstState::Issued => {}
+        }
+        // An issued instruction's wake cycle is `issue + max(latency, 1)`.
+        let latency = self.predicted_latency(self.window.rec(Seq(producer)), producer);
+        let exec_at = self.vals.wake_time(producer) - latency.max(1) + self.cfg.issue_to_exec;
+        p.srcs.iter().any(|&src| {
+            let Operand::InFlight(s) = src else {
+                return false;
+            };
+            match self.insts.get(&s.0).map(|source| source.state) {
+                Some(InstState::Waiting | InstState::Ready) => true,
+                Some(InstState::Done) => self.vals.value_ready(s.0) > exec_at,
+                Some(InstState::Issued) | None => false,
+            }
+        })
     }
 
     pub(crate) fn wake_one(&mut self, seq: u64, is_delay_gate: bool) {

@@ -728,6 +728,8 @@ fn run_job(shared: &Shared, job: &Job, ctl: &JobCtl) {
                 },
             );
         }
+        // A failed or panicked cell (the sweep catches a cell's unwind
+        // and names the cell): settled, so a restart does not re-run it.
         Err(err) => {
             shared.counters.failed.fetch_add(1, Ordering::Relaxed);
             shared.settle_journal(job.journal_seq);

@@ -592,3 +592,71 @@ fn journal_recovers_jobs_killed_mid_queue() {
     server2.shutdown();
     let _ = std::fs::remove_file(&path);
 }
+
+/// **A panicking cell costs one job, not a worker.** A test-only
+/// workload whose opening panics fails its job with a typed error that
+/// names the cell; the single worker survives to complete the next job;
+/// and the failed job's journal entry is settled, so a restarted server
+/// does not run it again.
+#[test]
+fn a_panicking_cell_fails_its_job_and_the_worker_survives() {
+    sqip::WorkloadRegistry::global()
+        .register(sqip::RegisteredWorkload::from_factory(
+            "sqipd-test-panics",
+            "panics when opened",
+            || panic!("test workload panics on open"),
+        ))
+        .expect("test workload registers once");
+    let path = std::env::temp_dir().join(format!("sqipd-panic-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let cfg = ServerConfig {
+        workers: 1,
+        journal: Some(path.clone()),
+        ..ServerConfig::default()
+    };
+
+    let server = spawn(cfg.clone());
+    let mut conn = Connection::connect(server.addr()).unwrap();
+    // A worker killed by the panic would leave the job unanswered: fail
+    // on a read timeout instead of hanging.
+    conn.set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let spec = ExperimentSpec::new(["sqipd-test-panics"], ["indexed-3-fwd+dly"]);
+    let failed = conn
+        .run_job("panics", &spec, None)
+        .expect("the panicking job is answered");
+    match &failed.status {
+        Some(JobStatus::Failed(reason)) => {
+            assert!(
+                reason.contains("sqipd-test-panics/indexed-3-fwd+dly")
+                    && reason.contains("panicked"),
+                "{reason}"
+            );
+        }
+        other => panic!("expected a failed job, got {other:?}"),
+    }
+    let next = conn.run_job("after", &small_spec(), None).unwrap();
+    assert!(next.is_complete(), "the worker did not survive: {next:?}");
+    let stats = server.stats();
+    assert_eq!((stats.failed, stats.completed), (1, 1), "{stats:?}");
+    server.shutdown();
+    drop(conn);
+
+    let (_, pending) = sqip_service::Journal::open(&path).unwrap();
+    assert!(pending.is_empty(), "journal still owes {pending:?}");
+    let server2 = spawn(cfg);
+    std::thread::sleep(Duration::from_millis(200));
+    let stats = server2.stats();
+    assert_eq!(
+        (
+            stats.failed,
+            stats.completed,
+            stats.running,
+            stats.queue_len
+        ),
+        (0, 0, 0, 0),
+        "a restart re-ran settled work: {stats:?}"
+    );
+    server2.shutdown();
+    let _ = std::fs::remove_file(&path);
+}

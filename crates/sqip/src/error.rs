@@ -41,6 +41,15 @@ pub enum SqipError {
         /// The cell's `workload/design/variant` label.
         cell: String,
     },
+    /// A sweep cell panicked. The sweep catches the unwind at the cell
+    /// boundary, so the worker thread survives and the caller gets this
+    /// error instead of a propagated panic.
+    Panicked {
+        /// The cell's `workload/design/variant` label.
+        cell: String,
+        /// The panic's message, when it carried one.
+        message: String,
+    },
     /// A serialized result set failed to parse.
     Parse(serde::Error),
     /// An export could not be written.
@@ -58,6 +67,7 @@ impl std::fmt::Display for SqipError {
             SqipError::UnknownWorkload(msg) => f.write_str(msg),
             SqipError::UnknownDesign(msg) => f.write_str(msg),
             SqipError::Cancelled { cell } => write!(f, "cell `{cell}` cancelled"),
+            SqipError::Panicked { cell, message } => write!(f, "cell `{cell}` panicked: {message}"),
             SqipError::Parse(e) => write!(f, "result set parse error: {e}"),
             SqipError::Io(e) => write!(f, "export failed: {e}"),
         }
@@ -74,7 +84,8 @@ impl std::error::Error for SqipError {
             SqipError::Config(_)
             | SqipError::UnknownWorkload(_)
             | SqipError::UnknownDesign(_)
-            | SqipError::Cancelled { .. } => None,
+            | SqipError::Cancelled { .. }
+            | SqipError::Panicked { .. } => None,
         }
     }
 }

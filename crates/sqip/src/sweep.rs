@@ -278,7 +278,8 @@ impl SweepEngine {
     ///
     /// # Errors
     ///
-    /// The first workload or cell failure, in cell order.
+    /// The first workload or cell failure, in cell order. A cell that
+    /// panics fails as [`SqipError::Panicked`]; the other cells still run.
     pub fn run_with_telemetry(
         &self,
         experiment: &Experiment,
@@ -313,11 +314,36 @@ impl SweepEngine {
             .unwrap_or_else(default_threads);
         let cancelled = || self.token.as_ref().is_some_and(CancelToken::is_cancelled);
         ordered_map(selected, threads, |_, &i| {
-            let result = run_cell(&cells[i], observer, &cancelled);
+            let result = run_cell_guarded(&cells[i], observer, &cancelled);
             emit_cell_event(self.events.as_ref(), &cells[i], i, &result);
             result
         })
     }
+}
+
+/// [`run_cell`] with its unwind caught at the cell boundary: a panic
+/// anywhere in the cell (its workload, the simulator, its observer)
+/// costs that cell alone, reported as [`SqipError::Panicked`], and the
+/// worker thread goes on to its next cell.
+fn run_cell_guarded(
+    cell: &Run,
+    observer: Option<&ObserverFn>,
+    cancelled: &dyn Fn() -> bool,
+) -> Result<SimStats, SqipError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_cell(cell, observer, cancelled)
+    }))
+    .unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(SqipError::Panicked {
+            cell: cell.label(),
+            message,
+        })
+    })
 }
 
 /// Runs one cell to its outcome on the calling worker thread, checking

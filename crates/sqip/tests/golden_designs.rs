@@ -5,8 +5,12 @@
 //! The fixture (`tests/fixtures/golden_designs.json`) was generated from
 //! the enum-dispatch implementation immediately before designs became
 //! registered capability sets; this test pins the one policy that
-//! implements them to it. Regenerate (only when an *intentional* modelling
-//! change lands) with:
+//! implements them to it. It was regenerated once since, for an
+//! intentional model change: the scheduler now cancels a value
+//! broadcast whose producer is certain to replay (see the README's
+//! "Cancelled wakeups"), which removes the replay waves behind cache
+//! misses and moves every cell's replay count and most cells' cycles.
+//! Regenerate (only when an *intentional* modelling change lands) with:
 //!
 //! ```text
 //! SQIP_UPDATE_GOLDEN=1 cargo test -p sqip --test golden_designs
@@ -68,10 +72,10 @@ fn current_cells() -> Vec<GoldenCell> {
 
 /// The golden matrix again, but through the **reference engine** and
 /// through **streamed** (`TraceSource`) inputs: neither the engine choice
-/// nor the input path may move a single bit of any fixture cell. The
-/// fixture bytes themselves are unchanged since the pre-refactor enum
-/// dispatch — three generations of rework (policy objects, streaming
-/// inputs, the event engine) all pin to the same numbers.
+/// nor the input path may move a single bit of any fixture cell. Three
+/// generations of rework (policy objects, streaming inputs, the event
+/// engine) left the fixture bytes unchanged; only the broadcast cancel
+/// rule, a model change applied to both engines alike, moved them.
 #[test]
 fn golden_matrix_is_engine_and_input_path_invariant() {
     if std::env::var("SQIP_UPDATE_GOLDEN").is_ok() {

@@ -141,3 +141,40 @@ fn tiny_structures_still_complete() {
     let stats = Processor::new(cfg, &trace).run();
     assert_eq!(stats.committed, trace.len() as u64);
 }
+
+/// **The replay wave stays bounded.** A pointer chase over 2 MiB (twice
+/// the L2) misses on most hops. The scheduler wakes each hop's dependent
+/// for the predicted L1 hit, so the dependent issued inside a miss's
+/// shadow replays. Before the cancel rule, that doomed issue woke its own
+/// dependents in turn, and a wave of replays ran down the whole chain
+/// once per miss: about 55 replays per committed load here. With the
+/// rule, only the instruction issued before the miss was known replays,
+/// so replays stay under one per committed load. Both engines agree.
+#[test]
+fn a_chase_behind_l2_misses_replays_less_than_once_per_load() {
+    use sqip::{Engine, StepOutcome};
+    let chase = sqip::generator::pointer_chase(8192, 256, 6_000);
+    for design in [SqDesign::Indexed3FwdDly, SqDesign::Associative3] {
+        let mut cfg = SimConfig::with_design(design);
+        cfg.engine = Engine::Event;
+        let mut event = Processor::from_source(cfg.clone(), chase.source().unwrap());
+        while event.step().unwrap() == StepOutcome::Running {}
+        let stats = event.stats().clone();
+        assert!(
+            stats.l2.misses * 4 > stats.loads,
+            "{design}: the chase must miss the L2"
+        );
+        assert!(
+            stats.replays < stats.loads,
+            "{design}: {} replays for {} committed loads",
+            stats.replays,
+            stats.loads
+        );
+        let cancelled = event.sched_counters().unwrap().cancelled_broadcasts;
+        assert!(cancelled > 0, "{design}: no broadcast was cancelled");
+
+        cfg.engine = Engine::Reference;
+        let reference = Processor::from_source(cfg, chase.source().unwrap()).run();
+        assert_eq!(reference, stats, "{design}: engines diverge");
+    }
+}

@@ -378,3 +378,75 @@ fn a_policy_of_another_design_is_refused() {
         other => panic!("expected Corrupt, got {other:?}"),
     }
 }
+
+/// The payload with its configuration string replaced by `cfg`'s JSON
+/// (the string is length-prefixed, so the rest of the payload follows
+/// unchanged).
+fn with_config(payload: &[u8], cfg: &SimConfig) -> Vec<u8> {
+    let old_len = u64_at(payload, 0) as usize;
+    let json = serde_json::to_string(cfg).expect("the configuration serializes");
+    let mut out = (json.len() as u64).to_le_bytes().to_vec();
+    out.extend_from_slice(json.as_bytes());
+    out.extend_from_slice(&payload[8 + old_len..]);
+    out
+}
+
+/// A checkpoint's configuration is untrusted input: rewriting any nested
+/// memory-hierarchy or branch-predictor field to a degenerate value, with
+/// the checksum mended, must be refused as corrupt by name — never reach
+/// the constructor that would panic on it.
+#[test]
+fn a_degenerate_nested_geometry_is_refused() {
+    let fx = fixture();
+    let payload = &fx.snap[HEADER..];
+    let cfg_len = u64_at(payload, 0) as usize;
+    let cfg: SimConfig =
+        serde_json::from_str(std::str::from_utf8(&payload[8..8 + cfg_len]).unwrap()).unwrap();
+    // The unmutated configuration round-trips through the rewrite.
+    assert!(restore(&reframe(&with_config(payload, &cfg))).0.is_ok());
+
+    type Rewrite = (&'static str, fn(&mut SimConfig));
+    let rewrites: [Rewrite; 19] = [
+        ("hierarchy.l1", |c| c.hierarchy.l1.capacity_bytes = 0),
+        ("hierarchy.l1", |c| c.hierarchy.l1.ways = 0),
+        ("hierarchy.l1", |c| c.hierarchy.l1.line_bytes = 0),
+        ("hierarchy.l1.hit_latency", |c| {
+            c.hierarchy.l1.hit_latency = u64::MAX
+        }),
+        ("hierarchy.l2", |c| {
+            c.hierarchy.l2.capacity_bytes = usize::MAX
+        }),
+        ("hierarchy.l2", |c| c.hierarchy.l2.ways = usize::MAX),
+        ("hierarchy.l2", |c| c.hierarchy.l2.line_bytes = 100),
+        ("hierarchy.l2.hit_latency", |c| {
+            c.hierarchy.l2.hit_latency = u64::MAX
+        }),
+        ("hierarchy.tlb", |c| c.hierarchy.tlb.entries = 0),
+        ("hierarchy.tlb", |c| c.hierarchy.tlb.ways = 0),
+        ("hierarchy.tlb.page_bytes", |c| {
+            c.hierarchy.tlb.page_bytes = 3000
+        }),
+        ("hierarchy.tlb.miss_latency", |c| {
+            c.hierarchy.tlb.miss_latency = u64::MAX
+        }),
+        ("hierarchy.memory_latency", |c| {
+            c.hierarchy.memory_latency = u64::MAX
+        }),
+        ("branch.direction_entries", |c| {
+            c.branch.direction_entries = 3
+        }),
+        ("branch.btb", |c| c.branch.btb_entries = 0),
+        ("branch.btb", |c| c.branch.btb_ways = 0),
+        ("branch.ras_depth", |c| c.branch.ras_depth = 0),
+        ("branch.ras_depth", |c| c.branch.ras_depth = usize::MAX),
+        ("branch.history_bits", |c| c.branch.history_bits = 64),
+    ];
+    for (field, rewrite) in rewrites {
+        let mut bad = cfg.clone();
+        rewrite(&mut bad);
+        match refused(&with_config(payload, &bad), field).0 {
+            SnapError::Corrupt(msg) => assert!(msg.contains(field), "{field}: {msg}"),
+            other => panic!("{field}: expected Corrupt, got {other:?}"),
+        }
+    }
+}

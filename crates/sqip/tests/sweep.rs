@@ -565,3 +565,77 @@ fn cached_and_sharded_runs_open_each_executed_cell_once() {
         }
     }
 }
+
+/// A source that yields a few records of a real program, then panics.
+struct PanickingSource {
+    inner: ProgramSource,
+    left: u32,
+}
+
+impl TraceSource for PanickingSource {
+    fn next_record(&mut self) -> Result<Option<sqip_isa::TraceRecord>, sqip_isa::IsaError> {
+        assert!(self.left > 0, "test workload panics mid-stream");
+        self.left -= 1;
+        self.inner.next_record()
+    }
+}
+
+/// A panic inside one cell costs that cell only: the sweep reports a
+/// typed error naming the first panicked cell, and with an event sink
+/// installed every other cell still finishes and streams its row — on
+/// one worker and on two.
+#[test]
+fn a_panicking_cell_is_a_typed_error_naming_the_cell() {
+    let program = build_program(&[Stmt::Alu(1, 2, 3), Stmt::Load(4, 1, 3)], 20);
+    let panicky = Workload::from(RegisteredWorkload::from_factory(
+        "sweep-panics",
+        "panics after a few records",
+        move || {
+            Ok(Box::new(PanickingSource {
+                inner: ProgramSource::new(program.clone(), 1_000_000),
+                left: 100,
+            }) as Box<_>)
+        },
+    ));
+    let fine = program_workload(
+        "sweep-fine",
+        build_program(&[Stmt::Mul(1, 2, 3)], 20),
+        1_000_000,
+    );
+    let experiment = Experiment::new()
+        .workload(fine)
+        .workload(panicky)
+        .designs([SqDesign::IdealOracle, SqDesign::Indexed3FwdDly]);
+    for threads in [1, 2] {
+        let finished = Arc::new(Mutex::new(Vec::new()));
+        let failed = Arc::new(Mutex::new(Vec::new()));
+        let (fin, fail) = (Arc::clone(&finished), Arc::clone(&failed));
+        let err = SweepEngine::new()
+            .threads(threads)
+            .on_cell(move |event| match event {
+                sqip::CellEvent::Finished { index, .. } => fin.lock().unwrap().push(index),
+                sqip::CellEvent::Failed { index, error, .. } => {
+                    fail.lock().unwrap().push((index, error));
+                }
+            })
+            .run(&experiment)
+            .expect_err("a panicked cell fails the sweep");
+        match &err {
+            sqip::SqipError::Panicked { cell, message } => {
+                assert!(cell.starts_with("sweep-panics/ideal-oracle"), "{cell}");
+                assert!(message.contains("panics mid-stream"), "{message}");
+            }
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+        let mut finished = finished.lock().unwrap().clone();
+        finished.sort_unstable();
+        assert_eq!(finished, [0, 1], "threads={threads}");
+        let mut failed = failed.lock().unwrap().clone();
+        failed.sort_unstable();
+        assert_eq!(failed.len(), 2, "threads={threads}: {failed:?}");
+        assert!(
+            failed.iter().all(|(_, e)| e.contains("panicked")),
+            "{failed:?}"
+        );
+    }
+}
