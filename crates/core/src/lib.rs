@@ -61,7 +61,6 @@ mod config;
 mod dyninst;
 mod error;
 mod observer;
-mod oracle;
 mod pipeline;
 pub mod policy;
 mod shared;
@@ -72,9 +71,9 @@ pub use config::{
 };
 pub use error::SimError;
 pub use observer::{ObserverAction, SimObserver};
-pub use oracle::{OracleBuilder, OracleFwd, OracleInfo};
 pub use pipeline::{EvKind, Processor, StepOutcome};
 pub use shared::{oracle_tap, OracleFeed, OracleTap};
+pub use sqip_isa::{OracleBuilder, OracleFwd};
 
 /// Building blocks of the event-driven engine, exposed for
 /// documentation, benchmarking and reuse.
@@ -87,7 +86,8 @@ pub use shared::{oracle_tap, OracleFeed, OracleTap};
 /// compile-time feature, so the differential tests and the `perf`
 /// harness can run both cores in one process.
 pub mod engine {
-    pub use crate::pipeline::event::{EventWheel, SchedCounters, WheelEvent, FETCH_BLOCK};
+    pub use crate::pipeline::event::{EventWheel, SchedCounters, WheelEvent};
+    pub use crate::pipeline::window::FETCH_BLOCK;
 }
 pub use policy::{DesignCaps, DesignRegistry, RegistryError};
 pub use stats::SimStats;

@@ -126,7 +126,7 @@ impl EventCore<'_> {
         // Per-load statistics.
         self.stats.loads += 1;
         self.stats.loads_forwarded += u64::from(fwd.is_some());
-        if let Some(f) = self.window.fwd(seq) {
+        if let Some(f) = self.feed.window.fwd(seq) {
             if f.store_dist < self.cfg.sq_size as u64 {
                 self.stats.forwarding_relevant_loads += 1;
             }
@@ -213,7 +213,7 @@ impl EventCore<'_> {
         self.last_commit_cycle = self.cycle;
         // Commit is in-order, so the retiring instruction is always the
         // record window's front: its record can never be re-fetched.
-        self.window.pop_front();
+        self.feed.window.pop_front();
     }
 
     /// Mid-window squash (LQ CAM violation): everything at or younger than

@@ -30,12 +30,12 @@ impl EventCore<'_> {
             // Pulls from the trace source on first fetch; squash re-fetches
             // replay out of the in-flight record window. Only the four
             // control-flow fields are read — no whole-record copy.
-            if self.fetch_record().is_none() {
+            if !self.feed.fill(self.fetch_idx) {
                 break; // stream exhausted (or failed; the step surfaces it)
             }
             let seq = Seq(self.fetch_idx as u64);
             let (op, taken, pc, next_pc) = {
-                let r = self.window.rec(seq);
+                let r = self.feed.window.rec(seq);
                 (r.op, r.taken, r.pc, r.next_pc)
             };
             let mispredicted = self.predict_branch(op, taken, pc, next_pc);
@@ -233,7 +233,7 @@ impl EventCore<'_> {
     /// for. Returns the number of gates added.
     fn attach_load_predictions(&mut self, inst: &mut DynInst, rec: &TraceRecord) -> u32 {
         let hint = if self.caps.oracle {
-            self.window.fwd(inst.seq).map(|f| OracleHint {
+            self.feed.window.fwd(inst.seq).map(|f| OracleHint {
                 store_ssn: self.insts.get(f.store_seq.0).map(|s| s.my_ssn),
                 covers: f.covers,
             })

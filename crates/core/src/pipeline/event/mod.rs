@@ -32,16 +32,15 @@
 mod structs;
 pub(crate) mod wheel;
 
-use sqip_isa::{IsaError, TraceRecord, TraceSource};
+use sqip_isa::{TraceRecord, TraceSource};
 use sqip_mem::{Hierarchy, MemImage};
 use sqip_predictors::BranchPredictor;
 use sqip_queues::{LoadQueue, StoreQueue, Window};
-use sqip_types::{Addr, DataSize, Seq, Ssn};
+use sqip_types::{Seq, Ssn};
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::oracle::OracleBuilder;
-use crate::pipeline::window::{RecordWindow, SeqRing};
+use crate::pipeline::window::{RecordFeed, SeqRing};
 use crate::pipeline::{StepOutcome, WATCHDOG_CYCLES};
 use crate::policy::{BuiltinPolicy, DesignCaps};
 use crate::stats::SimStats;
@@ -97,32 +96,13 @@ pub(crate) enum RenameStop {
     Width,
 }
 
-/// Records pulled from the trace source per block fetch: one virtual
-/// source call amortised over up to this many records, decoded straight
-/// into the record window. Sized to the record window's slack past the
-/// structural pipeline bound, so pulling a full block ahead of the fetch
-/// frontier can never overflow the window.
-pub const FETCH_BLOCK: usize = 64;
-
 /// The event-driven core. See the module docs; the public entry point is
 /// [`Processor`](crate::Processor), which dispatches between this and the
 /// reference engine on [`SimConfig::engine`].
 pub(crate) struct EventCore<'t> {
     pub(crate) cfg: SimConfig,
-    /// The pull-based record stream driving the run.
-    source: Box<dyn TraceSource + 't>,
-    /// Records between the commit point and the fetch frontier, with
-    /// their oracle info (computed once at ingest).
-    pub(crate) window: RecordWindow,
-    /// The incremental dependence oracle feeding `window`.
-    oracle: OracleBuilder,
-    /// Exact total record count: the source's up-front hint, or measured
-    /// at exhaustion.
-    total_records: Option<u64>,
-    /// Whether the source has returned `None`.
-    source_done: bool,
-    /// A source failure, held until the next step surfaces it.
-    source_error: Option<IsaError>,
+    /// The record stream and its window of in-flight records.
+    pub(crate) feed: RecordFeed<'t>,
 
     pub(crate) cycle: u64,
     pub(crate) incarnation: u64,
@@ -236,12 +216,7 @@ impl<'t> EventCore<'t> {
         let caps = cfg.design.caps();
         let policy = BuiltinPolicy::new(caps, &cfg);
         EventCore {
-            total_records: source.len_hint(),
-            source: Box::new(source),
-            window: RecordWindow::new(cfg.rob_size, cfg.fetch_width),
-            oracle: OracleBuilder::new(),
-            source_done: false,
-            source_error: None,
+            feed: RecordFeed::new(&cfg, source),
             cycle: 0,
             incarnation: 0,
             last_commit_cycle: 0,
@@ -290,37 +265,6 @@ impl<'t> EventCore<'t> {
         }
     }
 
-    pub(crate) fn is_done(&self) -> bool {
-        self.total_records
-            .is_some_and(|total| self.stats.committed >= total)
-    }
-
-    pub(crate) fn total_records(&self) -> Option<u64> {
-        self.total_records
-    }
-
-    pub(crate) fn buffered_records(&self) -> usize {
-        self.window.len()
-    }
-
-    pub(crate) fn committed_reg(&self, r: sqip_isa::Reg) -> u64 {
-        self.committed_regs[r.index()]
-    }
-
-    pub(crate) fn committed_mem(&self, addr: Addr, size: DataSize) -> u64 {
-        self.commit_mem.read(addr, size)
-    }
-
-    /// Folds the hierarchy counters and cycle count into `stats`. Called
-    /// once per *active* cycle (the skip-ahead batching of derived
-    /// statistics), so the public snapshot is always consistent.
-    fn sync_stats(&mut self) {
-        self.stats.cycles = self.cycle;
-        self.stats.l1 = self.hierarchy.l1_stats();
-        self.stats.l2 = self.hierarchy.l2_stats();
-        self.stats.tlb = self.hierarchy.tlb_stats();
-    }
-
     /// Advances to the next cycle with work, capped at `limit`, and
     /// simulates it.
     ///
@@ -330,8 +274,8 @@ impl<'t> EventCore<'t> {
     /// `run_until` limits; it never affects results, because a capped
     /// landing cycle is by construction idle.
     pub(crate) fn step_bounded(&mut self, limit: u64) -> Result<StepOutcome, SimError> {
-        if self.is_done() {
-            self.sync_stats();
+        if self.feed.is_done(self.stats.committed) {
+            self.stats.sync(self.cycle, &self.hierarchy);
             return Ok(StepOutcome::Done);
         }
         let watchdog = self.last_commit_cycle + WATCHDOG_CYCLES;
@@ -344,14 +288,9 @@ impl<'t> EventCore<'t> {
         self.issue_stage();
         self.rename_stage();
         self.fetch_stage();
-        self.sync_stats();
-        if let Some(source) = &self.source_error {
-            return Err(SimError::TraceSource {
-                pulled: self.window.end(),
-                detail: source.to_string(),
-            });
-        }
-        if self.is_done() {
+        self.stats.sync(self.cycle, &self.hierarchy);
+        self.feed.check()?;
+        if self.feed.is_done(self.stats.committed) {
             return Ok(StepOutcome::Done);
         }
         if self.cycle - self.last_commit_cycle >= WATCHDOG_CYCLES {
@@ -414,9 +353,10 @@ impl<'t> EventCore<'t> {
         }
         // Fetch: works every cycle it is neither stalled, redirected,
         // out of records, nor out of frontend space.
-        let has_records = (self.fetch_idx as u64) < self.window.end()
-            || (!self.source_done && self.source_error.is_none());
-        if has_records && self.pending_redirect.is_none() && self.front_q.len() < self.front_cap() {
+        if self.feed.can_fill(self.fetch_idx)
+            && self.pending_redirect.is_none()
+            && self.front_q.len() < self.front_cap()
+        {
             next = next.min(self.fetch_stall_until.max(floor));
         }
         next
@@ -460,7 +400,7 @@ impl<'t> EventCore<'t> {
     }
 
     pub(crate) fn rec(&self, seq: Seq) -> &TraceRecord {
-        self.window.rec(seq)
+        self.feed.window.rec(seq)
     }
 
     /// Scheduling-cost counters accumulated since construction (or the
@@ -502,46 +442,6 @@ impl<'t> EventCore<'t> {
             WakeRing::StoreExecStrict => &mut self.wake_on_store_exec_strict,
         }
     }
-
-    /// Ensures the record at `fetch_idx` is in the window, pulling from
-    /// the source as needed. Returns `None` when the stream is exhausted
-    /// (or has failed — the error surfaces from the step); the caller
-    /// reads the record through the window, copy-free.
-    pub(crate) fn fetch_record(&mut self) -> Option<()> {
-        let seq = self.fetch_idx as u64;
-        while seq >= self.window.end() {
-            if self.source_done || self.source_error.is_some() {
-                return None;
-            }
-            // Pull a whole block ahead of the frontier, decoded straight
-            // into the window's free slots: one virtual source call
-            // amortised over up to FETCH_BLOCK records. The span is capped
-            // to the window's free slots, so the pull-ahead can never
-            // overflow it, and to the ring's wrap; it is nonempty because
-            // the frontier record itself fits within the structural
-            // bound. A span cut short at the wrap is just a short block;
-            // whole blocks stay aligned to the ring, so only a source that
-            // returned a short block before ever makes one.
-            let span = self.window.spare_mut(FETCH_BLOCK);
-            debug_assert!(!span.is_empty(), "window full at the fetch frontier");
-            match self.source.next_block(span) {
-                Ok(0) => {
-                    self.source_done = true;
-                    self.total_records = Some(self.window.end());
-                    return None;
-                }
-                Ok(n) => {
-                    let oracle = &mut self.oracle;
-                    self.window.admit(n, |rec| oracle.ingest(rec));
-                }
-                Err(e) => {
-                    self.source_error = Some(e);
-                    return None;
-                }
-            }
-        }
-        Some(())
-    }
 }
 
 /// Which waiter ring [`EventCore::wake_all`] drains.
@@ -553,11 +453,6 @@ pub(crate) enum WakeRing {
 }
 
 impl EventCore<'_> {
-    /// Records ever pulled from the trace source (the resume position).
-    pub(crate) fn records_pulled(&self) -> u64 {
-        self.window.end()
-    }
-
     /// Serialises the engine state (everything except `cfg` and the
     /// source, which the checkpoint container carries separately).
     pub(crate) fn save_state(
@@ -565,15 +460,7 @@ impl EventCore<'_> {
         w: &mut sqip_snapshot::SnapWriter,
     ) -> Result<(), sqip_snapshot::SnapError> {
         use sqip_snapshot::Snapshot as _;
-        if let Some(e) = &self.source_error {
-            return Err(sqip_snapshot::SnapError::Unsupported(format!(
-                "cannot checkpoint with a pending trace-source error: {e}"
-            )));
-        }
-        self.window.save(w)?;
-        self.oracle.save(w)?;
-        self.total_records.save(w)?;
-        self.source_done.save(w)?;
+        self.feed.save(w)?;
         self.cycle.save(w)?;
         self.incarnation.save(w)?;
         self.last_commit_cycle.save(w)?;
@@ -617,10 +504,7 @@ impl EventCore<'_> {
         r: &mut sqip_snapshot::SnapReader,
     ) -> Result<(), sqip_snapshot::SnapError> {
         use sqip_snapshot::Snapshot as _;
-        self.window = RecordWindow::load(r)?;
-        self.oracle = OracleBuilder::load(r)?;
-        self.total_records = Option::<u64>::load(r)?;
-        self.source_done = bool::load(r)?;
+        self.feed.load(r)?;
         self.cycle = u64::load(r)?;
         self.incarnation = u64::load(r)?;
         self.last_commit_cycle = u64::load(r)?;
@@ -636,11 +520,11 @@ impl EventCore<'_> {
         self.draining_for_wrap = bool::load(r)?;
         self.rob = Window::<Seq>::load(r)?;
         self.insts = InstSlab::load(r)?;
-        self.insts.rebuild_record_cache(&self.window);
+        self.insts.rebuild_record_cache(&self.feed.window);
         self.iq_count = usize::load(r)?;
         self.ready_q = ReadyLanes::load(r)?;
         self.ready_q
-            .rebuild_classes(|s| self.window.rec(Seq(s)).op.class());
+            .rebuild_classes(|s| self.feed.window.rec(Seq(s)).op.class());
         self.wheel = EventWheel::load(r)?;
         self.near = NearRing::<u64>::load(r)?;
         self.near_execs = NearRing::<(u64, u64)>::load(r)?;

@@ -23,12 +23,20 @@
 //! [`Processor`] dispatches between them on [`SimConfig::engine`]; the
 //! two are pinned to bit-identical [`SimStats`] by differential
 //! proptests and the golden design fixture.
+//!
+//! The input path is implemented **once**: each engine owns a
+//! [`RecordFeed`](window::RecordFeed), which pulls the source a block at
+//! a time straight into the record window, numbers the records, tags
+//! each with the dependence oracle's answer, and holds the end of the
+//! stream, a failed pull (surfaced from the step) and the pulled count a
+//! checkpoint resumes from. Each engine keeps its own fetch stage,
+//! branch prediction and everything after fetch.
 
 pub(crate) mod event;
 pub(crate) mod reference;
 #[cfg(test)]
 mod tests;
-mod window;
+pub(crate) mod window;
 
 use sqip_isa::{Trace, TraceSource};
 use sqip_snapshot::SnapError;
@@ -41,6 +49,7 @@ use crate::stats::SimStats;
 
 use event::EventCore;
 use reference::RefCore;
+use window::RecordFeed;
 
 pub(crate) const NOT_READY: u64 = u64::MAX;
 /// Cycles without a commit after which the simulator declares deadlock.
@@ -229,10 +238,7 @@ impl<'t> Processor<'t> {
     /// unknown and this is `false`.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        match &self.core {
-            Core::Event(c) => c.is_done(),
-            Core::Reference(c) => c.is_done(),
-        }
+        self.feed().is_done(self.stats().committed)
     }
 
     /// Records currently buffered between the commit point and the fetch
@@ -241,10 +247,7 @@ impl<'t> Processor<'t> {
     /// streaming input API, pinned by a regression test.
     #[must_use]
     pub fn buffered_records(&self) -> usize {
-        match &self.core {
-            Core::Event(c) => c.buffered_records(),
-            Core::Reference(c) => c.buffered_records(),
-        }
+        self.feed().buffered()
     }
 
     /// The current cycle number.
@@ -255,7 +258,7 @@ impl<'t> Processor<'t> {
     pub fn cycle(&self) -> u64 {
         match &self.core {
             Core::Event(c) => c.cycle,
-            Core::Reference(c) => c.cycle(),
+            Core::Reference(c) => c.cycle,
         }
     }
 
@@ -266,7 +269,7 @@ impl<'t> Processor<'t> {
     pub fn stats(&self) -> &SimStats {
         match &self.core {
             Core::Event(c) => &c.stats,
-            Core::Reference(c) => c.stats(),
+            Core::Reference(c) => &c.stats,
         }
     }
 
@@ -276,8 +279,8 @@ impl<'t> Processor<'t> {
     #[must_use]
     pub fn committed_reg(&self, r: sqip_isa::Reg) -> u64 {
         match &self.core {
-            Core::Event(c) => c.committed_reg(r),
-            Core::Reference(c) => c.committed_reg(r),
+            Core::Event(c) => c.committed_regs[r.index()],
+            Core::Reference(c) => c.committed_regs[r.index()],
         }
     }
 
@@ -286,8 +289,8 @@ impl<'t> Processor<'t> {
     #[must_use]
     pub fn committed_mem(&self, addr: Addr, size: DataSize) -> u64 {
         match &self.core {
-            Core::Event(c) => c.committed_mem(addr, size),
-            Core::Reference(c) => c.committed_mem(addr, size),
+            Core::Event(c) => c.commit_mem.read(addr, size),
+            Core::Reference(c) => c.commit_mem.read(addr, size),
         }
     }
 
@@ -397,10 +400,7 @@ impl<'t> Processor<'t> {
         mut self,
         observer: &mut O,
     ) -> Result<SimStats, SimError> {
-        let len_hint = match &self.core {
-            Core::Event(c) => c.total_records(),
-            Core::Reference(c) => c.total_records(),
-        };
+        let len_hint = self.feed().total_records();
         let cfg = self.config().clone();
         observer.on_start(&cfg, len_hint.map(|n| n as usize));
         let interval = observer.interval().max(1);
@@ -438,6 +438,13 @@ impl<'t> Processor<'t> {
         match &self.core {
             Core::Event(c) => &c.cfg,
             Core::Reference(c) => &c.cfg,
+        }
+    }
+
+    fn feed(&self) -> &RecordFeed<'t> {
+        match &self.core {
+            Core::Event(c) => &c.feed,
+            Core::Reference(c) => &c.feed,
         }
     }
 
@@ -493,15 +500,10 @@ impl<'t> Processor<'t> {
         let cfg_json = serde_json::to_string(self.config())
             .map_err(|e| SnapError::Corrupt(format!("configuration did not serialise: {e}")))?;
         cfg_json.save(&mut w)?;
+        self.feed().pulled().save(&mut w)?;
         match &self.core {
-            Core::Event(c) => {
-                c.records_pulled().save(&mut w)?;
-                c.save_state(&mut w)?;
-            }
-            Core::Reference(c) => {
-                c.records_pulled().save(&mut w)?;
-                c.save_state(&mut w)?;
-            }
+            Core::Event(c) => c.save_state(&mut w)?,
+            Core::Reference(c) => c.save_state(&mut w)?,
         }
         w.finish(out)
     }
@@ -523,7 +525,7 @@ impl<'t> Processor<'t> {
     /// ends before the checkpointed position.
     pub fn restore(
         input: &mut impl std::io::Read,
-        source: impl TraceSource + 't,
+        mut source: impl TraceSource + 't,
     ) -> Result<Processor<'t>, SnapError> {
         use sqip_snapshot::Snapshot as _;
         let mut r = sqip_snapshot::SnapReader::new(input)?;
@@ -532,34 +534,14 @@ impl<'t> Processor<'t> {
             .map_err(|e| SnapError::Corrupt(format!("configuration did not parse: {e}")))?;
         cfg.try_validate()
             .map_err(|e| SnapError::Corrupt(format!("checkpointed configuration invalid: {e}")))?;
-        let pulls = u64::load(&mut r)?;
-        let mut source = source;
-        for i in 0..pulls {
-            match source.next_record() {
-                Ok(Some(_)) => {}
-                Ok(None) => {
-                    return Err(SnapError::Source(format!(
-                        "trace source exhausted at record {i} of the {pulls} \
-                         the checkpoint had consumed"
-                    )))
-                }
-                Err(e) => return Err(SnapError::Source(e.to_string())),
-            }
+        RecordFeed::resume(&mut source, u64::load(&mut r)?)?;
+        let mut p = Processor::new_unchecked(cfg, source);
+        match &mut p.core {
+            Core::Event(c) => c.load_state(&mut r)?,
+            Core::Reference(c) => c.load_state(&mut r)?,
         }
-        let core = match cfg.engine {
-            Engine::Event => {
-                let mut c = Box::new(EventCore::new_unchecked(cfg, source));
-                c.load_state(&mut r)?;
-                Core::Event(c)
-            }
-            Engine::Reference => {
-                let mut c = Box::new(RefCore::new_unchecked(cfg, source));
-                c.load_state(&mut r)?;
-                Core::Reference(c)
-            }
-        };
         r.finish()?;
-        Ok(Processor { core })
+        Ok(p)
     }
 }
 

@@ -19,37 +19,24 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
-use sqip_isa::{IsaError, Op, OpClass, TraceRecord, TraceSource};
+use sqip_isa::{Op, OpClass, TraceRecord, TraceSource};
 use sqip_mem::{Hierarchy, MemImage};
 use sqip_predictors::BranchPredictor;
 use sqip_queues::{LoadQueue, StoreQueue, Window};
-use sqip_types::{Addr, DataSize, Seq, Ssn};
+use sqip_types::{Seq, Ssn};
 
 use crate::config::{OrderingMode, SimConfig};
 use crate::dyninst::{DynInst, InstState, Operand};
 use crate::error::SimError;
-use crate::oracle::OracleBuilder;
-use crate::pipeline::window::{RecordWindow, SeqRing};
+use crate::pipeline::window::{RecordFeed, SeqRing};
 use crate::pipeline::{EvKind, StepOutcome, NOT_READY, WATCHDOG_CYCLES};
 use crate::policy::{BuiltinPolicy, DesignCaps, LoadCommitInfo, OracleHint, PipelineView, SqProbe};
 use crate::stats::SimStats;
 
 pub(crate) struct RefCore<'t> {
     pub(crate) cfg: SimConfig,
-    /// The pull-based record stream driving the run.
-    source: Box<dyn TraceSource + 't>,
-    /// Records between the commit point and the fetch frontier, with
-    /// their oracle info (computed once at ingest).
-    pub(crate) window: RecordWindow,
-    /// The incremental dependence oracle feeding `window`.
-    oracle: OracleBuilder,
-    /// Exact total record count: the source's up-front hint, or measured
-    /// at exhaustion.
-    total_records: Option<u64>,
-    /// Whether the source has returned `None`.
-    source_done: bool,
-    /// A source failure, held until [`RefCore::step`] surfaces it.
-    source_error: Option<IsaError>,
+    /// The record stream and its window of in-flight records.
+    pub(crate) feed: RecordFeed<'t>,
 
     pub(crate) cycle: u64,
     pub(crate) incarnation: u64,
@@ -118,12 +105,7 @@ impl<'t> RefCore<'t> {
         let caps = cfg.design.caps();
         let policy = BuiltinPolicy::new(caps, &cfg);
         RefCore {
-            total_records: source.len_hint(),
-            source: Box::new(source),
-            window: RecordWindow::new(cfg.rob_size, cfg.fetch_width),
-            oracle: OracleBuilder::new(),
-            source_done: false,
-            source_error: None,
+            feed: RecordFeed::new(&cfg, source),
             cycle: 0,
             incarnation: 0,
             last_commit_cycle: 0,
@@ -159,66 +141,6 @@ impl<'t> RefCore<'t> {
         }
     }
 
-    /// Whether the whole record stream has committed. Until the source is
-    /// exhausted (or declared an exact length up front) the total is
-    /// unknown and this is `false`.
-    #[must_use]
-    pub(crate) fn total_records(&self) -> Option<u64> {
-        self.total_records
-    }
-
-    pub(crate) fn is_done(&self) -> bool {
-        self.total_records
-            .is_some_and(|total| self.stats.committed >= total)
-    }
-
-    /// Records currently buffered between the commit point and the fetch
-    /// frontier. Bounded by the machine's window (ROB + fetch-ahead), not
-    /// by the input length — the memory-boundedness guarantee of the
-    /// streaming input API, pinned by a regression test.
-    #[must_use]
-    pub(crate) fn buffered_records(&self) -> usize {
-        self.window.len()
-    }
-
-    /// The current cycle number.
-    #[must_use]
-    pub(crate) fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// The statistics accumulated so far. [`RefCore::step`] folds the
-    /// cycle count and cache counters in after every cycle, so the view
-    /// is consistent mid-run.
-    #[must_use]
-    pub(crate) fn stats(&self) -> &SimStats {
-        &self.stats
-    }
-
-    /// The committed architectural value of register `r` (used by
-    /// cross-design equivalence tests: every sound policy must retire the
-    /// same architectural state).
-    #[must_use]
-    pub(crate) fn committed_reg(&self, r: sqip_isa::Reg) -> u64 {
-        self.committed_regs[r.index()]
-    }
-
-    /// Reads the committed memory image — the architectural memory state
-    /// built by retired stores.
-    #[must_use]
-    pub(crate) fn committed_mem(&self, addr: Addr, size: DataSize) -> u64 {
-        self.commit_mem.read(addr, size)
-    }
-
-    /// Folds the hierarchy counters and cycle count into `stats` so the
-    /// snapshot is consistent at any point of the run. Idempotent.
-    pub(crate) fn sync_stats(&mut self) {
-        self.stats.cycles = self.cycle;
-        self.stats.l1 = self.hierarchy.l1_stats();
-        self.stats.l2 = self.hierarchy.l2_stats();
-        self.stats.tlb = self.hierarchy.tlb_stats();
-    }
-
     /// Simulates one cycle.
     ///
     /// Returns [`StepOutcome::Done`] once the whole trace has committed
@@ -231,8 +153,8 @@ impl<'t> RefCore<'t> {
     /// and [`SimError::TraceSource`] if the trace source fails mid-stream
     /// (I/O error, corrupt trace file, interpreter fault).
     pub(crate) fn step(&mut self) -> Result<StepOutcome, SimError> {
-        if self.is_done() {
-            self.sync_stats();
+        if self.feed.is_done(self.stats.committed) {
+            self.stats.sync(self.cycle, &self.hierarchy);
             return Ok(StepOutcome::Done);
         }
         self.cycle += 1;
@@ -241,14 +163,9 @@ impl<'t> RefCore<'t> {
         self.issue_stage();
         self.rename_stage();
         self.fetch_stage();
-        self.sync_stats();
-        if let Some(source) = &self.source_error {
-            return Err(SimError::TraceSource {
-                pulled: self.window.end(),
-                detail: source.to_string(),
-            });
-        }
-        if self.is_done() {
+        self.stats.sync(self.cycle, &self.hierarchy);
+        self.feed.check()?;
+        if self.feed.is_done(self.stats.committed) {
             return Ok(StepOutcome::Done);
         }
         if self.cycle - self.last_commit_cycle >= WATCHDOG_CYCLES {
@@ -287,38 +204,7 @@ impl<'t> RefCore<'t> {
     }
 
     pub(crate) fn rec(&self, seq: Seq) -> &TraceRecord {
-        self.window.rec(seq)
-    }
-
-    /// The record at `fetch_idx`, pulling from the source as needed.
-    /// Returns `None` when the stream is exhausted (or has failed — the
-    /// error surfaces from [`RefCore::step`]).
-    pub(crate) fn fetch_record(&mut self) -> Option<TraceRecord> {
-        let seq = self.fetch_idx as u64;
-        while seq >= self.window.end() {
-            if self.source_done || self.source_error.is_some() {
-                return None;
-            }
-            match self.source.next_record() {
-                Ok(Some(mut rec)) => {
-                    // Consumers own the numbering: records are sequential
-                    // in pull order whatever the source put in `seq`.
-                    rec.seq = Seq(self.window.end());
-                    let fwd = self.oracle.ingest(&rec);
-                    self.window.push(rec, fwd);
-                }
-                Ok(None) => {
-                    self.source_done = true;
-                    self.total_records = Some(self.window.end());
-                    return None;
-                }
-                Err(e) => {
-                    self.source_error = Some(e);
-                    return None;
-                }
-            }
-        }
-        Some(*self.window.rec(Seq(seq)))
+        self.feed.window.rec(seq)
     }
 }
 
@@ -337,10 +223,11 @@ impl RefCore<'_> {
         while budget > 0 && self.front_q.len() < front_cap {
             // Pulls from the trace source on first fetch; squash re-fetches
             // replay out of the in-flight record window.
-            let Some(rec) = self.fetch_record() else {
+            if !self.feed.fill(self.fetch_idx) {
                 break; // stream exhausted (or failed; step() surfaces it)
-            };
+            }
             let seq = Seq(self.fetch_idx as u64);
+            let rec = *self.rec(seq);
             let mispredicted = self.predict_branch(&rec);
             self.front_q
                 .push_back((seq, self.cycle + self.cfg.front_latency, self.path_history));
@@ -515,7 +402,7 @@ impl RefCore<'_> {
     /// for. Returns the number of gates added.
     fn attach_load_predictions(&mut self, inst: &mut DynInst, rec: &TraceRecord) -> u32 {
         let hint = if self.caps.oracle {
-            self.window.fwd(inst.seq).map(|f| OracleHint {
+            self.feed.window.fwd(inst.seq).map(|f| OracleHint {
                 store_ssn: self.insts.get(&f.store_seq.0).map(|s| s.my_ssn),
                 covers: f.covers,
             })
@@ -571,7 +458,7 @@ impl RefCore<'_> {
             if total == 0 {
                 break;
             }
-            let class = self.window.rec(Seq(seq)).op.class();
+            let class = self.feed.window.rec(Seq(seq)).op.class();
             let port = match class {
                 OpClass::IntAlu | OpClass::IntMul | OpClass::None => &mut int,
                 OpClass::FpAdd | OpClass::FpMul | OpClass::FpDiv => &mut fp,
@@ -608,7 +495,7 @@ impl RefCore<'_> {
             // Wakeup broadcast for register consumers, timed so a
             // back-to-back dependent executes exactly when the value is
             // predicted to be ready.
-            let rec = *self.window.rec(Seq(seq));
+            let rec = *self.feed.window.rec(Seq(seq));
             if rec.dst.is_some() {
                 let pred_latency = self.predicted_latency(&rec, seq);
                 let broadcast_at = (exec_at + pred_latency)
@@ -705,7 +592,7 @@ impl RefCore<'_> {
             InstState::Issued => {}
         }
         // An issued instruction's wake cycle is `issue + max(latency, 1)`.
-        let latency = self.predicted_latency(self.window.rec(Seq(producer)), producer);
+        let latency = self.predicted_latency(self.feed.window.rec(Seq(producer)), producer);
         let exec_at = self.vals.wake_time(producer) - latency.max(1) + self.cfg.issue_to_exec;
         p.srcs.iter().any(|&src| {
             let Operand::InFlight(s) = src else {
@@ -1071,7 +958,7 @@ impl RefCore<'_> {
         // Per-load statistics.
         self.stats.loads += 1;
         self.stats.loads_forwarded += u64::from(fwd.is_some());
-        if let Some(f) = self.window.fwd(seq) {
+        if let Some(f) = self.feed.window.fwd(seq) {
             if f.store_dist < self.cfg.sq_size as u64 {
                 self.stats.forwarding_relevant_loads += 1;
             }
@@ -1132,7 +1019,7 @@ impl RefCore<'_> {
         self.last_commit_cycle = self.cycle;
         // Commit is in-order, so the retiring instruction is always the
         // record window's front: its record can never be re-fetched.
-        self.window.pop_front();
+        self.feed.window.pop_front();
     }
 
     /// Mid-window squash (LQ CAM violation): everything at or younger than
@@ -1228,11 +1115,6 @@ impl RefCore<'_> {
 }
 
 impl RefCore<'_> {
-    /// Records ever pulled from the trace source (the resume position).
-    pub(crate) fn records_pulled(&self) -> u64 {
-        self.window.end()
-    }
-
     /// Serialises the engine state (everything except `cfg` and the
     /// source, which the checkpoint container carries separately).
     ///
@@ -1243,15 +1125,7 @@ impl RefCore<'_> {
         w: &mut sqip_snapshot::SnapWriter,
     ) -> Result<(), sqip_snapshot::SnapError> {
         use sqip_snapshot::Snapshot as _;
-        if let Some(e) = &self.source_error {
-            return Err(sqip_snapshot::SnapError::Unsupported(format!(
-                "cannot checkpoint with a pending trace-source error: {e}"
-            )));
-        }
-        self.window.save(w)?;
-        self.oracle.save(w)?;
-        self.total_records.save(w)?;
-        self.source_done.save(w)?;
+        self.feed.save(w)?;
         self.cycle.save(w)?;
         self.incarnation.save(w)?;
         self.last_commit_cycle.save(w)?;
@@ -1298,10 +1172,7 @@ impl RefCore<'_> {
         r: &mut sqip_snapshot::SnapReader,
     ) -> Result<(), sqip_snapshot::SnapError> {
         use sqip_snapshot::Snapshot as _;
-        self.window = RecordWindow::load(r)?;
-        self.oracle = OracleBuilder::load(r)?;
-        self.total_records = Option::<u64>::load(r)?;
-        self.source_done = bool::load(r)?;
+        self.feed.load(r)?;
         self.cycle = u64::load(r)?;
         self.incarnation = u64::load(r)?;
         self.last_commit_cycle = u64::load(r)?;

@@ -855,15 +855,30 @@ mod engine_tests {
     }
 
     /// A source that hands out at most a few records per block pull
-    /// (1 to 7, cycling) and notes how many each pull asked for.
+    /// (1 to 7, cycling), notes how many each pull asked for, and counts
+    /// the records it delivered.
     struct ShortBlocks<'a> {
         inner: sqip_isa::TraceCursor<'a>,
         asks: Vec<usize>,
+        delivered: std::rc::Rc<std::cell::Cell<u64>>,
+    }
+
+    impl<'a> ShortBlocks<'a> {
+        fn new(trace: &'a Trace) -> ShortBlocks<'a> {
+            ShortBlocks {
+                inner: trace.stream(),
+                asks: Vec::new(),
+                delivered: Default::default(),
+            }
+        }
     }
 
     impl sqip_isa::TraceSource for ShortBlocks<'_> {
         fn next_record(&mut self) -> Result<Option<sqip_isa::TraceRecord>, sqip_isa::IsaError> {
-            self.inner.next_record()
+            let rec = self.inner.next_record()?;
+            self.delivered
+                .set(self.delivered.get() + u64::from(rec.is_some()));
+            Ok(rec)
         }
         fn next_block(
             &mut self,
@@ -871,7 +886,9 @@ mod engine_tests {
         ) -> Result<usize, sqip_isa::IsaError> {
             self.asks.push(out.len());
             let n = out.len().min(1 + self.asks.len() % 7);
-            self.inner.next_block(&mut out[..n])
+            let n = self.inner.next_block(&mut out[..n])?;
+            self.delivered.set(self.delivered.get() + n as u64);
+            Ok(n)
         }
     }
 
@@ -880,26 +897,121 @@ mod engine_tests {
     /// blocks the pulls stay aligned to the ring and never meet the
     /// wrap mid-block; a source that returns short blocks knocks them
     /// off that alignment, so here the fetch frontier crosses the wrap
-    /// inside a block on every lap. The run must match the reference
-    /// engine, which pulls record by record.
+    /// inside a block on every lap. Both engines fetch through the same
+    /// feed; under each, the short-block run must match the reference
+    /// engine's whole-block run of the same trace. (Block pulls ≡ scalar
+    /// pulls is pinned at the source level.)
     #[test]
     fn event_fetch_across_the_window_wrap_matches_reference() {
-        use crate::pipeline::event::FETCH_BLOCK;
+        use crate::pipeline::window::FETCH_BLOCK;
 
         let trace = observed_workload();
         let mut cfg = SimConfig::with_design(SqDesign::Associative3);
-        cfg.engine = Engine::Event;
-        let mut short = ShortBlocks {
-            inner: trace.stream(),
-            asks: Vec::new(),
-        };
-        let stats = Processor::from_source(cfg.clone(), &mut short).run();
         cfg.engine = Engine::Reference;
-        assert_eq!(stats, Processor::new(cfg, &trace).run());
-        assert_eq!(stats.committed, trace.len() as u64);
-        // A span cut at the wrap is shorter than both a block and what
-        // the window could still take.
-        let cut = short.asks.iter().filter(|&&n| n < FETCH_BLOCK).count();
-        assert!(cut >= 2, "{cut} spans cut at the wrap");
+        let whole = Processor::new(cfg.clone(), &trace).run();
+        assert_eq!(whole.committed, trace.len() as u64);
+        for engine in [Engine::Event, Engine::Reference] {
+            cfg.engine = engine;
+            let mut short = ShortBlocks::new(&trace);
+            let stats = Processor::from_source(cfg.clone(), &mut short).run();
+            assert_eq!(stats, whole, "{engine:?}");
+            // A span cut at the wrap is shorter than both a block and
+            // what the window could still take.
+            let cut = short.asks.iter().filter(|&&n| n < FETCH_BLOCK).count();
+            assert!(cut >= 2, "{engine:?}: {cut} spans cut at the wrap");
+        }
+    }
+
+    /// A source that delivers the first `fail_at` records of a trace and
+    /// then fails, stickily, as the source contract requires.
+    struct FailsAt<'a> {
+        inner: sqip_isa::TraceCursor<'a>,
+        left: u64,
+    }
+
+    impl sqip_isa::TraceSource for FailsAt<'_> {
+        fn next_record(&mut self) -> Result<Option<sqip_isa::TraceRecord>, sqip_isa::IsaError> {
+            if self.left == 0 {
+                return Err(sqip_isa::IsaError::TraceIo {
+                    detail: "the disk went away".into(),
+                });
+            }
+            self.left -= 1;
+            self.inner.next_record()
+        }
+    }
+
+    /// A source failing in the middle of a fetch block surfaces from the
+    /// step as a trace-source error at exactly the records delivered,
+    /// under both engines, with the same partial statistics; the failed
+    /// run refuses to checkpoint.
+    #[test]
+    fn a_source_failing_mid_block_fails_both_engines_alike() {
+        use crate::error::SimError;
+        use crate::pipeline::window::FETCH_BLOCK;
+        use crate::pipeline::StepOutcome;
+
+        let trace = observed_workload();
+        let fail_at = 10 * FETCH_BLOCK as u64 + 23;
+        assert!(trace.len() as u64 > 2 * fail_at);
+        let partial: Vec<SimStats> = [Engine::Event, Engine::Reference]
+            .into_iter()
+            .map(|engine| {
+                let mut cfg = SimConfig::with_design(SqDesign::Indexed3FwdDly);
+                cfg.engine = engine;
+                let source = FailsAt {
+                    inner: trace.stream(),
+                    left: fail_at,
+                };
+                let mut p = Processor::from_source(cfg, source);
+                let err = loop {
+                    match p.step() {
+                        Ok(StepOutcome::Running) => {}
+                        Ok(StepOutcome::Done) => panic!("{engine:?}: ran past the failure"),
+                        Err(e) => break e,
+                    }
+                };
+                match err {
+                    SimError::TraceSource { pulled, detail } => {
+                        assert_eq!(pulled, fail_at, "{engine:?}");
+                        assert!(detail.contains("the disk went away"), "{detail}");
+                    }
+                    other => panic!("{engine:?}: expected a trace-source error, got {other}"),
+                }
+                assert!(p.stats().committed > 0 && p.stats().committed <= fail_at);
+                assert!(matches!(
+                    p.checkpoint(&mut Vec::new()),
+                    Err(sqip_snapshot::SnapError::Unsupported(_))
+                ));
+                p.stats().clone()
+            })
+            .collect();
+        assert_eq!(partial[0], partial[1], "equal partial statistics");
+    }
+
+    /// A checkpoint restored over a source that returns short blocks
+    /// skips exactly the records the checkpointed run had pulled, and
+    /// the resumed run matches running straight through.
+    #[test]
+    fn restore_over_short_blocks_skips_exactly_the_checkpointed_records() {
+        let trace = observed_workload();
+        for engine in [Engine::Event, Engine::Reference] {
+            let mut cfg = SimConfig::with_design(SqDesign::Indexed3FwdDly);
+            cfg.engine = engine;
+            let straight = Processor::new(cfg.clone(), &trace).run();
+            let first = ShortBlocks::new(&trace);
+            let pulled = std::rc::Rc::clone(&first.delivered);
+            let mut p = Processor::from_source(cfg, first);
+            p.run_until(straight.cycles / 2).unwrap();
+            let mut snap = Vec::new();
+            p.checkpoint(&mut snap).unwrap();
+            assert!(pulled.get() > 0 && pulled.get() < trace.len() as u64);
+
+            let second = ShortBlocks::new(&trace);
+            let skipped = std::rc::Rc::clone(&second.delivered);
+            let resumed = Processor::restore(&mut snap.as_slice(), second).unwrap();
+            assert_eq!(skipped.get(), pulled.get(), "{engine:?}: resume skip");
+            assert_eq!(resumed.try_run().unwrap(), straight, "{engine:?}");
+        }
     }
 }

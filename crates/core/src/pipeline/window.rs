@@ -1,10 +1,12 @@
-//! Bounded sliding-window state: the in-flight record buffer and the
-//! per-sequence value ring.
+//! Bounded sliding-window state: the record feed, the in-flight record
+//! buffer it fills, and the per-sequence value ring.
 //!
-//! These two structures are what unbinds run length from memory: instead
+//! These structures are what unbinds run length from memory: instead
 //! of per-trace-record side vectors (`trace.len() + 1` entries), the
 //! processor keeps
 //!
+//! * a [`RecordFeed`], the one path from a [`TraceSource`] into either
+//!   engine, which pulls blocks of records into
 //! * a [`RecordWindow`] holding exactly the records between the commit
 //!   point and the fetch frontier (plus their pre-computed oracle info),
 //!   popped as instructions retire, and
@@ -12,11 +14,186 @@
 //!   largest span the pipeline can ever reference (in-flight window +
 //!   producers a consumer captured before they retired + fetch-ahead).
 
-use sqip_isa::TraceRecord;
+use sqip_isa::{IsaError, OracleBuilder, OracleFwd, TraceRecord, TraceSource};
+use sqip_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use sqip_types::Seq;
 
-use crate::oracle::OracleFwd;
+use crate::config::SimConfig;
+use crate::error::SimError;
 use crate::pipeline::NOT_READY;
+
+/// Records pulled from the trace source per block fetch: one virtual
+/// source call amortised over up to this many records, decoded straight
+/// into the record window. Sized to the record window's slack past the
+/// structural pipeline bound, so pulling a full block ahead of the fetch
+/// frontier can never overflow the window.
+pub const FETCH_BLOCK: usize = 64;
+
+/// The input stream of one run, as both engines see it: the source, the
+/// [`RecordWindow`] it fills, the dependence oracle that annotates each
+/// record at ingest, the end of the stream and a sticky source error.
+/// Its position — the records pulled so far — is what a checkpoint
+/// resumes from.
+pub(crate) struct RecordFeed<'t> {
+    /// The pull-based record stream driving the run.
+    source: Box<dyn TraceSource + 't>,
+    /// Records between the commit point and the fetch frontier, with
+    /// their oracle info (computed once at ingest).
+    pub(crate) window: RecordWindow,
+    /// The incremental dependence oracle feeding `window`.
+    oracle: OracleBuilder,
+    /// Exact total record count: the source's up-front hint, or measured
+    /// at exhaustion.
+    total_records: Option<u64>,
+    /// Whether the source has reported its end.
+    source_done: bool,
+    /// A source failure, held until the step surfaces it
+    /// ([`RecordFeed::check`]).
+    source_error: Option<IsaError>,
+}
+
+impl<'t> RecordFeed<'t> {
+    pub(crate) fn new(cfg: &SimConfig, source: impl TraceSource + 't) -> RecordFeed<'t> {
+        RecordFeed {
+            total_records: source.len_hint(),
+            source: Box::new(source),
+            window: RecordWindow::new(cfg.rob_size, cfg.fetch_width),
+            oracle: OracleBuilder::new(),
+            source_done: false,
+            source_error: None,
+        }
+    }
+
+    /// Ensures the record at `fetch_idx` is in the window, pulling from
+    /// the source as needed. Returns `false` when the stream is exhausted
+    /// (or has failed — [`RecordFeed::check`] surfaces it); the caller
+    /// reads the record through the window, copy-free.
+    #[inline]
+    pub(crate) fn fill(&mut self, fetch_idx: usize) -> bool {
+        let seq = fetch_idx as u64;
+        while seq >= self.window.end() {
+            if self.source_done || self.source_error.is_some() {
+                return false;
+            }
+            // Pull a whole block ahead of the frontier, decoded straight
+            // into the window's free slots: one virtual source call
+            // amortised over up to FETCH_BLOCK records. The span is capped
+            // to the window's free slots, so the pull-ahead can never
+            // overflow it, and to the ring's wrap; it is nonempty because
+            // the frontier record itself fits within the structural
+            // bound. A span cut short at the wrap is just a short block;
+            // whole blocks stay aligned to the ring, so only a source that
+            // returned a short block before ever makes one.
+            let span = self.window.spare_mut(FETCH_BLOCK);
+            debug_assert!(!span.is_empty(), "window full at the fetch frontier");
+            match self.source.next_block(span) {
+                Ok(0) => {
+                    self.source_done = true;
+                    self.total_records = Some(self.window.end());
+                    return false;
+                }
+                Ok(n) => {
+                    let oracle = &mut self.oracle;
+                    self.window.admit(n, |rec| oracle.ingest(rec));
+                }
+                Err(e) => {
+                    self.source_error = Some(e);
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Whether fetch may still find a record at `fetch_idx`: it is
+    /// buffered, or the source has neither ended nor failed.
+    pub(crate) fn can_fill(&self, fetch_idx: usize) -> bool {
+        (fetch_idx as u64) < self.window.end() || (!self.source_done && self.source_error.is_none())
+    }
+
+    /// Whether the whole stream has committed. Until the source is
+    /// exhausted (or declared an exact length up front) the total is
+    /// unknown and this is `false`.
+    pub(crate) fn is_done(&self, committed: u64) -> bool {
+        self.total_records.is_some_and(|total| committed >= total)
+    }
+
+    /// The exact record count, once known.
+    pub(crate) fn total_records(&self) -> Option<u64> {
+        self.total_records
+    }
+
+    /// Records buffered between the commit point and the fetch frontier.
+    pub(crate) fn buffered(&self) -> usize {
+        self.window.len()
+    }
+
+    /// Records ever pulled from the source (the resume position).
+    pub(crate) fn pulled(&self) -> u64 {
+        self.window.end()
+    }
+
+    /// The step's verdict on the source: a failure it hit while fetching
+    /// becomes [`SimError::TraceSource`], at the records pulled so far.
+    pub(crate) fn check(&self) -> Result<(), SimError> {
+        match &self.source_error {
+            None => Ok(()),
+            Some(e) => Err(SimError::TraceSource {
+                pulled: self.pulled(),
+                detail: e.to_string(),
+            }),
+        }
+    }
+
+    /// Skips the `pulls` records a checkpointed run had already pulled
+    /// from a fresh instance of its source, a block at a time.
+    pub(crate) fn resume(source: &mut dyn TraceSource, pulls: u64) -> Result<(), SnapError> {
+        let mut block = [TraceRecord::default(); FETCH_BLOCK];
+        let mut skipped = 0;
+        while skipped < pulls {
+            let want = (pulls - skipped).min(FETCH_BLOCK as u64) as usize;
+            match source.next_block(&mut block[..want]) {
+                Ok(0) => {
+                    return Err(SnapError::Source(format!(
+                        "trace source exhausted at record {skipped} of the {pulls} \
+                         the checkpoint had consumed"
+                    )))
+                }
+                Ok(n) => skipped += n as u64,
+                Err(e) => return Err(SnapError::Source(e.to_string())),
+            }
+        }
+        Ok(())
+    }
+
+    /// Serialises the feed's state (everything but the source, which a
+    /// restore re-opens and [`resume`](RecordFeed::resume)s).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Unsupported`] while a source error is pending.
+    pub(crate) fn save(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+        if let Some(e) = &self.source_error {
+            return Err(SnapError::Unsupported(format!(
+                "cannot checkpoint with a pending trace-source error: {e}"
+            )));
+        }
+        self.window.save(w)?;
+        self.oracle.save(w)?;
+        self.total_records.save(w)?;
+        self.source_done.save(w)
+    }
+
+    /// Overwrites the feed's state with [`save`](RecordFeed::save)d
+    /// state, keeping the (resumed) source.
+    pub(crate) fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        self.window = RecordWindow::load(r)?;
+        self.oracle = OracleBuilder::load(r)?;
+        self.total_records = Option::<u64>::load(r)?;
+        self.source_done = bool::load(r)?;
+        Ok(())
+    }
+}
 
 /// The records currently needed by the pipeline: sequence numbers
 /// `[commit point, fetch frontier)`. Squashes rewind the fetch index but
@@ -69,17 +246,6 @@ impl RecordWindow {
     /// how far a block fetch may pull ahead of the frontier.
     pub(crate) fn free(&self) -> usize {
         (self.mask as usize + 1) - self.len
-    }
-
-    /// Appends one record at the fetch frontier (numbered like
-    /// [`admit`](RecordWindow::admit)'s).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is full.
-    pub(crate) fn push(&mut self, rec: TraceRecord, fwd: Option<OracleFwd>) {
-        self.spare_mut(1)[0] = rec;
-        self.admit(1, |_| fwd);
     }
 
     /// The free slots at the fetch frontier that lie in one contiguous
@@ -254,15 +420,15 @@ sqip_snapshot::snapshot_struct!(SeqSlot {
     wake_time,
 });
 
-impl sqip_snapshot::Snapshot for RecordWindow {
-    fn save(&self, w: &mut sqip_snapshot::SnapWriter) -> Result<(), sqip_snapshot::SnapError> {
+impl Snapshot for RecordWindow {
+    fn save(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         self.base.save(w)?;
         self.len.save(w)?;
         self.mask.save(w)?;
         self.recs.save(w)?;
         self.fwds.save(w)
     }
-    fn load(r: &mut sqip_snapshot::SnapReader) -> Result<RecordWindow, sqip_snapshot::SnapError> {
+    fn load(r: &mut SnapReader) -> Result<RecordWindow, SnapError> {
         let base = u64::load(r)?;
         let len = usize::load(r)?;
         let mask = u64::load(r)?;
@@ -274,7 +440,7 @@ impl sqip_snapshot::Snapshot for RecordWindow {
             || fwds.len() as u64 != cap
             || len as u64 > cap
         {
-            return Err(sqip_snapshot::SnapError::Corrupt(format!(
+            return Err(SnapError::Corrupt(format!(
                 "record window: mask {mask:#x}, {} records, {} oracle slots, len {len}",
                 recs.len(),
                 fwds.len()
@@ -290,14 +456,14 @@ impl sqip_snapshot::Snapshot for RecordWindow {
     }
 }
 
-impl sqip_snapshot::Snapshot for SeqRing {
-    fn save(&self, w: &mut sqip_snapshot::SnapWriter) -> Result<(), sqip_snapshot::SnapError> {
+impl Snapshot for SeqRing {
+    fn save(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         self.slots.save(w)
     }
-    fn load(r: &mut sqip_snapshot::SnapReader) -> Result<SeqRing, sqip_snapshot::SnapError> {
+    fn load(r: &mut SnapReader) -> Result<SeqRing, SnapError> {
         let slots = Vec::<SeqSlot>::load(r)?;
         if !slots.len().is_power_of_two() {
-            return Err(sqip_snapshot::SnapError::Corrupt(format!(
+            return Err(SnapError::Corrupt(format!(
                 "sequence ring of {} slots (want a power of two)",
                 slots.len()
             )));
@@ -309,6 +475,12 @@ impl sqip_snapshot::Snapshot for SeqRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Admits one record at the fetch frontier, with no oracle info.
+    fn push(w: &mut RecordWindow, rec: TraceRecord) {
+        w.spare_mut(1)[0] = rec;
+        w.admit(1, |_| None);
+    }
 
     #[test]
     fn record_window_slides() {
@@ -322,8 +494,8 @@ mod tests {
             r.seq = Seq(seq);
             r
         };
-        w.push(rec(0), None);
-        w.push(rec(1), None);
+        push(&mut w, rec(0));
+        push(&mut w, rec(1));
         assert_eq!(w.end(), 2);
         assert_eq!(w.rec(Seq(1)).seq, Seq(1));
         w.pop_front();
@@ -349,7 +521,7 @@ mod tests {
             r
         };
         for s in 0..6 {
-            w.push(rec(s), None);
+            push(&mut w, rec(s));
         }
         // Squash-style re-read: every buffered record is still addressable
         // (a rewound fetch index replays from the buffer, not the source).
@@ -370,7 +542,7 @@ mod tests {
         // Ring reuse after pops: new pushes land in freed slots and the
         // window keeps sliding — 6 pushed + 6 more = 12 total, 3 popped.
         for s in 6..12 {
-            w.push(rec(s), None);
+            push(&mut w, rec(s));
         }
         assert_eq!(w.end(), 12);
         assert_eq!(w.len(), 9);
@@ -391,7 +563,7 @@ mod tests {
         for s in 0..200 {
             let mut rec = r;
             rec.seq = Seq(s);
-            w.push(rec, None);
+            push(&mut w, rec);
         }
     }
 

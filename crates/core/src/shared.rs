@@ -18,10 +18,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sqip_isa::{IsaError, TraceRecord, TraceSource};
+use sqip_isa::{IsaError, OracleBuilder, OracleFwd, TraceRecord, TraceSource};
 use sqip_types::Seq;
-
-use crate::oracle::{OracleBuilder, OracleFwd};
 
 struct FwdBuf {
     ring: Vec<Option<OracleFwd>>,
@@ -188,7 +186,6 @@ impl std::fmt::Debug for OracleFeed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::OracleInfo;
     use sqip_isa::{trace_program, ProgramBuilder, Reg, TraceTee};
     use sqip_types::DataSize;
 
@@ -207,7 +204,8 @@ mod tests {
         b.halt();
         let program = b.build().unwrap();
         let trace = trace_program(&program, 10_000).unwrap();
-        let golden = OracleInfo::analyze(&trace);
+        let mut oracle = OracleBuilder::new();
+        let golden: Vec<_> = trace.records().iter().map(|r| oracle.ingest(r)).collect();
 
         let (tap, feed) = oracle_tap(trace.stream(), 32);
         let (_tee, mut cursors) = TraceTee::new(tap, 2, 32);
@@ -219,7 +217,12 @@ mod tests {
             let rb = b_cur.next_record().unwrap();
             assert_eq!(ra, rb);
             let Some(rec) = ra else { break };
-            assert_eq!(feed.fwd(rec.seq), golden.fwd(rec.seq), "seq {}", rec.seq.0);
+            assert_eq!(
+                feed.fwd(rec.seq),
+                golden[rec.seq.0 as usize],
+                "seq {}",
+                rec.seq.0
+            );
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Simulation statistics — every number the paper's tables and figures
 //! report, plus diagnostics.
 
-use sqip_mem::CacheStats;
+use sqip_mem::{CacheStats, Hierarchy};
 
 use serde::{Deserialize, Serialize};
 
@@ -68,6 +68,16 @@ pub struct SimStats {
 }
 
 impl SimStats {
+    /// Folds the cycle count and the hierarchy's cache and TLB counters
+    /// in, so the statistics are consistent at any point of a run.
+    /// Idempotent; both engines call it after every step.
+    pub(crate) fn sync(&mut self, cycle: u64, hierarchy: &Hierarchy) {
+        self.cycles = cycle;
+        self.l1 = hierarchy.l1_stats();
+        self.l2 = hierarchy.l2_stats();
+        self.tlb = hierarchy.tlb_stats();
+    }
+
     /// Committed instructions per cycle.
     #[must_use]
     pub fn ipc(&self) -> f64 {

@@ -46,6 +46,7 @@ mod error;
 mod exec;
 mod inst;
 mod op;
+mod oracle;
 mod program;
 mod reg;
 mod snapshot;
@@ -58,6 +59,7 @@ pub use error::IsaError;
 pub use exec::{ArchState, StepOutcome};
 pub use inst::StaticInst;
 pub use op::{Op, OpClass};
+pub use oracle::{OracleBuilder, OracleFwd};
 pub use program::{Label, Program, ProgramBuilder};
 pub use reg::{Reg, NUM_REGS};
 pub use source::{ProgramSource, TraceCursor, TraceSource};

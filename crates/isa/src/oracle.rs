@@ -6,16 +6,19 @@
 //! with each writer stored once) is forward-only, so each record's
 //! oracle info is complete the moment the record is ingested — the
 //! pipeline computes it on the fly as records arrive from a
-//! [`TraceSource`](sqip_isa::TraceSource), with no whole-trace
+//! [`TraceSource`](crate::TraceSource), with no whole-trace
 //! preprocessing. The `IdealOracle` configuration schedules loads with
 //! this information (perfect, violation-free scheduling — the paper's
 //! idealised baseline), and the statistics use it to report the
-//! architectural load forwarding rate of Table 3's first column.
-//! [`OracleInfo`] is the batch form over a materialized [`Trace`].
+//! architectural load forwarding rate of Table 3's first column, which
+//! [`Trace::oracle_forwarding_rate`](crate::Trace::oracle_forwarding_rate)
+//! also measures over a materialized trace. This is the one
+//! implementation of that dependence: both pipeline engines and the
+//! trace statistics fold records through it.
 
 use std::ops::Range;
 
-use sqip_isa::{Trace, TraceRecord};
+use crate::TraceRecord;
 use sqip_mem::{line_parts, LineStore, LINE_BYTES};
 use sqip_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use sqip_types::Seq;
@@ -51,8 +54,7 @@ pub struct OracleFwd {
 /// # Example
 ///
 /// ```
-/// use sqip_core::OracleBuilder;
-/// use sqip_isa::{ProgramBuilder, ProgramSource, Reg, TraceSource};
+/// use sqip_isa::{OracleBuilder, ProgramBuilder, ProgramSource, Reg, TraceSource};
 /// use sqip_types::DataSize;
 ///
 /// let mut b = ProgramBuilder::new();
@@ -343,51 +345,17 @@ impl Snapshot for OracleLine {
     }
 }
 
-/// Per-record oracle forwarding info (`None` for non-loads and for loads
-/// whose bytes were never written by a traced store).
-#[derive(Debug, Clone)]
-pub struct OracleInfo {
-    per_record: Vec<Option<OracleFwd>>,
-}
-
-impl OracleInfo {
-    /// Analyses a materialized trace (the batch form of
-    /// [`OracleBuilder`]).
-    #[must_use]
-    pub fn analyze(trace: &Trace) -> OracleInfo {
-        let mut builder = OracleBuilder::new();
-        let per_record = trace.records().iter().map(|r| builder.ingest(r)).collect();
-        OracleInfo { per_record }
-    }
-
-    /// Oracle info for the dynamic instruction at `seq`.
-    #[must_use]
-    pub fn fwd(&self, seq: Seq) -> Option<OracleFwd> {
-        self.per_record.get(seq.0 as usize).copied().flatten()
-    }
-
-    /// Fraction of dynamic loads whose producer is within `window` dynamic
-    /// stores (and fully covers them) — the structural forwarding rate.
-    #[must_use]
-    pub fn forwarding_rate(&self, trace: &Trace, window: u64) -> f64 {
-        if trace.dynamic_loads() == 0 {
-            return 0.0;
-        }
-        let n = self
-            .per_record
-            .iter()
-            .flatten()
-            .filter(|f| f.store_dist < window)
-            .count();
-        n as f64 / trace.dynamic_loads() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqip_isa::{trace_program, ProgramBuilder, Reg};
+    use crate::{trace_program, ProgramBuilder, Reg, Trace};
     use sqip_types::DataSize;
+
+    /// Each record's oracle info, in trace order.
+    fn analyze(trace: &Trace) -> Vec<Option<OracleFwd>> {
+        let mut oracle = OracleBuilder::new();
+        trace.records().iter().map(|r| oracle.ingest(r)).collect()
+    }
 
     #[test]
     fn finds_adjacent_producer() {
@@ -398,12 +366,12 @@ mod tests {
         b.load(DataSize::Quad, t, Reg::ZERO, 0x100); // seq 2
         b.halt();
         let trace = trace_program(&b.build().unwrap(), 100).unwrap();
-        let oracle = OracleInfo::analyze(&trace);
-        let f = oracle.fwd(Seq(2)).unwrap();
+        let oracle = analyze(&trace);
+        let f = oracle[2].unwrap();
         assert_eq!(f.store_seq, Seq(1));
         assert!(f.covers);
         assert_eq!(f.store_dist, 0);
-        assert_eq!(oracle.fwd(Seq(0)), None, "non-loads have no info");
+        assert_eq!(oracle[0], None, "non-loads have no info");
     }
 
     #[test]
@@ -417,8 +385,8 @@ mod tests {
         b.load(DataSize::Quad, t, Reg::ZERO, 0x100); // seq 4
         b.halt();
         let trace = trace_program(&b.build().unwrap(), 100).unwrap();
-        let oracle = OracleInfo::analyze(&trace);
-        let f = oracle.fwd(Seq(4)).unwrap();
+        let oracle = analyze(&trace);
+        let f = oracle[4].unwrap();
         assert_eq!(f.store_dist, 2, "two stores intervene");
         assert_eq!(f.store_seq, Seq(1));
     }
@@ -433,8 +401,8 @@ mod tests {
         b.load(DataSize::Quad, t, Reg::ZERO, 0x100); // needs both
         b.halt();
         let trace = trace_program(&b.build().unwrap(), 100).unwrap();
-        let oracle = OracleInfo::analyze(&trace);
-        let f = oracle.fwd(Seq(3)).unwrap();
+        let oracle = analyze(&trace);
+        let f = oracle[3].unwrap();
         assert_eq!(f.store_seq, Seq(2), "youngest overlapping store");
         assert!(!f.covers, "no single store covers the quad load");
     }
@@ -445,9 +413,9 @@ mod tests {
         b.load(DataSize::Quad, Reg::new(1), Reg::ZERO, 0x500);
         b.halt();
         let trace = trace_program(&b.build().unwrap(), 100).unwrap();
-        let oracle = OracleInfo::analyze(&trace);
-        assert_eq!(oracle.fwd(Seq(0)), None);
-        assert_eq!(oracle.forwarding_rate(&trace, 64), 0.0);
+        let oracle = analyze(&trace);
+        assert_eq!(oracle[0], None);
+        assert_eq!(trace.oracle_forwarding_rate(64), 0.0);
     }
 
     #[test]
@@ -462,9 +430,8 @@ mod tests {
         b.load(DataSize::Quad, t, Reg::ZERO, 0x100); // dist 4
         b.halt();
         let trace = trace_program(&b.build().unwrap(), 100).unwrap();
-        let oracle = OracleInfo::analyze(&trace);
-        assert_eq!(oracle.forwarding_rate(&trace, 64), 1.0);
-        assert_eq!(oracle.forwarding_rate(&trace, 4), 0.0, "window too small");
+        assert_eq!(trace.oracle_forwarding_rate(64), 1.0);
+        assert_eq!(trace.oracle_forwarding_rate(4), 0.0, "window too small");
     }
 
     /// A memory record at `addr` (`store` or load), built directly so
@@ -473,9 +440,9 @@ mod tests {
         TraceRecord {
             seq: Seq(seq),
             op: if store {
-                sqip_isa::Op::Store(size)
+                crate::Op::Store(size)
             } else {
-                sqip_isa::Op::Load(size)
+                crate::Op::Load(size)
             },
             addr: Some(sqip_types::Addr::new(addr)),
             size,

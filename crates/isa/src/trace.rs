@@ -6,6 +6,7 @@ use sqip_types::{Addr, DataSize, Pc, Seq};
 use crate::error::IsaError;
 use crate::exec::ArchState;
 use crate::op::Op;
+use crate::oracle::OracleBuilder;
 use crate::program::Program;
 use crate::reg::Reg;
 
@@ -144,39 +145,22 @@ impl Trace {
     /// The architectural (oracle) forwarding rate: fraction of dynamic
     /// loads whose value was produced by one of the previous `window`
     /// dynamic stores (i.e. could forward from a `window`-entry SQ in the
-    /// best case). This is the quantity in the first column of the paper's
-    /// Table 3, measured structurally on the trace.
+    /// best case): the newest writer of any of the load's bytes, as the
+    /// [`OracleBuilder`] finds it, lies within `window` stores. This is
+    /// the quantity in the first column of the paper's Table 3, measured
+    /// structurally on the trace.
     #[must_use]
     pub fn oracle_forwarding_rate(&self, window: usize) -> f64 {
         if self.dynamic_loads == 0 {
             return 0.0;
         }
-        // Byte-granular map from address to the index (in dynamic stores) of
-        // the last store writing it.
-        let mut last_store: std::collections::BTreeMap<u64, u64> =
-            std::collections::BTreeMap::new();
-        let mut store_count: u64 = 0;
-        let mut forwarding_loads: u64 = 0;
-        for r in &self.records {
-            if r.is_store() {
-                store_count += 1;
-                for b in r.mem_addr().span(r.size).byte_addrs() {
-                    last_store.insert(b.0, store_count);
-                }
-            } else if r.is_load() {
-                let newest = r
-                    .mem_addr()
-                    .span(r.size)
-                    .byte_addrs()
-                    .filter_map(|b| last_store.get(&b.0).copied())
-                    .max();
-                if let Some(idx) = newest {
-                    if store_count - idx < window as u64 {
-                        forwarding_loads += 1;
-                    }
-                }
-            }
-        }
+        let mut oracle = OracleBuilder::new();
+        let forwarding_loads = self
+            .records
+            .iter()
+            .filter_map(|r| oracle.ingest(r))
+            .filter(|f| f.store_dist < window as u64)
+            .count();
         forwarding_loads as f64 / self.dynamic_loads as f64
     }
 }

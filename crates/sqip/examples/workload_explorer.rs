@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use sqip::{all_workloads, by_name, OracleInfo};
+use sqip::{all_workloads, by_name};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,7 +28,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{} workloads defined in total\n", all_workloads().len());
     for spec in specs {
         let trace = spec.trace()?;
-        let oracle = OracleInfo::analyze(&trace);
         println!("== {} ({}) ==", spec.name, spec.suite);
         println!(
             "  kernel mix: fwd={} narrow={} partial={} alias={} nmr={} (lag {}) far={} plain_ld={} chase={} x{} static copies",
@@ -51,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         println!(
             "  forwarding rate (64-entry window): {:.1}%  (target {:.1}%)",
-            100.0 * oracle.forwarding_rate(&trace, 64),
+            100.0 * trace.oracle_forwarding_rate(64),
             100.0 * spec.target_forwarding_rate(),
         );
         println!();

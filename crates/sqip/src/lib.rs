@@ -94,8 +94,8 @@ pub use sweep::{CancelToken, CellEvent, CellEventFn, GroupTelemetry, SweepEngine
 // observation hooks, and the design registry.
 pub use sqip_core::{
     engine::SchedCounters, oracle_tap, DesignCaps, DesignRegistry, Engine, ObserverAction,
-    OracleBuilder, OracleFeed, OracleFwd, OracleInfo, OracleTap, OrderingMode, ParseDesignError,
-    Processor, RegistryError, SimConfig, SimError, SimObserver, SimStats, SqDesign, StepOutcome,
+    OracleBuilder, OracleFeed, OracleFwd, OracleTap, OrderingMode, ParseDesignError, Processor,
+    RegistryError, SimConfig, SimError, SimObserver, SimStats, SqDesign, StepOutcome,
 };
 // The checkpoint container: [`Processor::checkpoint`]/[`Processor::restore`]
 // speak this format, and the result cache addresses entries by [`Fnv`].

@@ -80,7 +80,7 @@ fn parallel_and_serial_sweeps_are_bit_identical() {
         .run()
         .expect("serial sweep runs");
     let reference = common::per_cell_reference(&experiment);
-    assert_eq!(serial, reference, "shared pass ≡ per-cell");
+    assert_eq!(serial, reference, "sweep ≡ per-cell");
     assert_eq!(serial.to_json(), reference.to_json());
     for threads in [2, 4, 7] {
         let parallel = experiment
@@ -215,7 +215,7 @@ fn stepped_execution_matches_one_shot_execution() {
 }
 
 /// Custom record streams drive through the same sweep machinery as
-/// Table 3 models, one shared pass across designs.
+/// Table 3 models, one stream opened per design cell.
 #[test]
 fn custom_traces_sweep_like_workloads() {
     let spec = shrink(by_name("gzip").unwrap(), 100);

@@ -2,7 +2,7 @@
 //! must build, trace, and simulate to completion, with its measured
 //! memory-dependence character in the regime the paper reports.
 
-use sqip::{all_workloads, by_name, mediabench, specfp, specint, OracleInfo, SqDesign};
+use sqip::{all_workloads, by_name, mediabench, specfp, specint, SqDesign};
 
 #[test]
 fn the_full_table3_roster_exists() {
@@ -23,8 +23,7 @@ fn forwarding_rates_match_targets_across_the_roster() {
     ] {
         let spec = by_name(name).unwrap();
         let trace = spec.trace().unwrap();
-        let oracle = OracleInfo::analyze(&trace);
-        let measured = oracle.forwarding_rate(&trace, 64);
+        let measured = trace.oracle_forwarding_rate(64);
         let target = spec.target_forwarding_rate();
         assert!(
             (measured - target).abs() < 0.08,
@@ -87,8 +86,7 @@ fn suite_averages_track_the_paper() {
             .iter()
             .map(|n| {
                 let spec = by_name(n).unwrap();
-                let t = spec.trace().unwrap();
-                OracleInfo::analyze(&t).forwarding_rate(&t, 64)
+                spec.trace().unwrap().oracle_forwarding_rate(64)
             })
             .sum::<f64>()
             / 3.0

@@ -29,8 +29,8 @@ pub type SourceFactory =
 /// and value-stable for the life of the process — the same scheme the
 /// design registry uses for `SqDesign` names. Two resolutions of the same
 /// name (registered entry or generator-grammar point) intern to the same
-/// handle, which is what lets a sweep engine group same-workload cells
-/// without string churn on the dispatch path. The pool is append-only and
+/// handle, so every cell of a sweep can carry and compare its workload's
+/// name without string churn. The pool is append-only and
 /// deduplicated, so the leak is bounded by the set of distinct names ever
 /// used.
 #[must_use]
@@ -139,7 +139,7 @@ impl RegisteredWorkload {
 
     /// The workload's name (its registry key and result-record label),
     /// interned for the life of the process — pointer-stable, so sweep
-    /// grouping and trace-cache keys need no per-cell `String` clones.
+    /// cells and result-cache keys need no per-cell `String` clones.
     #[must_use]
     pub fn name(&self) -> &'static str {
         self.name
@@ -180,7 +180,7 @@ impl std::fmt::Debug for RegisteredWorkload {
 /// Builds the `tracefile:<path>` workload: each open streams the SQTR
 /// file from the start through a fresh buffered [`TraceReader`] — the
 /// decode-dominant workload family (per-byte varint decode on every
-/// pull), where a shared-decode sweep pass pays off most.
+/// pull). Each sweep cell opens its own reader.
 ///
 /// [`TraceReader`]: sqip_isa::tracefile::TraceReader
 fn trace_file_workload(name: &str, path: &str) -> RegisteredWorkload {
