@@ -241,8 +241,7 @@ impl Deserialize for SqDesign {
 /// * [`Engine::Event`] (the default) is the production engine: in-flight
 ///   state lives in ring-indexed slabs with free-list-backed waiter
 ///   lists, executions and broadcasts ride 64-cycle near rings with the
-///   rest on an event heap
-///   ([`EventWheel`](crate::engine::EventWheel)), idle cycles (no
+///   rest on an event heap (the event wheel), idle cycles (no
 ///   wakeups due, frontend stalled, no commit-eligible head) are skipped
 ///   in O(1), and derived statistics are flushed per *active* cycle
 ///   rather than per simulated cycle.

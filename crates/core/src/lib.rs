@@ -71,22 +71,18 @@ pub use config::{
 };
 pub use error::SimError;
 pub use observer::{ObserverAction, SimObserver};
-pub use pipeline::{EvKind, Processor, StepOutcome};
+pub use pipeline::{Processor, StepOutcome};
 pub use shared::{oracle_tap, OracleFeed, OracleTap};
 pub use sqip_isa::{OracleBuilder, OracleFwd};
 
-/// Building blocks of the event-driven engine, exposed for
-/// documentation, benchmarking and reuse.
+/// What the event-driven engine exposes for benchmarking: its
+/// scheduling-cost counters and its fetch block size.
 ///
-/// [`engine::EventWheel`] is the event engine's queue for the events its
-/// near rings cannot hold (re-wakes, far broadcasts, past-requested
-/// executions), delivered in the reference engine's heap order;
-/// [`EvKind`] names the event kinds it carries. Engine selection is a
-/// configuration knob ([`SimConfig::engine`], an [`Engine`]), not a
-/// compile-time feature, so the differential tests and the `perf`
-/// harness can run both cores in one process.
+/// Engine selection is a configuration knob ([`SimConfig::engine`], an
+/// [`Engine`]), not a compile-time feature, so the differential tests
+/// and the `perf` harness can run both cores in one process.
 pub mod engine {
-    pub use crate::pipeline::event::{EventWheel, SchedCounters, WheelEvent};
+    pub use crate::pipeline::event::SchedCounters;
     pub use crate::pipeline::window::FETCH_BLOCK;
 }
 pub use policy::{DesignCaps, DesignRegistry, RegistryError};

@@ -46,7 +46,7 @@ use crate::policy::{BuiltinPolicy, DesignCaps};
 use crate::stats::SimStats;
 
 pub(crate) use structs::{fits_near, InstSlab, NearRing, ReadyLanes, Take, WaiterRing};
-pub use wheel::{EventWheel, WheelEvent};
+pub(crate) use wheel::{EventWheel, WheelEvent};
 
 /// Scheduling-cost counters for the event engine, read through
 /// [`Processor::sched_counters`](crate::Processor::sched_counters).

@@ -17,7 +17,7 @@ use crate::pipeline::EvKind;
 /// One scheduled event: what kind, for which sequence number (or store
 /// SSN, for [`EvKind::StoreWake`]), and under which squash incarnation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct WheelEvent {
+pub(crate) struct WheelEvent {
     /// The cycle the event was *requested* for (its delivery may be later).
     pub at: u64,
     /// Event kind; also the second-rank sort key within a cycle.
@@ -33,7 +33,7 @@ pub struct WheelEvent {
 /// would yield. [`EventWheel::next_at`] answers the engine's skip-ahead
 /// question: the earliest cycle at which any event is due.
 #[derive(Debug, Default)]
-pub struct EventWheel {
+pub(crate) struct EventWheel {
     /// Pending `(delivery cycle, event)` pairs, min-first.
     heap: BinaryHeap<Reverse<(u64, WheelEvent)>>,
     /// Events scheduled (the perf bin's wheel-ops/inst). Diagnostic
@@ -89,13 +89,13 @@ impl EventWheel {
     }
 
     /// Pending events.
-    #[must_use]
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Whether no event is pending.
-    #[must_use]
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }

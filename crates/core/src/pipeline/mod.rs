@@ -67,7 +67,7 @@ pub enum StepOutcome {
 /// Kinds of scheduled pipeline events, in their within-cycle delivery
 /// order (the second-rank sort key after the cycle itself).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum EvKind {
+pub(crate) enum EvKind {
     /// Wakeup broadcast: consumers of this producer may now issue.
     Broadcast,
     /// Targeted wake of one waiting instruction (replay re-wake).

@@ -5,8 +5,8 @@
 //! process silently drops every queued and running job. With one, each
 //! admitted job appends an `admitted` line (its [`ExperimentSpec`], id
 //! and timeout) and each *settled* job — completed, failed, timed out,
-//! cancelled by its client, or orphaned by a disconnect — appends a
-//! `settled` line. A job cancelled *by server shutdown* (or never
+//! cancelled by its client, orphaned by a disconnect, or refused when a
+//! restarted server re-admits it — appends a `settled` line. A job cancelled *by server shutdown* (or never
 //! reached because the process died) is deliberately **not** settled:
 //! that is precisely the work a restarted server owes, and
 //! [`Journal::open`] hands it back as [`PendingJob`]s for re-admission.

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use sqip::{DesignRegistry, ExperimentSpec};
+use sqip::{DesignRegistry, ExperimentSpec, Fnv};
 
 use crate::client::{Connection, JobOutcome, JobStatus};
 use crate::protocol::{Request, Response, StatsSnapshot};
@@ -181,28 +181,6 @@ pub struct LoadReport {
     pub server: Option<StatsSnapshot>,
     /// The verdicts.
     pub slo: SloReport,
-}
-
-/// FNV-1a, 64-bit — stable, dependency-free fingerprint for the
-/// repeatability SLO.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn hex(self) -> String {
-        format!("{:016x}", self.0)
-    }
 }
 
 /// Draws a random-but-valid spec: 1–2 generator workloads × 1–3 distinct

@@ -12,6 +12,31 @@
 //! connection's channel. A monitor thread flips the [`CancelToken`] of
 //! any job past its deadline.
 //!
+//! # Job lifecycle
+//!
+//! Every job, submitted by a client or recovered from the journal,
+//! passes through the same three steps:
+//!
+//! 1. **Admission** (`admit`). A submit first passes the client-only
+//!    checks: the server is not shutting down, the client's rate limit
+//!    (when set) has a token, and no job of the same id is queued or
+//!    running on the connection. A recovered job skips them: its client
+//!    is gone and its key is unique. Both then take one path: the spec
+//!    must build an experiment of at most `max_cells_per_job` cells, a
+//!    new job is journaled (a recovered one keeps its line), and the job
+//!    is registered for cancellation and pushed onto the bounded queue.
+//! 2. **Queue and run.** A worker pops the job, which carries its own
+//!    cancel control, and runs its sweep. Client cancel, timeout,
+//!    disconnect and shutdown all stop it through that control.
+//! 3. **Settle** (`settle`), once per job, however it ends: run to
+//!    completion, failed, cancelled, refused by the shared admission
+//!    checks, or drained from the queue when its client disconnects.
+//!    The job is unregistered, one counter is bumped, its journal
+//!    admission is settled unless the job is still owed, and its
+//!    terminal response is sent. A job is owed if and only if server shutdown stopped it:
+//!    the next server to open the journal runs it again. A recovered job
+//!    the queue cannot take is not settled either; it stays owed.
+//!
 //! # Backpressure
 //!
 //! Memory is bounded at every stage: a request line is read into at
@@ -36,14 +61,14 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use sqip::{CancelToken, CellEvent, Experiment, SqipError, SweepEngine};
+use sqip::{CancelToken, CellEvent, Experiment, ExperimentSpec, SqipError, SweepEngine};
 
 use crate::journal::{Journal, PendingJob};
 use crate::lock_unpoisoned;
 use crate::protocol::{
     from_line, read_bounded_line, to_line, LineRead, Request, Response, StatsSnapshot,
 };
-use crate::queue::{FairQueue, PushError};
+use crate::queue::FairQueue;
 
 /// Per-connection response channel depth. Small on purpose: rows are
 /// produced by workers and consumed at socket speed, and the channel is
@@ -188,18 +213,34 @@ struct Bucket {
     refilled_at: Instant,
 }
 
-/// A job sitting in the queue: the validated experiment plus everything
-/// needed to stream its results back.
-struct Job {
+/// Whom a job answers and which journal admission it holds: all the
+/// one settle step needs.
+#[derive(Clone)]
+struct Ticket {
+    /// The client and the job id; the id names the job in responses.
     key: JobKey,
-    display_id: String,
-    experiment: Experiment,
-    cells: usize,
-    accepted_at: Instant,
     reply: SyncSender<Response>,
-    /// The job's journal admission, settled when the job finishes for
-    /// any reason other than server shutdown.
+    /// The job's journal admission, when the server keeps a journal.
     journal_seq: Option<u64>,
+}
+
+/// An admitted job, queued or running: the validated experiment plus
+/// its ticket and the control block every way of stopping it reaches.
+struct Job {
+    ticket: Ticket,
+    experiment: Experiment,
+    accepted_at: Instant,
+    ctl: Arc<JobCtl>,
+}
+
+impl Job {
+    /// The terminal answer of a job stopped through its control block.
+    fn cancelled(&self) -> Response {
+        Response::Cancelled {
+            id: self.ticket.key.1.clone(),
+            reason: self.ctl.reason().to_string(),
+        }
+    }
 }
 
 type JobKey = (u64, String);
@@ -275,14 +316,6 @@ impl Shared {
         }
     }
 
-    fn register(&self, key: JobKey, ctl: Arc<JobCtl>) {
-        lock_unpoisoned(&self.jobs).insert(key, ctl);
-    }
-
-    fn unregister(&self, key: &JobKey) -> Option<Arc<JobCtl>> {
-        lock_unpoisoned(&self.jobs).remove(key)
-    }
-
     fn cancel_job(&self, key: &JobKey, reason: &'static str) -> bool {
         match lock_unpoisoned(&self.jobs).get(key) {
             Some(ctl) => {
@@ -294,7 +327,7 @@ impl Shared {
     }
 
     /// Cancels every registered job belonging to `client` (used on
-    /// disconnect and shutdown).
+    /// disconnect).
     fn cancel_client(&self, client: u64, reason: &'static str) {
         let table = lock_unpoisoned(&self.jobs);
         for (key, ctl) in table.iter() {
@@ -308,13 +341,6 @@ impl Shared {
         let table = lock_unpoisoned(&self.jobs);
         for ctl in table.values() {
             ctl.cancel(reason);
-        }
-    }
-
-    /// Marks a job's journal admission settled, when both exist.
-    fn settle_journal(&self, seq: Option<u64>) {
-        if let (Some(journal), Some(seq)) = (&self.journal, seq) {
-            journal.settle(seq);
         }
     }
 }
@@ -477,8 +503,23 @@ impl Server {
             }
 
             // Owed work first: journal-recovered jobs enter the queue
-            // before any new connection can race a submit in.
-            requeue_recovered(shared, recovered);
+            // before any new connection can race a submit in. Their
+            // clients are gone, so they answer into a channel with no
+            // receiver: the work, and the journal line recording it, is
+            // the point. A job this server refuses (its design is no
+            // longer registered, or it exceeds the cell limit) is
+            // settled, not recovered forever.
+            for pending in recovered {
+                shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
+                let key = (RECOVERY_CLIENT, format!("r{}:{}", pending.seq, pending.id));
+                let reply = sync_channel(1).0;
+                let seq = Some(pending.seq);
+                if let Err(reason) =
+                    admit(shared, key, &pending.spec, pending.timeout_ms, reply, seq)
+                {
+                    eprintln!("sqipd: journal job `{}` refused: {reason}", pending.id);
+                }
+            }
 
             for stream in listener.incoming() {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -515,71 +556,6 @@ fn initiate_shutdown(shared: &Shared, addr: Option<SocketAddr>) {
     shared.cancel_all(SHUTDOWN_REASON);
     if let Some(addr) = addr {
         let _ = TcpStream::connect(addr);
-    }
-}
-
-/// Re-admits journal-recovered jobs under the reserved
-/// [`RECOVERY_CLIENT`]. Their original clients are gone, so results
-/// stream into a closed channel — the work (and the journal settling
-/// that records it) is the point. A job whose spec no longer builds
-/// (say, a runtime-registered design that was not re-registered) is
-/// settled as failed rather than recovered forever.
-fn requeue_recovered(shared: &Shared, recovered: Vec<PendingJob>) {
-    if recovered.is_empty() {
-        return;
-    }
-    shared.queue.register(RECOVERY_CLIENT);
-    for pending in recovered {
-        shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        let built = pending
-            .spec
-            .to_experiment()
-            .and_then(|e| e.cells().map(|cells| (cells.len(), e)));
-        let (cells, experiment) = match built {
-            Ok(built) => built,
-            Err(err) => {
-                eprintln!(
-                    "sqipd: journal job `{}` no longer builds ({err}); settling as failed",
-                    pending.id
-                );
-                shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-                shared.settle_journal(Some(pending.seq));
-                continue;
-            }
-        };
-        let job = Job {
-            key: (RECOVERY_CLIENT, format!("r{}:{}", pending.seq, pending.id)),
-            display_id: pending.id.clone(),
-            experiment,
-            cells,
-            accepted_at: Instant::now(),
-            // A fresh channel whose receiver is dropped immediately:
-            // sends fail fast instead of buffering.
-            reply: sync_channel::<Response>(1).0,
-            journal_seq: Some(pending.seq),
-        };
-        let timeout = pending.timeout_ms.unwrap_or(shared.cfg.default_timeout_ms);
-        let ctl = Arc::new(JobCtl {
-            token: CancelToken::new(),
-            deadline: (timeout > 0).then(|| Instant::now() + Duration::from_millis(timeout)),
-            reason: Mutex::new(None),
-        });
-        let key = job.key.clone();
-        shared.register(key.clone(), Arc::clone(&ctl));
-        match shared.queue.push(RECOVERY_CLIENT, job) {
-            Ok(()) => {
-                shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(err) => {
-                // Left unsettled on purpose: the next restart retries.
-                shared.unregister(&key);
-                shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "sqipd: could not re-queue journal job `{}`: {err}",
-                    pending.id
-                );
-            }
-        }
     }
 }
 
@@ -628,126 +604,78 @@ fn send_response(
 
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
-        // The job STAYS registered while it runs — that is what lets
-        // cancel requests, the deadline monitor, and disconnect cleanup
-        // reach its token. `run_job` unregisters it as it settles.
-        let ctl = lock_unpoisoned(&shared.jobs)
-            .get(&job.key)
-            .cloned()
-            .unwrap_or_else(|| {
-                // The reader raced a disconnect and already dropped the
-                // entry — settle as cancelled without running.
-                let token = CancelToken::new();
-                token.cancel();
-                Arc::new(JobCtl {
-                    token,
-                    deadline: None,
-                    reason: Mutex::new(Some("client disconnected")),
-                })
-            });
         shared.counters.running.fetch_add(1, Ordering::Relaxed);
-        run_job(shared, &job, &ctl);
+        run_job(shared, &job);
         shared.counters.running.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-fn run_job(shared: &Shared, job: &Job, ctl: &JobCtl) {
-    let id = job.display_id.clone();
-    if ctl.token.is_cancelled() {
-        shared.unregister(&job.key);
-        shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-        if ctl.reason() != SHUTDOWN_REASON {
-            shared.settle_journal(job.journal_seq);
-        }
-        send_response(
-            &job.reply,
-            None,
-            Response::Cancelled {
-                id,
-                reason: ctl.reason().to_string(),
-            },
-        );
-        return;
-    }
-
-    let reply = job.reply.clone();
-    let row_id = job.display_id.clone();
-    let row_token = ctl.token.clone();
+/// Runs a job's sweep, streaming each finished cell as a row, and
+/// settles the job by how the sweep ended. A job cancelled while it was
+/// still queued takes the `Cancelled` arm too: under a cancelled token
+/// the sweep opens no workload.
+fn run_job(shared: &Shared, job: &Job) {
+    let Ticket { key, reply, .. } = &job.ticket;
+    let (row_reply, row_id, row_token) = (reply.clone(), key.1.clone(), job.ctl.token.clone());
     let engine = SweepEngine::new()
         .threads(shared.cfg.threads_per_job.max(1))
-        .cancel_token(ctl.token.clone())
-        .on_cell(move |event| match event {
-            CellEvent::Finished { index, record } => {
+        .cancel_token(job.ctl.token.clone())
+        .on_cell(move |event| {
+            // Cell failures surface through the sweep result below.
+            if let CellEvent::Finished { index, record } = event {
+                let id = row_id.clone();
                 send_response(
-                    &reply,
+                    &row_reply,
                     Some(&row_token),
-                    Response::Row {
-                        id: row_id.clone(),
-                        index,
-                        record,
-                    },
+                    Response::Row { id, index, record },
                 );
             }
-            // Cell failures surface through the sweep result below.
-            CellEvent::Failed { .. } => {}
         });
 
-    let result = engine.run(&job.experiment);
-    // Unregister before answering, so the client can reuse the id the
-    // moment it sees the terminal response.
-    shared.unregister(&job.key);
-    match result {
-        Ok(results) => {
-            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            shared.settle_journal(job.journal_seq);
-            let seq = shared.seq.fetch_add(1, Ordering::SeqCst);
-            send_response(
-                &job.reply,
-                None,
-                Response::Done {
-                    id,
-                    rows: results.len(),
-                    seq,
-                    wall_ms: job.accepted_at.elapsed().as_millis() as u64,
-                },
-            );
-        }
-        Err(SqipError::Cancelled { .. }) => {
-            shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            // A shutdown cancellation is the one unsettled exit: the
-            // journal still owes this job, and the next boot re-runs it.
-            if ctl.reason() != SHUTDOWN_REASON {
-                shared.settle_journal(job.journal_seq);
-            }
-            send_response(
-                &job.reply,
-                None,
-                Response::Cancelled {
-                    id,
-                    reason: ctl.reason().to_string(),
-                },
-            );
-        }
+    let id = key.1.clone();
+    let response = match engine.run(&job.experiment) {
+        Ok(results) => Response::Done {
+            id,
+            rows: results.len(),
+            seq: shared.seq.fetch_add(1, Ordering::SeqCst),
+            wall_ms: job.accepted_at.elapsed().as_millis() as u64,
+        },
+        Err(SqipError::Cancelled { .. }) => job.cancelled(),
         // A failed or panicked cell (the sweep catches a cell's unwind
         // and names the cell): settled, so a restart does not re-run it.
-        Err(err) => {
-            shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-            shared.settle_journal(job.journal_seq);
-            send_response(
-                &job.reply,
-                None,
-                Response::Error {
-                    id,
-                    reason: err.to_string(),
-                },
-            );
-        }
+        Err(err) => Response::Error {
+            id,
+            reason: err.to_string(),
+        },
+    };
+    settle(shared, &job.ticket, response);
+}
+
+/// The one settle step, for every way a job ends (see the module docs):
+/// unregisters the job, so its id is free the moment its client sees the
+/// answer; bumps the counter `response` names; settles the journal
+/// admission unless the job is still owed; and sends `response`. A job is
+/// owed if and only if server shutdown stopped it, which its terminal
+/// answer says.
+fn settle(shared: &Shared, ticket: &Ticket, response: Response) {
+    lock_unpoisoned(&shared.jobs).remove(&ticket.key);
+    let counters = &shared.counters;
+    let (counter, owed) = match &response {
+        Response::Done { .. } => (&counters.completed, false),
+        Response::Cancelled { reason, .. } => (&counters.cancelled, reason == SHUTDOWN_REASON),
+        Response::Rejected { .. } => (&counters.rejected, false),
+        _ => (&counters.failed, false),
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    if let (Some(journal), Some(seq), false) = (&shared.journal, ticket.journal_seq, owed) {
+        journal.settle(seq);
     }
+    send_response(&ticket.reply, None, response);
 }
 
 /// Handles one client: spawns the writer, then reads request lines until
 /// EOF, shutdown, or a socket error. On exit, cancels the client's
-/// running jobs and drops its queued ones.
+/// jobs and settles the queued ones.
 fn serve_connection(shared: &Arc<Shared>, client: u64, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     // The accept loop already registered this client; re-registering is
@@ -778,20 +706,12 @@ fn serve_connection(shared: &Arc<Shared>, client: u64, stream: TcpStream) {
 
     reader_loop(shared, client, &stream, &tx);
 
-    // Reader is done (disconnect or shutdown): settle this client.
+    // Reader is done (disconnect or shutdown): cancel this client's
+    // jobs. Running ones settle in their workers; queued ones settle
+    // here, since no worker will ever pop them.
     shared.cancel_client(client, "client disconnected");
     for job in shared.queue.remove_client(client) {
-        if let Some(ctl) = shared.unregister(&job.key) {
-            ctl.cancel("client disconnected");
-        }
-        // Orphaned queued jobs settle here — nobody will ever run them,
-        // and nobody is owed their results. Unless the disconnect *is*
-        // the shutdown: then the journal still owes them to the next
-        // boot.
-        if !shared.shutdown.load(Ordering::SeqCst) {
-            shared.settle_journal(job.journal_seq);
-        }
-        shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+        settle(shared, &job.ticket, job.cancelled());
     }
     // The client id is never reused, so its bucket is dead state now.
     lock_unpoisoned(&shared.buckets).remove(&client);
@@ -898,28 +818,26 @@ fn reader_loop(shared: &Arc<Shared>, client: u64, stream: &TcpStream, tx: &SyncS
     }
 }
 
+/// The client-only admission checks (shutdown, rate limit, duplicate
+/// id), then the one admission path.
 fn handle_submit(
     shared: &Shared,
     client: u64,
     tx: &SyncSender<Response>,
     id: String,
-    spec: &sqip::ExperimentSpec,
+    spec: &ExperimentSpec,
     timeout_ms: Option<u64>,
 ) {
-    shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
+    let counters = &shared.counters;
+    counters.submitted.fetch_add(1, Ordering::Relaxed);
+    let reject = |reason: String| {
+        counters.rejected.fetch_add(1, Ordering::Relaxed);
+        let id = id.clone();
+        send_response(tx, None, Response::Rejected { id, reason });
+    };
     if shared.shutdown.load(Ordering::SeqCst) {
-        shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        send_response(
-            tx,
-            None,
-            Response::Rejected {
-                id,
-                reason: "server is shutting down".into(),
-            },
-        );
-        return;
+        return reject("server is shutting down".into());
     }
-
     // Rate limiting comes before validation on purpose: a limited
     // client must not be able to spend server CPU on spec expansion.
     if let Some(rate) = &shared.cfg.rate {
@@ -931,130 +849,100 @@ fn handle_submit(
         let admitted = rate.admit(bucket, now);
         drop(buckets);
         if !admitted {
-            shared.counters.rate_limited.fetch_add(1, Ordering::Relaxed);
-            shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            send_response(
-                tx,
-                None,
-                Response::Rejected {
-                    id,
-                    reason: format!(
-                        "rate limited: this client may submit {}/s (burst {})",
-                        rate.per_sec, rate.burst
-                    ),
-                },
-            );
-            return;
+            counters.rate_limited.fetch_add(1, Ordering::Relaxed);
+            let (per_sec, burst) = (rate.per_sec, rate.burst);
+            return reject(format!(
+                "rate limited: this client may submit {per_sec}/s (burst {burst})"
+            ));
         }
     }
-
-    // Validate before admission: a spec that cannot build an experiment
-    // never occupies a queue slot.
-    let experiment = match spec.to_experiment() {
-        Ok(e) => e,
-        Err(err) => {
-            shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-            send_response(
-                tx,
-                None,
-                Response::Error {
-                    id,
-                    reason: err.to_string(),
-                },
-            );
-            return;
-        }
-    };
-    let cells = match experiment.cells() {
-        Ok(cells) => cells.len(),
-        Err(err) => {
-            shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-            send_response(
-                tx,
-                None,
-                Response::Error {
-                    id,
-                    reason: err.to_string(),
-                },
-            );
-            return;
-        }
-    };
-    if cells > shared.cfg.max_cells_per_job {
-        shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        send_response(
-            tx,
-            None,
-            Response::Rejected {
-                id,
-                reason: format!(
-                    "job expands to {cells} cells; this server admits at most {}",
-                    shared.cfg.max_cells_per_job
-                ),
-            },
-        );
-        return;
-    }
-
-    let key = (client, id.clone());
+    let key = (client, id);
     if lock_unpoisoned(&shared.jobs).contains_key(&key) {
-        shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-        send_response(
-            tx,
-            None,
-            Response::Error {
-                id,
-                reason: "a job with this id is already queued or running on this connection".into(),
-            },
-        );
+        counters.failed.fetch_add(1, Ordering::Relaxed);
+        let reason = "a job with this id is already queued or running on this connection".into();
+        send_response(tx, None, Response::Error { id: key.1, reason });
         return;
     }
+    // The refusal, if any, has been answered on `tx`.
+    let _ = admit(shared, key, spec, timeout_ms, tx.clone(), None);
+}
 
-    let timeout = match timeout_ms {
-        Some(ms) => ms,
-        None => shared.cfg.default_timeout_ms,
+/// The one admission path, for submitted and journal-recovered jobs
+/// alike (see the module docs): builds the spec's experiment, enforces
+/// `max_cells_per_job`, journals a new job (a `recovered` one keeps its
+/// journal line), registers the job and pushes it onto the queue, then
+/// answers `Accepted` on `reply`. A refused job is settled at once and
+/// its reason returned. `key` must be free: the submit path checks, and
+/// recovered keys are unique.
+fn admit(
+    shared: &Shared,
+    key: JobKey,
+    spec: &ExperimentSpec,
+    timeout_ms: Option<u64>,
+    reply: SyncSender<Response>,
+    recovered: Option<u64>,
+) -> Result<(), String> {
+    let refuse = |ticket: &Ticket, rejected: bool, reason: String| {
+        let (id, why) = (ticket.key.1.clone(), reason.clone());
+        let response = if rejected {
+            Response::Rejected { id, reason: why }
+        } else {
+            Response::Error { id, reason: why }
+        };
+        settle(shared, ticket, response);
+        Err(reason)
     };
+    let mut ticket = Ticket {
+        key,
+        reply,
+        journal_seq: recovered,
+    };
+    let built = spec
+        .to_experiment()
+        .and_then(|e| e.cells().map(|cells| (cells.len(), e)));
+    let (cells, experiment) = match built {
+        Ok(built) => built,
+        Err(err) => return refuse(&ticket, false, err.to_string()),
+    };
+    let limit = shared.cfg.max_cells_per_job;
+    if cells > limit {
+        let reason = format!("job expands to {cells} cells; this server admits at most {limit}");
+        return refuse(&ticket, true, reason);
+    }
+
+    // Journal before the push: once the job is in the queue a worker may
+    // finish (and settle) it at any moment, and a settle must never
+    // precede its admission.
+    if let (Some(journal), None) = (&shared.journal, recovered) {
+        ticket.journal_seq = Some(journal.admit(&ticket.key.1, spec, timeout_ms));
+    }
+    let timeout = timeout_ms.unwrap_or(shared.cfg.default_timeout_ms);
     let ctl = Arc::new(JobCtl {
         token: CancelToken::new(),
         deadline: (timeout > 0).then(|| Instant::now() + Duration::from_millis(timeout)),
         reason: Mutex::new(None),
     });
-    shared.register(key.clone(), Arc::clone(&ctl));
-    // Journal before the push: once the job is in the queue a worker may
-    // finish (and settle) it at any moment, and a settle must never
-    // precede its admission.
-    let journal_seq = shared
-        .journal
-        .as_ref()
-        .map(|journal| journal.admit(&id, spec, timeout_ms));
+    lock_unpoisoned(&shared.jobs).insert(ticket.key.clone(), Arc::clone(&ctl));
     let job = Job {
-        key: key.clone(),
-        display_id: id.clone(),
+        ticket: ticket.clone(),
         experiment,
-        cells,
         accepted_at: Instant::now(),
-        reply: tx.clone(),
-        journal_seq,
+        ctl,
     };
-    let cells = job.cells;
-    match shared.queue.push(client, job) {
+    match shared.queue.push(ticket.key.0, job) {
         Ok(()) => {
             shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-            send_response(tx, None, Response::Accepted { id, cells });
+            let id = ticket.key.1;
+            send_response(&ticket.reply, None, Response::Accepted { id, cells });
+            Ok(())
         }
-        Err(err @ (PushError::Full { .. } | PushError::Closed)) => {
-            shared.unregister(&key);
-            // Never admitted, nothing owed.
-            shared.settle_journal(journal_seq);
-            shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            send_response(
-                tx,
-                None,
-                Response::Rejected {
-                    id,
-                    reason: err.to_string(),
-                },
-            );
+        Err(err) => {
+            // A recovered job the queue cannot take stays owed: the next
+            // boot retries it.
+            if recovered.is_some() {
+                ticket.journal_seq = None;
+            }
+            refuse(&ticket, true, err.to_string())
         }
     }
 }

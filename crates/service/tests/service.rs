@@ -660,3 +660,229 @@ fn a_panicking_cell_fails_its_job_and_the_worker_survives() {
     server2.shutdown();
     let _ = std::fs::remove_file(&path);
 }
+
+/// Submits `spec` as job `id` and expects it admitted.
+fn submit_accepted(conn: &mut Connection, id: &str, spec: ExperimentSpec) {
+    conn.send(&Request::Submit {
+        id: id.into(),
+        spec,
+        timeout_ms: None,
+    })
+    .unwrap();
+    match conn.recv().unwrap() {
+        Response::Accepted { id: got, .. } => assert_eq!(got, id),
+        other => panic!("expected `{id}` accepted, got {other:?}"),
+    }
+}
+
+/// Polls `server`'s stats until `done` holds, failing after `secs`.
+fn wait_for(server: &ServerHandle, secs: u64, done: impl Fn(&sqip_service::StatsSnapshot) -> bool) {
+    let start = Instant::now();
+    loop {
+        let stats = server.stats();
+        if done(&stats) {
+            return;
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(secs),
+            "timed out: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The ids of the jobs the journal at `path` still owes, sorted.
+fn owed_ids(path: &std::path::Path) -> Vec<String> {
+    let (_, pending) = sqip_service::Journal::open(path).unwrap();
+    let mut ids: Vec<String> = pending.into_iter().map(|p| p.id).collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// Kills the child process if the test fails before it exits.
+struct ChildGuard(std::process::Child);
+
+impl Drop for ChildGuard {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// **Recovered jobs obey the cell limit.** Boot 1 (256 cells per job)
+/// shuts down owing a running 3-cell job and a queued 4-cell one. Boot
+/// 2, a `sqipd` that admits at most 2 cells per job, refuses both as it
+/// would at submit: it queues and runs neither, prints why, and the
+/// journal owes nothing afterwards.
+#[test]
+fn recovered_jobs_obey_the_cell_limit() {
+    use std::io::{BufRead, Read};
+    let path = std::env::temp_dir().join(format!("sqipd-limit-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let server = spawn(ServerConfig {
+        workers: 1,
+        journal: Some(path.clone()),
+        ..ServerConfig::default()
+    });
+    let mut conn = Connection::connect(server.addr()).unwrap();
+    let three_cells = ExperimentSpec::new(
+        ["mix:0x30:400m"],
+        ["ideal-oracle", "indexed-3-fwd+dly", "associative-3"],
+    );
+    submit_accepted(&mut conn, "running", three_cells);
+    wait_for(&server, 10, |s| s.running == 1);
+    submit_accepted(&mut conn, "queued", small_spec());
+    server.shutdown();
+    wait_for(&server, 20, |s| s.running == 0 && s.queue_len == 0);
+    drop(conn);
+    assert_eq!(owed_ids(&path), ["queued", "running"]);
+
+    let child = std::process::Command::new(env!("CARGO_BIN_EXE_sqipd"))
+        .args([
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "1",
+            "--max-cells",
+            "2",
+        ])
+        .arg("--journal")
+        .arg(&path)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("start sqipd");
+    let mut sqipd = ChildGuard(child);
+    // Held open until sqipd exits: it prints on its way out.
+    let mut stdout = std::io::BufReader::new(sqipd.0.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    // "sqipd listening on HOST:PORT (...)"; recovery is over before
+    // the server accepts this connection.
+    let addr = banner.split_whitespace().nth(3).expect("listen address");
+    let mut conn = Connection::connect(addr).unwrap();
+    conn.send(&Request::Stats).unwrap();
+    let Response::Stats(stats) = conn.recv().unwrap() else {
+        panic!("expected stats");
+    };
+    assert_eq!(
+        (
+            stats.submitted,
+            stats.rejected,
+            stats.accepted,
+            stats.failed
+        ),
+        (2, 2, 0, 0),
+        "{stats:?}"
+    );
+    assert_eq!(
+        (stats.completed, stats.running, stats.queue_len),
+        (0, 0, 0),
+        "{stats:?}"
+    );
+    conn.send(&Request::Shutdown).unwrap();
+    assert!(matches!(conn.recv().unwrap(), Response::ShuttingDown));
+    drop(conn);
+    assert!(sqipd.0.wait().unwrap().success());
+    let mut log = String::new();
+    sqipd
+        .0
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut log)
+        .unwrap();
+    assert!(
+        log.contains(
+            "journal job `queued` refused: job expands to 4 cells; this server admits at most 2"
+        ),
+        "{log}"
+    );
+    assert!(owed_ids(&path).is_empty());
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Opened by [`cancelled_and_orphaned_queued_jobs_are_settled`] to let
+/// its gated workload finish opening.
+static GATE: (std::sync::Mutex<bool>, std::sync::Condvar) =
+    (std::sync::Mutex::new(false), std::sync::Condvar::new());
+
+/// **Cancelled and orphaned queued jobs are settled.** The single
+/// worker is held by a job whose workload does not finish opening until
+/// the test opens a gate. Behind it, client B disconnects with its job
+/// still queued, and client A cancels its queued job, then shuts the
+/// server down and disconnects. Both queued jobs are drained by their
+/// client's disconnect without ever starting, both end settled, and a
+/// restart on the same journal runs nothing.
+#[test]
+fn cancelled_and_orphaned_queued_jobs_are_settled() {
+    sqip::WorkloadRegistry::global()
+        .register(sqip::RegisteredWorkload::from_factory(
+            "sqipd-test-gated-open",
+            "opens once the test lets it",
+            || {
+                let (open, opened) = &GATE;
+                let guard = open.lock().unwrap();
+                drop(opened.wait_while(guard, |open| !*open).unwrap());
+                sqip::WorkloadRegistry::global()
+                    .resolve("mix:0x40:2k")
+                    .expect("a generator name resolves")
+                    .open()
+            },
+        ))
+        .expect("test workload registers once");
+    let path = std::env::temp_dir().join(format!("sqipd-orphan-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let cfg = ServerConfig {
+        workers: 1,
+        journal: Some(path.clone()),
+        ..ServerConfig::default()
+    };
+    let server = spawn(cfg.clone());
+    let mut a = Connection::connect(server.addr()).unwrap();
+    let mut b = Connection::connect(server.addr()).unwrap();
+    let gated = ExperimentSpec::new(["sqipd-test-gated-open"], ["ideal-oracle"]);
+    submit_accepted(&mut a, "holder", gated);
+    wait_for(&server, 10, |s| s.running == 1);
+    submit_accepted(&mut b, "orphan", small_spec());
+    submit_accepted(&mut a, "victim", small_spec());
+
+    // B leaves: its queued job is settled by the disconnect.
+    drop(b);
+    wait_for(&server, 10, |s| s.cancelled == 1);
+    assert_eq!(owed_ids(&path), ["holder", "victim"]);
+
+    // A cancels both of its jobs (the pong proves the reader handled
+    // the cancels), then the server shuts down and A leaves. The worker
+    // is still held, so A's disconnect drains the victim.
+    for id in ["victim", "holder"] {
+        a.send(&Request::Cancel { id: id.into() }).unwrap();
+    }
+    a.send(&Request::Ping).unwrap();
+    assert!(matches!(a.recv().unwrap(), Response::Pong));
+    server.shutdown();
+    drop(a);
+    wait_for(&server, 10, |s| s.cancelled == 2);
+    assert_eq!(owed_ids(&path), ["holder"]);
+
+    // Released, the holder stops at its cancelled token and settles.
+    *GATE.0.lock().unwrap() = true;
+    GATE.1.notify_all();
+    wait_for(&server, 20, |s| s.running == 0 && s.cancelled == 3);
+    assert_eq!(server.stats().completed, 0);
+    assert!(owed_ids(&path).is_empty(), "{:?}", owed_ids(&path));
+
+    // Recovery is over before the restarted server answers a request.
+    let server2 = spawn(cfg);
+    let mut conn = Connection::connect(server2.addr()).unwrap();
+    conn.send(&Request::Stats).unwrap();
+    let Response::Stats(stats) = conn.recv().unwrap() else {
+        panic!("expected stats");
+    };
+    assert_eq!(
+        stats.submitted, 0,
+        "a restart re-ran settled work: {stats:?}"
+    );
+    server2.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
