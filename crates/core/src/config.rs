@@ -232,23 +232,27 @@ impl Deserialize for SqDesign {
 
 /// Which simulation engine drives the run.
 ///
-/// Both engines implement the *same* machine — every design decision,
-/// latency and predictor update is identical — and are pinned to each
-/// other by differential tests (bit-identical [`SimStats`] on random
-/// programs × designs × configurations). They differ only in how the
-/// simulation loop finds work:
+/// One pipeline, two schedulers: both engines run the *same* stages —
+/// fetch, rename, execution and the LSQ, wakeups and the cancel rule,
+/// commit, squash and flush — so every design decision, latency and
+/// predictor update is shared code. They differ only in how
+/// instructions wait, wake and issue, and in how the loop finds work;
+/// differential tests pin them to each other (bit-identical
+/// [`SimStats`] on random programs × designs × configurations, mid-run
+/// and at the end):
 ///
 /// * [`Engine::Event`] (the default) is the production engine: in-flight
 ///   state lives in ring-indexed slabs with free-list-backed waiter
-///   lists, executions and broadcasts ride 64-cycle near rings with the
-///   rest on an event heap (the event wheel), idle cycles (no
-///   wakeups due, frontend stalled, no commit-eligible head) are skipped
-///   in O(1), and derived statistics are flushed per *active* cycle
-///   rather than per simulated cycle.
-/// * [`Engine::Reference`] is the straightforward cycle stepper the
-///   event engine was derived from, kept alive as the differential
-///   -testing baseline and for perf comparisons (`perf` bin). It scans
-///   its structures every simulated cycle.
+///   lists, the ready set in per-port lanes, executions and broadcasts
+///   ride 64-cycle near rings with the rest on an event heap (the event
+///   wheel), idle cycles (no wakeups due, frontend stalled, no
+///   commit-eligible head) are skipped in O(1), and derived statistics
+///   are flushed per *active* cycle rather than per simulated cycle.
+/// * [`Engine::Reference`] is the straightforward scheduler — a hash map
+///   of in-flight instructions, an ordered ready set scanned each cycle,
+///   one event heap, one cycle per step — kept as the differential
+///   anchor for everything the event engine does differently, and for
+///   perf comparisons (`perf` bin).
 ///
 /// [`SimStats`]: crate::SimStats
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -256,7 +260,7 @@ pub enum Engine {
     /// Event-driven engine with idle-cycle skip-ahead (production).
     #[default]
     Event,
-    /// Straightforward per-cycle stepper (differential baseline).
+    /// Straightforward per-cycle scheduler (differential anchor).
     Reference,
 }
 

@@ -47,8 +47,8 @@ pub(crate) struct DynInst {
     pub op_class: OpClass,
     /// Cached `rec.dst.is_some()` (same contract as `op_class`).
     pub has_dst: bool,
-    /// For loads in the event engine: the load queue's id for this
-    /// load's entry, so execution records its address without a search.
+    /// For loads: the load queue's id for this load's entry, so
+    /// execution records its address without a search.
     /// Derived state like `op_class`: rebuilt from the restored load
     /// queue on snapshot load.
     pub lq_id: u64,
@@ -230,10 +230,10 @@ sqip_snapshot::snapshot_struct!(DynInst {
     replays,
     partial_stalled,
 } derived {
-    // Rebuilt from the record window by `InstSlab::rebuild_record_cache`.
+    // Rebuilt by `Pipeline::load_state`: the record facts from the
+    // record window, the id from the restored load queue.
     op_class: OpClass::None,
     has_dst: false,
-    // Rebuilt from the load queue by the event engine's `load_state`.
     lq_id: 0,
 });
 

@@ -1,10 +1,7 @@
-//! The **event engine**: the production simulation core.
-//!
-//! Semantically identical to the reference stepper
-//! ([`RefCore`](crate::pipeline::reference::RefCore)) — same stages, same
-//! policy touch-points, bit-identical [`SimStats`](crate::SimStats),
-//! pinned by differential proptests — but the loop no longer does
-//! O(structures) work per simulated cycle:
+//! The **event scheduler**: how the production engine makes
+//! instructions wait, wake and issue. Every stage is the shared
+//! [`Pipeline`]'s; this module supplies only the structures that keep
+//! the loop from doing O(structures) work per simulated cycle:
 //!
 //! * in-flight instructions live in a ring-indexed [`InstSlab`] instead
 //!   of a `HashMap` (no hashing on the hot path);
@@ -12,49 +9,48 @@
 //!   node pool per ring with a free list, so pushes allocate only while
 //!   the pool grows toward its peak number of live waiters;
 //! * the common case never touches the [`EventWheel`] (a binary heap
-//!   in the reference engine's event order): issue schedules **zero**
+//!   in the reference scheduler's event order): issue schedules **zero**
 //!   wheel events per instruction — executions and value broadcasts
 //!   ride 64-cycle [`NearRing`]s and speculative store wakes a
 //!   monotonic FIFO, drained around the wheel each cycle in an order
 //!   proven to commute with the wheel's (see
-//!   [`EventCore::process_events`]);
+//!   [`EventSched::process_events`]);
 //! * the ready set is split into per-port lanes ([`ReadyLanes`]) popped
 //!   oldest-first under the port budgets — no full-set selection scan;
-//! * **idle cycles are skipped**: after each active cycle the engine
+//! * **idle cycles are skipped**: after each active cycle the scheduler
 //!   computes the next cycle at which *any* stage could do work (next
-//!   wheel event, commit eligibility of the ROB head, rename readiness,
-//!   fetch stall end) and jumps straight to it — the invariant being
-//!   that running the stages on a skipped cycle would have been a no-op,
-//!   so the jump is unobservable in the statistics;
+//!   event, commit eligibility of the ROB head, rename readiness, fetch
+//!   stall end) and jumps straight to it — the invariant being that
+//!   running the stages on a skipped cycle would have been a no-op, so
+//!   the jump is unobservable in the statistics;
 //! * derived statistics (cycle count, cache counters) are flushed once
 //!   per *active* cycle rather than per simulated cycle.
 
 mod structs;
 pub(crate) mod wheel;
 
-use sqip_isa::{TraceRecord, TraceSource};
-use sqip_mem::{Hierarchy, MemImage};
-use sqip_predictors::BranchPredictor;
-use sqip_queues::{LoadQueue, StoreQueue, Window};
-use sqip_types::{Seq, Ssn};
+use std::collections::VecDeque;
 
-use crate::config::SimConfig;
-use crate::error::SimError;
-use crate::pipeline::window::{RecordFeed, SeqRing};
-use crate::pipeline::{StepOutcome, WATCHDOG_CYCLES};
-use crate::policy::{BuiltinPolicy, DesignCaps};
-use crate::stats::SimStats;
+use sqip_isa::OpClass;
+use sqip_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot as _};
+use sqip_types::Seq;
 
-pub(crate) use structs::{fits_near, InstSlab, NearRing, ReadyLanes, Take, WaiterRing};
-pub(crate) use wheel::{EventWheel, WheelEvent};
+use crate::config::{IssueMix, SimConfig};
+use crate::dyninst::{DynInst, InstState};
+use crate::pipeline::stages::{Pipeline, RenameStop, Scheduler, Take, WaitList};
+use crate::pipeline::{EvKind, WATCHDOG_CYCLES};
+
+pub(crate) use structs::{fits_near, InstSlab, NearRing, ReadyLanes, WaiterRing};
+pub(crate) use wheel::EventWheel;
 
 /// Scheduling-cost counters for the event engine, read through
 /// [`Processor::sched_counters`](crate::Processor::sched_counters).
 ///
-/// These are diagnostic state: absent from [`SimStats`], absent from
-/// snapshots (a restore resets them), and therefore incapable of
-/// perturbing bit-identity. The perf bin divides them by the committed
-/// instruction count to report hardware-portable scheduling costs.
+/// These are diagnostic state: absent from [`SimStats`](crate::SimStats),
+/// absent from snapshots (a restore resets them), and therefore
+/// incapable of perturbing bit-identity. The perf bin divides them by
+/// the committed instruction count to report hardware-portable
+/// scheduling costs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCounters {
     /// Events scheduled on the event wheel.
@@ -74,264 +70,85 @@ pub struct SchedCounters {
     pub steps: u64,
 }
 
-mod commit;
-mod frontend;
-mod lsq;
-mod schedule;
-
-/// Why the rename stage stopped in the last active cycle — the engine's
-/// skip-ahead oracle for the rename/fetch front.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RenameStop {
-    /// Nothing fetched ahead of rename.
-    FrontEmpty,
-    /// The front instruction becomes rename-eligible at this cycle.
-    NotReady(u64),
-    /// Blocked on a structural resource (ROB/IQ/LQ/SQ space, SSN drain)
-    /// that only a commit, an issue or a flush can free — all of which
-    /// have their own skip-ahead candidates.
-    Structural,
-    /// Consumed its full width (or ran before ever being invoked); more
-    /// work is possible on the very next cycle.
-    Width,
-}
-
-/// The event-driven core. See the module docs; the public entry point is
-/// [`Processor`](crate::Processor), which dispatches between this and the
-/// reference engine on [`SimConfig::engine`].
-pub(crate) struct EventCore<'t> {
-    pub(crate) cfg: SimConfig,
-    /// The record stream and its window of in-flight records.
-    pub(crate) feed: RecordFeed<'t>,
-
-    pub(crate) cycle: u64,
-    pub(crate) incarnation: u64,
-    pub(crate) last_commit_cycle: u64,
-
-    // ---- front end ----
-    pub(crate) fetch_idx: usize,
-    pub(crate) fetch_stall_until: u64,
-    /// Mispredicted branch whose resolution fetch is waiting for.
-    pub(crate) pending_redirect: Option<Seq>,
-    /// Fetched instructions awaiting rename: (seq, rename-eligible cycle,
-    /// fetch-time path history snapshot).
-    pub(crate) front_q: std::collections::VecDeque<(Seq, u64, u64)>,
-    /// Branch-outcome path history at fetch (for path-qualified FSP).
-    pub(crate) path_history: u64,
-    /// Skip-ahead record of why rename stopped last cycle.
-    pub(crate) rename_stop: RenameStop,
-
-    // ---- rename ----
-    pub(crate) ssn_ren: Ssn,
-    pub(crate) rename_map: [Option<Seq>; sqip_isa::NUM_REGS],
-    pub(crate) committed_regs: [u64; sqip_isa::NUM_REGS],
-    /// Waiting for the ROB to drain before wrapping the SSN space.
-    pub(crate) draining_for_wrap: bool,
-
-    // ---- backend ----
-    pub(crate) rob: Window<Seq>,
+/// The event-driven scheduler. See the module docs.
+pub(crate) struct EventSched {
     pub(crate) insts: InstSlab,
-    pub(crate) iq_count: usize,
     pub(crate) ready_q: ReadyLanes,
     pub(crate) wheel: EventWheel,
     /// Short-horizon value broadcasts (the issue-time common case),
     /// fused off the wheel. Same liveness contract as a wheel
     /// `Broadcast`: survives flushes, fires even for squashed producers
     /// (the drain is a no-op once the waiter ring was cleared).
-    pub(crate) near: NearRing<u64>,
+    near: NearRing<u64>,
     /// Pending executions `(seq, incarnation)`, fused off the wheel —
     /// always due `issue_to_exec` cycles out, well inside the ring span
     /// (`issue_to_exec = 0` requests the *current* cycle and takes the
     /// wheel's past-event clamping path instead). Survives flushes like
-    /// a wheel `Exec`; the dispatcher's incarnation check drops stale
+    /// a wheel `Exec`; the delivery's incarnation check drops stale
     /// entries.
-    pub(crate) near_execs: NearRing<(u64, u64)>,
+    near_execs: NearRing<(u64, u64)>,
     /// Speculative store wakes `(due cycle, store SSN)`, fused off the
     /// wheel. Pushed only by the issue stage at `cycle + 1`, with
     /// same-cycle stores issuing oldest-first, so the queue is sorted by
     /// `(due, ssn)` — exactly the wheel's `StoreWake` drain order.
-    pub(crate) store_wakes: std::collections::VecDeque<(u64, u64)>,
+    store_wakes: VecDeque<(u64, u64)>,
     /// Recycled buffer for draining a near-broadcast slot.
     near_scratch: Vec<u64>,
     /// Recycled buffer for draining a near-exec slot.
     near_exec_scratch: Vec<(u64, u64)>,
-    /// Producer seq -> consumers waiting for its wakeup broadcast.
-    pub(crate) wake_on_value: WaiterRing,
-    /// Store SSN -> loads waiting for it to execute (forwarding
-    /// dependence). Drained speculatively when the store issues
-    /// (StoreWake).
-    pub(crate) wake_on_store_exec: WaiterRing,
-    /// Store SSN -> loads that already replayed once chasing this store;
-    /// drained only when the store actually executes (no more speculative
-    /// wakes, breaking replay cascades).
-    pub(crate) wake_on_store_exec_strict: WaiterRing,
-    /// Store SSN -> loads waiting for it to commit (delay / partial
-    /// hit). A ring suffices where the reference engine uses an ordered
-    /// map: SSNs commit densely and in order, so a committing store can
-    /// only ever release waiters registered under its *own* SSN (any
-    /// smaller key was drained at that store's earlier commit).
-    pub(crate) wake_on_store_commit: WaiterRing,
-    /// Recycled buffer for draining waiter lists.
-    wake_scratch: Vec<u64>,
-    /// Recycled buffer for issue selection (no per-cycle allocation).
-    pub(crate) issue_scratch: Vec<u64>,
+    /// The four waiter lists, indexed by [`WaitList`]. A ring suffices
+    /// for `StoreCommit`, where the reference keeps an ordered map: SSNs
+    /// commit densely and in order, so a committing store can only ever
+    /// release waiters registered under its *own* SSN (any smaller key
+    /// was drained at that store's earlier commit).
+    waiters: [WaiterRing; 4],
+    /// Skip-ahead record of why rename stopped last cycle.
+    rename_stop: RenameStop,
 
-    // ---- scheduling-cost instrumentation (diagnostic: not serialised,
-    // not in SimStats; see SchedCounters) ----
-    /// Executions + broadcasts + store wakes scheduled off-wheel.
-    pub(crate) near_ops: u64,
-    /// Value broadcasts delivered.
-    pub(crate) broadcasts: u64,
-    /// Value broadcasts cancelled (the producer was certain to replay).
-    pub(crate) cancelled_broadcasts: u64,
-    /// Ready-lane tail peeks during issue selection.
-    pub(crate) ready_touches: u64,
-    /// Active cycles simulated (steps that ran the stages).
-    pub(crate) steps: u64,
-
-    // ---- dense per-seq value state (survives commit; slots reset as
-    // their sequence numbers re-enter rename) ----
-    pub(crate) vals: SeqRing,
-
-    // ---- memory system ----
-    pub(crate) sq: StoreQueue,
-    pub(crate) lq: LoadQueue,
-    pub(crate) hierarchy: Hierarchy,
-    pub(crate) commit_mem: MemImage,
-    pub(crate) ssn_cmt: Ssn,
-
-    // ---- design policy + design-independent branch prediction ----
-    /// The store-queue design under test: predictor state + decisions at
-    /// the five pipeline touch-points.
-    pub(crate) policy: BuiltinPolicy,
-    /// The policy's capabilities, cached at construction for hot paths.
-    pub(crate) caps: DesignCaps,
-    pub(crate) bp: BranchPredictor,
-
-    pub(crate) stats: SimStats,
+    // ---- scheduling-cost instrumentation (diagnostic: not serialised;
+    // see SchedCounters) ----
+    near_ops: u64,
+    broadcasts: u64,
+    cancelled_broadcasts: u64,
+    ready_touches: u64,
+    steps: u64,
 }
 
-impl<'t> EventCore<'t> {
-    pub(crate) fn new_unchecked(cfg: SimConfig, source: impl TraceSource + 't) -> EventCore<'t> {
-        let caps = cfg.design.caps();
-        let policy = BuiltinPolicy::new(caps, &cfg);
-        EventCore {
-            feed: RecordFeed::new(&cfg, source),
-            cycle: 0,
-            incarnation: 0,
-            last_commit_cycle: 0,
-            fetch_idx: 0,
-            fetch_stall_until: 0,
-            pending_redirect: None,
-            front_q: std::collections::VecDeque::new(),
-            path_history: 0,
-            rename_stop: RenameStop::Width,
-            ssn_ren: Ssn::NONE,
-            rename_map: [None; sqip_isa::NUM_REGS],
-            committed_regs: [0; sqip_isa::NUM_REGS],
-            draining_for_wrap: false,
-            rob: Window::new(cfg.rob_size),
-            insts: InstSlab::new(cfg.rob_size),
-            iq_count: 0,
-            ready_q: ReadyLanes::default(),
-            wheel: EventWheel::new(),
-            near: NearRing::new(),
-            near_execs: NearRing::new(),
-            store_wakes: std::collections::VecDeque::new(),
-            near_scratch: Vec::new(),
-            near_exec_scratch: Vec::new(),
-            wake_on_value: WaiterRing::new(2 * cfg.rob_size + 4 * cfg.fetch_width + 64),
-            wake_on_store_exec: WaiterRing::new(2 * cfg.sq_size + 64),
-            wake_on_store_exec_strict: WaiterRing::new(2 * cfg.sq_size + 64),
-            wake_on_store_commit: WaiterRing::new(2 * cfg.sq_size + 64),
-            wake_scratch: Vec::new(),
-            issue_scratch: Vec::new(),
-            near_ops: 0,
-            broadcasts: 0,
-            cancelled_broadcasts: 0,
-            ready_touches: 0,
-            steps: 0,
-            vals: SeqRing::new(cfg.rob_size, cfg.fetch_width),
-            sq: StoreQueue::new(cfg.sq_size),
-            lq: LoadQueue::new(cfg.lq_size),
-            hierarchy: Hierarchy::new(cfg.hierarchy),
-            commit_mem: MemImage::new(),
-            ssn_cmt: Ssn::NONE,
-            bp: BranchPredictor::new(cfg.branch),
-            policy,
-            caps,
-            stats: SimStats::default(),
-            cfg,
-        }
-    }
-
-    /// Advances to the next cycle with work, capped at `limit`, and
-    /// simulates it.
-    ///
-    /// The engine's one step = the reference engine's `1 + k` steps,
-    /// where `k` is the number of provably idle cycles jumped over. The
-    /// cap lets callers land exactly on observer interval boundaries or
-    /// `run_until` limits; it never affects results, because a capped
-    /// landing cycle is by construction idle.
-    pub(crate) fn step_bounded(&mut self, limit: u64) -> Result<StepOutcome, SimError> {
-        if self.feed.is_done(self.stats.committed) {
-            self.stats.sync(self.cycle, &self.hierarchy);
-            return Ok(StepOutcome::Done);
-        }
-        let watchdog = self.last_commit_cycle + WATCHDOG_CYCLES;
-        let target = self.next_active_cycle().min(limit).min(watchdog);
-        self.cycle = target.max(self.cycle + 1);
-        self.steps += 1;
-
-        self.commit_stage();
-        self.process_events();
-        self.issue_stage();
-        self.rename_stage();
-        self.fetch_stage();
-        self.stats.sync(self.cycle, &self.hierarchy);
-        self.feed.check()?;
-        if self.feed.is_done(self.stats.committed) {
-            return Ok(StepOutcome::Done);
-        }
-        if self.cycle - self.last_commit_cycle >= WATCHDOG_CYCLES {
-            return Err(self.deadlock_error());
-        }
-        Ok(StepOutcome::Running)
-    }
-
+impl EventSched {
     /// The earliest future cycle at which any stage could possibly do
     /// work, assuming no stage acts before it (self-consistent: machine
     /// state only changes inside stages).
     ///
     /// Candidates may be conservative (waking early onto a cycle where a
     /// stage then does nothing is harmless); they must never be late.
-    fn next_active_cycle(&self) -> u64 {
-        let floor = self.cycle + 1;
+    fn next_active_cycle(p: &Pipeline<'_, EventSched>) -> u64 {
+        let s = &p.sched;
+        let floor = p.cycle + 1;
         // Issue: leftover ready instructions select again immediately.
-        if !self.ready_q.is_empty() {
+        if !s.ready_q.is_empty() {
             return floor;
         }
         let mut next = u64::MAX;
         // Events: wakeups, latencies, execute-stage entries — on the
         // wheel or the fused near structures. All four must feed the
         // bound: skipping past a due event would deliver it late.
-        if let Some(at) = self.wheel.next_at() {
+        if let Some(at) = s.wheel.next_at() {
             next = next.min(at.max(floor));
         }
-        if let Some(at) = self.near.next_at() {
+        if let Some(at) = s.near.next_at() {
             next = next.min(at.max(floor));
         }
-        if let Some(at) = self.near_execs.next_at() {
+        if let Some(at) = s.near_execs.next_at() {
             next = next.min(at.max(floor));
         }
-        if let Some(&(due, _)) = self.store_wakes.front() {
+        if let Some(&(due, _)) = s.store_wakes.front() {
             next = next.min(due.max(floor));
         }
         // Commit: a completed ROB head commits at its eligibility cycle.
         // (A non-completed head progresses via events, covered above.)
-        if let Some(&head) = self.rob.front() {
-            if let Some(inst) = self.insts.get(head.0) {
-                if inst.state == crate::dyninst::InstState::Done {
+        if let Some(&head) = p.rob.front() {
+            if let Some(inst) = s.insts.get(head.0) {
+                if inst.state == InstState::Done {
                     next = next.min(inst.commit_eligible.max(floor));
                 }
             }
@@ -341,11 +158,11 @@ impl<'t> EventCore<'t> {
         // candidates and run before rename within a step. A `FrontEmpty`
         // stop is refreshed against the live queue, because fetch runs
         // *after* rename within a step and may have refilled it.
-        match self.rename_stop {
+        match s.rename_stop {
             RenameStop::Width => next = next.min(floor),
             RenameStop::NotReady(at) => next = next.min(at.max(floor)),
             RenameStop::FrontEmpty => {
-                if let Some(&(_, ready_at, _)) = self.front_q.front() {
+                if let Some(&(_, ready_at, _)) = p.front_q.front() {
                     next = next.min(ready_at.max(floor));
                 }
             }
@@ -353,240 +170,284 @@ impl<'t> EventCore<'t> {
         }
         // Fetch: works every cycle it is neither stalled, redirected,
         // out of records, nor out of frontend space.
-        if self.feed.can_fill(self.fetch_idx)
-            && self.pending_redirect.is_none()
-            && self.front_q.len() < self.front_cap()
+        if p.feed.can_fill(p.fetch_idx)
+            && p.pending_redirect.is_none()
+            && p.front_q.len() < p.front_cap()
         {
-            next = next.min(self.fetch_stall_until.max(floor));
+            next = next.min(p.fetch_stall_until.max(floor));
         }
         next
     }
+}
 
-    /// Frontend queue capacity. One definition serves both the fetch
-    /// stage and the skip-ahead fetch predicate — they must agree, or
-    /// skip-ahead would jump over cycles where fetch has work.
-    #[inline]
-    pub(crate) fn front_cap(&self) -> usize {
-        self.cfg.fetch_width * 4
-    }
-
-    fn deadlock_error(&self) -> SimError {
-        let head = self.rob.front().map(|&s| {
-            let i = self.insts.get(s.0).expect("ROB head in flight");
-            format!(
-                "head {} op={} state={:?} gates={} fwd={} dly={} wait_exec={:?} prev={} ssn_cmt={}",
-                s.0,
-                self.rec(s).op,
-                i.state,
-                i.gates,
-                i.ssn_fwd,
-                i.ssn_dly,
-                i.wait_exec_ssn,
-                i.prev_store_ssn,
-                self.ssn_cmt
-            )
-        });
-        SimError::Deadlock {
-            cycle: self.cycle,
-            committed: self.stats.committed,
-            detail: format!(
-                "fetch_idx {}, rob {}, iq {}, head {:?}",
-                self.fetch_idx,
-                self.rob.len(),
-                self.iq_count,
-                head
-            ),
+impl Scheduler for EventSched {
+    fn new(cfg: &SimConfig) -> EventSched {
+        let store_ring = || WaiterRing::new(2 * cfg.sq_size + 64);
+        EventSched {
+            insts: InstSlab::new(cfg.rob_size),
+            ready_q: ReadyLanes::default(),
+            wheel: EventWheel::new(),
+            near: NearRing::new(),
+            near_execs: NearRing::new(),
+            store_wakes: VecDeque::new(),
+            near_scratch: Vec::new(),
+            near_exec_scratch: Vec::new(),
+            waiters: [
+                WaiterRing::new(2 * cfg.rob_size + 4 * cfg.fetch_width + 64),
+                store_ring(),
+                store_ring(),
+                store_ring(),
+            ],
+            rename_stop: RenameStop::Width,
+            near_ops: 0,
+            broadcasts: 0,
+            cancelled_broadcasts: 0,
+            ready_touches: 0,
+            steps: 0,
         }
     }
 
-    pub(crate) fn rec(&self, seq: Seq) -> &TraceRecord {
-        self.feed.window.rec(seq)
+    #[inline]
+    fn inst(&self, seq: u64) -> Option<&DynInst> {
+        self.insts.get(seq)
     }
 
-    /// Scheduling-cost counters accumulated since construction (or the
-    /// last snapshot restore).
-    pub(crate) fn sched_counters(&self) -> SchedCounters {
-        SchedCounters {
+    #[inline]
+    fn inst_mut(&mut self, seq: u64) -> Option<&mut DynInst> {
+        self.insts.get_mut(seq)
+    }
+
+    #[inline]
+    fn insert(&mut self, inst: DynInst) {
+        self.insts.insert(inst.seq.0, inst);
+    }
+
+    #[inline]
+    fn remove(&mut self, seq: u64) {
+        self.insts.remove(seq);
+    }
+
+    #[inline]
+    fn make_ready(&mut self, seq: u64, class: OpClass) {
+        self.ready_q.insert(seq, class);
+    }
+
+    /// Port budgets in a dense array indexed by `port_of` — one lane per
+    /// port, so selection is a min-seq merge over the lane tails with no
+    /// full-set scan and no per-candidate class dispatch.
+    fn select(&mut self, mix: IssueMix, out: &mut Vec<u64>) {
+        let mut ports = [mix.int, mix.fp, mix.branch, mix.load, mix.store];
+        self.ready_q
+            .pop_selected(&mut ports, mix.total, out, &mut self.ready_touches);
+    }
+
+    fn squash_ready(&mut self, from: u64) {
+        self.ready_q.retain(|&s| s < from);
+    }
+
+    #[inline]
+    fn schedule(&mut self, now: u64, at: u64, kind: EvKind, seq: u64, inc: u64) {
+        self.wheel.schedule(now, at, kind, seq, inc);
+    }
+
+    /// The fused hot path: zero wheel events per issued instruction. The
+    /// execute, broadcast and speculative store wake ride the off-wheel
+    /// near structures; the wheel keeps only what doesn't fit —
+    /// `issue_to_exec = 0` executes (requested for the current cycle,
+    /// delivered via the wheel's past-event clamping) and long-latency
+    /// broadcasts past the ring span. Always inlined: at each of the
+    /// issue stage's three call sites `kind` is a constant and the match
+    /// folds away (outlined, the per-instruction call and dispatch cost
+    /// the event engine about 3% on mixes).
+    #[inline(always)]
+    fn schedule_issue(&mut self, now: u64, at: u64, kind: EvKind, seq: u64, inc: u64) {
+        match kind {
+            EvKind::Exec if fits_near(now, at) => self.near_execs.schedule(at, (seq, inc)),
+            EvKind::Broadcast if fits_near(now, at) => self.near.schedule(at, seq),
+            EvKind::StoreWake => {
+                // Always due next cycle, and same-cycle stores issue
+                // oldest-first (ascending SSN), so the queue stays
+                // sorted by (due, ssn) — the heap's StoreWake order.
+                debug_assert!(self.store_wakes.back().is_none_or(|&last| last < (at, seq)));
+                self.store_wakes.push_back((at, seq));
+            }
+            _ => return self.wheel.schedule(now, at, kind, seq, inc),
+        }
+        self.near_ops += 1;
+    }
+
+    /// Delivers everything due this cycle, in an order bit-identical to
+    /// the reference heap's `(cycle, kind, seq, inc)` drain:
+    ///
+    /// 1. **Past-requested wheel events.** An event requested at or
+    ///    before its scheduling cycle (possible under `issue_to_exec =
+    ///    0`) is clamped into this pass but keeps its original cycle as
+    ///    sort key, so the heap fires it ahead of everything requested
+    ///    *for* this cycle — notably such an Exec must not be reordered
+    ///    after this cycle's broadcasts (its replay re-registration on
+    ///    the value waiter list must still catch them).
+    /// 2. **Fused near wake deliveries** — the off-wheel broadcasts and
+    ///    speculative store wakes, all requested for exactly this cycle
+    ///    (the skip-ahead bound lands the engine on every due cycle, so
+    ///    nothing here is ever overdue). Delivering them before the
+    ///    wheel's same-cycle events is unobservable: same-cycle wake
+    ///    deliveries (Broadcast / Wake / StoreWake, in any key order)
+    ///    commute — gate releases at one cycle are order-independent
+    ///    arithmetic, duplicate wakes no-op on the state check, and
+    ///    waiter registration happens only inside Exec arms. The
+    ///    broadcast cancel rule keeps this: it treats `Waiting` and
+    ///    `Ready` alike and otherwise reads only what Exec arms and the
+    ///    issue stage write, so no same-cycle delivery (whose only state
+    ///    change is `Waiting` → `Ready`) can flip a later broadcast's
+    ///    verdict. A rule that told `Waiting` from `Ready` would not
+    ///    commute.
+    /// 3. **The wheel**, whose internal order is unchanged. It holds
+    ///    only wake deliveries for this cycle (every same-cycle Exec is
+    ///    either fused or, under `issue_to_exec = 0`, clamped into
+    ///    phase 1), so phases 2–3 together are one commuting block of
+    ///    deliveries.
+    /// 4. **Fused near Execs**, in issue (= ascending seq) order —
+    ///    matching the heap, which sorts same-cycle Execs after every
+    ///    same-cycle delivery kind and by seq among themselves.
+    fn process_events(p: &mut Pipeline<'_, EventSched>) {
+        while let Some(ev) = p.sched.wheel.pop_due_before(p.cycle, p.cycle) {
+            p.deliver(ev.kind, ev.seq, ev.inc);
+        }
+        let mut scratch = std::mem::take(&mut p.sched.near_scratch);
+        while p.sched.near.take_due(p.cycle, &mut scratch) {
+            for producer in scratch.drain(..) {
+                p.do_broadcast(producer);
+            }
+        }
+        p.sched.near_scratch = scratch;
+        while let Some(&(due, ssn)) = p.sched.store_wakes.front() {
+            if due > p.cycle {
+                break;
+            }
+            p.sched.store_wakes.pop_front();
+            p.wake_all(WaitList::StoreExec, ssn);
+        }
+        while let Some(ev) = p.sched.wheel.pop_due(p.cycle) {
+            p.deliver(ev.kind, ev.seq, ev.inc);
+        }
+        let mut execs = std::mem::take(&mut p.sched.near_exec_scratch);
+        while p.sched.near_execs.take_due(p.cycle, &mut execs) {
+            for (seq, inc) in execs.drain(..) {
+                if p.alive(seq, inc) {
+                    p.do_execute(Seq(seq));
+                }
+            }
+        }
+        p.sched.near_exec_scratch = execs;
+    }
+
+    #[inline]
+    fn wait(&mut self, list: WaitList, key: u64, waiter: u64) {
+        self.waiters[list as usize].push(key, waiter);
+    }
+
+    #[inline]
+    fn has_waiters(&self, list: WaitList, key: u64) -> bool {
+        self.waiters[list as usize].contains(key)
+    }
+
+    /// A commit releases only its own SSN's slot (see `waiters`).
+    #[inline]
+    fn take_waiters(&mut self, list: WaitList, key: u64) -> Take {
+        self.waiters[list as usize].take_single(key)
+    }
+
+    fn drain_waiters(&mut self, list: WaitList, key: u64, out: &mut Vec<u64>) {
+        self.waiters[list as usize].remove_into(key, out);
+    }
+
+    fn flush(&mut self) {
+        self.insts.clear();
+        self.ready_q.clear();
+        for ring in &mut self.waiters {
+            ring.clear_all();
+        }
+    }
+
+    /// Jumps to the next cycle with work, capped at `limit` and at the
+    /// watchdog's cycle. One event step is the reference's `1 + k`
+    /// steps, where `k` is the number of provably idle cycles jumped
+    /// over; a capped landing cycle is by construction idle, so the cap
+    /// never affects results.
+    fn advance(p: &mut Pipeline<'_, EventSched>, limit: u64) {
+        let watchdog = p.last_commit_cycle + WATCHDOG_CYCLES;
+        let target = EventSched::next_active_cycle(p).min(limit).min(watchdog);
+        p.cycle = target.max(p.cycle + 1);
+        p.sched.steps += 1;
+    }
+
+    #[inline]
+    fn rename_stopped(&mut self, stop: RenameStop) {
+        self.rename_stop = stop;
+    }
+
+    #[inline]
+    fn count_broadcast(&mut self, cancelled: bool) {
+        if cancelled {
+            self.cancelled_broadcasts += 1;
+        } else {
+            self.broadcasts += 1;
+        }
+    }
+
+    fn counters(&self) -> Option<SchedCounters> {
+        Some(SchedCounters {
             wheel_ops: self.wheel.ops(),
             near_ops: self.near_ops,
             broadcasts: self.broadcasts,
             cancelled_broadcasts: self.cancelled_broadcasts,
             ready_touches: self.ready_touches,
             steps: self.steps,
-        }
+        })
     }
 
-    /// Drains `ring`'s waiters for `key` and wakes each one, in push
-    /// order. A single waiter is taken in place; longer lists drain into
-    /// a scratch buffer recycled across calls, so neither path allocates.
-    pub(crate) fn wake_all(&mut self, ring: WakeRing, key: u64) {
-        match self.waiters(ring).take_single(key) {
-            Take::Empty => {} // nobody registered — the common case
-            Take::One(w) => self.wake_one(w, false),
-            Take::Many => {
-                let mut scratch = std::mem::take(&mut self.wake_scratch);
-                debug_assert!(scratch.is_empty());
-                self.waiters(ring).remove_into(key, &mut scratch);
-                for w in scratch.drain(..) {
-                    self.wake_one(w, false);
-                }
-                self.wake_scratch = scratch;
-            }
-        }
+    fn save_front(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+        self.rename_stop.save(w)
     }
 
-    fn waiters(&mut self, ring: WakeRing) -> &mut WaiterRing {
-        match ring {
-            WakeRing::Value => &mut self.wake_on_value,
-            WakeRing::StoreExec => &mut self.wake_on_store_exec,
-            WakeRing::StoreExecStrict => &mut self.wake_on_store_exec_strict,
-        }
+    fn load_front(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        self.rename_stop = RenameStop::load(r)?;
+        Ok(())
     }
-}
 
-/// Which waiter ring [`EventCore::wake_all`] drains.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum WakeRing {
-    Value,
-    StoreExec,
-    StoreExecStrict,
-}
+    fn save_insts(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+        self.insts.save(w)
+    }
 
-impl EventCore<'_> {
-    /// Serialises the engine state (everything except `cfg` and the
-    /// source, which the checkpoint container carries separately).
-    pub(crate) fn save_state(
-        &self,
-        w: &mut sqip_snapshot::SnapWriter,
-    ) -> Result<(), sqip_snapshot::SnapError> {
-        use sqip_snapshot::Snapshot as _;
-        self.feed.save(w)?;
-        self.cycle.save(w)?;
-        self.incarnation.save(w)?;
-        self.last_commit_cycle.save(w)?;
-        self.fetch_idx.save(w)?;
-        self.fetch_stall_until.save(w)?;
-        self.pending_redirect.save(w)?;
-        self.front_q.save(w)?;
-        self.path_history.save(w)?;
-        self.rename_stop.save(w)?;
-        self.ssn_ren.save(w)?;
-        self.rename_map.save(w)?;
-        self.committed_regs.save(w)?;
-        self.draining_for_wrap.save(w)?;
-        self.rob.save(w)?;
-        self.insts.save(w)?;
-        self.iq_count.save(w)?;
+    fn load_insts(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        self.insts = InstSlab::load(r)?;
+        Ok(())
+    }
+
+    fn save_queues(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         self.ready_q.save(w)?;
         self.wheel.save(w)?;
         self.near.save(w)?;
         self.near_execs.save(w)?;
         self.store_wakes.save(w)?;
-        self.wake_on_value.save(w)?;
-        self.wake_on_store_exec.save(w)?;
-        self.wake_on_store_exec_strict.save(w)?;
-        self.wake_on_store_commit.save(w)?;
-        self.vals.save(w)?;
-        self.sq.save(w)?;
-        self.lq.save(w)?;
-        self.hierarchy.save(w)?;
-        self.commit_mem.save(w)?;
-        self.ssn_cmt.save(w)?;
-        self.policy.save(w)?;
-        self.bp.save(w)?;
-        self.stats.save(w)
-    }
-
-    /// Overwrites a freshly constructed engine with checkpointed state
-    /// (the mirror of [`EventCore::save_state`]).
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut sqip_snapshot::SnapReader,
-    ) -> Result<(), sqip_snapshot::SnapError> {
-        use sqip_snapshot::Snapshot as _;
-        self.feed.load(r)?;
-        self.cycle = u64::load(r)?;
-        self.incarnation = u64::load(r)?;
-        self.last_commit_cycle = u64::load(r)?;
-        self.fetch_idx = usize::load(r)?;
-        self.fetch_stall_until = u64::load(r)?;
-        self.pending_redirect = Option::<Seq>::load(r)?;
-        self.front_q = std::collections::VecDeque::<(Seq, u64, u64)>::load(r)?;
-        self.path_history = u64::load(r)?;
-        self.rename_stop = RenameStop::load(r)?;
-        self.ssn_ren = Ssn::load(r)?;
-        self.rename_map = <[Option<Seq>; sqip_isa::NUM_REGS]>::load(r)?;
-        self.committed_regs = <[u64; sqip_isa::NUM_REGS]>::load(r)?;
-        self.draining_for_wrap = bool::load(r)?;
-        self.rob = Window::<Seq>::load(r)?;
-        self.insts = InstSlab::load(r)?;
-        self.insts.rebuild_record_cache(&self.feed.window);
-        self.iq_count = usize::load(r)?;
-        self.ready_q = ReadyLanes::load(r)?;
-        self.ready_q
-            .rebuild_classes(|s| self.feed.window.rec(Seq(s)).op.class());
-        self.wheel = EventWheel::load(r)?;
-        self.near = NearRing::<u64>::load(r)?;
-        self.near_execs = NearRing::<(u64, u64)>::load(r)?;
-        self.store_wakes = std::collections::VecDeque::<(u64, u64)>::load(r)?;
-        self.wake_on_value = WaiterRing::load(r)?;
-        self.wake_on_store_exec = WaiterRing::load(r)?;
-        self.wake_on_store_exec_strict = WaiterRing::load(r)?;
-        self.wake_on_store_commit = WaiterRing::load(r)?;
-        self.vals = SeqRing::load(r)?;
-        self.sq = StoreQueue::load(r)?;
-        self.lq = LoadQueue::load(r)?;
-        for (pos, entry) in self.lq.iter().enumerate() {
-            let inst = self.insts.get_mut(entry.seq.0).ok_or_else(|| {
-                sqip_snapshot::SnapError::Corrupt(format!(
-                    "load queue entry {} is not in flight",
-                    entry.seq.0
-                ))
-            })?;
-            inst.lq_id = self.lq.head_id() + pos as u64;
-        }
-        self.hierarchy = Hierarchy::load(r)?;
-        self.commit_mem = MemImage::load(r)?;
-        self.ssn_cmt = Ssn::load(r)?;
-        self.policy = BuiltinPolicy::load_for(r, &self.cfg)?;
-        self.bp = BranchPredictor::load(r)?;
-        self.stats = SimStats::load(r)?;
-        self.wake_scratch.clear();
-        self.issue_scratch.clear();
-        self.near_scratch.clear();
-        self.near_exec_scratch.clear();
-        // Diagnostic counters restart at zero, like the wheel's.
-        self.near_ops = 0;
-        self.broadcasts = 0;
-        self.cancelled_broadcasts = 0;
-        self.ready_touches = 0;
-        self.steps = 0;
-        Ok(())
-    }
-}
-
-impl sqip_snapshot::Snapshot for RenameStop {
-    fn save(&self, w: &mut sqip_snapshot::SnapWriter) -> Result<(), sqip_snapshot::SnapError> {
-        match self {
-            RenameStop::FrontEmpty => w.put_u8(0),
-            RenameStop::NotReady(cy) => {
-                w.put_u8(1);
-                w.put_u64(*cy);
-            }
-            RenameStop::Structural => w.put_u8(2),
-            RenameStop::Width => w.put_u8(3),
+        for ring in &self.waiters {
+            ring.save(w)?;
         }
         Ok(())
     }
-    fn load(r: &mut sqip_snapshot::SnapReader) -> Result<RenameStop, sqip_snapshot::SnapError> {
-        match r.get_u8()? {
-            0 => Ok(RenameStop::FrontEmpty),
-            1 => Ok(RenameStop::NotReady(r.get_u64()?)),
-            2 => Ok(RenameStop::Structural),
-            3 => Ok(RenameStop::Width),
-            t => Err(sqip_snapshot::SnapError::Corrupt(format!(
-                "rename-stop tag {t}"
-            ))),
+
+    fn load_queues(p: &mut Pipeline<'_, EventSched>, r: &mut SnapReader) -> Result<(), SnapError> {
+        let s = &mut p.sched;
+        s.ready_q = ReadyLanes::load(r)?;
+        s.ready_q
+            .rebuild_classes(|seq| p.feed.window.rec(Seq(seq)).op.class());
+        s.wheel = EventWheel::load(r)?;
+        s.near = NearRing::<u64>::load(r)?;
+        s.near_execs = NearRing::<(u64, u64)>::load(r)?;
+        s.store_wakes = VecDeque::<(u64, u64)>::load(r)?;
+        for ring in &mut s.waiters {
+            *ring = WaiterRing::load(r)?;
         }
+        Ok(())
     }
 }

@@ -33,6 +33,7 @@
 //! ([`RecordWindow::spare_mut`](crate::pipeline::window::RecordWindow::spare_mut)).
 
 use crate::dyninst::DynInst;
+use crate::pipeline::stages::Take;
 use sqip_isa::OpClass;
 use sqip_types::{Seq, Ssn};
 
@@ -125,19 +126,6 @@ impl InstSlab {
     pub(crate) fn clear(&mut self) {
         for s in &mut self.slots {
             s.seq = Seq(InstSlab::EMPTY);
-        }
-    }
-
-    /// Recomputes every live instruction's cached record facts
-    /// (`op_class`, `has_dst`) from the record window. Used after
-    /// snapshot load: the cache is derived state and is not serialised.
-    pub(crate) fn rebuild_record_cache(&mut self, window: &crate::pipeline::window::RecordWindow) {
-        for slot in &mut self.slots {
-            if slot.seq.0 != InstSlab::EMPTY {
-                let rec = window.rec(slot.seq);
-                slot.op_class = rec.op.class();
-                slot.has_dst = rec.dst.is_some();
-            }
         }
     }
 }
@@ -440,17 +428,6 @@ impl<T> NearRing<T> {
 /// "No node": the end of a chain, or an empty slot's head.
 const NIL: u32 = u32::MAX;
 
-/// What [`WaiterRing::take_single`] found under a key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Take {
-    /// No waiters: nothing was taken.
-    Empty,
-    /// The list held exactly this one waiter, now taken.
-    One(u64),
-    /// Two or more waiters, left in place for [`WaiterRing::remove_into`].
-    Many,
-}
-
 /// Waiter lists in a ring keyed by `key % capacity` — the event engine's
 /// replacement for `HashMap<u64, Vec<u64>>` wake tables.
 ///
@@ -495,7 +472,7 @@ impl WaiterRing {
     }
 
     /// Whether any waiter is registered under any key.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }

@@ -12,28 +12,30 @@
 //! to dependents, and SVW-filtered pre-commit re-execution catches
 //! mis-speculations and flushes.
 //!
-//! The model is implemented **twice**, behind one façade:
+//! **One pipeline, two schedulers.** Every stage — the input feed
+//! ([`RecordFeed`]), fetch and branch prediction,
+//! rename, execution and the LSQ, wakeups and the cancel rule, commit,
+//! squash and flush, checkpointing — is written once, in [`stages`],
+//! over a scheduler that decides only how instructions wait, wake and
+//! issue:
 //!
-//! * [`event`] — the production engine: event wheel, ring-indexed slabs,
-//!   idle-cycle skip-ahead (see [`crate::Engine::Event`]);
-//! * [`reference`] — the straightforward per-cycle stepper it was
-//!   derived from, kept as the differential-testing baseline (see
-//!   [`crate::Engine::Reference`]).
+//! * [`event`] — the production scheduler: ring-indexed slabs, ready
+//!   lanes, near rings and an event wheel, idle-cycle skip-ahead (see
+//!   [`crate::Engine::Event`]);
+//! * [`reference`](mod@reference) — the straightforward per-cycle
+//!   scheduler: a `HashMap`, a scanned `BTreeSet` and one `BinaryHeap`
+//!   (see [`crate::Engine::Reference`]).
 //!
-//! [`Processor`] dispatches between them on [`SimConfig::engine`]; the
-//! two are pinned to bit-identical [`SimStats`] by differential
-//! proptests and the golden design fixture.
-//!
-//! The input path is implemented **once**: each engine owns a
-//! [`RecordFeed`](window::RecordFeed), which pulls the source a block at
-//! a time straight into the record window, numbers the records, tags
-//! each with the dependence oracle's answer, and holds the end of the
-//! stream, a failed pull (surfaced from the step) and the pulled count a
-//! checkpoint resumes from. Each engine keeps its own fetch stage,
-//! branch prediction and everything after fetch.
+//! [`Processor`] picks one on [`SimConfig::engine`]. The differential
+//! proptests pin the two schedulers to bit-identical [`SimStats`], and
+//! so check everything the event scheduler does differently; the golden
+//! design fixture and the random-program properties that check
+//! committed state against the functional executor's golden trace pin
+//! the model itself.
 
 pub(crate) mod event;
 pub(crate) mod reference;
+pub(crate) mod stages;
 #[cfg(test)]
 mod tests;
 pub(crate) mod window;
@@ -47,8 +49,9 @@ use crate::error::SimError;
 use crate::observer::{ObserverAction, SimObserver};
 use crate::stats::SimStats;
 
-use event::EventCore;
-use reference::RefCore;
+use event::EventSched;
+use reference::RefSched;
+use stages::{Pipeline, Scheduler};
 use window::RecordFeed;
 
 pub(crate) const NOT_READY: u64 = u64::MAX;
@@ -105,8 +108,18 @@ impl sqip_snapshot::Snapshot for EvKind {
 }
 
 enum Core<'t> {
-    Event(Box<EventCore<'t>>),
-    Reference(Box<RefCore<'t>>),
+    Event(Box<Pipeline<'t, EventSched>>),
+    Reference(Box<Pipeline<'t, RefSched>>),
+}
+
+/// Evaluates `$body` with `$c` bound to whichever pipeline `$core` holds.
+macro_rules! on_core {
+    ($core:expr, $c:ident => $body:expr) => {
+        match $core {
+            Core::Event($c) => $body,
+            Core::Reference($c) => $body,
+        }
+    };
 }
 
 /// The simulator.
@@ -119,9 +132,9 @@ enum Core<'t> {
 /// between the commit point and the fetch frontier, so run length is
 /// unbounded by memory.
 ///
-/// [`SimConfig::engine`] selects the simulation core: the event-driven
-/// engine (default) or the per-cycle reference stepper. The two produce
-/// bit-identical statistics; see [`crate::Engine`].
+/// [`SimConfig::engine`] selects the scheduler the one pipeline runs
+/// over: the event-driven one (default) or the per-cycle reference. The
+/// two produce bit-identical statistics; see [`crate::Engine`].
 ///
 /// # Example
 ///
@@ -227,8 +240,8 @@ impl<'t> Processor<'t> {
 
     fn new_unchecked(cfg: SimConfig, source: impl TraceSource + 't) -> Processor<'t> {
         let core = match cfg.engine {
-            Engine::Event => Core::Event(Box::new(EventCore::new_unchecked(cfg, source))),
-            Engine::Reference => Core::Reference(Box::new(RefCore::new_unchecked(cfg, source))),
+            Engine::Event => Core::Event(Box::new(Pipeline::new_unchecked(cfg, source))),
+            Engine::Reference => Core::Reference(Box::new(Pipeline::new_unchecked(cfg, source))),
         };
         Processor { core }
     }
@@ -256,10 +269,7 @@ impl<'t> Processor<'t> {
     /// [`Processor::step`] whenever idle cycles were skipped.
     #[must_use]
     pub fn cycle(&self) -> u64 {
-        match &self.core {
-            Core::Event(c) => c.cycle,
-            Core::Reference(c) => c.cycle,
-        }
+        on_core!(&self.core, c => c.cycle)
     }
 
     /// The statistics accumulated so far. Both engines fold the cycle
@@ -267,10 +277,7 @@ impl<'t> Processor<'t> {
     /// consistent mid-run.
     #[must_use]
     pub fn stats(&self) -> &SimStats {
-        match &self.core {
-            Core::Event(c) => &c.stats,
-            Core::Reference(c) => &c.stats,
-        }
+        on_core!(&self.core, c => &c.stats)
     }
 
     /// The committed architectural value of register `r` (used by
@@ -278,34 +285,25 @@ impl<'t> Processor<'t> {
     /// same architectural state).
     #[must_use]
     pub fn committed_reg(&self, r: sqip_isa::Reg) -> u64 {
-        match &self.core {
-            Core::Event(c) => c.committed_regs[r.index()],
-            Core::Reference(c) => c.committed_regs[r.index()],
-        }
+        on_core!(&self.core, c => c.committed_regs[r.index()])
     }
 
     /// Reads the committed memory image — the architectural memory state
     /// built by retired stores.
     #[must_use]
     pub fn committed_mem(&self, addr: Addr, size: DataSize) -> u64 {
-        match &self.core {
-            Core::Event(c) => c.commit_mem.read(addr, size),
-            Core::Reference(c) => c.commit_mem.read(addr, size),
-        }
+        on_core!(&self.core, c => c.commit_mem.read(addr, size))
     }
 
     /// The event engine's scheduling-cost counters (wheel ops, off-wheel
     /// ops, broadcasts delivered, ready-lane touches, steps) accumulated since
-    /// construction. `None` under the reference engine, which carries no
-    /// scheduler instrumentation. Diagnostic state: never part of
+    /// construction. `None` under the reference engine, whose scheduler
+    /// carries no instrumentation. Diagnostic state: never part of
     /// [`SimStats`] or checkpoints, so reading it cannot perturb
     /// bit-identity.
     #[must_use]
     pub fn sched_counters(&self) -> Option<crate::engine::SchedCounters> {
-        match &self.core {
-            Core::Event(c) => Some(c.sched_counters()),
-            Core::Reference(_) => None,
-        }
+        on_core!(&self.core, c => c.sched.counters())
     }
 
     /// Advances the simulation by one *step*.
@@ -347,10 +345,7 @@ impl<'t> Processor<'t> {
     ///
     /// As [`Processor::step`].
     pub fn step_bounded(&mut self, cycle_limit: u64) -> Result<StepOutcome, SimError> {
-        match &mut self.core {
-            Core::Event(c) => c.step_bounded(cycle_limit),
-            Core::Reference(c) => c.step(),
-        }
+        on_core!(&mut self.core, c => c.step_bounded(cycle_limit))
     }
 
     /// Runs until the trace commits fully or `cycle_limit` is reached,
@@ -435,17 +430,11 @@ impl<'t> Processor<'t> {
     }
 
     fn config(&self) -> &SimConfig {
-        match &self.core {
-            Core::Event(c) => &c.cfg,
-            Core::Reference(c) => &c.cfg,
-        }
+        on_core!(&self.core, c => &c.cfg)
     }
 
     fn feed(&self) -> &RecordFeed<'t> {
-        match &self.core {
-            Core::Event(c) => &c.feed,
-            Core::Reference(c) => &c.feed,
-        }
+        on_core!(&self.core, c => &c.feed)
     }
 
     /// Serialises the complete simulation state into `out` as a
@@ -501,10 +490,7 @@ impl<'t> Processor<'t> {
             .map_err(|e| SnapError::Corrupt(format!("configuration did not serialise: {e}")))?;
         cfg_json.save(&mut w)?;
         self.feed().pulled().save(&mut w)?;
-        match &self.core {
-            Core::Event(c) => c.save_state(&mut w)?,
-            Core::Reference(c) => c.save_state(&mut w)?,
-        }
+        on_core!(&self.core, c => c.save_state(&mut w))?;
         w.finish(out)
     }
 
@@ -536,10 +522,7 @@ impl<'t> Processor<'t> {
             .map_err(|e| SnapError::Corrupt(format!("checkpointed configuration invalid: {e}")))?;
         RecordFeed::resume(&mut source, u64::load(&mut r)?)?;
         let mut p = Processor::new_unchecked(cfg, source);
-        match &mut p.core {
-            Core::Event(c) => c.load_state(&mut r)?,
-            Core::Reference(c) => c.load_state(&mut r)?,
-        }
+        on_core!(&mut p.core, c => c.load_state(&mut r))?;
         r.finish()?;
         Ok(p)
     }

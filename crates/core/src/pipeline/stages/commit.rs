@@ -1,30 +1,23 @@
 //! Commit: the SVW check, filtered re-execution, predictor training and
 //! flush repair (the policy's verify and repair touch-points).
-//!
-//! Squash repair differs from the reference engine only in *how* it
-//! finds the squashed set: the reference filters its `HashMap` keys, the
-//! event engine walks the ROB tail (the two are always the same set —
-//! the slab's live keys are exactly the ROB contents).
 
 use sqip_isa::TraceRecord;
 use sqip_types::{Seq, Ssn};
 
 use crate::config::OrderingMode;
 use crate::dyninst::InstState;
-use crate::pipeline::event::{EventCore, RenameStop, Take};
+use crate::pipeline::stages::{Pipeline, Scheduler, WaitList};
 use crate::policy::LoadCommitInfo;
 
-impl EventCore<'_> {
-    // Per-cycle stage entry, inlined into the step. To time the stages
-    // apart, mark it `#[inline(never)]` in a local profiling build.
+impl<S: Scheduler> Pipeline<'_, S> {
     pub(crate) fn commit_stage(&mut self) {
         let mut reexec_budget = self.cfg.reexec_ports;
         for _ in 0..self.cfg.commit_width {
             let Some(&seq) = self.rob.front() else { break };
-            // One slab read answers eligibility and captures the retire
+            // One table read answers eligibility and captures the retire
             // value for the non-memory fast path.
             let (eligible, value) = {
-                let inst = self.insts.get(seq.0).expect("ROB head in flight");
+                let inst = self.sched.inst(seq.0).expect("ROB head in flight");
                 (
                     inst.state == InstState::Done && inst.commit_eligible <= self.cycle,
                     inst.value,
@@ -59,10 +52,10 @@ impl EventCore<'_> {
     /// flush was triggered — load already retired inside).
     fn commit_load(&mut self, seq: Seq, rec: &TraceRecord, reexec_budget: &mut usize) -> bool {
         let span = rec.mem_addr().span(rec.size);
-        // One slab read covers the SVW check, the training record, and
+        // One table read covers the SVW check, the training record, and
         // the per-load statistics below.
         let (svw, older_unknown, value, fwd, info, delay_gated, delay) = {
-            let inst = self.insts.get(seq.0).expect("committing load in flight");
+            let inst = self.sched.inst(seq.0).expect("committing load in flight");
             (
                 inst.svw,
                 inst.older_unknown,
@@ -108,7 +101,7 @@ impl EventCore<'_> {
                 // Mis-forwarding (or ordering violation): fix the load's
                 // value from re-execution and flush everything younger.
                 self.stats.mis_forwards += 1;
-                let inst = self.insts.get_mut(seq.0).expect("load in flight");
+                let inst = self.sched.inst_mut(seq.0).expect("load in flight");
                 inst.value = correct;
                 self.vals.set_spec_value(seq.0, correct);
                 flush = true;
@@ -140,8 +133,8 @@ impl EventCore<'_> {
         if flush {
             // The load's value was just corrected from re-execution.
             let corrected = self
-                .insts
-                .get(seq.0)
+                .sched
+                .inst(seq.0)
                 .expect("committing load in flight")
                 .value;
             self.retire(seq, rec.dst, corrected);
@@ -155,7 +148,7 @@ impl EventCore<'_> {
         let entry = self.sq.commit_head();
         debug_assert_eq!(
             entry.ssn,
-            self.insts.get(seq.0).expect("committing store").my_ssn
+            self.sched.inst(seq.0).expect("committing store").my_ssn
         );
         let span = rec.mem_addr().span(rec.size);
         debug_assert_eq!(
@@ -170,34 +163,12 @@ impl EventCore<'_> {
         self.stats.stores += 1;
 
         // Release delay-gated and partial-stalled loads waiting on stores
-        // up to this SSN. Commits are dense and in-order, so "up to" can
-        // only mean this store's own slot (older slots drained at their
-        // own commits) — an O(1) ring drain.
-        if !self.wake_on_store_commit.is_empty() {
-            self.wake_commit_waiters(entry.ssn.0);
-        }
-    }
-
-    /// Drains `wake_on_store_commit[ssn]`, releasing each waiter's delay
-    /// gate (a single waiter in place, as in `wake_all`).
-    fn wake_commit_waiters(&mut self, ssn: u64) {
-        match self.wake_on_store_commit.take_single(ssn) {
-            Take::Empty => {}
-            Take::One(w) => self.wake_one(w, true),
-            Take::Many => {
-                let mut scratch = std::mem::take(&mut self.wake_scratch);
-                debug_assert!(scratch.is_empty());
-                self.wake_on_store_commit.remove_into(ssn, &mut scratch);
-                for w in scratch.drain(..) {
-                    self.wake_one(w, true);
-                }
-                self.wake_scratch = scratch;
-            }
-        }
+        // up to this SSN.
+        self.wake_all(WaitList::StoreCommit, entry.ssn.0);
     }
 
     /// Retires the ROB head. `value` is the instruction's committed
-    /// result, captured by the caller's slab read (post-re-execution for
+    /// result, captured by the caller's table read (post-re-execution for
     /// a flushing load).
     fn retire(&mut self, seq: Seq, dst: Option<sqip_isa::Reg>, value: u64) {
         if let Some(d) = dst {
@@ -207,7 +178,7 @@ impl EventCore<'_> {
             }
         }
         let _ = self.rob.pop_front();
-        self.insts.remove(seq.0);
+        self.sched.remove(seq.0);
         self.policy.on_retire(seq);
         self.stats.committed += 1;
         self.last_commit_cycle = self.cycle;
@@ -225,21 +196,21 @@ impl EventCore<'_> {
         // (Value-ring slots of squashed instructions are not cleared here:
         // nothing reads a squashed slot before its re-rename resets it.)
         // The ROB tail at or younger than `from` is exactly the squashed
-        // set (slab keys mirror ROB contents).
+        // set (the in-flight table's keys mirror the ROB contents).
         let keep = self.rob.iter().take_while(|&&s| s < from).count();
         let squashed = self.rob.len() - keep;
         self.stats.squashed += squashed as u64;
         for i in keep..self.rob.len() {
             let s = *self.rob.get(i).expect("ROB index in range");
-            self.insts.remove(s.0);
+            self.sched.remove(s.0);
         }
         self.rob.truncate(keep);
-        self.ready_q.retain(|&s| s < from.0);
+        self.sched.squash_ready(from.0);
         self.iq_count = self
             .rob
             .iter()
             .filter(|&&s| {
-                let inst = self.insts.get(s.0).expect("surviving inst in flight");
+                let inst = self.sched.inst(s.0).expect("surviving inst in flight");
                 matches!(inst.state, InstState::Waiting | InstState::Ready)
             })
             .count();
@@ -249,7 +220,7 @@ impl EventCore<'_> {
         let keep_ssn = self
             .rob
             .iter()
-            .map(|&s| self.insts.get(s.0).expect("surviving inst").my_ssn)
+            .map(|&s| self.sched.inst(s.0).expect("surviving inst").my_ssn)
             .max()
             .unwrap_or(Ssn::NONE)
             .max(self.ssn_cmt);
@@ -268,7 +239,6 @@ impl EventCore<'_> {
         }
 
         self.front_q.clear();
-        self.rename_stop = RenameStop::Width;
         if self.pending_redirect.is_some_and(|s| s >= from) {
             self.pending_redirect = None;
         }
@@ -284,18 +254,12 @@ impl EventCore<'_> {
         self.incarnation += 1;
 
         self.stats.squashed += self.rob.len() as u64;
-        self.insts.clear();
+        self.sched.flush();
         self.rob.clear();
-        self.ready_q.clear();
         self.iq_count = 0;
         self.lq.clear();
         self.sq.clear();
-        self.wake_on_value.clear_all();
-        self.wake_on_store_exec.clear_all();
-        self.wake_on_store_exec_strict.clear_all();
-        self.wake_on_store_commit.clear_all();
         self.front_q.clear();
-        self.rename_stop = RenameStop::Width;
         self.rename_map = [None; sqip_isa::NUM_REGS];
 
         // All in-flight stores were squashed; the rename-time SSN counter

@@ -1,24 +1,61 @@
 //! Front-end stages: fetch (with branch prediction) and rename (the
 //! policy's dependence / index prediction touch-point).
-//!
-//! Identical decision-for-decision to the reference engine's frontend;
-//! the only additions are ring-backed waiter registration and the
-//! [`RenameStop`] record that feeds skip-ahead.
 
 use sqip_isa::{Op, TraceRecord};
 use sqip_types::Seq;
 
 use crate::dyninst::{DynInst, InstState, Operand};
-use crate::pipeline::event::{EventCore, RenameStop};
+use crate::pipeline::stages::{Pipeline, Scheduler, WaitList};
 use crate::policy::{OracleHint, PipelineView};
 
-impl EventCore<'_> {
+/// Why the rename stage stopped in a cycle — the event scheduler's
+/// skip-ahead oracle for the rename/fetch front.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RenameStop {
+    /// Nothing fetched ahead of rename.
+    FrontEmpty,
+    /// The front instruction becomes rename-eligible at this cycle.
+    NotReady(u64),
+    /// Blocked on a structural resource (ROB/IQ/LQ/SQ space, SSN drain)
+    /// that only a commit, an issue or a flush can free — all of which
+    /// have their own skip-ahead candidates.
+    Structural,
+    /// Consumed its full width (or ran before ever being invoked); more
+    /// work is possible on the very next cycle.
+    Width,
+}
+
+impl sqip_snapshot::Snapshot for RenameStop {
+    fn save(&self, w: &mut sqip_snapshot::SnapWriter) -> Result<(), sqip_snapshot::SnapError> {
+        match self {
+            RenameStop::FrontEmpty => w.put_u8(0),
+            RenameStop::NotReady(cy) => {
+                w.put_u8(1);
+                w.put_u64(*cy);
+            }
+            RenameStop::Structural => w.put_u8(2),
+            RenameStop::Width => w.put_u8(3),
+        }
+        Ok(())
+    }
+    fn load(r: &mut sqip_snapshot::SnapReader) -> Result<RenameStop, sqip_snapshot::SnapError> {
+        match r.get_u8()? {
+            0 => Ok(RenameStop::FrontEmpty),
+            1 => Ok(RenameStop::NotReady(r.get_u64()?)),
+            2 => Ok(RenameStop::Structural),
+            3 => Ok(RenameStop::Width),
+            t => Err(sqip_snapshot::SnapError::Corrupt(format!(
+                "rename-stop tag {t}"
+            ))),
+        }
+    }
+}
+
+impl<S: Scheduler> Pipeline<'_, S> {
     // ================================================================
     // Fetch
     // ================================================================
 
-    // Per-cycle stage entry, inlined into the step. To time the stages
-    // apart, mark it `#[inline(never)]` in a local profiling build.
     pub(crate) fn fetch_stage(&mut self) {
         if self.cycle < self.fetch_stall_until || self.pending_redirect.is_some() {
             return;
@@ -101,42 +138,34 @@ impl EventCore<'_> {
     // Rename
     // ================================================================
 
-    // Per-cycle stage entry, inlined into the step. To time the stages
-    // apart, mark it `#[inline(never)]` in a local profiling build.
-    pub(crate) fn rename_stage(&mut self) {
-        self.rename_stop = RenameStop::Width;
+    /// Renames up to the rename width, in order; returns why it stopped.
+    pub(crate) fn rename_stage(&mut self) -> RenameStop {
         for _ in 0..self.cfg.rename_width {
             let Some(&(seq, ready_at, path)) = self.front_q.front() else {
-                self.rename_stop = RenameStop::FrontEmpty;
-                break;
+                return RenameStop::FrontEmpty;
             };
             if ready_at > self.cycle {
-                self.rename_stop = RenameStop::NotReady(ready_at);
-                break;
+                return RenameStop::NotReady(ready_at);
             }
             if self.rob.is_full() || self.iq_count >= self.cfg.iq_size {
-                self.rename_stop = RenameStop::Structural;
-                break;
+                return RenameStop::Structural;
             }
             // The structural checks need only the op; the record is
             // copied once the instruction actually renames.
             let op = self.rec(seq).op;
             if op.is_load() && self.lq.is_full() {
-                self.rename_stop = RenameStop::Structural;
-                break;
+                return RenameStop::Structural;
             }
             if op.is_store() {
                 if self.sq.is_full() {
-                    self.rename_stop = RenameStop::Structural;
-                    break;
+                    return RenameStop::Structural;
                 }
                 // SSN wrap-around: drain the pipeline, then clear every
                 // SSN-holding structure (§3.1).
                 if self.ssn_ren.next().low_bits(self.cfg.ssn_bits) == 0 || self.draining_for_wrap {
                     if !self.rob.is_empty() {
                         self.draining_for_wrap = true;
-                        self.rename_stop = RenameStop::Structural;
-                        break;
+                        return RenameStop::Structural;
                     }
                     self.draining_for_wrap = false;
                     self.policy.on_ssn_wrap();
@@ -147,6 +176,7 @@ impl EventCore<'_> {
             let rec = *self.rec(seq);
             self.rename_one(seq, &rec, path);
         }
+        RenameStop::Width
     }
 
     fn rename_one(&mut self, seq: Seq, rec: &TraceRecord, path: u64) {
@@ -169,7 +199,7 @@ impl EventCore<'_> {
                     Some(p) => {
                         if self.vals.wake_time(p.0) > self.cycle {
                             gates += 1;
-                            self.wake_on_value.push(p.0, seq.0);
+                            self.sched.wait(WaitList::Value, p.0, seq.0);
                         }
                         Operand::InFlight(p)
                     }
@@ -194,7 +224,7 @@ impl EventCore<'_> {
             if let Some(pred) = self.policy.rename_store(rec.pc, inst.my_ssn, seq, &view) {
                 if pred.is_in_flight(self.ssn_cmt) && !self.sq.is_executed(pred) {
                     gates += 1;
-                    self.wake_on_store_exec.push(pred.0, seq.0);
+                    self.sched.wait(WaitList::StoreExec, pred.0, seq.0);
                 }
             }
         }
@@ -218,13 +248,13 @@ impl EventCore<'_> {
             InstState::Waiting
         };
         if gates == 0 {
-            self.ready_q.insert(seq.0, rec.op.class());
+            self.sched.make_ready(seq.0, inst.op_class);
         }
         self.iq_count += 1;
         self.rob
             .push_back(seq)
             .expect("ROB fullness checked before rename");
-        self.insts.insert(seq.0, inst);
+        self.sched.insert(inst);
     }
 
     /// Policy touch-point: load rename. Feeds the policy (plus golden
@@ -234,7 +264,7 @@ impl EventCore<'_> {
     fn attach_load_predictions(&mut self, inst: &mut DynInst, rec: &TraceRecord) -> u32 {
         let hint = if self.caps.oracle {
             self.feed.window.fwd(inst.seq).map(|f| OracleHint {
-                store_ssn: self.insts.get(f.store_seq.0).map(|s| s.my_ssn),
+                store_ssn: self.sched.inst(f.store_seq.0).map(|s| s.my_ssn),
                 covers: f.covers,
             })
         } else {
@@ -259,13 +289,13 @@ impl EventCore<'_> {
         if let Some(ssn) = decision.exec_gate {
             if ssn.is_in_flight(self.ssn_cmt) && !self.sq.is_executed(ssn) {
                 gates += 1;
-                self.wake_on_store_exec.push(ssn.0, inst.seq.0);
+                self.sched.wait(WaitList::StoreExec, ssn.0, inst.seq.0);
             }
         }
         if let Some(ssn) = decision.commit_gate {
             if ssn > self.ssn_cmt {
                 gates += 1;
-                self.wake_on_store_commit.push(ssn.0, inst.seq.0);
+                self.sched.wait(WaitList::StoreCommit, ssn.0, inst.seq.0);
             }
         }
         gates

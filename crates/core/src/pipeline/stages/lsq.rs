@@ -7,11 +7,11 @@ use sqip_types::Seq;
 
 use crate::config::OrderingMode;
 use crate::dyninst::{InstState, Operand};
-use crate::pipeline::event::{EventCore, WakeRing};
+use crate::pipeline::stages::{Pipeline, Scheduler, WaitList};
 use crate::pipeline::EvKind;
 use crate::policy::SqProbe;
 
-impl EventCore<'_> {
+impl<S: Scheduler> Pipeline<'_, S> {
     pub(crate) fn do_execute(&mut self, seq: Seq) {
         // Non-memory instructions need only the op and immediate; loads,
         // stores and branches take the full record copy in their arms.
@@ -22,8 +22,8 @@ impl EventCore<'_> {
 
         // One slab lookup serves both the replay check and operand reads.
         let srcs = self
-            .insts
-            .get(seq.0)
+            .sched
+            .inst(seq.0)
             .expect("executing inst in flight")
             .srcs;
 
@@ -79,8 +79,8 @@ impl EventCore<'_> {
         let post = self.cfg.post_exec_depth;
         let inc = {
             let inst = self
-                .insts
-                .get_mut(seq.0)
+                .sched
+                .inst_mut(seq.0)
                 .expect("completing inst in flight");
             inst.state = InstState::Done;
             inst.value = value;
@@ -91,11 +91,11 @@ impl EventCore<'_> {
         // (its issue-time broadcast already fired) re-registered on the
         // wait list; a successful execution is the last broadcast they can
         // get. Time it so their execute lines up with value readiness.
-        if self.wake_on_value.contains(seq.0) {
+        if self.sched.has_waiters(WaitList::Value, seq.0) {
             let at = ready_at
                 .saturating_sub(self.cfg.issue_to_exec)
                 .max(self.cycle + 1);
-            self.wheel
+            self.sched
                 .schedule(self.cycle, at, EvKind::Broadcast, seq.0, inc);
         }
     }
@@ -104,8 +104,8 @@ impl EventCore<'_> {
         let span = rec.mem_addr().span(rec.size);
         let data = rec.size.truncate(data_operand);
         let ssn = self
-            .insts
-            .get(seq.0)
+            .sched
+            .inst(seq.0)
             .expect("executing store in flight")
             .my_ssn;
         self.sq.write(ssn, span, data);
@@ -131,8 +131,8 @@ impl EventCore<'_> {
         }
         self.complete(seq, data, 1);
         // Wake loads waiting on this store's execution (forwarding gate).
-        self.wake_all(WakeRing::StoreExec, ssn.0);
-        self.wake_all(WakeRing::StoreExecStrict, ssn.0);
+        self.wake_all(WaitList::StoreExec, ssn.0);
+        self.wake_all(WaitList::StoreExecStrict, ssn.0);
     }
 
     fn execute_branch(&mut self, seq: Seq, rec: &TraceRecord) {
@@ -154,7 +154,7 @@ impl EventCore<'_> {
     fn execute_load(&mut self, seq: Seq, rec: &TraceRecord) {
         let span = rec.mem_addr().span(rec.size);
         let (prev_store_ssn, ssn_fwd, wait_exec, lq_id) = {
-            let inst = self.insts.get(seq.0).expect("executing load in flight");
+            let inst = self.sched.inst(seq.0).expect("executing load in flight");
             (
                 inst.prev_store_ssn,
                 inst.ssn_fwd,
@@ -168,12 +168,12 @@ impl EventCore<'_> {
         if let Some(gate) = wait_exec {
             if gate.is_in_flight(self.ssn_cmt) && !self.sq.is_executed(gate) {
                 self.stats.replays += 1;
-                let inst = self.insts.get_mut(seq.0).expect("load in flight");
+                let inst = self.sched.inst_mut(seq.0).expect("load in flight");
                 inst.state = InstState::Waiting;
                 inst.gates = 1;
                 inst.replays += 1;
                 self.iq_count += 1;
-                self.wake_on_store_exec_strict.push(gate.0, seq.0);
+                self.sched.wait(WaitList::StoreExecStrict, gate.0, seq.0);
                 return;
             }
         }
@@ -203,17 +203,17 @@ impl EventCore<'_> {
                 // No single entry can supply the value: stall until the
                 // store commits, then retry (reads the cache).
                 self.stats.partial_stalls += 1;
-                let inst = self.insts.get_mut(seq.0).expect("load in flight");
+                let inst = self.sched.inst_mut(seq.0).expect("load in flight");
                 inst.state = InstState::Waiting;
                 inst.gates = 1;
                 inst.partial_stalled = true;
+                let inc = inst.incarnation;
                 self.iq_count += 1;
                 if ssn > self.ssn_cmt {
-                    self.wake_on_store_commit.push(ssn.0, seq.0);
+                    self.sched.wait(WaitList::StoreCommit, ssn.0, seq.0);
                 } else {
                     // Committed in the meantime: retry immediately.
-                    let inc = self.insts.get(seq.0).expect("load in flight").incarnation;
-                    self.wheel
+                    self.sched
                         .schedule(self.cycle, self.cycle + 1, EvKind::Wake, seq.0, inc);
                 }
                 return;
@@ -228,7 +228,7 @@ impl EventCore<'_> {
 
         self.lq.record_execution_at(lq_id, seq, span, svw);
         {
-            let inst = self.insts.get_mut(seq.0).expect("load in flight");
+            let inst = self.sched.inst_mut(seq.0).expect("load in flight");
             inst.forwarded_from = forwarded;
             inst.svw = svw;
             inst.older_unknown = older_unknown;

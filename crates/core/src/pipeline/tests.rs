@@ -805,27 +805,37 @@ mod engine_tests {
     /// after commits have moved the queue's ids on. The restored queue
     /// numbers its entries from 0 again, so every in-flight load's id
     /// must be re-read from it; the loads then execute by those ids and
-    /// the run finishes bit-identically to the straight one.
+    /// the run finishes bit-identically to the straight one. Both
+    /// schedulers run the same load/store unit, so both are checked.
     #[test]
     fn restored_in_flight_loads_execute_by_their_rebuilt_lq_ids() {
+        for engine in [Engine::Event, Engine::Reference] {
+            restored_loads_use_rebuilt_lq_ids(engine);
+        }
+    }
+
+    fn restored_loads_use_rebuilt_lq_ids(engine: Engine) {
+        use crate::pipeline::stages::{Pipeline, Scheduler};
         use crate::pipeline::Core;
 
-        let trace = observed_workload();
-        let mut cfg = SimConfig::with_design(SqDesign::Indexed3FwdDly);
-        cfg.engine = Engine::Event;
-        let lq_ids = |p: &Processor<'_>| -> (u64, Vec<(u64, u64, bool)>) {
-            let Core::Event(c) = &p.core else {
-                unreachable!("event engine")
-            };
+        fn ids_of<S: Scheduler>(c: &Pipeline<'_, S>) -> (u64, Vec<(u64, u64, bool)>) {
             let loads =
                 c.lq.iter()
                     .map(|e| {
-                        let inst = c.insts.get(e.seq.0).expect("queued load in flight");
+                        let inst = c.sched.inst(e.seq.0).expect("queued load in flight");
                         (e.seq.0, inst.lq_id, e.is_executed())
                     })
                     .collect();
             (c.lq.head_id(), loads)
+        }
+        let lq_ids = |p: &Processor<'_>| match &p.core {
+            Core::Event(c) => ids_of(c),
+            Core::Reference(c) => ids_of(c),
         };
+
+        let trace = observed_workload();
+        let mut cfg = SimConfig::with_design(SqDesign::Indexed3FwdDly);
+        cfg.engine = engine;
         let mut p = Processor::new(cfg.clone(), &trace);
         let (head, loads) = loop {
             p.step().expect("no deadlock");

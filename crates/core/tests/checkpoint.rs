@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use sqip_core::{
-    DesignCaps, DesignRegistry, Engine, Processor, SimConfig, SimStats, SqDesign, StepOutcome,
+    DesignCaps, DesignRegistry, Engine, OrderingMode, Processor, SimConfig, SimStats, SqDesign,
+    StepOutcome,
 };
 use sqip_isa::{Program, ProgramBuilder, ProgramSource, Reg};
 use sqip_snapshot::SnapError;
@@ -247,4 +248,92 @@ proptest! {
             }
         }
     }
+}
+
+/// A loop that leaves every kind of in-flight state behind at a
+/// mid-run checkpoint: forwarding pairs, a partial store/load overlap,
+/// a long multiply chain and a strided load that misses the caches, so
+/// far-future wakeups, store-queue waiters and replays are pending.
+fn golden_workload() -> Program {
+    let mut b = ProgramBuilder::new();
+    let (ctr, v, w, x, y, ptr) = (
+        Reg::new(1),
+        Reg::new(2),
+        Reg::new(3),
+        Reg::new(4),
+        Reg::new(5),
+        Reg::new(6),
+    );
+    b.load_imm(ctr, 400);
+    b.load_imm(v, 7);
+    b.load_imm(ptr, 0x10_000);
+    let top = b.label("top");
+    b.store(DataSize::Quad, v, Reg::ZERO, 0x100);
+    b.load(DataSize::Quad, w, Reg::ZERO, 0x100);
+    b.add_imm(v, w, 3);
+    b.store(DataSize::Word, v, Reg::ZERO, 0x208);
+    b.load(DataSize::Quad, x, Reg::ZERO, 0x208);
+    b.load(DataSize::Quad, y, ptr, 0);
+    b.mul(y, y, x);
+    b.store(DataSize::Quad, y, ptr, 8);
+    b.add_imm(ptr, ptr, 4096);
+    b.add_imm(ctr, ctr, -1);
+    b.branch_nz(ctr, top);
+    b.halt();
+    b.build().unwrap()
+}
+
+/// **Checkpoint bytes are frozen.** The FNV-1a 64 digest and length of
+/// a mid-run checkpoint of a fixed program, per engine, for an indexed
+/// design under SVW re-execution and an associative one under the LQ
+/// CAM. Both engines' snapshot layouts (and `SNAP_VERSION`) are part of
+/// the on-disk format: a refactor that moves a byte fails here.
+#[test]
+fn checkpoint_bytes_match_golden_digests() {
+    let program = golden_workload();
+    let golden: [(SqDesign, OrderingMode, Engine, usize, u64); 4] = [
+        (
+            SqDesign::Indexed3FwdDly,
+            OrderingMode::SvwReexecution,
+            Engine::Event,
+            937_831,
+            0x238ce89e6986a66e,
+        ),
+        (
+            SqDesign::Indexed3FwdDly,
+            OrderingMode::SvwReexecution,
+            Engine::Reference,
+            844_554,
+            0x1bc78d3891fdf5c5,
+        ),
+        (
+            SqDesign::Associative3,
+            OrderingMode::LqCam,
+            Engine::Event,
+            995_209,
+            0x06f9f192a83be654,
+        ),
+        (
+            SqDesign::Associative3,
+            OrderingMode::LqCam,
+            Engine::Reference,
+            918_303,
+            0xab85a6eefbfcbefc,
+        ),
+    ];
+    let mut got = Vec::new();
+    for (design, ordering, engine, _, _) in golden {
+        let mut cfg = SimConfig::with_design(design);
+        cfg.ordering = ordering;
+        cfg.engine = engine;
+        let mut p = Processor::from_source(cfg, source(&program));
+        assert_eq!(p.run_until(3_000).unwrap(), StepOutcome::Running);
+        let mut snap = Vec::new();
+        p.checkpoint(&mut snap).unwrap();
+        let mut fnv = sqip_snapshot::Fnv::new();
+        fnv.update(&snap);
+        got.push((design, ordering, engine, snap.len(), fnv.value()));
+    }
+    assert_eq!(sqip_snapshot::SNAP_VERSION, 5);
+    assert_eq!(got, golden);
 }

@@ -253,9 +253,9 @@ proptest! {
     }
 
     /// **The differential property pinning the event engine.** The
-    /// event-driven engine (ring slabs, event wheel, idle-cycle
-    /// skip-ahead) and the frozen per-cycle reference stepper are two
-    /// implementations of the same machine: on any random program, under
+    /// event scheduler (ring slabs, event wheel, idle-cycle skip-ahead)
+    /// and the per-cycle reference scheduler drive the same pipeline
+    /// stages two ways: on any random program, under
     /// every builtin design (plus the registry extension) and a random
     /// machine geometry, their `SimStats` must be **bit-identical** —
     /// cycle counts included, skip-ahead notwithstanding.
@@ -320,6 +320,71 @@ proptest! {
                 &event, &reference,
                 "engines diverge under {}/cam with {:?}", design, knobs
             );
+        }
+    }
+
+    /// The differential property observed mid-run and in architectural
+    /// state, not only in end-of-run counters: both engines are stopped
+    /// at one random `run_until` boundary inside the run, where their
+    /// `SimStats` (and outcomes) must agree, then run to the end, where
+    /// their stats, every committed register and the committed memory at
+    /// every address the program stores to (read at each store's size)
+    /// must agree too.
+    #[test]
+    fn event_engine_matches_reference_mid_run_and_in_committed_state(
+        body in proptest::collection::vec(stmt_strategy(), 4..28),
+        iters in 20i64..60,
+        knobs in config_knobs_strategy(),
+        cut_permille in 0u64..1000,
+    ) {
+        let trace = build_trace(&body, iters);
+        let sizes = [DataSize::Byte, DataSize::Half, DataSize::Word, DataSize::Quad];
+        let stored: std::collections::BTreeSet<(u64, usize)> = body
+            .iter()
+            .filter_map(|s| match *s {
+                Stmt::Store(_, slot, z) => Some((0x400 + 8 * u64::from(slot), usize::from(z))),
+                _ => None,
+            })
+            .collect();
+        let mut designs: Vec<SqDesign> = SqDesign::ALL.to_vec();
+        designs.push("indexed-5-fwd+dly".parse().expect("extension registered"));
+        for design in designs {
+            let cfg = knobs.apply(SimConfig::with_design(design));
+            cfg.try_validate().expect("generated config is valid");
+            let engine = |engine: Engine| {
+                let mut c = cfg.clone();
+                c.engine = engine;
+                Processor::new(c, &trace)
+            };
+            let total = engine(Engine::Reference).try_run().expect("reference runs").cycles;
+            let cut = 1 + total * cut_permille / 1000;
+            let (mut event, mut reference) = (engine(Engine::Event), engine(Engine::Reference));
+            let outcomes = (
+                event.run_until(cut).expect("event engine runs"),
+                reference.run_until(cut).expect("reference engine runs"),
+            );
+            prop_assert_eq!(outcomes.0, outcomes.1, "{} outcome at cycle {}", design, cut);
+            prop_assert_eq!(
+                event.stats(), reference.stats(),
+                "engines diverge at cycle {} under {} with {:?}", cut, design, knobs
+            );
+            while event.step().expect("event engine runs") == StepOutcome::Running {}
+            while reference.step().expect("reference engine runs") == StepOutcome::Running {}
+            prop_assert_eq!(event.stats(), reference.stats(), "{} final stats", design);
+            for r in 0..sqip_isa::NUM_REGS as u8 {
+                prop_assert_eq!(
+                    event.committed_reg(Reg::new(r)),
+                    reference.committed_reg(Reg::new(r)),
+                    "{} committed r{}", design, r
+                );
+            }
+            for &(addr, z) in &stored {
+                prop_assert_eq!(
+                    event.committed_mem(Addr::new(addr), sizes[z]),
+                    reference.committed_mem(Addr::new(addr), sizes[z]),
+                    "{} committed memory at {:#x}", design, addr
+                );
+            }
         }
     }
 

@@ -128,17 +128,6 @@ impl LoadQueue {
         self.head_id
     }
 
-    /// Records an executing load's address and SVW SSN.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is not in flight.
-    pub fn record_execution(&mut self, seq: Seq, span: AddrSpan, svw: Ssn) {
-        let e = self.entry_mut(seq).expect("load not in flight");
-        e.span = Some(span);
-        e.svw = svw;
-    }
-
     /// Records an executing load's address and SVW SSN, finding its entry
     /// by the id [`LoadQueue::allocate`] returned instead of by a search.
     ///
@@ -193,13 +182,6 @@ impl LoadQueue {
         self.head_id += self.entries.len() as u64;
         self.entries.clear();
     }
-
-    fn entry_mut(&mut self, seq: Seq) -> Option<&mut LqEntry> {
-        self.entries
-            .binary_search_by_key(&seq, |e| e.seq)
-            .ok()
-            .and_then(move |i| self.entries.get_mut(i))
-    }
 }
 
 sqip_snapshot::snapshot_struct!(LqEntry { seq, pc, span, svw });
@@ -217,10 +199,10 @@ mod tests {
     #[test]
     fn allocate_execute_commit() {
         let mut lq = LoadQueue::new(4);
-        lq.allocate(Seq(10), Pc::new(0x40)).unwrap();
+        let id = lq.allocate(Seq(10), Pc::new(0x40)).unwrap();
         assert!(!lq.entry(Seq(10)).unwrap().is_executed());
         let span = Addr::new(0x100).span(DataSize::Quad);
-        lq.record_execution(Seq(10), span, Ssn::new(3));
+        lq.record_execution_at(id, Seq(10), span, Ssn::new(3));
         assert!(lq.entry(Seq(10)).unwrap().is_executed());
         let e = lq.commit_head();
         assert_eq!(e.span, Some(span));

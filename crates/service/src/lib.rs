@@ -44,5 +44,5 @@ pub use client::{Connection, JobOutcome, JobStatus, MAX_RESPONSE_LINE};
 pub use journal::{Journal, PendingJob};
 pub use loader::{run_load, BurstReport, LatencySummary, LoadReport, LoaderConfig, SloReport};
 pub use protocol::{Request, Response, StatsSnapshot};
-pub use queue::{FairQueue, PushError};
+pub use queue::{FairQueue, PushError, Reservation};
 pub use server::{RateLimit, Server, ServerConfig, ServerHandle, MAX_REQUEST_LINE};

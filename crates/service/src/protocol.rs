@@ -48,7 +48,10 @@ pub enum Request {
 #[derive(Debug, Clone, PartialEq)]
 #[allow(clippy::large_enum_variant)] // one message per protocol event, far off the hot path; boxing would ripple through the wire API
 pub enum Response {
-    /// The job passed validation and entered the queue.
+    /// The job passed validation and entered the queue. This is always
+    /// the job's first reply: the server answers it before any worker
+    /// can pick the job up, so every `row` and the terminal line
+    /// (`done`, `cancelled` or `error`) of the job follow it.
     Accepted {
         /// The job id.
         id: String,

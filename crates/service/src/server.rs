@@ -24,7 +24,9 @@
 //!    is gone and its key is unique. Both then take one path: the spec
 //!    must build an experiment of at most `max_cells_per_job` cells, a
 //!    new job is journaled (a recovered one keeps its line), and the job
-//!    is registered for cancellation and pushed onto the bounded queue.
+//!    is registered for cancellation and given a slot on the bounded
+//!    queue. It is answered `accepted` before the slot is published to
+//!    the workers, so `accepted` is always its first reply.
 //! 2. **Queue and run.** A worker pops the job, which carries its own
 //!    cancel control, and runs its sweep. Client cancel, timeout,
 //!    disconnect and shutdown all stop it through that control.
@@ -923,26 +925,29 @@ fn admit(
         reason: Mutex::new(None),
     });
     lock_unpoisoned(&shared.jobs).insert(ticket.key.clone(), Arc::clone(&ctl));
-    let job = Job {
-        ticket: ticket.clone(),
-        experiment,
-        accepted_at: Instant::now(),
-        ctl,
-    };
-    match shared.queue.push(ticket.key.0, job) {
-        Ok(()) => {
-            shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-            let id = ticket.key.1;
-            send_response(&ticket.reply, None, Response::Accepted { id, cells });
-            Ok(())
-        }
+    // Reserve, answer, then publish: no worker can see the job, so no
+    // row or terminal line of it can reach the client, before its
+    // `accepted` line.
+    let slot = match shared.queue.reserve(ticket.key.0) {
+        Ok(slot) => slot,
         Err(err) => {
             // A recovered job the queue cannot take stays owed: the next
             // boot retries it.
             if recovered.is_some() {
                 ticket.journal_seq = None;
             }
-            refuse(&ticket, true, err.to_string())
+            return refuse(&ticket, true, err.to_string());
         }
-    }
+    };
+    let accepted_at = Instant::now();
+    shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
+    let id = ticket.key.1.clone();
+    send_response(&ticket.reply, None, Response::Accepted { id, cells });
+    slot.publish(Job {
+        ticket,
+        experiment,
+        accepted_at,
+        ctl,
+    });
+    Ok(())
 }

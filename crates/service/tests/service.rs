@@ -886,3 +886,48 @@ fn cancelled_and_orphaned_queued_jobs_are_settled() {
     server2.shutdown();
     let _ = std::fs::remove_file(&path);
 }
+
+/// `accepted` is the first reply of every admitted job: many one-cell
+/// jobs small enough that a worker finishes one the moment it is queued,
+/// submitted back to back on one connection, must each be answered
+/// `accepted` before any row or terminal line of theirs.
+#[test]
+fn accepted_is_every_jobs_first_reply() {
+    const JOBS: usize = 200;
+    let server = spawn(ServerConfig {
+        queue_capacity: JOBS,
+        workers: 4,
+        ..ServerConfig::default()
+    });
+    let mut conn = Connection::connect(server.addr()).unwrap();
+    for i in 0..JOBS {
+        conn.send(&Request::Submit {
+            id: format!("tiny-{i}"),
+            spec: ExperimentSpec::new([format!("mix:{i:#x}:200")], ["ideal-oracle"]),
+            timeout_ms: None,
+        })
+        .unwrap();
+    }
+    let mut first: std::collections::BTreeMap<String, Response> = Default::default();
+    let mut done = 0;
+    while done < JOBS {
+        let response = conn.recv().unwrap();
+        let id = match &response {
+            Response::Accepted { id, .. } | Response::Row { id, .. } => id.clone(),
+            Response::Done { id, .. } => {
+                done += 1;
+                id.clone()
+            }
+            other => panic!("unexpected reply {other:?}"),
+        };
+        first.entry(id).or_insert(response);
+    }
+    assert_eq!(first.len(), JOBS);
+    for (id, response) in &first {
+        assert!(
+            matches!(response, Response::Accepted { cells: 1, .. }),
+            "`{id}` was first answered {response:?}"
+        );
+    }
+    server.shutdown();
+}
