@@ -1,35 +1,33 @@
 //! `sqip-lint` — run the workspace determinism & robustness pass.
 //!
 //! ```text
-//! # From anywhere inside the workspace:
+//! # The workspace the binary was built from, wherever it runs:
 //! cargo run -p sqip-analysis --bin sqip-lint
 //!
-//! # Elsewhere, point it at the workspace / a config explicitly:
-//! sqip-lint --root /path/to/repo [--config /path/to/lint.toml]
+//! # Another checkout of the workspace:
+//! sqip-lint --root /path/to/repo
 //!
-//! # The catalogue:
+//! # The catalogue, with each rule's paths and exemptions:
 //! sqip-lint --list-rules
 //! ```
 //!
 //! Exits 0 when no error-severity findings remain, 1 on findings, 2 on
-//! usage/configuration errors. Warnings are reported but do not fail
-//! the run.
+//! usage or I/O errors. Warnings are reported but do not fail the run.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sqip_analysis::{config::Config, engine, find_workspace_root, rules};
+use sqip_analysis::{engine, rules, workspace_root};
 
 fn usage() -> ExitCode {
-    eprintln!("usage: sqip-lint [--root PATH] [--config PATH] [--quiet] [--list-rules]");
+    eprintln!("usage: sqip-lint [--root PATH] [--quiet] [--list-rules]");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut config: Option<PathBuf> = None;
     let mut quiet = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -38,14 +36,14 @@ fn main() -> ExitCode {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage(),
             },
-            "--config" => match args.next() {
-                Some(v) => config = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
             "--quiet" | "-q" => quiet = true,
             "--list-rules" => {
                 for rule in rules::all() {
                     println!("{:<22} {}", rule.name, rule.summary);
+                    println!("{:<22} paths: {}", "", rule.paths.join(", "));
+                    for (path, reason) in rule.exempt {
+                        println!("{:<22} exempt: {path}: {reason}", "");
+                    }
                 }
                 return ExitCode::SUCCESS;
             }
@@ -60,32 +58,8 @@ fn main() -> ExitCode {
         }
     }
 
-    let root = match root {
-        Some(r) => r,
-        None => {
-            let start = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-            match find_workspace_root(&start) {
-                Some(r) => r,
-                None => {
-                    eprintln!(
-                        "error: no lint.toml found in {} or any ancestor (pass --root)",
-                        start.display()
-                    );
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    };
-    let config_path = config.unwrap_or_else(|| root.join("lint.toml"));
-    let cfg = match Config::load(&config_path) {
-        Ok(cfg) => cfg,
-        Err(err) => {
-            eprintln!("error: {err}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let report = match engine::run(&root, &cfg) {
+    let root = root.unwrap_or_else(|| workspace_root().to_path_buf());
+    let report = match engine::run(&root) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("error: {err}");

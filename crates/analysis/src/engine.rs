@@ -1,5 +1,6 @@
-//! The rule engine: drives every rule over every file, applies inline
-//! suppressions, and produces a deterministic, sorted report.
+//! The rule engine: drives every rule over the files in its scope,
+//! applies inline suppressions, and produces a deterministic, sorted
+//! report. Rule findings are errors; unused suppressions are warnings.
 //!
 //! # Suppressions
 //!
@@ -26,10 +27,9 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-use crate::config::{Config, Severity};
 use crate::lexer::{lex, TokKind, Token};
-use crate::rules;
-use crate::walker::{self, path_has_prefix};
+use crate::rules::{self, Rule};
+use crate::walker;
 
 /// The pseudo-rule name carried by findings about the lint directives
 /// themselves (malformed / unknown-rule / unused suppressions).
@@ -37,6 +37,24 @@ pub const DIRECTIVE_RULE: &str = "lint-directive";
 
 /// The marker that introduces an inline suppression comment.
 pub const DIRECTIVE_MARKER: &str = "sqip-lint:";
+
+/// How a finding is reported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Severity {
+    /// Reported, but does not fail the run.
+    Warn,
+    /// Fails the run (exit code 1 / test failure).
+    Error,
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Severity::Warn => "warning",
+            Severity::Error => "error",
+        })
+    }
+}
 
 /// One reported finding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -128,27 +146,19 @@ struct Directive {
     used: bool,
 }
 
-/// Runs the full configured pass over the workspace at `root`.
+/// Runs the full pass over the workspace at `root`.
 ///
 /// # Errors
 ///
-/// Propagates walker/IO failures and configuration mistakes (a
-/// configured rule name that no rule implements).
-pub fn run(root: &Path, cfg: &Config) -> Result<Report, String> {
-    for name in cfg.rules.keys() {
-        if rules::by_name(name).is_none() {
-            return Err(format!(
-                "lint.toml configures unknown rule `{name}` (run `sqip-lint --list-rules`)"
-            ));
-        }
-    }
-    let files = walker::walk(root, cfg).map_err(|e| e.to_string())?;
+/// Propagates walker/IO failures.
+pub fn run(root: &Path) -> Result<Report, String> {
+    let files = walker::walk(root).map_err(|e| e.to_string())?;
     let mut findings = Vec::new();
     let mut suppressed = 0usize;
     for file in &files {
         let src = read_source(&file.path)?;
         let (mut file_findings, file_suppressed) =
-            lint_source(&file.rel, &src, file.is_crate_root, file.is_test_file, cfg);
+            lint_source(&file.rel, &src, file.is_crate_root, file.is_test_file);
         findings.append(&mut file_findings);
         suppressed += file_suppressed;
     }
@@ -164,20 +174,46 @@ fn read_source(path: &Path) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e: io::Error| format!("reading {}: {e}", path.display()))
 }
 
-/// Lints one source text with every configured rule; returns the
-/// findings plus the number of suppressed ones. This is the unit the
-/// fixture self-tests drive directly.
+/// Lints one source text with every rule whose scope covers
+/// `rel_path`; returns the findings plus the number of suppressed ones.
 #[must_use]
 pub fn lint_source(
     rel_path: &str,
     src: &str,
     is_crate_root: bool,
     is_test_file: bool,
-    cfg: &Config,
 ) -> (Vec<Finding>, usize) {
     if is_test_file {
         return (Vec::new(), 0);
     }
+    let in_scope = rules::all().iter().filter(|rule| rule.scopes(rel_path));
+    lint_with(rel_path, src, is_crate_root, in_scope)
+}
+
+/// Runs exactly one rule, unscoped, over a source text — the harness
+/// the per-rule fixture tests use. Suppressions still apply.
+///
+/// # Panics
+///
+/// Panics if `rule_name` does not exist (a fixture-test bug).
+#[must_use]
+pub fn lint_source_with_rule(
+    rel_path: &str,
+    src: &str,
+    is_crate_root: bool,
+    rule_name: &str,
+) -> Vec<Finding> {
+    let rule = rules::by_name(rule_name).unwrap_or_else(|| panic!("no such rule `{rule_name}`"));
+    lint_with(rel_path, src, is_crate_root, std::iter::once(rule)).0
+}
+
+/// Runs `rules` over one source text and applies its suppressions.
+fn lint_with<'r>(
+    rel_path: &str,
+    src: &str,
+    is_crate_root: bool,
+    rules: impl Iterator<Item = &'r Rule>,
+) -> (Vec<Finding>, usize) {
     let tokens = lex(src);
     let depth = brace_depth(&tokens);
     let test_mask = test_mask(&tokens);
@@ -191,16 +227,7 @@ pub fn lint_source(
 
     let (mut directives, mut findings) = parse_directives(rel_path, &tokens);
 
-    for rule in rules::all() {
-        let Some(rc) = cfg.rules.get(rule.name) else {
-            continue;
-        };
-        if !rc.paths.iter().any(|p| path_has_prefix(rel_path, p)) {
-            continue;
-        }
-        if rc.exempt.iter().any(|e| path_has_prefix(rel_path, &e.path)) {
-            continue;
-        }
+    for rule in rules {
         if rule.crate_root_only && !is_crate_root {
             continue;
         }
@@ -209,7 +236,7 @@ pub fn lint_source(
                 path: rel_path.to_string(),
                 line,
                 rule: rule.name,
-                severity: rc.severity,
+                severity: Severity::Error,
                 message,
             });
         };
@@ -253,34 +280,6 @@ pub fn lint_source(
     }
     findings.sort();
     (findings, suppressed)
-}
-
-/// Runs exactly one rule, unscoped, over a source text — the harness
-/// the per-rule fixture tests use. Suppressions still apply.
-///
-/// # Panics
-///
-/// Panics if `rule_name` does not exist (a fixture-test bug).
-#[must_use]
-pub fn lint_source_with_rule(
-    rel_path: &str,
-    src: &str,
-    is_crate_root: bool,
-    rule_name: &str,
-) -> Vec<Finding> {
-    let rule = rules::by_name(rule_name).unwrap_or_else(|| panic!("no such rule `{rule_name}`"));
-    let mut cfg = Config::default();
-    cfg.rules
-        .entry(rule.name.to_string())
-        .or_default()
-        .paths
-        .push(top_component(rel_path).to_string());
-    let (findings, _) = lint_source(rel_path, src, is_crate_root, false, &cfg);
-    findings
-}
-
-fn top_component(rel: &str) -> &str {
-    rel.split('/').next().unwrap_or(rel)
 }
 
 /// Per-token `{}` depth. Tokens are already string/char/comment-aware,
@@ -538,7 +537,7 @@ fn f() {
     #[test]
     fn suppression_for_unknown_rule_is_an_error() {
         let src = "// sqip-lint: allow(no-such-rule, reason = \"hm\")\n";
-        let (findings, _) = lint_source("crates/x/src/a.rs", src, false, false, &Config::default());
+        let (findings, _) = lint_source("crates/x/src/a.rs", src, false, false);
         assert!(findings
             .iter()
             .any(|f| f.rule == DIRECTIVE_RULE && f.message.contains("unknown rule")));
@@ -547,7 +546,7 @@ fn f() {
     #[test]
     fn doc_comments_never_parse_as_directives() {
         let src = "/// Write `// sqip-lint: allow(x, reason = \"…\")` above the line.\nfn f() {}\n";
-        let (findings, _) = lint_source("crates/x/src/a.rs", src, false, false, &Config::default());
+        let (findings, _) = lint_source("crates/x/src/a.rs", src, false, false);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -591,55 +590,40 @@ fn prod() {
     #[test]
     fn test_files_are_skipped_wholesale() {
         let src = "fn f() { opt.unwrap(); }\n";
-        let mut cfg = Config::default();
-        cfg.rules
-            .entry("panic-in-service".to_string())
-            .or_default()
-            .paths
-            .push("crates".to_string());
-        let (findings, _) = lint_source("crates/x/tests/t.rs", src, false, true, &cfg);
+        let (findings, _) = lint_source("crates/service/src/a.rs", src, false, true);
         assert!(findings.is_empty());
+        let (findings, _) = lint_source("crates/service/src/a.rs", src, false, false);
+        assert_eq!(findings.len(), 1, "{findings:?}");
     }
 
     #[test]
-    fn severity_comes_from_config() {
-        let src = "fn f() { let m: HashMap<u32, u32> = make(); }\n";
-        let mut cfg = Config::default();
-        let rc = cfg
-            .rules
-            .entry("unordered-iteration".to_string())
-            .or_default();
-        rc.paths.push("crates".to_string());
-        rc.severity = Severity::Warn;
-        let (findings, _) = lint_source("crates/x/src/a.rs", src, false, false, &cfg);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].severity, Severity::Warn);
+    fn severity_is_error_for_rules_and_warn_for_unused_suppressions() {
+        let src = "\
+fn f() {
+    // sqip-lint: allow(unordered-iteration, reason = \"too far away\")
+    let unrelated = 1;
+    let m: HashMap<u32, u32> = make();
+}
+";
+        let findings = run_rule(src, "unordered-iteration");
+        let severity_of = |rule: &str| findings.iter().find(|f| f.rule == rule).map(|f| f.severity);
+        assert_eq!(severity_of("unordered-iteration"), Some(Severity::Error));
+        assert_eq!(severity_of(DIRECTIVE_RULE), Some(Severity::Warn));
     }
 
     #[test]
     fn exemptions_skip_the_rule_for_matching_paths() {
         let src = "fn f() { let m: HashMap<u32, u32> = make(); }\n";
-        let mut cfg = Config::default();
-        let rc = cfg
-            .rules
-            .entry("unordered-iteration".to_string())
-            .or_default();
-        rc.paths.push("crates".to_string());
-        rc.exempt.push(crate::config::Exemption {
-            path: "crates/x".to_string(),
-            reason: "test exemption".to_string(),
-        });
-        let (findings, _) = lint_source("crates/x/src/a.rs", src, false, false, &cfg);
-        assert!(findings.is_empty());
-        let (findings, _) = lint_source("crates/y/src/a.rs", src, false, false, &cfg);
-        assert_eq!(findings.len(), 1);
-    }
-
-    #[test]
-    fn unknown_configured_rule_fails_the_run() {
-        let mut cfg = Config::default();
-        cfg.rules.entry("typo-rule".to_string()).or_default();
-        let err = run(Path::new(env!("CARGO_MANIFEST_DIR")), &cfg).unwrap_err();
-        assert!(err.contains("typo-rule"));
+        let (findings, _) = lint_source("crates/core/src/pipeline/event.rs", src, false, false);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "unordered-iteration");
+        // Inside the rule's one exemption, and outside its paths.
+        for rel in [
+            "crates/core/src/pipeline/reference.rs",
+            "crates/bench/src/a.rs",
+        ] {
+            let (findings, _) = lint_source(rel, src, false, false);
+            assert!(findings.is_empty(), "{rel}: {findings:?}");
+        }
     }
 }

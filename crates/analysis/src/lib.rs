@@ -15,31 +15,27 @@
 //!
 //! The pass is dependency-free: a small hand-rolled Rust [`lexer`]
 //! (comments, raw strings, char-vs-lifetime disambiguation), a
-//! workspace [`walker`], a strict `lint.toml` [`config`] parser, and a
-//! rule [`engine`] with per-rule severity, crate scoping, and inline
-//! suppressions that *require* a reason. The [`rules`] module is the
-//! catalogue and documents how to add a rule.
+//! workspace [`walker`], and a rule [`engine`] with inline suppressions
+//! that *require* a reason. The [`rules`] module is the catalogue: each
+//! rule carries its own scope (the paths it runs on and its reasoned
+//! exemptions), and the module documents how to add one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
 pub mod engine;
 pub mod lexer;
 pub mod rules;
 pub mod walker;
 
-pub use config::{Config, Severity};
-pub use engine::{lint_source, lint_source_with_rule, run, Finding, Report};
+pub use engine::{lint_source, lint_source_with_rule, run, Finding, Report, Severity};
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Ascends from `start` looking for the directory holding `lint.toml`
-/// (the workspace root). Returns `None` if no ancestor has one.
+/// The root of the workspace this crate was built from (two levels
+/// above `crates/analysis`): the pass's default target.
 #[must_use]
-pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    start
-        .ancestors()
-        .find(|dir| dir.join("lint.toml").is_file())
-        .map(Path::to_path_buf)
+pub fn workspace_root() -> &'static Path {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    manifest.ancestors().nth(2).unwrap_or(manifest)
 }

@@ -7,8 +7,9 @@
 //! `examples/*.rs` each start their own crate, and an attribute in the
 //! sibling `lib.rs` does nothing for them.
 //!
-//! A crate that genuinely cannot forbid unsafe code is documented in
-//! `lint.toml` under `[rules.forbid-unsafe] exempt = ["path: reason"]`.
+//! Scope: every crate. A crate that genuinely cannot forbid unsafe code
+//! would be listed in the rule's `exempt` as `("crates/<name>", reason)`
+//! (none today).
 
 use crate::engine::FileCtx;
 use crate::rules::{Emit, Rule};
@@ -17,6 +18,8 @@ use crate::rules::{Emit, Rule};
 pub const RULE: Rule = Rule {
     name: "forbid-unsafe",
     summary: "every crate root (lib, bin, example) carries #![forbid(unsafe_code)]",
+    paths: &["crates"],
+    exempt: &[],
     crate_root_only: true,
     check,
 };

@@ -25,6 +25,8 @@
 //! bounded-channel design remain the backstop for those. False
 //! positives (the binding was a value copied *out* of the guard, not
 //! the guard itself) carry an inline suppression with the reason.
+//!
+//! Scope: `crates/service/src`.
 
 use crate::engine::FileCtx;
 use crate::lexer::TokKind;
@@ -34,6 +36,8 @@ use crate::rules::{Emit, Rule};
 pub const RULE: Rule = Rule {
     name: "guard-across-send",
     summary: "no lock guard live across channel sends or socket writes",
+    paths: &["crates/service/src"],
+    exempt: &[],
     crate_root_only: false,
     check,
 };

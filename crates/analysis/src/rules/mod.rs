@@ -2,19 +2,24 @@
 //!
 //! Each rule is a pure function over a lexed [`FileCtx`]: no type
 //! information, no macro expansion — these are *lexical* rules, chosen
-//! so that the pattern they match is a reliable signal at the paths
-//! `lint.toml` scopes them to. Where a rule is a heuristic (see
+//! so that the pattern they match is a reliable signal at the paths the
+//! rule scopes itself to. Where a rule is a heuristic (see
 //! [`guard_send`]) its module documents exactly what it can and cannot
 //! see.
 //!
+//! A rule carries its own scope: the workspace-relative path prefixes it
+//! runs on ([`Rule::paths`]) and the prefixes excused from it, each with
+//! its reason ([`Rule::exempt`]). Each module's docs say why its scope is
+//! what it is. Every rule finding is an error.
+//!
 //! Adding a rule:
 //!
-//! 1. add a module with a `RULE` static and a `check` function,
+//! 1. add a module with a `RULE` constant (name, summary, `paths`,
+//!    `exempt`) and a `check` function,
 //! 2. list it in [`all`],
 //! 3. give it `hit.rs`/`clean.rs` fixtures under `fixtures/<rule>/`
 //!    and a case in `tests/fixtures.rs`,
-//! 4. scope it in the root `lint.toml`,
-//! 5. document it in the README's rule catalogue.
+//! 4. document it in the README's rule catalogue.
 
 pub mod forbid_unsafe;
 pub mod guard_send;
@@ -25,20 +30,37 @@ pub mod unordered;
 pub mod wall_clock;
 
 use crate::engine::FileCtx;
+use crate::walker::path_has_prefix;
 
 /// Callback rules use to report: `(line, message)`.
 pub type Emit<'e> = dyn FnMut(u32, String) + 'e;
 
 /// One registered rule.
 pub struct Rule {
-    /// Rule name as used in `lint.toml` and suppressions.
+    /// Rule name as used in suppressions.
     pub name: &'static str,
     /// One-line description for `--list-rules` and the README.
     pub summary: &'static str,
+    /// Workspace-relative path prefixes the rule runs on. Scope is
+    /// always explicit: a file under none of them is never checked.
+    pub paths: &'static [&'static str],
+    /// `(path prefix, reason)` pairs excused from the rule inside its
+    /// `paths`. The reason is the documentation and must not be empty.
+    pub exempt: &'static [(&'static str, &'static str)],
     /// When set, the rule only runs on crate-root files.
     pub crate_root_only: bool,
     /// The check itself.
     pub check: fn(&FileCtx<'_>, &mut Emit<'_>),
+}
+
+impl Rule {
+    /// Whether the workspace-relative `rel` is in this rule's scope:
+    /// under one of its [`paths`](Rule::paths) and under no exemption.
+    #[must_use]
+    pub fn scopes(&self, rel: &str) -> bool {
+        self.paths.iter().any(|p| path_has_prefix(rel, p))
+            && !self.exempt.iter().any(|(p, _)| path_has_prefix(rel, p))
+    }
 }
 
 static ALL: [Rule; 7] = [

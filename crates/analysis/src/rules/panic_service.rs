@@ -16,6 +16,8 @@
 //! `assert!`-family macros are deliberately not flagged: the service
 //! uses `debug_assert!` for hot-path invariants, which compiles out of
 //! release builds.
+//!
+//! Scope: `crates/service/src`.
 
 use crate::engine::FileCtx;
 use crate::lexer::TokKind;
@@ -25,6 +27,8 @@ use crate::rules::{Emit, Rule};
 pub const RULE: Rule = Rule {
     name: "panic-in-service",
     summary: "no unwrap/expect/panic!/unreachable! in service code; degrade gracefully",
+    paths: &["crates/service/src"],
+    exempt: &[],
     crate_root_only: false,
     check,
 };

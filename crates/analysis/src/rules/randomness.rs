@@ -6,6 +6,9 @@
 //! (`OsRng`, `getrandom`) break that: their output cannot be replayed.
 //! Seeded construction (`seed_from_u64`, `from_seed`) is the sanctioned
 //! path and is not flagged.
+//!
+//! Scope: every crate, the bench and service crates included (the
+//! loader's repeatability SLO depends on it).
 
 use crate::engine::FileCtx;
 use crate::lexer::TokKind;
@@ -15,6 +18,8 @@ use crate::rules::{Emit, Rule};
 pub const RULE: Rule = Rule {
     name: "ambient-randomness",
     summary: "no thread_rng/rand::random/OS entropy; randomness must be seeded",
+    paths: &["crates"],
+    exempt: &[],
     crate_root_only: false,
     check,
 };

@@ -19,6 +19,8 @@
 //! The rule is lexical, so it cannot tell `BufRead::lines` from
 //! `str::lines` on text already in memory; such a call (none today)
 //! takes an inline suppression with its reason.
+//!
+//! Scope: `crates/service/src`.
 
 use crate::engine::FileCtx;
 use crate::lexer::TokKind;
@@ -28,6 +30,8 @@ use crate::rules::{Emit, Rule};
 pub const RULE: Rule = Rule {
     name: "unbounded-read",
     summary: "no read_line/read_until/lines/read_to_end/read_to_string without a take limit",
+    paths: &["crates/service/src"],
+    exempt: &[],
     crate_root_only: false,
     check,
 };

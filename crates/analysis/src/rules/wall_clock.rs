@@ -8,6 +8,9 @@
 //! time into that function. The rule flags **any** mention of the two
 //! types in scoped code: in a crate where time must be simulated
 //! cycles, even holding an `Instant` in a struct is a smell.
+//!
+//! Scope: the ten simulation crates. `crates/bench` and `crates/service`
+//! measure real time on purpose and are out of scope.
 
 use crate::engine::FileCtx;
 use crate::lexer::TokKind;
@@ -17,6 +20,19 @@ use crate::rules::{Emit, Rule};
 pub const RULE: Rule = Rule {
     name: "wall-clock-in-sim",
     summary: "no Instant/SystemTime in simulation crates; time is simulated cycles",
+    paths: &[
+        "crates/types",
+        "crates/isa",
+        "crates/mem",
+        "crates/queues",
+        "crates/predictors",
+        "crates/cacti",
+        "crates/core",
+        "crates/workloads",
+        "crates/snapshot",
+        "crates/sqip",
+    ],
+    exempt: &[],
     crate_root_only: false,
     check,
 };

@@ -1,8 +1,7 @@
 //! Finds the workspace's Rust sources.
 //!
-//! Walks the configured roots (default `crates/`) recursively, in
-//! sorted order so the report is deterministic, and classifies each
-//! `.rs` file:
+//! Walks [`ROOT`] (`crates/`) recursively, in sorted order so the
+//! report is deterministic, and classifies each `.rs` file:
 //!
 //! - **crate roots** (`src/lib.rs`, `src/main.rs`, `src/bin/*.rs`,
 //!   `examples/*.rs`) — the files the `forbid-unsafe` rule applies to;
@@ -11,14 +10,18 @@
 //! - **test files** (any path containing a `tests/` component) —
 //!   skipped by every rule: `sqip-lint` lints production code.
 //!
-//! `vendor/` is not walked at all (third-party stand-ins), and
-//! `lint.toml`'s `exclude` list drops further prefixes — notably the
-//! lint's own rule fixtures, which *deliberately* violate the rules.
+//! `vendor/` is not walked at all (third-party stand-ins: only
+//! first-party code is linted), and [`EXCLUDE`] — the lint's own rule
+//! fixtures, which *deliberately* violate the rules — is skipped.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::config::Config;
+/// The workspace-relative directory walked for `.rs` sources.
+pub const ROOT: &str = "crates";
+
+/// The workspace-relative prefix never walked: the rule fixtures.
+pub const EXCLUDE: &str = "crates/analysis/fixtures";
 
 /// One source file the linter will scan.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -34,35 +37,25 @@ pub struct SourceFile {
     pub is_test_file: bool,
 }
 
-/// Walks `root` per `cfg` and returns the sources, sorted by relative
-/// path.
+/// Walks [`ROOT`] under the workspace at `root` and returns the
+/// sources, sorted by relative path.
 ///
 /// # Errors
 ///
-/// Propagates directory-read failures; a configured root that does not
-/// exist is an error (a silently-skipped root would quietly disable
-/// whole rule scopes).
-pub fn walk(root: &Path, cfg: &Config) -> io::Result<Vec<SourceFile>> {
-    let mut out = Vec::new();
-    for walk_root in &cfg.roots {
-        let dir = root.join(walk_root);
-        if !dir.is_dir() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!(
-                    "configured root `{walk_root}` is not a directory under {}",
-                    root.display()
-                ),
-            ));
-        }
-        walk_dir(&dir, walk_root, cfg, &mut out)?;
+/// Propagates directory-read failures; a missing [`ROOT`] is an error
+/// (a silently-skipped root would quietly disable every rule).
+pub fn walk(root: &Path) -> io::Result<Vec<SourceFile>> {
+    let dir = root.join(ROOT);
+    if !dir.is_dir() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("`{ROOT}` is not a directory under {}", root.display()),
+        ));
     }
+    let mut out = Vec::new();
+    walk_dir(&dir, ROOT, &mut out)?;
     out.sort();
     Ok(out)
-}
-
-fn excluded(rel: &str, cfg: &Config) -> bool {
-    cfg.exclude.iter().any(|p| path_has_prefix(rel, p))
 }
 
 /// Whether `rel` equals `prefix` or starts with it at a `/` boundary.
@@ -74,7 +67,7 @@ pub fn path_has_prefix(rel: &str, prefix: &str) -> bool {
             && rel.as_bytes()[prefix.len()] == b'/')
 }
 
-fn walk_dir(dir: &Path, rel: &str, cfg: &Config, out: &mut Vec<SourceFile>) -> io::Result<()> {
+fn walk_dir(dir: &Path, rel: &str, out: &mut Vec<SourceFile>) -> io::Result<()> {
     let mut entries: Vec<_> = std::fs::read_dir(dir)?
         .collect::<Result<Vec<_>, _>>()?
         .into_iter()
@@ -86,16 +79,16 @@ fn walk_dir(dir: &Path, rel: &str, cfg: &Config, out: &mut Vec<SourceFile>) -> i
             continue;
         };
         let child_rel = format!("{rel}/{name}");
+        if path_has_prefix(&child_rel, EXCLUDE) {
+            continue;
+        }
         if path.is_dir() {
             // Build output and VCS metadata are never sources.
             if name == "target" || name == ".git" {
                 continue;
             }
-            if excluded(&child_rel, cfg) {
-                continue;
-            }
-            walk_dir(&path, &child_rel, cfg, out)?;
-        } else if name.ends_with(".rs") && !excluded(&child_rel, cfg) {
+            walk_dir(&path, &child_rel, out)?;
+        } else if name.ends_with(".rs") {
             out.push(SourceFile {
                 is_crate_root: classify_crate_root(&child_rel),
                 is_test_file: child_rel.split('/').any(|c| c == "tests"),
@@ -145,25 +138,14 @@ mod tests {
     #[test]
     fn walks_this_crate() {
         // The analysis crate's own sources are a stable walk target.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .unwrap();
-        let cfg = Config {
-            roots: vec!["crates/analysis".to_string()],
-            exclude: vec!["crates/analysis/fixtures".to_string()],
-            ..Config::default()
-        };
-        let files = walk(root, &cfg).unwrap();
+        let files = walk(crate::workspace_root()).unwrap();
         let lib = files
             .iter()
             .find(|f| f.rel == "crates/analysis/src/lib.rs")
             .expect("walker must find its own lib.rs");
         assert!(lib.is_crate_root);
         assert!(!lib.is_test_file);
-        assert!(files
-            .iter()
-            .all(|f| !path_has_prefix(&f.rel, "crates/analysis/fixtures")));
+        assert!(files.iter().all(|f| !path_has_prefix(&f.rel, EXCLUDE)));
         let test_file = files
             .iter()
             .find(|f| f.rel.starts_with("crates/analysis/tests/"))
@@ -177,11 +159,7 @@ mod tests {
 
     #[test]
     fn missing_root_is_an_error() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-        let cfg = Config {
-            roots: vec!["no-such-dir".to_string()],
-            ..Config::default()
-        };
-        assert!(walk(root, &cfg).is_err());
+        // crates/analysis has no `crates/` directory of its own.
+        assert!(walk(Path::new(env!("CARGO_MANIFEST_DIR"))).is_err());
     }
 }

@@ -1,24 +1,13 @@
-//! The `cargo test` gate: runs the full configured `sqip-lint` pass
-//! over the real workspace and fails on any error-severity finding —
-//! the same pass the `sqip-lint` binary and the CI `conformance` job
-//! run.
+//! The `cargo test` gate: runs the full `sqip-lint` pass over the real
+//! workspace and fails on any error-severity finding — the same pass
+//! the `sqip-lint` binary and the CI `conformance` job run.
 
-use std::path::Path;
-
-use sqip_analysis::{engine, Config};
-
-fn workspace_root() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/analysis sits two levels below the workspace root")
-}
+use sqip_analysis::walker::{self, path_has_prefix};
+use sqip_analysis::{engine, rules, workspace_root, Severity};
 
 #[test]
 fn workspace_is_lint_clean() {
-    let root = workspace_root();
-    let cfg = Config::load(&root.join("lint.toml")).expect("lint.toml parses");
-    let report = engine::run(root, &cfg).expect("lint pass runs");
+    let report = engine::run(workspace_root()).expect("lint pass runs");
 
     // The walker must actually be walking the workspace: every
     // first-party crate root plus module files. A collapse of this
@@ -32,7 +21,7 @@ fn workspace_is_lint_clean() {
     let errors: Vec<String> = report
         .findings
         .iter()
-        .filter(|f| f.severity == sqip_analysis::Severity::Error)
+        .filter(|f| f.severity == Severity::Error)
         .map(ToString::to_string)
         .collect();
     assert!(
@@ -45,10 +34,8 @@ fn workspace_is_lint_clean() {
 
 #[test]
 fn the_pass_is_deterministic() {
-    let root = workspace_root();
-    let cfg = Config::load(&root.join("lint.toml")).expect("lint.toml parses");
-    let a = engine::run(root, &cfg).expect("first run");
-    let b = engine::run(root, &cfg).expect("second run");
+    let a = engine::run(workspace_root()).expect("first run");
+    let b = engine::run(workspace_root()).expect("second run");
     assert_eq!(a.findings, b.findings);
     assert_eq!(a.files, b.files);
     assert_eq!(a.suppressed, b.suppressed);
@@ -56,17 +43,35 @@ fn the_pass_is_deterministic() {
 
 #[test]
 fn every_configured_rule_scope_resolves() {
-    // Each rule in lint.toml must point at at least one walked file;
-    // a stale path would silently disable the rule.
-    let root = workspace_root();
-    let cfg = Config::load(&root.join("lint.toml")).expect("lint.toml parses");
-    let files = sqip_analysis::walker::walk(root, &cfg).expect("walk");
-    for (rule, rc) in &cfg.rules {
-        let covered = files.iter().any(|f| {
-            rc.paths
-                .iter()
-                .any(|p| sqip_analysis::walker::path_has_prefix(&f.rel, p))
-        });
-        assert!(covered, "rule `{rule}` scopes no existing files");
+    // Each of a rule's paths and exemptions must name at least one
+    // walked production file: a stale path silently narrows the rule,
+    // a stale exemption silently does nothing. An exemption without a
+    // reason documents nothing.
+    let files = walker::walk(workspace_root()).expect("walk");
+    let names_a_file = |prefix: &str| {
+        files
+            .iter()
+            .any(|f| !f.is_test_file && path_has_prefix(&f.rel, prefix))
+    };
+    for rule in rules::all() {
+        for path in rule.paths {
+            assert!(
+                names_a_file(path),
+                "rule `{}` path `{path}` names no walked file",
+                rule.name
+            );
+        }
+        for (path, reason) in rule.exempt {
+            assert!(
+                names_a_file(path),
+                "rule `{}` exemption `{path}` names no walked file",
+                rule.name
+            );
+            assert!(
+                !reason.trim().is_empty(),
+                "rule `{}` exemption `{path}` has no reason",
+                rule.name
+            );
+        }
     }
 }

@@ -123,7 +123,14 @@ impl<S: Scheduler> Pipeline<'_, S> {
                 .map(|l| (l.seq, l.pc));
             if let Some((lseq, lpc)) = victim {
                 self.stats.mis_forwards += 1;
-                self.policy.cam_violation(lpc, rec.pc);
+                // Train on the path the load predicted with; read it before
+                // the squash retires the load's entry.
+                let lpath = self
+                    .sched
+                    .inst(lseq.0)
+                    .expect("violating load in flight")
+                    .path;
+                self.policy.cam_violation(lpc, lpath, rec.pc);
                 self.complete(seq, data, 1);
                 self.squash_from(lseq);
                 return;

@@ -439,6 +439,51 @@ mod ordering_tests {
         }
     }
 
+    /// A store whose address waits on a three-`mul` chain, then a load
+    /// from that address: the load runs ahead of the store until the
+    /// FSP learns the dependence from the LQ CAM's violations.
+    fn late_store_address_loop(iters: i64) -> Trace {
+        let mut b = ProgramBuilder::new();
+        let (ctr, addr, v, t) = (Reg::new(1), Reg::new(2), Reg::new(3), Reg::new(4));
+        b.load_imm(ctr, iters);
+        b.load_imm(v, 7);
+        let top = b.label("top");
+        b.load_imm(addr, 0x900);
+        b.mul_imm(addr, addr, 1);
+        b.mul_imm(addr, addr, 1);
+        b.mul_imm(addr, addr, 1);
+        b.add_imm(v, v, 1);
+        b.store(DataSize::Quad, v, addr, 0);
+        b.load(DataSize::Quad, t, Reg::ZERO, 0x900);
+        b.xor(t, t, v);
+        b.add_imm(ctr, ctr, -1);
+        b.branch_nz(ctr, top);
+        b.halt();
+        trace_program(&b.build().unwrap(), 1_000_000).unwrap()
+    }
+
+    #[test]
+    fn lq_cam_violations_train_the_fsp_on_the_loads_path() {
+        // With path bits the FSP indexes a load by its path history, so a
+        // CAM-detected dependence must be learned on the victim load's
+        // path: learned on any other, the load never finds it and
+        // violates on every iteration.
+        let trace = late_store_address_loop(300);
+        for design in [SqDesign::Associative3, SqDesign::Associative5Replay] {
+            for path_bits in [0, 4] {
+                let mut cfg = cam_config(design);
+                cfg.fsp.path_bits = path_bits;
+                let stats = Processor::new(cfg, &trace).run();
+                assert_eq!(stats.committed, trace.len() as u64);
+                assert!(
+                    stats.mis_forwards <= 5,
+                    "{design} with path_bits = {path_bits}: {} violations",
+                    stats.mis_forwards
+                );
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "wrong-entry forwarding")]
     fn lq_cam_rejects_indexed_designs() {

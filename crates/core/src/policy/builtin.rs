@@ -142,7 +142,7 @@ impl BuiltinPolicy {
         // Forwarding index prediction: FSP at decode, SAT at rename, keep
         // the youngest in-flight SSN.
         let mut best: Option<(u64, Ssn)> = None;
-        for store_pc in self.fsp.predict_with_path(pc, path) {
+        for store_pc in self.fsp.predict(pc, path) {
             let ssn = self.sat.lookup(store_pc);
             if ssn.is_in_flight(view.ssn_cmt) && best.is_none_or(|(_, b)| ssn > b) {
                 best = Some((store_pc, ssn));
@@ -235,13 +235,15 @@ impl BuiltinPolicy {
     }
 
     /// **Execute:** under the LQ-CAM ordering mode, an executing store
-    /// caught a younger already-executed load; train the scheduler.
-    pub(crate) fn cam_violation(&mut self, load_pc: Pc, store_pc: Pc) {
+    /// caught a younger already-executed load (on `load_path`, its path
+    /// history at rename); train the scheduler.
+    pub(crate) fn cam_violation(&mut self, load_pc: Pc, load_path: u64, store_pc: Pc) {
         if self.caps.original_store_sets {
             let pseudo = self.store_pseudo_pc(store_pc);
             self.store_sets.violation(load_pc, pseudo);
         } else if !self.caps.oracle {
-            self.fsp.learn(load_pc, self.fsp.partial_store_pc(store_pc));
+            let store = self.fsp.partial_store_pc(store_pc);
+            self.fsp.learn(load_pc, store, load_path);
         }
     }
 
@@ -314,7 +316,7 @@ impl BuiltinPolicy {
             // The load and the most recent store to its address are too far
             // apart for forwarding (or there is none): unlearn (§3.2).
             if let Some(pc) = load.pred_store_pc {
-                self.fsp.weaken_with_path(load.pc, pc, load.path);
+                self.fsp.weaken(load.pc, pc, load.path);
             }
             return;
         }
@@ -333,7 +335,7 @@ impl BuiltinPolicy {
         if instance_correct && pc_correct {
             // Correct forwarding prediction: reinforce (§3.2 "we learn
             // store-load dependences on correct forwarding").
-            self.fsp.strengthen_with_path(
+            self.fsp.strengthen(
                 load.pc,
                 load.pred_store_pc.expect("pc_correct implies prediction"),
                 load.path,
@@ -345,13 +347,13 @@ impl BuiltinPolicy {
                 // forwarding): an indexed SQ cannot exploit this entry —
                 // "there is no point in delaying the load on a store
                 // instance on which it is known not to depend" — unlearn.
-                self.fsp.weaken_with_path(load.pc, pc, load.path);
+                self.fsp.weaken(load.pc, pc, load.path);
             } else {
                 // For an associative SQ the FSP is only a scheduler, and
                 // gating on the most recent instance transitively orders
                 // the load behind the true (older) producer, which the
                 // search then finds: the dependence is useful — reinforce.
-                self.fsp.strengthen_with_path(load.pc, pc, load.path);
+                self.fsp.strengthen(load.pc, pc, load.path);
             }
         } else if load.flushed {
             // "... and on mis-forwardings in which we fail to predict not
@@ -359,7 +361,7 @@ impl BuiltinPolicy {
             // — new dependences are created only by actual mis-forwardings,
             // so lossy-SSBF aliasing cannot plant spurious dependences.
             if let Some(actual) = actual_pc {
-                self.fsp.learn_with_path(load.pc, actual, load.path);
+                self.fsp.learn(load.pc, actual, load.path);
             }
         }
     }

@@ -69,8 +69,8 @@ struct FspEntry {
 ///
 /// let mut fsp = Fsp::default();
 /// let (ld, st) = (Pc::new(0x100), Pc::new(0x40));
-/// fsp.learn(ld, fsp.partial_store_pc(st));
-/// assert_eq!(fsp.predict(ld), vec![fsp.partial_store_pc(st)]);
+/// fsp.learn(ld, fsp.partial_store_pc(st), 0);
+/// assert_eq!(fsp.predict(ld, 0), vec![fsp.partial_store_pc(st)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fsp {
@@ -127,19 +127,16 @@ impl Fsp {
         store_pc.partial(self.config.store_pc_bits)
     }
 
-    /// All confident store (partial) PCs for this load, in no particular
-    /// order. At most `ways` results.
+    /// All confident store (partial) PCs for this load on `path`, in no
+    /// particular order. At most `ways` results.
+    ///
+    /// Every method takes the load's path history; its low
+    /// [`FspConfig::path_bits`] select the set, so a dependence is only
+    /// found on the path it was trained on. With `path_bits == 0` the
+    /// path is ignored.
     #[must_use]
-    pub fn predict(&self, load_pc: Pc) -> Vec<u64> {
-        self.predict_with_path(load_pc, 0)
-    }
-
-    /// Path-qualified prediction (see [`FspConfig::path_bits`]); with
-    /// `path_bits == 0` the path is ignored and this equals
-    /// [`Fsp::predict`].
-    #[must_use]
-    pub fn predict_with_path(&self, load_pc: Pc, path: u64) -> Vec<u64> {
-        let (base, tag) = self.slice_with_path(load_pc, path);
+    pub fn predict(&self, load_pc: Pc, path: u64) -> Vec<u64> {
+        let (base, tag) = self.slice(load_pc, path);
         self.sets[base..base + self.config.ways]
             .iter()
             .filter(|e| e.valid && e.tag == tag && e.counter.predicts())
@@ -151,16 +148,11 @@ impl Fsp {
     /// PC`. Called when a mis-forwarding flush reveals a dependence the
     /// table did not represent. The victim is the invalid way, else the way
     /// with a zero counter, else the LRU way.
-    pub fn learn(&mut self, load_pc: Pc, store_partial_pc: u64) {
-        self.learn_with_path(load_pc, store_partial_pc, 0);
-    }
-
-    /// Path-qualified [`Fsp::learn`].
-    pub fn learn_with_path(&mut self, load_pc: Pc, store_partial_pc: u64, path: u64) {
+    pub fn learn(&mut self, load_pc: Pc, store_partial_pc: u64, path: u64) {
         self.tick += 1;
         let tick = self.tick;
         let ways = self.config.ways;
-        let (base, tag) = self.slice_with_path(load_pc, path);
+        let (base, tag) = self.slice(load_pc, path);
         let set = &mut self.sets[base..base + ways];
 
         if let Some(e) = set
@@ -185,12 +177,7 @@ impl Fsp {
 
     /// Reinforces an existing dependence (correct forwarding at commit).
     /// Does nothing if the entry is not present or the ratio is 0:1.
-    pub fn strengthen(&mut self, load_pc: Pc, store_partial_pc: u64) {
-        self.strengthen_with_path(load_pc, store_partial_pc, 0);
-    }
-
-    /// Path-qualified [`Fsp::strengthen`].
-    pub fn strengthen_with_path(&mut self, load_pc: Pc, store_partial_pc: u64, path: u64) {
+    pub fn strengthen(&mut self, load_pc: Pc, store_partial_pc: u64, path: u64) {
         self.tick += 1;
         let tick = self.tick;
         let positive = self.config.ratio.positive;
@@ -203,12 +190,7 @@ impl Fsp {
     /// Weakens a dependence (the load and the store turned out to be too
     /// far apart for forwarding, or the prediction named the right PC but
     /// the wrong dynamic instance).
-    pub fn weaken(&mut self, load_pc: Pc, store_partial_pc: u64) {
-        self.weaken_with_path(load_pc, store_partial_pc, 0);
-    }
-
-    /// Path-qualified [`Fsp::weaken`].
-    pub fn weaken_with_path(&mut self, load_pc: Pc, store_partial_pc: u64, path: u64) {
+    pub fn weaken(&mut self, load_pc: Pc, store_partial_pc: u64, path: u64) {
         let negative = self.config.ratio.negative;
         if let Some(e) = self.entry_mut(load_pc, store_partial_pc, path) {
             e.counter.weaken(negative);
@@ -229,7 +211,7 @@ impl Fsp {
         self.sets.iter().filter(|e| e.valid).count()
     }
 
-    fn slice_with_path(&self, pc: Pc, path: u64) -> (usize, u64) {
+    fn slice(&self, pc: Pc, path: u64) -> (usize, u64) {
         let sets = self.config.entries / self.config.ways;
         let path_mask = if self.config.path_bits == 0 {
             0
@@ -250,7 +232,7 @@ impl Fsp {
         path: u64,
     ) -> Option<&mut FspEntry> {
         let ways = self.config.ways;
-        let (base, tag) = self.slice_with_path(load_pc, path);
+        let (base, tag) = self.slice(load_pc, path);
         self.sets[base..base + ways]
             .iter_mut()
             .find(|e| e.valid && e.tag == tag && e.store_pc == store_partial_pc)
@@ -272,7 +254,7 @@ mod tests {
     #[test]
     fn empty_table_predicts_nothing() {
         let fsp = Fsp::default();
-        assert!(fsp.predict(Pc::new(0x40)).is_empty());
+        assert!(fsp.predict(Pc::new(0x40), 0).is_empty());
         assert_eq!(fsp.occupancy(), 0);
     }
 
@@ -280,8 +262,8 @@ mod tests {
     fn learn_then_predict() {
         let mut fsp = small();
         let ld = Pc::new(0x100);
-        fsp.learn(ld, 0x17);
-        assert_eq!(fsp.predict(ld), vec![0x17]);
+        fsp.learn(ld, 0x17, 0);
+        assert_eq!(fsp.predict(ld, 0), vec![0x17]);
         assert_eq!(fsp.occupancy(), 1);
     }
 
@@ -289,10 +271,10 @@ mod tests {
     fn associativity_bounds_dependences() {
         let mut fsp = small();
         let ld = Pc::new(0x100);
-        fsp.learn(ld, 1);
-        fsp.learn(ld, 2);
-        fsp.learn(ld, 3); // evicts one of the first two
-        let preds = fsp.predict(ld);
+        fsp.learn(ld, 1, 0);
+        fsp.learn(ld, 2, 0);
+        fsp.learn(ld, 3, 0); // evicts one of the first two
+        let preds = fsp.predict(ld, 0);
         assert_eq!(preds.len(), 2, "2-way FSP represents at most 2 stores");
         assert!(preds.contains(&3), "newly learned dependence is present");
     }
@@ -301,32 +283,32 @@ mod tests {
     fn negative_training_unlearns_slowly() {
         let mut fsp = small();
         let ld = Pc::new(0x100);
-        fsp.learn(ld, 9); // counter = 15
+        fsp.learn(ld, 9, 0); // counter = 15
         for _ in 0..7 {
-            fsp.weaken(ld, 9);
+            fsp.weaken(ld, 9, 0);
         }
-        assert_eq!(fsp.predict(ld), vec![9], "still above threshold at 8");
-        fsp.weaken(ld, 9);
-        assert!(fsp.predict(ld).is_empty(), "crossed below threshold");
+        assert_eq!(fsp.predict(ld, 0), vec![9], "still above threshold at 8");
+        fsp.weaken(ld, 9, 0);
+        assert!(fsp.predict(ld, 0).is_empty(), "crossed below threshold");
     }
 
     #[test]
     fn strengthen_recovers_confidence() {
         let mut fsp = small();
         let ld = Pc::new(0x100);
-        fsp.learn(ld, 9);
+        fsp.learn(ld, 9, 0);
         for _ in 0..8 {
-            fsp.weaken(ld, 9);
+            fsp.weaken(ld, 9, 0);
         }
-        assert!(fsp.predict(ld).is_empty());
-        fsp.strengthen(ld, 9); // +8 with the default ratio
-        assert_eq!(fsp.predict(ld), vec![9]);
+        assert!(fsp.predict(ld, 0).is_empty());
+        fsp.strengthen(ld, 9, 0); // +8 with the default ratio
+        assert_eq!(fsp.predict(ld, 0), vec![9]);
     }
 
     #[test]
     fn strengthen_of_absent_entry_is_noop() {
         let mut fsp = small();
-        fsp.strengthen(Pc::new(0x100), 5);
+        fsp.strengthen(Pc::new(0x100), 5, 0);
         assert_eq!(fsp.occupancy(), 0);
     }
 
@@ -336,8 +318,8 @@ mod tests {
         let sets = 16; // 32 entries / 2 ways
         let ld_a = Pc::from_index(3);
         let ld_b = Pc::from_index(3 + sets); // same set, different tag
-        fsp.learn(ld_a, 0x11);
-        assert!(fsp.predict(ld_b).is_empty());
+        fsp.learn(ld_a, 0x11, 0);
+        assert!(fsp.predict(ld_b, 0).is_empty());
     }
 
     #[test]
@@ -347,17 +329,17 @@ mod tests {
         let tag_space = 256usize; // 8-bit tags
         let ld_a = Pc::from_index(3);
         let ld_alias = Pc::from_index(3 + sets * tag_space); // same set AND tag
-        fsp.learn(ld_a, 0x11);
-        assert_eq!(fsp.predict(ld_alias), vec![0x11], "partial tags alias");
+        fsp.learn(ld_a, 0x11, 0);
+        assert_eq!(fsp.predict(ld_alias, 0), vec![0x11], "partial tags alias");
     }
 
     #[test]
     fn clear_empties_table() {
         let mut fsp = small();
-        fsp.learn(Pc::new(0x100), 1);
+        fsp.learn(Pc::new(0x100), 1, 0);
         fsp.clear();
         assert_eq!(fsp.occupancy(), 0);
-        assert!(fsp.predict(Pc::new(0x100)).is_empty());
+        assert!(fsp.predict(Pc::new(0x100), 0).is_empty());
     }
 
     #[test]
@@ -368,9 +350,9 @@ mod tests {
             ..FspConfig::default()
         });
         let ld = Pc::new(0x100);
-        fsp.learn(ld, 1);
-        fsp.learn(ld, 2);
-        assert_eq!(fsp.predict(ld), vec![2], "direct-mapped holds one store");
+        fsp.learn(ld, 1, 0);
+        fsp.learn(ld, 2, 0);
+        assert_eq!(fsp.predict(ld, 0), vec![2], "direct-mapped holds one store");
     }
 
     #[test]

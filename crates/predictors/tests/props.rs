@@ -67,10 +67,10 @@ proptest! {
         use sqip_predictors::{Fsp, FspConfig};
         let mut fsp = Fsp::new(FspConfig { entries: 64, ways: 2, ..FspConfig::default() });
         for &(ld, st) in &deps {
-            fsp.learn(Pc::from_index(ld as usize), st);
+            fsp.learn(Pc::from_index(ld as usize), st, 0);
         }
         for &(ld, _) in &deps {
-            prop_assert!(fsp.predict(Pc::from_index(ld as usize)).len() <= 2);
+            prop_assert!(fsp.predict(Pc::from_index(ld as usize), 0).len() <= 2);
         }
     }
 }

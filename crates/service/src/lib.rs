@@ -27,7 +27,7 @@ pub mod client;
 pub mod journal;
 pub mod loader;
 pub mod protocol;
-pub mod queue;
+mod queue;
 pub mod server;
 
 /// Locks `m`, recovering the guard if another thread panicked while
@@ -44,5 +44,4 @@ pub use client::{Connection, JobOutcome, JobStatus, MAX_RESPONSE_LINE};
 pub use journal::{Journal, PendingJob};
 pub use loader::{run_load, BurstReport, LatencySummary, LoadReport, LoaderConfig, SloReport};
 pub use protocol::{Request, Response, StatsSnapshot};
-pub use queue::{FairQueue, PushError, Reservation};
 pub use server::{RateLimit, Server, ServerConfig, ServerHandle, MAX_REQUEST_LINE};

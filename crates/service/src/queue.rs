@@ -102,12 +102,6 @@ impl<T> FairQueue<T> {
         lock_unpoisoned(&self.state).len
     }
 
-    /// Whether nothing is queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Peak occupancy since construction — structurally bounded by
     /// [`capacity`](Self::capacity).
     #[must_use]
@@ -302,7 +296,7 @@ mod tests {
         let a = q.reserve(1).unwrap();
         let b = q.reserve(2).unwrap();
         assert_eq!(q.reserve(3).err(), Some(PushError::Full { capacity: 2 }));
-        assert!(q.is_empty(), "a reservation is not poppable");
+        assert_eq!(q.len(), 0, "a reservation is not poppable");
         drop(b);
         push(&q, 3, "c");
         a.publish("a");

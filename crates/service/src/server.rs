@@ -1,5 +1,5 @@
 //! The `sqipd` server: accept loop, per-connection reader/writer
-//! threads, a worker pool draining the [`FairQueue`], and a deadline
+//! threads, a worker pool draining the client-fair job queue, and a deadline
 //! monitor enforcing per-job timeouts.
 //!
 //! # Threading model
@@ -680,9 +680,6 @@ fn settle(shared: &Shared, ticket: &Ticket, response: Response) {
 /// jobs and settles the queued ones.
 fn serve_connection(shared: &Arc<Shared>, client: u64, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    // The accept loop already registered this client; re-registering is
-    // an idempotent no-op kept for embedders that call this directly.
-    shared.queue.register(client);
     let (tx, rx) = sync_channel::<Response>(RESPONSE_CHANNEL_DEPTH);
     let writer_stream = match stream.try_clone() {
         Ok(s) => s,
