@@ -2,9 +2,9 @@
 //! fixture (on exactly the lines marked `// HIT`) and stay silent on
 //! its `clean.rs` fixture.
 //!
-//! The fixtures live under `crates/analysis/fixtures/<rule>/` — a
-//! directory `lint.toml` excludes from the real workspace walk, since
-//! the hit files violate the rules on purpose.
+//! The fixtures live under `crates/analysis/fixtures/<rule>/` — the
+//! directory `walker::EXCLUDE` keeps out of the real workspace walk,
+//! since the hit files violate the rules on purpose.
 
 use std::path::Path;
 

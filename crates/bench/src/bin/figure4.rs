@@ -75,7 +75,7 @@ fn main() -> Result<(), sqip::SqipError> {
 
     println!("Figure 4. Execution times relative to an ideal, 3-cycle");
     println!("associative store queue with oracle load scheduling.\n");
-    let widths: Vec<usize> = compared.iter().map(|d| d.label().len().max(8)).collect();
+    let widths: Vec<usize> = compared.iter().map(|d| d.name().len().max(8)).collect();
     // Name column sized to the roster (generator names can be long).
     let name_w = results
         .workload_names()
@@ -86,7 +86,7 @@ fn main() -> Result<(), sqip::SqipError> {
         .max(10);
     print!("{:>name_w$} {:>6} |", "", "IPC");
     for (design, w) in compared.iter().zip(&widths) {
-        print!(" {:>w$}", design.label(), w = w);
+        print!(" {:>w$}", design.name(), w = w);
     }
     println!();
     // name + " " + 6-wide IPC + " |"; each design column adds " " + w.

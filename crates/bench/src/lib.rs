@@ -296,24 +296,25 @@ fn print_designs() {
 /// A one-line capability summary, derived from the registry.
 #[must_use]
 fn describe(design: SqDesign) -> String {
+    let caps = design.caps();
     let mut parts = vec![
-        if design.is_indexed() {
+        if caps.indexed {
             "indexed".to_string()
         } else {
             "associative".to_string()
         },
-        format!("{}-cycle SQ", design.sq_latency()),
+        format!("{}-cycle SQ", caps.sq_latency),
     ];
-    if design.is_oracle() {
+    if caps.oracle {
         parts.push("oracle scheduling".to_string());
     }
-    if design.uses_original_store_sets() {
+    if caps.original_store_sets {
         parts.push("original store sets".to_string());
     }
-    if design.uses_delay() {
+    if caps.delay {
         parts.push("delay prediction".to_string());
     }
-    if design.predicts_forward_latency() {
+    if caps.fwd_latency_pred {
         parts.push("fwd-latency scheduling".to_string());
     }
     parts.join(", ")

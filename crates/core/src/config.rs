@@ -19,13 +19,12 @@ use serde::{Deserialize, Serialize};
 /// [`DesignRegistry::register`] and then work everywhere a builtin does.
 ///
 /// Names round-trip through [`std::fmt::Display`] / [`std::str::FromStr`]
-/// (so CLI flags and JSON results can name designs), and deserialization
-/// additionally accepts the legacy enum-variant spellings
-/// (`"IdealOracle"`, …) that pre-registry JSON results used.
+/// (so CLI flags and JSON results can name designs); a design has exactly
+/// one name.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SqDesign(&'static str);
 
-#[allow(non_upper_case_globals)] // legacy enum-variant spellings, kept API-compatible
+#[allow(non_upper_case_globals)] // Rust handles; a design's one name is its string
 impl SqDesign {
     /// Associative SQ, 3-cycle (= data cache) latency, *oracle* load
     /// scheduling: each load waits exactly for its architectural producing
@@ -85,15 +84,7 @@ impl SqDesign {
         self.0
     }
 
-    /// The label used in Figure 4 and throughout the harness output.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        self.0
-    }
-
-    /// The design's registered capabilities.
-    ///
-    /// This and the convenience predicates below resolve through
+    /// The design's registered capabilities, resolved through
     /// [`DesignRegistry::global`], which holds every design a handle can
     /// name.
     #[must_use]
@@ -101,44 +92,6 @@ impl SqDesign {
         DesignRegistry::global()
             .caps(self)
             .expect("every SqDesign handle names a registered design")
-    }
-
-    /// Whether loads access the SQ by predicted index (vs associatively).
-    #[must_use]
-    pub fn is_indexed(self) -> bool {
-        self.caps().indexed
-    }
-
-    /// Whether the delay index predictor (DDP) is active.
-    #[must_use]
-    pub fn uses_delay(self) -> bool {
-        self.caps().delay
-    }
-
-    /// Whether load scheduling is oracle (no dependence predictor).
-    #[must_use]
-    pub fn is_oracle(self) -> bool {
-        self.caps().oracle
-    }
-
-    /// Whether scheduling uses the original SSIT/LFST Store Sets predictor
-    /// instead of the paper's FSP/SAT reformulation.
-    #[must_use]
-    pub fn uses_original_store_sets(self) -> bool {
-        self.caps().original_store_sets
-    }
-
-    /// SQ access latency in cycles for forwarded loads.
-    #[must_use]
-    pub fn sq_latency(self) -> u64 {
-        self.caps().sq_latency
-    }
-
-    /// Whether dependents of predicted-forwarding loads are scheduled at
-    /// SQ latency (the "forwarding prediction" latency hybrid of §4.2).
-    #[must_use]
-    pub fn predicts_forward_latency(self) -> bool {
-        self.caps().fwd_latency_pred
     }
 }
 
@@ -153,20 +106,6 @@ impl std::fmt::Debug for SqDesign {
         f.write_str(self.0)
     }
 }
-
-/// The pre-registry enum-variant spellings, accepted by
-/// [`std::str::FromStr`] and deserialization for JSON compatibility.
-/// Reserved: the registry rejects registrations under these names, since
-/// name resolution would silently redirect them to the builtins.
-pub(crate) const LEGACY_ALIASES: [(&str, &str); 7] = [
-    ("IdealOracle", "ideal-oracle"),
-    ("Associative3StoreSets", "associative-3-storesets"),
-    ("Associative3", "associative-3"),
-    ("Associative5Replay", "associative-5-replay"),
-    ("Associative5FwdPred", "associative-5-fwdpred"),
-    ("Indexed3Fwd", "indexed-3-fwd"),
-    ("Indexed3FwdDly", "indexed-3-fwd+dly"),
-];
 
 /// A design name that is not in the [`DesignRegistry`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -198,15 +137,11 @@ impl std::error::Error for ParseDesignError {}
 impl std::str::FromStr for SqDesign {
     type Err = ParseDesignError;
 
-    /// The inverse of [`std::fmt::Display`]: resolves a design name (or a
-    /// legacy enum-variant spelling) through the global registry.
+    /// The inverse of [`std::fmt::Display`]: resolves a design name
+    /// through the global registry.
     fn from_str(s: &str) -> Result<SqDesign, ParseDesignError> {
-        let canonical = LEGACY_ALIASES
-            .iter()
-            .find(|(alias, _)| *alias == s)
-            .map_or(s, |&(_, name)| name);
         DesignRegistry::global()
-            .lookup(canonical)
+            .lookup(s)
             .ok_or_else(|| ParseDesignError {
                 name: s.to_string(),
             })
@@ -270,20 +205,6 @@ impl std::fmt::Display for Engine {
             Engine::Event => "event",
             Engine::Reference => "reference",
         })
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Engine, String> {
-        match s {
-            "event" | "Event" => Ok(Engine::Event),
-            "reference" | "Reference" => Ok(Engine::Reference),
-            other => Err(format!(
-                "unknown engine `{other}` (expected `event` or `reference`)"
-            )),
-        }
     }
 }
 
@@ -364,12 +285,7 @@ impl Default for IssueMix {
 }
 
 /// The full machine configuration (defaults reproduce §4.1).
-///
-/// Deserialization is hand-written (rather than derived) so that the
-/// [`Engine`] field — added after the first serialized sweeps — defaults
-/// to [`Engine::Event`] when absent, keeping pre-existing JSON results
-/// loadable.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Store-queue design under test.
     pub design: SqDesign,
@@ -466,11 +382,11 @@ impl SimConfig {
     /// Largest ROB, issue-queue, load-queue or store-queue size
     /// [`SimConfig::try_validate`] accepts (128× the paper's SQ).
     pub const MAX_WINDOW_ENTRIES: usize = 1 << 16;
-    /// Largest fetch, rename or commit width, or re-execution port count,
-    /// [`SimConfig::try_validate`] accepts.
+    /// Largest fetch, rename or commit width, re-execution port count or
+    /// issue-port count [`SimConfig::try_validate`] accepts.
     pub const MAX_WIDTH: usize = 64;
-    /// Largest front-end, issue-to-execute or post-execute latency, in
-    /// cycles, [`SimConfig::try_validate`] accepts.
+    /// Largest front-end, issue-to-execute, post-execute or execution
+    /// latency, in cycles, [`SimConfig::try_validate`] accepts.
     pub const MAX_LATENCY: u64 = 1024;
     /// Largest predictor table (FSP, DDP, SAT, SSBF, SPCT, SSIT, LFST)
     /// [`SimConfig::try_validate`] accepts (8× Figure 5's largest FSP).
@@ -497,9 +413,10 @@ impl SimConfig {
     ///
     /// The accepted ranges are 1..=[`SimConfig::MAX_WINDOW_ENTRIES`] for
     /// the ROB, IQ, LQ and SQ; 1..=[`SimConfig::MAX_WIDTH`] for the fetch,
-    /// rename and commit widths and the re-execution ports;
-    /// 0..=[`SimConfig::MAX_LATENCY`] for the front-end, issue-to-execute
-    /// and post-execute latencies; 8..=[`SimConfig::MAX_SSN_BITS`] for the
+    /// rename and commit widths, the re-execution ports and each issue-port
+    /// count; 0..=[`SimConfig::MAX_LATENCY`] for the front-end,
+    /// issue-to-execute and post-execute latencies and each execution
+    /// latency; 8..=[`SimConfig::MAX_SSN_BITS`] for the
     /// SSN width. SAT, SSBF, SPCT, SSIT and LFST sizes are powers of two,
     /// and FSP and DDP have at least one way and a power-of-two set count,
     /// all at most [`SimConfig::MAX_TABLE_ENTRIES`] entries.
@@ -533,6 +450,12 @@ impl SimConfig {
             ("rename_width", self.rename_width, Self::MAX_WIDTH),
             ("commit_width", self.commit_width, Self::MAX_WIDTH),
             ("reexec_ports", self.reexec_ports, Self::MAX_WIDTH),
+            ("issue.total", self.issue.total, Self::MAX_WIDTH),
+            ("issue.int", self.issue.int, Self::MAX_WIDTH),
+            ("issue.fp", self.issue.fp, Self::MAX_WIDTH),
+            ("issue.branch", self.issue.branch, Self::MAX_WIDTH),
+            ("issue.load", self.issue.load, Self::MAX_WIDTH),
+            ("issue.store", self.issue.store, Self::MAX_WIDTH),
         ] {
             if !(1..=max).contains(&value) {
                 return invalid(&format!("{field} must be in 1..={max} (got {value})"));
@@ -542,6 +465,12 @@ impl SimConfig {
             ("front_latency", self.front_latency),
             ("issue_to_exec", self.issue_to_exec),
             ("post_exec_depth", self.post_exec_depth),
+            ("latencies.int_alu", self.latencies.int_alu),
+            ("latencies.int_mul", self.latencies.int_mul),
+            ("latencies.fp_add", self.latencies.fp_add),
+            ("latencies.fp_mul", self.latencies.fp_mul),
+            ("latencies.fp_div", self.latencies.fp_div),
+            ("latencies.branch", self.latencies.branch),
             ("hierarchy.l1.hit_latency", self.hierarchy.l1.hit_latency),
             ("hierarchy.l2.hit_latency", self.hierarchy.l2.hit_latency),
             (
@@ -597,7 +526,7 @@ impl SimConfig {
                 self.ssn_bits
             ));
         }
-        if self.ordering == OrderingMode::LqCam && self.design.is_indexed() {
+        if self.ordering == OrderingMode::LqCam && self.design.caps().indexed {
             return invalid(
                 "an LQ CAM cannot detect wrong-entry forwarding; indexed designs \
                  require value-based re-execution (the paper's §2 argument)",
@@ -700,56 +629,20 @@ impl Default for SimConfig {
     }
 }
 
-impl Deserialize for SimConfig {
-    fn deserialize(value: &serde::Value) -> Result<SimConfig, serde::Error> {
-        Ok(SimConfig {
-            design: serde::field(value, "design")?,
-            // Absent in JSON produced before the engine axis existed.
-            engine: match value.get("engine") {
-                Some(v) => Engine::deserialize(v)?,
-                None => Engine::default(),
-            },
-            ordering: serde::field(value, "ordering")?,
-            rob_size: serde::field(value, "rob_size")?,
-            iq_size: serde::field(value, "iq_size")?,
-            lq_size: serde::field(value, "lq_size")?,
-            sq_size: serde::field(value, "sq_size")?,
-            fetch_width: serde::field(value, "fetch_width")?,
-            rename_width: serde::field(value, "rename_width")?,
-            commit_width: serde::field(value, "commit_width")?,
-            issue: serde::field(value, "issue")?,
-            front_latency: serde::field(value, "front_latency")?,
-            issue_to_exec: serde::field(value, "issue_to_exec")?,
-            post_exec_depth: serde::field(value, "post_exec_depth")?,
-            reexec_ports: serde::field(value, "reexec_ports")?,
-            latencies: serde::field(value, "latencies")?,
-            hierarchy: serde::field(value, "hierarchy")?,
-            branch: serde::field(value, "branch")?,
-            fsp: serde::field(value, "fsp")?,
-            ddp: serde::field(value, "ddp")?,
-            store_sets: serde::field(value, "store_sets")?,
-            sat_entries: serde::field(value, "sat_entries")?,
-            ssbf_entries: serde::field(value, "ssbf_entries")?,
-            spct_entries: serde::field(value, "spct_entries")?,
-            ssn_bits: serde::field(value, "ssn_bits")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn design_properties() {
-        assert!(SqDesign::Indexed3FwdDly.is_indexed());
-        assert!(SqDesign::Indexed3FwdDly.uses_delay());
-        assert!(!SqDesign::Indexed3Fwd.uses_delay());
-        assert!(!SqDesign::Associative3.is_indexed());
-        assert_eq!(SqDesign::Associative5Replay.sq_latency(), 5);
-        assert_eq!(SqDesign::Indexed3Fwd.sq_latency(), 3);
-        assert!(SqDesign::IdealOracle.is_oracle());
-        assert!(SqDesign::Associative5FwdPred.predicts_forward_latency());
+        assert!(SqDesign::Indexed3FwdDly.caps().indexed);
+        assert!(SqDesign::Indexed3FwdDly.caps().delay);
+        assert!(!SqDesign::Indexed3Fwd.caps().delay);
+        assert!(!SqDesign::Associative3.caps().indexed);
+        assert_eq!(SqDesign::Associative5Replay.caps().sq_latency, 5);
+        assert_eq!(SqDesign::Indexed3Fwd.caps().sq_latency, 3);
+        assert!(SqDesign::IdealOracle.caps().oracle);
+        assert!(SqDesign::Associative5FwdPred.caps().fwd_latency_pred);
     }
 
     #[test]
@@ -839,39 +732,26 @@ mod tests {
         }
         // Registry extensions parse too; unknown names do not.
         let ext: SqDesign = "indexed-5-fwd+dly".parse().unwrap();
-        assert_eq!(ext.sq_latency(), 5);
-        assert!(ext.is_indexed());
+        assert_eq!(ext.caps().sq_latency, 5);
+        assert!(ext.caps().indexed);
         let err = "no-such-design".parse::<SqDesign>().unwrap_err();
         assert!(err.to_string().contains("no-such-design"), "{err}");
         assert!(err.to_string().contains("indexed-3-fwd+dly"), "{err}");
     }
 
     #[test]
-    fn legacy_variant_spellings_still_parse() {
-        assert_eq!(
-            "IdealOracle".parse::<SqDesign>().unwrap(),
-            SqDesign::IdealOracle
-        );
-        assert_eq!(
-            "Indexed3FwdDly".parse::<SqDesign>().unwrap(),
-            SqDesign::Indexed3FwdDly
-        );
-    }
-
-    #[test]
     fn labels_are_unique() {
-        let labels: std::collections::HashSet<_> =
-            SqDesign::ALL.iter().map(|d| d.label()).collect();
+        let labels: std::collections::HashSet<_> = SqDesign::ALL.iter().map(|d| d.name()).collect();
         assert_eq!(labels.len(), SqDesign::ALL.len());
     }
 
     #[test]
     fn original_store_sets_is_an_associative_design() {
-        let d = SqDesign::Associative3StoreSets;
-        assert!(d.uses_original_store_sets());
-        assert!(!d.is_indexed());
-        assert!(!d.uses_delay());
-        assert_eq!(d.sq_latency(), 3);
+        let caps = SqDesign::Associative3StoreSets.caps();
+        assert!(caps.original_store_sets);
+        assert!(!caps.indexed);
+        assert!(!caps.delay);
+        assert_eq!(caps.sq_latency, 3);
     }
 
     #[test]

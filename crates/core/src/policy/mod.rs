@@ -34,7 +34,7 @@
 //! // The paper's indexed scheme with delay prediction at a 7-cycle SQ.
 //! let design = DesignRegistry::global()
 //!     .register("indexed-7-fwd+dly", DesignCaps::indexed(7).with_delay())?;
-//! assert_eq!(design.sq_latency(), 7);
+//! assert_eq!(design.caps().sq_latency, 7);
 //!
 //! let mut b = ProgramBuilder::new();
 //! let (v, t) = (Reg::new(1), Reg::new(2));

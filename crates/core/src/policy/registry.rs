@@ -11,10 +11,6 @@ use crate::policy::DesignCaps;
 pub enum RegistryError {
     /// A design with this name is already registered.
     Duplicate(String),
-    /// The name is a reserved legacy alias of a builtin design: name
-    /// resolution (`FromStr`, JSON, `--design`) rewrites it to the
-    /// builtin, so a design registered under it would be unreachable.
-    ReservedAlias(String),
 }
 
 impl std::fmt::Display for RegistryError {
@@ -22,12 +18,6 @@ impl std::fmt::Display for RegistryError {
         match self {
             RegistryError::Duplicate(name) => {
                 write!(f, "design `{name}` is already registered")
-            }
-            RegistryError::ReservedAlias(name) => {
-                write!(
-                    f,
-                    "design name `{name}` is reserved as a legacy alias of a builtin design"
-                )
             }
         }
     }
@@ -83,17 +73,8 @@ impl DesignRegistry {
     ///
     /// # Errors
     ///
-    /// [`RegistryError::Duplicate`] if the name is taken;
-    /// [`RegistryError::ReservedAlias`] if it is a legacy spelling of a
-    /// builtin (those resolve to the builtin, so the new design would be
-    /// unreachable by name).
+    /// [`RegistryError::Duplicate`] if the name is taken.
     pub fn register(&self, name: &str, caps: DesignCaps) -> Result<SqDesign, RegistryError> {
-        if crate::config::LEGACY_ALIASES
-            .iter()
-            .any(|(alias, _)| *alias == name)
-        {
-            return Err(RegistryError::ReservedAlias(name.to_string()));
-        }
         let mut inner = self.inner.write().expect("registry lock poisoned");
         if inner.caps.contains_key(name) {
             return Err(RegistryError::Duplicate(name.to_string()));
@@ -175,10 +156,11 @@ mod tests {
         let d = DesignRegistry::global()
             .lookup("indexed-5-fwd+dly")
             .expect("extension registered");
-        assert!(d.is_indexed());
-        assert!(d.uses_delay());
-        assert_eq!(d.sq_latency(), 5);
-        assert!(!d.predicts_forward_latency());
+        let caps = d.caps();
+        assert!(caps.indexed);
+        assert!(caps.delay);
+        assert_eq!(caps.sq_latency, 5);
+        assert!(!caps.fwd_latency_pred);
     }
 
     #[test]
@@ -195,23 +177,6 @@ mod tests {
             r.register("associative-3", caps).unwrap_err(),
             RegistryError::Duplicate("associative-3".to_string())
         );
-    }
-
-    #[test]
-    fn legacy_alias_names_are_reserved() {
-        // Name resolution rewrites legacy spellings to the builtins, so a
-        // design registered under one could never be reached by name.
-        let r = DesignRegistry::global();
-        assert_eq!(
-            r.register("IdealOracle", DesignCaps::associative(3))
-                .unwrap_err(),
-            RegistryError::ReservedAlias("IdealOracle".to_string())
-        );
-        assert!(matches!(
-            r.register("Indexed3FwdDly", DesignCaps::indexed(3)),
-            Err(RegistryError::ReservedAlias(_))
-        ));
-        assert_eq!(r.lookup("IdealOracle"), None);
     }
 
     #[test]

@@ -57,24 +57,6 @@ fn every_design_round_trips_through_json() {
 }
 
 #[test]
-fn legacy_enum_variant_json_still_deserializes() {
-    // Pre-registry results serialized designs as enum variant names;
-    // those JSON files must keep loading.
-    for (legacy, design) in [
-        ("\"IdealOracle\"", SqDesign::IdealOracle),
-        ("\"Associative3StoreSets\"", SqDesign::Associative3StoreSets),
-        ("\"Associative3\"", SqDesign::Associative3),
-        ("\"Associative5Replay\"", SqDesign::Associative5Replay),
-        ("\"Associative5FwdPred\"", SqDesign::Associative5FwdPred),
-        ("\"Indexed3Fwd\"", SqDesign::Indexed3Fwd),
-        ("\"Indexed3FwdDly\"", SqDesign::Indexed3FwdDly),
-    ] {
-        let back: SqDesign = serde_json::from_str(legacy).unwrap();
-        assert_eq!(back, design, "{legacy}");
-    }
-}
-
-#[test]
 fn full_config_round_trips_through_json() {
     for design in SqDesign::ALL {
         let mut cfg = SimConfig::with_design(design);

@@ -601,7 +601,7 @@ fn journal_recovers_jobs_killed_mid_queue() {
 #[test]
 fn a_panicking_cell_fails_its_job_and_the_worker_survives() {
     sqip::WorkloadRegistry::global()
-        .register(sqip::RegisteredWorkload::from_factory(
+        .register(sqip::Workload::from_factory(
             "sqipd-test-panics",
             "panics when opened",
             || panic!("test workload panics on open"),
@@ -817,7 +817,7 @@ static GATE: (std::sync::Mutex<bool>, std::sync::Condvar) =
 #[test]
 fn cancelled_and_orphaned_queued_jobs_are_settled() {
     sqip::WorkloadRegistry::global()
-        .register(sqip::RegisteredWorkload::from_factory(
+        .register(sqip::Workload::from_factory(
             "sqipd-test-gated-open",
             "opens once the test lets it",
             || {

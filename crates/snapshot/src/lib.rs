@@ -51,7 +51,7 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 
-use sqip_types::{Addr, AddrSpan, Cycle, DataSize, Pc, Seq, Ssn};
+use sqip_types::{Addr, AddrSpan, DataSize, Pc, Seq, Ssn};
 
 /// File magic identifying a SQIP snapshot.
 pub const SNAP_MAGIC: [u8; 4] = *b"SQSN";
@@ -721,7 +721,7 @@ macro_rules! snapshot_newtype_u64 {
     };
 }
 
-snapshot_newtype_u64!(Seq, Cycle, Addr, Pc, Ssn);
+snapshot_newtype_u64!(Seq, Addr, Pc, Ssn);
 
 impl Snapshot for DataSize {
     fn save(&self, w: &mut SnapWriter) -> Result<(), SnapError> {

@@ -8,11 +8,10 @@
 //! raw indexed SQ flushes, and how the delay index predictor converts
 //! those flushes into bounded delays.
 //!
-//! The custom program enters the sweep as a [`RegisteredWorkload`]
-//! factory over a streaming [`ProgramSource`], so hand-built programs and
-//! Table 3 models drive through the same API: the sweep pulls the
-//! program's record stream once and runs all four designs off that one
-//! pass.
+//! The custom program enters the sweep as a [`Workload`] factory over a
+//! streaming [`ProgramSource`], so hand-built programs and Table 3
+//! models drive through the same API: each of the four cells opens its
+//! own stream of the program.
 //!
 //! ```text
 //! cargo run --release -p sqip --example forwarding_microscope
@@ -20,7 +19,7 @@
 
 #![forbid(unsafe_code)]
 
-use sqip::{Experiment, ProgramSource, RegisteredWorkload, SqDesign, Workload};
+use sqip::{Experiment, ProgramSource, SqDesign, Workload};
 use sqip_isa::{ProgramBuilder, Reg};
 use sqip_types::DataSize;
 
@@ -42,13 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     b.branch_nz(ctr, top);
     b.halt();
     let program = b.build()?;
-    let recurrence =
-        RegisteredWorkload::from_factory("nmr-recurrence", "X[i] = 3*X[i-2]", move || {
-            Ok(Box::new(ProgramSource::new(program.clone(), 1_000_000)) as Box<_>)
-        });
+    let recurrence = Workload::from_factory("nmr-recurrence", "X[i] = 3*X[i-2]", move || {
+        Ok(Box::new(ProgramSource::new(program.clone(), 1_000_000)) as Box<_>)
+    });
 
     let results = Experiment::new()
-        .workload(Workload::from(recurrence))
+        .workload(recurrence)
         .designs([
             SqDesign::IdealOracle,
             SqDesign::Associative3,
@@ -69,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let s = &record.stats;
         println!(
             "{:<22} {:>9} {:>7.2} {:>10.1} {:>9.1} {:>9.1}",
-            record.design.label(),
+            record.design.name(),
             s.cycles,
             s.ipc(),
             s.mis_forwards_per_1000(),

@@ -5,12 +5,18 @@
 //! A cell's **cache key** is the FNV-1a-64 digest (the same [`Fnv`] the
 //! snapshot container uses for its payload checksum) over a canonical
 //! encoding of everything that determines its result: the workload name,
-//! the design name, the variant label, and the cell's fully-resolved
-//! [`SimConfig`](sqip_core::SimConfig) serialized to JSON. Because the
-//! simulator is deterministic, identical keys mean identical results —
-//! and any knob change (a different FSP capacity, a different engine)
-//! changes the config JSON and therefore the key, so stale entries are
-//! structurally unreachable rather than invalidated.
+//! the workload's [`WorkloadSpec`](sqip_workloads::WorkloadSpec) when it
+//! was built from one, the design name, the variant label, and the cell's
+//! fully-resolved [`SimConfig`](sqip_core::SimConfig) serialized to JSON.
+//! Because the simulator is deterministic, identical keys mean identical
+//! results — and any knob change (a different FSP capacity, a different
+//! engine, more iterations of the same named workload) changes the key,
+//! so stale entries are structurally unreachable rather than invalidated.
+//!
+//! Factory and `tracefile:` workloads are keyed by their name alone: the
+//! cache cannot see inside a factory or a file, so a caller that changes
+//! what such a name streams must use a fresh cache directory (or a new
+//! name).
 //!
 //! Entries are written atomically (temp file + rename) and validated on
 //! load: an entry whose recorded identity does not match the requesting
@@ -53,6 +59,8 @@ impl CacheOutcome {
 struct CacheEntry {
     /// The cell's `workload/design/variant` label.
     label: String,
+    /// The workload's spec, when it has one (see [`workload_spec`]).
+    workload: String,
     /// The cell's canonical configuration JSON.
     config: String,
     /// The cell's result.
@@ -108,8 +116,8 @@ impl CacheDir {
 
     /// The content-addressed key of a sweep cell: 16 lowercase hex digits
     /// of the FNV-1a-64 digest over its canonical identity encoding
-    /// (workload name, design name, variant label, config JSON — each
-    /// NUL-terminated).
+    /// (workload name, workload spec, design name, variant label, config
+    /// JSON — each NUL-terminated).
     #[must_use]
     pub fn key_of(run: &Run) -> String {
         let mut fnv = Fnv::new();
@@ -118,6 +126,7 @@ impl CacheDir {
             fnv.update(&[0]);
         };
         eat(run.workload.name());
+        eat(&workload_spec(run));
         eat(&run.design.to_string());
         eat(&run.variant);
         eat(&config_json(run));
@@ -137,7 +146,9 @@ impl CacheDir {
     pub fn load(&self, run: &Run) -> Option<RunRecord> {
         let text = fs::read_to_string(self.path_of(run)).ok()?;
         let entry: CacheEntry = serde_json::from_str(&text).ok()?;
-        let valid = entry.label == run.label() && entry.config == config_json(run);
+        let valid = entry.label == run.label()
+            && entry.workload == workload_spec(run)
+            && entry.config == config_json(run);
         valid.then_some(entry.record)
     }
 
@@ -151,6 +162,7 @@ impl CacheDir {
     pub fn store(&self, run: &Run, record: &RunRecord) -> Result<(), SqipError> {
         let entry = CacheEntry {
             label: run.label(),
+            workload: workload_spec(run),
             config: config_json(run),
             record: record.clone(),
         };
@@ -163,6 +175,14 @@ impl CacheDir {
         fs::rename(&tmp, &path)?;
         Ok(())
     }
+}
+
+/// The workload's spec in its `Debug` form, or empty for a factory or
+/// `tracefile:` workload, which its name identifies alone.
+fn workload_spec(run: &Run) -> String {
+    run.workload
+        .spec()
+        .map_or_else(String::new, |spec| format!("{spec:?}"))
 }
 
 /// The canonical configuration encoding cache identity is computed over.

@@ -2,6 +2,7 @@
 
 use sqip_core::SimError;
 use sqip_isa::IsaError;
+use sqip_workloads::WorkloadRegistryError;
 
 /// Everything that can go wrong while building, running, or exporting an
 /// experiment.
@@ -87,6 +88,12 @@ impl std::error::Error for SqipError {
             | SqipError::Cancelled { .. }
             | SqipError::Panicked { .. } => None,
         }
+    }
+}
+
+impl From<WorkloadRegistryError> for SqipError {
+    fn from(e: WorkloadRegistryError) -> SqipError {
+        SqipError::UnknownWorkload(e.to_string())
     }
 }
 

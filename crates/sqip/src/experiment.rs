@@ -5,8 +5,7 @@
 use std::sync::Arc;
 
 use sqip_core::{SimConfig, SimObserver, SimStats, SqDesign};
-use sqip_isa::{IsaError, TraceSource};
-use sqip_workloads::{RegisteredWorkload, Suite, WorkloadRegistry, WorkloadSpec};
+use sqip_workloads::Workload;
 
 use crate::cache::{CacheDir, CacheOutcome};
 use crate::error::SqipError;
@@ -24,81 +23,6 @@ pub type ObserverFn = Arc<dyn Fn(&Run) -> Box<dyn SimObserver> + Send + Sync>;
 /// The variant label used when an experiment declares no
 /// [`Experiment::vary`] axis.
 pub const BASE_VARIANT: &str = "base";
-
-/// One point on the experiment's workload axis: a named record stream.
-///
-/// A Table 3 model ([`WorkloadSpec`]), a name resolved from the
-/// [`WorkloadRegistry`] (models, `mix:`/`chase:`/`stride:` generators,
-/// `tracefile:` replays) and any [`RegisteredWorkload`] factory are all
-/// the same thing here: each sweep cell opens one fresh stream
-/// ([`Workload::open`]) and pulls it through the simulator in O(window)
-/// memory — nothing is materialized, so run length is unbounded.
-#[derive(Clone)]
-pub struct Workload(RegisteredWorkload);
-
-impl Workload {
-    /// Resolves `name` in the global [`WorkloadRegistry`] — a registered
-    /// workload (Table 3 model, generator-catalogue entry, or anything
-    /// registered at runtime) or a `mix:`/`chase:`/`stride:` generator
-    /// name.
-    ///
-    /// # Errors
-    ///
-    /// [`SqipError::UnknownWorkload`] if the name resolves to nothing.
-    pub fn from_registry(name: &str) -> Result<Workload, SqipError> {
-        WorkloadRegistry::global()
-            .resolve(name)
-            .map(Workload)
-            .map_err(|e| SqipError::UnknownWorkload(e.to_string()))
-    }
-
-    /// The workload's display name (interned, so equal names share one
-    /// pointer).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    /// The suite grouping, when the workload models a Table 3 row.
-    #[must_use]
-    pub fn suite(&self) -> Option<Suite> {
-        self.0.suite()
-    }
-
-    /// Opens a fresh record stream over the workload.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the workload's factory reports (assembler errors,
-    /// trace-file I/O).
-    pub fn open(&self) -> Result<Box<dyn TraceSource + Send>, IsaError> {
-        self.0.open()
-    }
-}
-
-impl std::fmt::Debug for Workload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Workload").field(&self.name()).finish()
-    }
-}
-
-impl From<WorkloadSpec> for Workload {
-    fn from(spec: WorkloadSpec) -> Workload {
-        Workload(RegisteredWorkload::from_spec(spec))
-    }
-}
-
-impl From<&WorkloadSpec> for Workload {
-    fn from(spec: &WorkloadSpec) -> Workload {
-        Workload::from(spec.clone())
-    }
-}
-
-impl From<RegisteredWorkload> for Workload {
-    fn from(reg: RegisteredWorkload) -> Workload {
-        Workload(reg)
-    }
-}
 
 /// A named configuration variant (one point on the `vary` axis).
 #[derive(Clone)]
@@ -159,7 +83,7 @@ impl std::fmt::Debug for Run {
 ///   with no variants declared there is a single implicit
 ///   [`BASE_VARIANT`].
 ///
-/// [`Experiment::run`] streams each workload once, executes every cell (in
+/// [`Experiment::run`] opens one stream per cell, executes every cell (in
 /// parallel across worker threads), and collects a [`ResultSet`] whose
 /// record order — and contents, since the simulator is deterministic — is
 /// independent of thread count.
@@ -290,10 +214,9 @@ impl Experiment {
         if self.designs.is_empty() {
             return Err(SqipError::Config("experiment has no designs".into()));
         }
-        // Cell labels, and so result rows, cache entries and shard
-        // ownership, name a workload by its name, so two distinct
-        // workloads under one name would be indistinguishable; reject
-        // the ambiguity up front.
+        // Cell labels, and so result rows and shard ownership, name a
+        // workload by its name, so two distinct workloads under one name
+        // would be indistinguishable; reject the ambiguity up front.
         for (i, w) in self.workloads.iter().enumerate() {
             if self.workloads[..i].iter().any(|p| p.name() == w.name()) {
                 return Err(SqipError::Config(format!(
@@ -380,7 +303,9 @@ impl Experiment {
     /// [`CacheDir`] for the worked example). A cached row must be a
     /// complete run, so observers (which may abort a run early) are not
     /// consulted here; experiments with an observer should use
-    /// [`Experiment::run`] instead.
+    /// [`Experiment::run`] instead. A workload built from a spec is keyed
+    /// by that spec, a factory or `tracefile:` workload by its name
+    /// alone (see [`CacheDir`]).
     ///
     /// # Errors
     ///

@@ -16,7 +16,9 @@
 //!   (workload tracing, configuration, simulation, import/export);
 //! * re-exports of the simulator core (including the resumable
 //!   [`Processor::step`] API and [`SimObserver`] hooks) and the workload
-//!   roster, so most drivers need only this crate.
+//!   axis — the roster, the [`WorkloadRegistry`] and [`Workload`], the
+//!   one type every sweep cell streams from — so most drivers need only
+//!   this crate.
 //!
 //! # Quick start
 //!
@@ -84,7 +86,7 @@ mod sweep;
 
 pub use cache::{CacheDir, CacheOutcome};
 pub use error::SqipError;
-pub use experiment::{ConfigFn, Experiment, ObserverFn, Run, Workload, BASE_VARIANT};
+pub use experiment::{ConfigFn, Experiment, ObserverFn, Run, BASE_VARIANT};
 pub use results::{geomean, ResultSet, RunRecord};
 pub use shard::{merge_shards, ShardResult, ShardSpec};
 pub use spec::{ExperimentSpec, VariantSpec, KNOBS, SPEC_VERSION};
@@ -109,7 +111,7 @@ pub use sqip_isa::{
 };
 // The workload roster and its open registry.
 pub use sqip_workloads::{
-    all_workloads, by_name, generator, mediabench, specfp, specint, RegisteredWorkload, Suite,
+    all_workloads, by_name, generator, mediabench, specfp, specint, Suite, Workload,
     WorkloadRegistry, WorkloadRegistryError, WorkloadSpec, FIGURE5_WORKLOADS,
 };
 

@@ -367,7 +367,7 @@ mod tests {
         assert_eq!(by_suite.len(), 2);
         assert_eq!(by_suite[0].0, Suite::Media);
         assert_eq!(by_suite[0].1.len(), 2);
-        let by_design = rs.group_by(|r| r.design.label());
+        let by_design = rs.group_by(|r| r.design.name());
         assert_eq!(by_design["indexed-3-fwd+dly"].len(), 3);
     }
 

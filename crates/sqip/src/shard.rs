@@ -20,6 +20,7 @@
 //! order — byte-identical, by the simulator's determinism, to running the
 //! whole sweep in one place.
 
+use std::collections::BTreeMap;
 use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
@@ -167,7 +168,9 @@ pub fn merge_shards(shards: impl IntoIterator<Item = ShardResult>) -> Result<Res
         .first()
         .ok_or_else(|| SqipError::Config("no shard artifacts to merge".into()))?;
     let (of, total) = (first.of, first.total_cells);
-    let mut slots: Vec<Option<RunRecord>> = vec![None; total];
+    // Keyed by cell index, so memory follows the records the artifacts
+    // hold, never the `total_cells` they claim.
+    let mut slots: BTreeMap<usize, RunRecord> = BTreeMap::new();
     for shard in shards {
         if shard.of != of || shard.total_cells != total {
             return Err(SqipError::Config(format!(
@@ -189,27 +192,32 @@ pub fn merge_shards(shards: impl IntoIterator<Item = ShardResult>) -> Result<Res
                 shard.records.len()
             )));
         }
-        for (index, record) in shard.indices.iter().zip(shard.records) {
-            let slot = slots.get_mut(*index).ok_or_else(|| {
-                SqipError::Config(format!("cell index {index} out of range for {total} cells"))
-            })?;
-            if slot.is_some() {
+        for (index, record) in shard.indices.into_iter().zip(shard.records) {
+            if index >= total {
+                return Err(SqipError::Config(format!(
+                    "cell index {index} out of range for {total} cells"
+                )));
+            }
+            if slots.insert(index, record).is_some() {
                 return Err(SqipError::Config(format!(
                     "cell index {index} covered by more than one shard artifact"
                 )));
             }
-            *slot = Some(record);
         }
     }
-    let mut records = Vec::with_capacity(total);
-    for (index, slot) in slots.into_iter().enumerate() {
-        records.push(slot.ok_or_else(|| {
-            SqipError::Config(format!(
-                "cell index {index} covered by no shard artifact (missing shard?)"
-            ))
-        })?);
+    // Every key is a distinct index below `total`, so the first index
+    // missing is the first position whose key is not its own index.
+    let missing = slots
+        .keys()
+        .enumerate()
+        .position(|(i, &index)| i != index)
+        .unwrap_or(slots.len());
+    if missing < total {
+        return Err(SqipError::Config(format!(
+            "cell index {missing} covered by no shard artifact (missing shard?)"
+        )));
     }
-    Ok(ResultSet::new(records))
+    Ok(ResultSet::new(slots.into_values().collect()))
 }
 
 #[cfg(test)]
@@ -282,6 +290,20 @@ mod tests {
         assert!(
             merge_shards([shard(0, 1, 2, vec![0, 5])]).is_err(),
             "index out of range"
+        );
+    }
+
+    /// An artifact claiming more cells than memory can hold is an
+    /// incomplete split like any other, not an allocation failure.
+    #[test]
+    fn a_huge_claimed_cell_count_is_an_incomplete_split() {
+        let hostile =
+            r#"{"shard":0,"of":1,"total_cells":1000000000000000,"indices":[],"records":[]}"#;
+        let err = merge_shards([ShardResult::from_json(hostile).unwrap()]).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("cell index 0 covered by no shard artifact"),
+            "{err}"
         );
     }
 }

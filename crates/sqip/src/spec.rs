@@ -30,9 +30,10 @@
 
 use serde::{Deserialize, Serialize, Value};
 use sqip_core::{SimConfig, SqDesign};
+use sqip_workloads::Workload;
 
 use crate::error::SqipError;
-use crate::experiment::{Experiment, Workload};
+use crate::experiment::Experiment;
 
 /// The wire-schema version this build speaks.
 ///

@@ -70,6 +70,36 @@ fn cache_is_keyed_by_full_identity_not_labels() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A workload that keeps its name but changes its spec (here, twice the
+/// iterations) is a different cell: the cache must miss, not return the
+/// first spec's row.
+#[test]
+fn cache_is_keyed_by_the_workload_spec_not_just_its_name() {
+    let dir = scratch("spec-identity");
+    let cache = CacheDir::open(&dir).unwrap();
+    let gzip = |iterations| {
+        Experiment::new()
+            .workload(by_name("gzip").unwrap().with_iterations(iterations))
+            .design(SqDesign::Indexed3FwdDly)
+    };
+    let (_, first) = gzip(100).run_cached(&cache).unwrap();
+    assert_eq!((first.executed, first.cached), (1, 0));
+
+    let longer = gzip(200);
+    let (cached, second) = longer.run_cached(&cache).unwrap();
+    assert_eq!(
+        (second.executed, second.cached),
+        (1, 0),
+        "a changed spec misses"
+    );
+    assert_eq!(
+        cached.to_json(),
+        longer.run().unwrap().to_json(),
+        "cached ≡ fresh"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn shard_union_is_byte_identical_to_the_unsharded_sweep() {
     let exp = experiment();
@@ -141,4 +171,26 @@ fn merging_an_incomplete_split_is_an_error_not_a_partial_result() {
         err.to_string().contains("covered by no shard"),
         "unexpected: {err}"
     );
+}
+
+/// `sqip-merge` reads artifacts from disk: one claiming a quadrillion
+/// cells fails with the incomplete-split message and exit code 1.
+#[test]
+fn sqip_merge_refuses_a_huge_claimed_cell_count() {
+    let dir = scratch("hostile-merge");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("hostile.json");
+    std::fs::write(
+        &path,
+        r#"{"shard":0,"of":1,"total_cells":1000000000000000,"indices":[],"records":[]}"#,
+    )
+    .unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sqip-merge"))
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("covered by no shard artifact"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -11,9 +11,10 @@ use std::sync::{Arc, Mutex};
 
 use common::per_cell_reference;
 use sqip::{
-    CancelToken, CellEvent, Experiment, ObserverAction, RegisteredWorkload, ResultSet, SimStats,
-    SqDesign, SqipError, SweepEngine, TraceSource, Workload,
+    CancelToken, CellEvent, Experiment, ObserverAction, ResultSet, SimConfig, SimStats, SqDesign,
+    SqipError, SweepEngine, TraceSource, Workload,
 };
+use sqip_core::engine::FETCH_BLOCK;
 use sqip_isa::{ProgramBuilder, ProgramSource, Reg};
 use sqip_types::DataSize;
 
@@ -76,23 +77,27 @@ fn probe_workload(name: &str, budget: u64, iters: i64, probe: &Probe) -> Workloa
     b.halt();
     let program = b.build().unwrap();
     let probe = probe.clone();
-    Workload::from(RegisteredWorkload::from_factory(
-        name,
-        "cancellation probe",
-        move || {
-            probe.opened.fetch_add(1, Ordering::Relaxed);
-            Ok(Box::new(ProbeSource {
-                inner: ProgramSource::new(program.clone(), budget),
-                pulls: Arc::clone(&probe.pulls),
-                dropped: Arc::clone(&probe.dropped),
-            }) as Box<_>)
-        },
-    ))
+    Workload::from_factory(name, "cancellation probe", move || {
+        probe.opened.fetch_add(1, Ordering::Relaxed);
+        Ok(Box::new(ProbeSource {
+            inner: ProgramSource::new(program.clone(), budget),
+            pulls: Arc::clone(&probe.pulls),
+            dropped: Arc::clone(&probe.dropped),
+        }) as Box<_>)
+    })
+}
+
+/// One cell's record window: the most records its processor pulls
+/// ahead of commit, `rob_size + 5·fetch_width + FETCH_BLOCK` at the
+/// configuration every cell here runs.
+fn cell_window() -> u64 {
+    let cfg = SimConfig::default();
+    (cfg.rob_size + 5 * cfg.fetch_width + FETCH_BLOCK) as u64
 }
 
 /// A sweep whose token is already cancelled stops before its first
-/// cell opens the workload: nothing is pulled, let alone a ring window,
-/// and no source is left alive.
+/// cell opens the workload: nothing is pulled, let alone a cell's record
+/// window, and no source is left alive.
 #[test]
 fn pre_cancelled_sweep_stops_within_one_ring_window() {
     let probe = Probe::default();
@@ -113,15 +118,15 @@ fn pre_cancelled_sweep_stops_within_one_ring_window() {
 
     let pulled = probe.pulls();
     assert!(
-        pulled <= SweepEngine::RING_CAPACITY as u64,
-        "pre-cancelled sweep pulled {pulled} records (> one ring window)"
+        pulled <= cell_window(),
+        "pre-cancelled sweep pulled {pulled} records (> one cell window)"
     );
     assert_eq!(probe.opened(), 0, "a cancelled sweep opened a workload");
     assert!(probe.nothing_leaked(), "upstream source leaked");
 }
 
 /// Cancelling mid-run (from an observer callback, i.e. from inside the
-/// step loop) stops the sweep within one ring window of the cancel
+/// step loop) stops the sweep within one cell window of the cancel
 /// point, drops the running cell's source and opens no other.
 #[test]
 fn mid_run_cancel_stops_within_one_ring_window() {
@@ -175,7 +180,7 @@ fn mid_run_cancel_stops_within_one_ring_window() {
     let at_cancel = pulls_at_cancel.load(Ordering::Relaxed);
     assert!(at_cancel > 0, "the observer never fired");
     assert!(
-        total <= at_cancel + SweepEngine::RING_CAPACITY as u64,
+        total <= at_cancel + cell_window(),
         "sweep ran on after cancel: {total} pulls vs {at_cancel} at cancel"
     );
     assert!(total < budget, "sweep consumed the whole stream anyway");

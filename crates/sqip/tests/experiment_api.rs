@@ -8,8 +8,8 @@ use std::sync::Arc;
 mod common;
 
 use sqip::{
-    by_name, shrink, Experiment, ObserverAction, Processor, ProgramSource, RegisteredWorkload,
-    SimConfig, SimObserver, SimStats, SqDesign, SqipError, StepOutcome, Workload,
+    by_name, shrink, Experiment, ObserverAction, Processor, ProgramSource, SimConfig, SimObserver,
+    SimStats, SqDesign, SqipError, StepOutcome, Workload,
 };
 
 fn small_experiment() -> Experiment {
@@ -220,11 +220,11 @@ fn stepped_execution_matches_one_shot_execution() {
 fn custom_traces_sweep_like_workloads() {
     let spec = shrink(by_name("gzip").unwrap(), 100);
     let (program, budget) = (spec.build().expect("builds"), spec.budget());
-    let custom = RegisteredWorkload::from_factory("custom-gzip", "gzip, renamed", move || {
+    let custom = Workload::from_factory("custom-gzip", "gzip, renamed", move || {
         Ok(Box::new(ProgramSource::new(program.clone(), budget)) as Box<_>)
     });
     let results = Experiment::new()
-        .workload(Workload::from(custom))
+        .workload(custom)
         .designs([SqDesign::IdealOracle, SqDesign::Indexed3FwdDly])
         .run()
         .expect("custom-trace sweep runs");

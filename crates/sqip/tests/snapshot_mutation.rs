@@ -392,9 +392,11 @@ fn with_config(payload: &[u8], cfg: &SimConfig) -> Vec<u8> {
 }
 
 /// A checkpoint's configuration is untrusted input: rewriting any nested
-/// memory-hierarchy or branch-predictor field to a degenerate value, with
-/// the checksum mended, must be refused as corrupt by name — never reach
-/// the constructor that would panic on it.
+/// memory-hierarchy, branch-predictor, execution-latency or issue-port
+/// field to a degenerate value, with the checksum mended, must be refused
+/// as corrupt by name — never reach the constructor or the cycle loop
+/// that would panic (an overflowing latency) or deadlock (a zero issue
+/// port) on it.
 #[test]
 fn a_degenerate_nested_geometry_is_refused() {
     let fx = fixture();
@@ -406,7 +408,7 @@ fn a_degenerate_nested_geometry_is_refused() {
     assert!(restore(&reframe(&with_config(payload, &cfg))).0.is_ok());
 
     type Rewrite = (&'static str, fn(&mut SimConfig));
-    let rewrites: [Rewrite; 19] = [
+    let rewrites: [Rewrite; 32] = [
         ("hierarchy.l1", |c| c.hierarchy.l1.capacity_bytes = 0),
         ("hierarchy.l1", |c| c.hierarchy.l1.ways = 0),
         ("hierarchy.l1", |c| c.hierarchy.l1.line_bytes = 0),
@@ -440,6 +442,19 @@ fn a_degenerate_nested_geometry_is_refused() {
         ("branch.ras_depth", |c| c.branch.ras_depth = 0),
         ("branch.ras_depth", |c| c.branch.ras_depth = usize::MAX),
         ("branch.history_bits", |c| c.branch.history_bits = 64),
+        ("latencies.int_alu", |c| c.latencies.int_alu = u64::MAX),
+        ("latencies.int_mul", |c| c.latencies.int_mul = u64::MAX),
+        ("latencies.fp_add", |c| c.latencies.fp_add = u64::MAX),
+        ("latencies.fp_mul", |c| c.latencies.fp_mul = u64::MAX),
+        ("latencies.fp_div", |c| c.latencies.fp_div = u64::MAX),
+        ("latencies.branch", |c| c.latencies.branch = u64::MAX),
+        ("issue.total", |c| c.issue.total = 0),
+        ("issue.total", |c| c.issue.total = usize::MAX),
+        ("issue.int", |c| c.issue.int = 0),
+        ("issue.fp", |c| c.issue.fp = 0),
+        ("issue.branch", |c| c.issue.branch = 0),
+        ("issue.load", |c| c.issue.load = 0),
+        ("issue.store", |c| c.issue.store = 0),
     ];
     for (field, rewrite) in rewrites {
         let mut bad = cfg.clone();

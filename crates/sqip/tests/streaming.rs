@@ -100,7 +100,7 @@ fn registry_workloads_stream_through_experiments() {
 
     // Unknown names are reported, not panicked on.
     assert!(matches!(
-        Workload::from_registry("definitely-not-a-workload"),
+        Workload::from_registry("definitely-not-a-workload").map_err(sqip::SqipError::from),
         Err(sqip::SqipError::UnknownWorkload(_))
     ));
 }

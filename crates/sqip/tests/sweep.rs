@@ -13,9 +13,8 @@ use std::sync::{Arc, Mutex};
 use common::per_cell_reference;
 use proptest::prelude::*;
 use sqip::{
-    CacheDir, DesignRegistry, Experiment, ObserverAction, OrderingMode, Processor,
-    RegisteredWorkload, ShardSpec, SimConfig, SimObserver, SimStats, SqDesign, SweepEngine,
-    TraceSource, Workload,
+    CacheDir, DesignRegistry, Experiment, ObserverAction, OrderingMode, Processor, ShardSpec,
+    SimConfig, SimObserver, SimStats, SqDesign, SweepEngine, TraceSource, Workload,
 };
 use sqip_isa::{Program, ProgramBuilder, ProgramSource, Reg};
 use sqip_types::DataSize;
@@ -90,11 +89,9 @@ fn build_program(body: &[Stmt], iters: i64) -> Program {
 }
 
 fn program_workload(name: &str, program: Program, budget: u64) -> Workload {
-    Workload::from(RegisteredWorkload::from_factory(
-        name,
-        "sweep-proptest program",
-        move || Ok(Box::new(ProgramSource::new(program.clone(), budget)) as Box<_>),
-    ))
+    Workload::from_factory(name, "sweep-proptest program", move || {
+        Ok(Box::new(ProgramSource::new(program.clone(), budget)) as Box<_>)
+    })
 }
 
 fn all_designs() -> Vec<SqDesign> {
@@ -167,18 +164,14 @@ type Opens = Arc<Mutex<Vec<Arc<AtomicU64>>>>;
 /// Wraps `inner` so every open is logged in `opens` with its own pull
 /// counter.
 fn counting_workload(name: &str, inner: Workload, opens: Opens) -> Workload {
-    Workload::from(RegisteredWorkload::from_factory(
-        name,
-        "counting workload",
-        move || {
-            let pulls = Arc::new(AtomicU64::new(0));
-            opens.lock().unwrap().push(Arc::clone(&pulls));
-            Ok(Box::new(CountingSource {
-                inner: inner.open()?,
-                pulls,
-            }) as Box<_>)
-        },
-    ))
+    Workload::from_factory(name, "counting workload", move || {
+        let pulls = Arc::new(AtomicU64::new(0));
+        opens.lock().unwrap().push(Arc::clone(&pulls));
+        Ok(Box::new(CountingSource {
+            inner: inner.open()?,
+            pulls,
+        }) as Box<_>)
+    })
 }
 
 /// The records each logged open yielded, in open order.
@@ -425,7 +418,7 @@ fn observers_fire_exactly_on_interval_boundaries_in_a_group() {
     while counter.next_record().unwrap().is_some() {
         len += 1;
     }
-    let declared = Workload::from(RegisteredWorkload::from_factory(
+    let declared = Workload::from_factory(
         "declared-length",
         "a program source that declares its length",
         move || {
@@ -434,7 +427,7 @@ fn observers_fire_exactly_on_interval_boundaries_in_a_group() {
                 len,
             }) as Box<_>)
         },
-    ));
+    );
     let logs: Arc<Mutex<BTreeMap<String, ObserverLog>>> = Arc::default();
     let experiment = Experiment::new()
         .workload(Workload::from_registry("chase:65536:64:20k").unwrap())
@@ -587,16 +580,12 @@ impl TraceSource for PanickingSource {
 #[test]
 fn a_panicking_cell_is_a_typed_error_naming_the_cell() {
     let program = build_program(&[Stmt::Alu(1, 2, 3), Stmt::Load(4, 1, 3)], 20);
-    let panicky = Workload::from(RegisteredWorkload::from_factory(
-        "sweep-panics",
-        "panics after a few records",
-        move || {
-            Ok(Box::new(PanickingSource {
-                inner: ProgramSource::new(program.clone(), 1_000_000),
-                left: 100,
-            }) as Box<_>)
-        },
-    ));
+    let panicky = Workload::from_factory("sweep-panics", "panics after a few records", move || {
+        Ok(Box::new(PanickingSource {
+            inner: ProgramSource::new(program.clone(), 1_000_000),
+            left: 100,
+        }) as Box<_>)
+    });
     let fine = program_workload(
         "sweep-fine",
         build_program(&[Stmt::Mul(1, 2, 3)], 20),

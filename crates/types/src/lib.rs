@@ -60,33 +60,6 @@ impl std::fmt::Display for Seq {
     }
 }
 
-/// A simulation cycle count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Cycle(pub u64);
-
-impl Cycle {
-    /// Cycle zero, the instant a simulation starts.
-    pub const ZERO: Cycle = Cycle(0);
-
-    /// The cycle `n` ticks after this one.
-    #[must_use]
-    pub fn plus(self, n: u64) -> Cycle {
-        Cycle(self.0 + n)
-    }
-
-    /// Saturating number of cycles from `earlier` to `self`.
-    #[must_use]
-    pub fn since(self, earlier: Cycle) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
-}
-
-impl std::fmt::Display for Cycle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "cy{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,16 +75,7 @@ mod tests {
     }
 
     #[test]
-    fn cycle_arithmetic() {
-        let c = Cycle::ZERO.plus(10);
-        assert_eq!(c, Cycle(10));
-        assert_eq!(c.since(Cycle(4)), 6);
-        assert_eq!(Cycle(4).since(c), 0, "since saturates");
-    }
-
-    #[test]
     fn display_forms() {
         assert_eq!(Seq(7).to_string(), "#7");
-        assert_eq!(Cycle(9).to_string(), "cy9");
     }
 }

@@ -27,8 +27,9 @@
 //! DESIGN.md §3 for the substitution argument).
 //!
 //! The workload axis is *open*: beyond the fixed roster, the
-//! [`WorkloadRegistry`] maps names to streaming trace-source factories
-//! (mirroring `sqip-core`'s design registry), the [`generator`] module
+//! [`WorkloadRegistry`] maps names to [`Workload`]s, named record streams
+//! built from a spec or from any factory (mirroring `sqip-core`'s design
+//! registry), the [`generator`] module
 //! provides parameterized, scalable workload families (seeded random
 //! kernel mixes, pointer chases, stride streams), and
 //! [`WorkloadSpec::source`] streams any spec through the simulator
@@ -38,7 +39,7 @@
 //! # Example
 //!
 //! ```
-//! use sqip_workloads::{all_workloads, by_name, WorkloadRegistry};
+//! use sqip_workloads::{all_workloads, by_name, Workload};
 //!
 //! assert_eq!(all_workloads().len(), 47);
 //! let w = by_name("vortex").expect("a Table 3 row");
@@ -46,7 +47,7 @@
 //! assert!(trace.dynamic_loads() > 0);
 //!
 //! // The same workload, resolved by name and streamed instead:
-//! let streamed = WorkloadRegistry::global().resolve("vortex")?;
+//! let streamed = Workload::from_registry("vortex")?;
 //! let mut source = streamed.open()?;
 //! assert!(sqip_isa::TraceSource::next_record(&mut source)?.is_some());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -61,8 +62,6 @@ mod registry;
 mod spec;
 mod suite;
 
-pub use registry::{
-    intern_name, RegisteredWorkload, SourceFactory, WorkloadRegistry, WorkloadRegistryError,
-};
+pub use registry::{Workload, WorkloadRegistry, WorkloadRegistryError};
 pub use spec::{Suite, WorkloadSpec};
 pub use suite::{all_workloads, by_name, mediabench, specfp, specint, FIGURE5_WORKLOADS};

@@ -1,13 +1,13 @@
-//! The global workload registry: name → streaming trace-source factory.
+//! The global workload registry: name → [`Workload`].
 //!
 //! The exact mirror of `sqip-core`'s `DesignRegistry` on the workload
-//! axis: every workload is a *name* that resolves to a factory producing
-//! a fresh [`TraceSource`] per run. The [`WorkloadRegistry::global`]
-//! instance is pre-populated with the 47 Table 3 benchmark models plus a
-//! catalogue of parameterized generator instances (including the
-//! `stream-10m` scale proof — a ten-million-instruction kernel mix no
-//! materialized trace could reasonably hold), and accepts custom
-//! registrations at any time. Names that are not registered but match the
+//! axis: every workload is a *name* that resolves to a [`Workload`],
+//! which opens a fresh [`TraceSource`] per run. The
+//! [`WorkloadRegistry::global`] instance is pre-populated with the 47
+//! Table 3 benchmark models plus a catalogue of parameterized generator
+//! instances (including the `stream-10m` scale proof — a
+//! ten-million-instruction kernel mix no materialized trace could
+//! reasonably hold), and accepts custom registrations at any time. Names that are not registered but match the
 //! generator grammar (`mix:…`, `chase:…`, `stride:…` — see
 //! [`crate::generator`]) resolve on the fly, so the axis is open in both
 //! senses: register anything, or just *name* a point in generator space.
@@ -21,10 +21,6 @@ use crate::generator;
 use crate::spec::{Suite, WorkloadSpec};
 use crate::suite::all_workloads;
 
-/// A shareable trace-source constructor: one fresh stream per run.
-pub type SourceFactory =
-    Arc<dyn Fn() -> Result<Box<dyn TraceSource + Send>, IsaError> + Send + Sync>;
-
 /// Interns a workload name, returning a `'static` handle that is pointer-
 /// and value-stable for the life of the process — the same scheme the
 /// design registry uses for `SqDesign` names. Two resolutions of the same
@@ -33,8 +29,7 @@ pub type SourceFactory =
 /// name without string churn. The pool is append-only and
 /// deduplicated, so the leak is bounded by the set of distinct names ever
 /// used.
-#[must_use]
-pub fn intern_name(name: &str) -> &'static str {
+fn intern_name(name: &str) -> &'static str {
     static POOL: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
     let mut pool = POOL
         .get_or_init(|| Mutex::new(HashSet::new()))
@@ -91,55 +86,65 @@ impl std::fmt::Display for WorkloadRegistryError {
 
 impl std::error::Error for WorkloadRegistryError {}
 
-/// A resolved registry entry: metadata plus the factory that opens a
-/// fresh record stream for each simulation run.
+/// One point on the workload axis: a named record stream.
+///
+/// A Table 3 model or any other [`WorkloadSpec`] (`From`), a name
+/// resolved through the [`WorkloadRegistry`] ([`Workload::from_registry`]:
+/// models, `mix:`/`chase:`/`stride:` generators, `tracefile:` replays)
+/// and a from-scratch [`Workload::from_factory`] stream are all the same
+/// thing: each simulation run opens one fresh stream ([`Workload::open`])
+/// and pulls it in O(window) memory — nothing is materialized, so run
+/// length is unbounded.
+///
+/// A workload built from a spec keeps that spec ([`Workload::spec`]), so
+/// two specs under one name stay distinguishable to anything that keys
+/// results by workload; factory and `tracefile:` workloads are known by
+/// their name alone.
 #[derive(Clone)]
-pub struct RegisteredWorkload {
+pub struct Workload {
     name: &'static str,
     suite: Option<Suite>,
     description: String,
-    factory: SourceFactory,
+    source: Source,
 }
 
-impl RegisteredWorkload {
-    /// Wraps a [`WorkloadSpec`] as a registrable streaming workload.
-    #[must_use]
-    pub fn from_spec(spec: WorkloadSpec) -> RegisteredWorkload {
-        let description = format!(
-            "synthetic kernel mix, ~{} dynamic insts, target fwd rate {:.2}",
-            approx(u64::from(spec.iterations) * u64::from(spec.estimated_insts_per_iter())),
-            spec.target_forwarding_rate()
-        );
-        RegisteredWorkload {
-            name: intern_name(&spec.name),
-            suite: Some(spec.suite),
-            description,
-            factory: Arc::new(move || {
-                spec.source()
-                    .map(|s| Box::new(s) as Box<dyn TraceSource + Send>)
-            }),
-        }
+/// Where a [`Workload`]'s record streams come from.
+#[derive(Clone)]
+enum Source {
+    Spec(Arc<WorkloadSpec>),
+    Factory(Arc<dyn Fn() -> Result<Box<dyn TraceSource + Send>, IsaError> + Send + Sync>),
+}
+
+impl Workload {
+    /// Resolves `name` in the global [`WorkloadRegistry`] (see
+    /// [`WorkloadRegistry::resolve`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`WorkloadRegistry::resolve`].
+    pub fn from_registry(name: &str) -> Result<Workload, WorkloadRegistryError> {
+        WorkloadRegistry::global().resolve(name)
     }
 
-    /// Builds an entry from scratch: any factory that can produce a
+    /// Builds a workload from scratch: any factory that can produce a
     /// record stream (a trace-file reader, a custom generator, a
     /// synthesised pattern).
     pub fn from_factory(
         name: impl Into<String>,
         description: impl Into<String>,
         factory: impl Fn() -> Result<Box<dyn TraceSource + Send>, IsaError> + Send + Sync + 'static,
-    ) -> RegisteredWorkload {
-        RegisteredWorkload {
+    ) -> Workload {
+        Workload {
             name: intern_name(&name.into()),
             suite: None,
             description: description.into(),
-            factory: Arc::new(factory),
+            source: Source::Factory(Arc::new(factory)),
         }
     }
 
     /// The workload's name (its registry key and result-record label),
     /// interned for the life of the process — pointer-stable, so sweep
-    /// cells and result-cache keys need no per-cell `String` clones.
+    /// cells need no per-cell `String` clones.
     #[must_use]
     pub fn name(&self) -> &'static str {
         self.name
@@ -157,19 +162,54 @@ impl RegisteredWorkload {
         &self.description
     }
 
+    /// The spec this workload was built from; `None` for factory and
+    /// `tracefile:` workloads.
+    #[must_use]
+    pub fn spec(&self) -> Option<&WorkloadSpec> {
+        match &self.source {
+            Source::Spec(spec) => Some(spec),
+            Source::Factory(_) => None,
+        }
+    }
+
     /// Opens a fresh record stream for one simulation run.
     ///
     /// # Errors
     ///
-    /// Whatever the factory reports (assembler errors, trace-file I/O).
+    /// Whatever the source reports (assembler errors, trace-file I/O).
     pub fn open(&self) -> Result<Box<dyn TraceSource + Send>, IsaError> {
-        (self.factory)()
+        match &self.source {
+            Source::Spec(spec) => Ok(Box::new(spec.source()?)),
+            Source::Factory(factory) => factory(),
+        }
     }
 }
 
-impl std::fmt::Debug for RegisteredWorkload {
+impl From<WorkloadSpec> for Workload {
+    fn from(spec: WorkloadSpec) -> Workload {
+        let description = format!(
+            "synthetic kernel mix, ~{} dynamic insts, target fwd rate {:.2}",
+            approx(u64::from(spec.iterations) * u64::from(spec.estimated_insts_per_iter())),
+            spec.target_forwarding_rate()
+        );
+        Workload {
+            name: intern_name(&spec.name),
+            suite: Some(spec.suite),
+            description,
+            source: Source::Spec(Arc::new(spec)),
+        }
+    }
+}
+
+impl From<&WorkloadSpec> for Workload {
+    fn from(spec: &WorkloadSpec) -> Workload {
+        Workload::from(spec.clone())
+    }
+}
+
+impl std::fmt::Debug for Workload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RegisteredWorkload")
+        f.debug_struct("Workload")
             .field("name", &self.name)
             .field("suite", &self.suite)
             .field("description", &self.description)
@@ -183,10 +223,10 @@ impl std::fmt::Debug for RegisteredWorkload {
 /// pull). Each sweep cell opens its own reader.
 ///
 /// [`TraceReader`]: sqip_isa::tracefile::TraceReader
-fn trace_file_workload(name: &str, path: &str) -> RegisteredWorkload {
+fn trace_file_workload(name: &str, path: &str) -> Workload {
     let path = std::path::PathBuf::from(path);
     let description = format!("on-disk SQTR trace `{}`", path.display());
-    RegisteredWorkload::from_factory(name, description, move || {
+    Workload::from_factory(name, description, move || {
         let file = std::fs::File::open(&path).map_err(|e| IsaError::TraceIo {
             detail: format!("opening trace file `{}`: {e}", path.display()),
         })?;
@@ -205,7 +245,7 @@ fn approx(n: u64) -> String {
 
 #[derive(Default)]
 struct Inner {
-    entries: HashMap<&'static str, RegisteredWorkload>,
+    entries: HashMap<&'static str, Workload>,
     /// Registration order, for stable `names()` listings.
     order: Vec<&'static str>,
 }
@@ -222,7 +262,7 @@ struct Inner {
 ///
 /// let registry = WorkloadRegistry::global();
 /// let spec = generator::pointer_chase(512, 64, 50_000).with_name("my-chase");
-/// registry.register_spec(spec)?;
+/// registry.register(spec.into())?;
 ///
 /// let workload = registry.resolve("my-chase")?;
 /// let mut stream = workload.open()?;
@@ -257,7 +297,7 @@ impl WorkloadRegistry {
             let registry = WorkloadRegistry::empty();
             for spec in all_workloads() {
                 registry
-                    .register_spec(spec)
+                    .register(spec.into())
                     .expect("table 3 workload names are unique");
             }
             // Generator-catalogue samples: one instance per family, so
@@ -269,7 +309,7 @@ impl WorkloadRegistry {
                 generator::stride_stream(4096, 1_000_000),
             ] {
                 registry
-                    .register_spec(spec)
+                    .register(spec.into())
                     .expect("catalogue names are unique");
             }
             // The scale proof: a workload inexpressible as a materialized
@@ -278,8 +318,10 @@ impl WorkloadRegistry {
             // memory. Registered through the exact same public API a
             // downstream crate would use.
             registry
-                .register_spec(
-                    generator::random_mix(0x10_000_000, 10_000_000).with_name("stream-10m"),
+                .register(
+                    generator::random_mix(0x10_000_000, 10_000_000)
+                        .with_name("stream-10m")
+                        .into(),
                 )
                 .expect("stream-10m name is unique");
             registry
@@ -292,7 +334,7 @@ impl WorkloadRegistry {
     /// # Errors
     ///
     /// [`WorkloadRegistryError::Duplicate`] if the name is taken.
-    pub fn register(&self, workload: RegisteredWorkload) -> Result<String, WorkloadRegistryError> {
+    pub fn register(&self, workload: Workload) -> Result<String, WorkloadRegistryError> {
         let name = workload.name;
         let mut inner = self.inner.write().expect("registry lock poisoned");
         if inner.entries.contains_key(name) {
@@ -301,17 +343,6 @@ impl WorkloadRegistry {
         inner.order.push(name);
         inner.entries.insert(name, workload);
         Ok(name.to_string())
-    }
-
-    /// Registers a [`WorkloadSpec`] as a streaming workload under its own
-    /// name — the one-liner path for spec-shaped workloads (Table 3
-    /// models, generator outputs, hand-built mixes).
-    ///
-    /// # Errors
-    ///
-    /// [`WorkloadRegistryError::Duplicate`] if the name is taken.
-    pub fn register_spec(&self, spec: WorkloadSpec) -> Result<String, WorkloadRegistryError> {
-        self.register(RegisteredWorkload::from_spec(spec))
     }
 
     /// Resolves a workload name: a registered entry; a generator-grammar
@@ -325,8 +356,8 @@ impl WorkloadRegistry {
     /// [`WorkloadRegistryError::InvalidGenerator`] if a generator family
     /// matched but its parameters are malformed. A `tracefile:` path is
     /// not opened here — a missing or corrupt file surfaces as an
-    /// [`IsaError`] from [`RegisteredWorkload::open`].
-    pub fn resolve(&self, name: &str) -> Result<RegisteredWorkload, WorkloadRegistryError> {
+    /// [`IsaError`] from [`Workload::open`].
+    pub fn resolve(&self, name: &str) -> Result<Workload, WorkloadRegistryError> {
         if let Some(entry) = self.lookup(name) {
             return Ok(entry);
         }
@@ -334,7 +365,7 @@ impl WorkloadRegistry {
             return Ok(trace_file_workload(name, path));
         }
         match generator::parse_generator(name) {
-            Ok(Some(spec)) => Ok(RegisteredWorkload::from_spec(spec)),
+            Ok(Some(spec)) => Ok(spec.into()),
             Ok(None) => Err(WorkloadRegistryError::Unknown(name.to_string())),
             Err(cause) => Err(WorkloadRegistryError::InvalidGenerator {
                 name: name.to_string(),
@@ -345,7 +376,7 @@ impl WorkloadRegistry {
 
     /// Looks up a *registered* workload (no generator-grammar fallback).
     #[must_use]
-    pub fn lookup(&self, name: &str) -> Option<RegisteredWorkload> {
+    pub fn lookup(&self, name: &str) -> Option<Workload> {
         let inner = self.inner.read().expect("registry lock poisoned");
         inner.entries.get(name).cloned()
     }
@@ -396,10 +427,10 @@ mod tests {
     #[test]
     fn duplicate_registration_is_rejected() {
         let r = WorkloadRegistry::empty();
-        r.register_spec(WorkloadSpec::base("dup", Suite::Int))
+        r.register(WorkloadSpec::base("dup", Suite::Int).into())
             .unwrap();
         assert_eq!(
-            r.register_spec(WorkloadSpec::base("dup", Suite::Fp))
+            r.register(WorkloadSpec::base("dup", Suite::Fp).into())
                 .unwrap_err(),
             WorkloadRegistryError::Duplicate("dup".to_string())
         );
@@ -409,8 +440,12 @@ mod tests {
     fn opened_streams_are_independent() {
         use sqip_isa::TraceSource;
         let r = WorkloadRegistry::empty();
-        r.register_spec(WorkloadSpec::base("w", Suite::Int).with_iterations(5))
-            .unwrap();
+        r.register(
+            WorkloadSpec::base("w", Suite::Int)
+                .with_iterations(5)
+                .into(),
+        )
+        .unwrap();
         let entry = r.lookup("w").unwrap();
         let mut a = entry.open().unwrap();
         let mut b = entry.open().unwrap();
@@ -497,7 +532,7 @@ mod tests {
     fn custom_factories_register() {
         let r = WorkloadRegistry::empty();
         let spec = WorkloadSpec::base("inner", Suite::Int).with_iterations(3);
-        r.register(RegisteredWorkload::from_factory(
+        r.register(Workload::from_factory(
             "custom",
             "a from-scratch factory",
             move || {
