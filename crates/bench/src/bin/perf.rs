@@ -22,9 +22,9 @@
 //! Every run cell and speedup must match a baseline entry and every
 //! baseline entry must match the run. It gates only hardware-portable
 //! numbers: the geomean of the event/reference speedup ratios, and the
-//! wheel-ops, broadcasts and steps counters, which are exact, so their
-//! drift tolerance is a rounding allowance, not a noise floor. Any
-//! failure exits 1.
+//! wheel-ops, broadcasts, ready-touches and steps counters, which are
+//! exact, so their drift tolerance is a rounding allowance, not a noise
+//! floor. Any failure exits 1.
 //!
 //! ```text
 //! cargo run --release -p sqip-bench --bin perf -- --out my.json
@@ -354,6 +354,11 @@ fn compare_baseline(report: &Report, baseline: &BaselineReport) -> usize {
                 sched.broadcasts_per_inst,
                 base_sched.broadcasts_per_inst,
             ),
+            (
+                "ready touches",
+                sched.ready_touches_per_inst,
+                base_sched.ready_touches_per_inst,
+            ),
             ("steps", sched.steps_per_inst, base_sched.steps_per_inst),
         ] {
             let ok = ours <= base_v * (1.0 + COUNTER_FLOOR);
@@ -568,6 +573,31 @@ mod tests {
         dropped.speedups.clear();
         assert_eq!(compare_baseline(&dropped, &as_baseline(&report)), 1);
         assert_eq!(compare_baseline(&report, &as_baseline(&dropped)), 1);
+    }
+
+    #[test]
+    fn each_gated_counter_may_fall_but_not_rise() {
+        let report = tiny_report();
+        let base = as_baseline(&report);
+        let with = |f: fn(&mut SchedCost, f64), scale: f64| {
+            let mut r = tiny_report();
+            let sched = r.cells[0].sched.as_mut().unwrap();
+            f(sched, scale);
+            compare_baseline(&r, &base)
+        };
+        let gated: [fn(&mut SchedCost, f64); 4] = [
+            |s, k| s.wheel_ops_per_inst *= k,
+            |s, k| s.broadcasts_per_inst *= k,
+            |s, k| s.ready_touches_per_inst *= k,
+            |s, k| s.steps_per_inst *= k,
+        ];
+        for f in gated {
+            assert_eq!(with(f, 0.5), 0, "a fall passes");
+            assert_eq!(with(f, 1.05), 1, "a rise past the rounding allowance fails");
+        }
+        // Reported, not gated.
+        assert_eq!(with(|s, k| s.near_ops_per_inst *= k, 2.0), 0);
+        assert_eq!(with(|s, k| s.cancelled_broadcasts_per_inst *= k, 2.0), 0);
     }
 
     #[test]

@@ -296,8 +296,8 @@ impl<'t> Processor<'t> {
     }
 
     /// The event engine's scheduling-cost counters (wheel ops, off-wheel
-    /// ops, broadcasts delivered, ready-lane touches, steps) accumulated since
-    /// construction. `None` under the reference engine, whose scheduler
+    /// ops, broadcasts delivered and cancelled, ready-lane touches, steps)
+    /// accumulated since construction. `None` under the reference engine, whose scheduler
     /// carries no instrumentation. Diagnostic state: never part of
     /// [`SimStats`] or checkpoints, so reading it cannot perturb
     /// bit-identity.

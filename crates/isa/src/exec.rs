@@ -4,10 +4,10 @@ use sqip_mem::MemImage;
 use sqip_types::{Addr, Pc};
 
 use crate::error::IsaError;
-use crate::inst::StaticInst;
 use crate::op::Op;
 use crate::program::Program;
 use crate::reg::{Reg, NUM_REGS};
+use crate::trace::TraceRecord;
 
 /// The architectural state of a running program: registers, memory, PC.
 #[derive(Debug, Clone)]
@@ -102,86 +102,88 @@ impl ArchState {
     /// Returns [`IsaError::PcOutOfRange`] if the PC walks past the program
     /// without hitting `halt`.
     pub fn step(&mut self, program: &Program) -> Result<StepOutcome, IsaError> {
-        let inst = program.fetch(self.pc).ok_or(IsaError::PcOutOfRange {
+        let mut rec = *program.template(self.pc).ok_or(IsaError::PcOutOfRange {
             index: self.pc.index(),
         })?;
-        Ok(self.execute(inst))
+        self.execute(&mut rec);
+        Ok(StepOutcome {
+            pc: rec.pc,
+            next_pc: rec.next_pc,
+            addr: rec.addr,
+            result: rec.result,
+            taken: rec.taken,
+            halted: matches!(rec.op, Op::Halt),
+        })
     }
 
-    /// Executes `inst` as the instruction at the current PC, updating
-    /// state (the second half of [`ArchState::step`], for callers that
-    /// have already fetched it).
-    pub(crate) fn execute(&mut self, inst: &StaticInst) -> StepOutcome {
+    /// Executes the instruction at the current PC, given as a copy of its
+    /// [`Program`] template, updating state and filling the record's
+    /// dynamic fields: `pc`, `next_pc`, and `addr`, `result` and `taken`
+    /// where the operation has them (the template holds `None`, 0 and
+    /// `false`). The caller numbers the record.
+    #[inline(always)]
+    pub(crate) fn execute(&mut self, rec: &mut TraceRecord) {
         let pc = self.pc;
-        let s1 = inst.src1.map_or(0, |r| self.reg(r));
-        let s2 = inst.src2.map_or(0, |r| self.reg(r));
+        let s1 = rec.srcs[0].map_or(0, |r| self.reg(r));
+        let s2 = rec.srcs[1].map_or(0, |r| self.reg(r));
+        rec.pc = pc;
+        rec.next_pc = pc.next();
 
-        let mut out = StepOutcome {
-            pc,
-            next_pc: pc.next(),
-            addr: None,
-            result: 0,
-            taken: false,
-            halted: false,
-        };
-
-        match inst.op {
+        match rec.op {
             Op::Load(size) => {
-                let addr = Addr::new(s1.wrapping_add(inst.imm as u64));
+                let addr = Addr::new(s1.wrapping_add(rec.imm as u64));
                 let v = self.mem.read(addr, size);
-                if let Some(d) = inst.dst {
-                    self.set_reg(d, v);
-                }
-                out.addr = Some(addr);
-                out.result = v;
+                self.write_dst(rec.dst, v);
+                rec.addr = Some(addr);
+                rec.result = v;
             }
             Op::Store(size) => {
-                let addr = Addr::new(s1.wrapping_add(inst.imm as u64));
+                let addr = Addr::new(s1.wrapping_add(rec.imm as u64));
                 let data = size.truncate(s2);
                 self.mem.write(addr, size, data);
-                out.addr = Some(addr);
-                out.result = data;
+                rec.addr = Some(addr);
+                rec.result = data;
             }
             Op::BranchZ | Op::BranchNZ => {
-                if inst.op.branch_taken(s1) {
-                    out.taken = true;
-                    out.next_pc = Pc::from_index(inst.imm as usize);
+                if rec.op.branch_taken(s1) {
+                    rec.taken = true;
+                    rec.next_pc = Pc::from_index(rec.imm as usize);
                 }
             }
             Op::Jump => {
-                out.taken = true;
-                out.next_pc = Pc::from_index(inst.imm as usize);
+                rec.taken = true;
+                rec.next_pc = Pc::from_index(rec.imm as usize);
             }
             Op::Call => {
                 let link = pc.next().0;
-                if let Some(d) = inst.dst {
-                    self.set_reg(d, link);
-                }
-                out.result = link;
-                out.taken = true;
-                out.next_pc = Pc::from_index(inst.imm as usize);
+                self.write_dst(rec.dst, link);
+                rec.result = link;
+                rec.taken = true;
+                rec.next_pc = Pc::from_index(rec.imm as usize);
             }
             Op::Ret => {
-                out.taken = true;
-                out.next_pc = Pc::new(s1);
+                rec.taken = true;
+                rec.next_pc = Pc::new(s1);
             }
             Op::Nop => {}
             Op::Halt => {
                 self.halted = true;
-                out.halted = true;
-                out.next_pc = pc;
+                rec.next_pc = pc;
             }
             value_op => {
-                let v = value_op.eval(s1, s2, inst.imm);
-                if let Some(d) = inst.dst {
-                    self.set_reg(d, v);
-                }
-                out.result = v;
+                let v = value_op.eval(s1, s2, rec.imm);
+                self.write_dst(rec.dst, v);
+                rec.result = v;
             }
         }
 
-        self.pc = out.next_pc;
-        out
+        self.pc = rec.next_pc;
+    }
+
+    fn write_dst(&mut self, dst: Option<Reg>, value: u64) {
+        if let Some(d) = dst {
+            self.set_reg(d, value);
+        }
     }
 }
 

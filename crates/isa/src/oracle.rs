@@ -78,7 +78,7 @@ pub struct OracleFwd {
 pub struct OracleBuilder {
     /// The written lines of memory, in a [`LineStore`], so a memory
     /// access resolves its line directly (its frame usually via the
-    /// store's one-entry cache); a span that crosses a line resolves
+    /// store's frame cache); a span that crosses a line resolves
     /// both. The per-byte `HashMap` formulation this replaces hashed
     /// every byte of every store and load — a measurable share of the
     /// whole simulator's runtime.

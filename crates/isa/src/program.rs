@@ -8,6 +8,7 @@ use crate::error::IsaError;
 use crate::inst::StaticInst;
 use crate::op::Op;
 use crate::reg::Reg;
+use crate::trace::TraceRecord;
 
 /// A forward-referencable position in a program under construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,6 +18,9 @@ pub struct Label(usize);
 #[derive(Debug, Clone)]
 pub struct Program {
     insts: Vec<StaticInst>,
+    /// Each instruction's [`TraceRecord::template`], built once here so
+    /// the interpreter copies a record per step instead of deriving it.
+    templates: Vec<TraceRecord>,
 }
 
 impl Program {
@@ -24,6 +28,12 @@ impl Program {
     #[must_use]
     pub fn fetch(&self, pc: Pc) -> Option<&StaticInst> {
         self.insts.get(pc.index())
+    }
+
+    /// The record template of the instruction at `pc`, or `None` past the
+    /// end.
+    pub(crate) fn template(&self, pc: Pc) -> Option<&TraceRecord> {
+        self.templates.get(pc.index())
     }
 
     /// Number of static instructions.
@@ -356,7 +366,11 @@ impl ProgramBuilder {
                 .ok_or(IsaError::UnresolvedLabel { name: name.clone() })?;
             self.insts[idx].imm = target as i64;
         }
-        Ok(Program { insts: self.insts })
+        let templates = self.insts.iter().map(TraceRecord::template).collect();
+        Ok(Program {
+            insts: self.insts,
+            templates,
+        })
     }
 
     fn alu(&mut self, op: Op, dst: Reg, src1: Reg, src2: Reg) -> &mut Self {

@@ -11,10 +11,12 @@
 //! * the compact on-disk trace format
 //!   ([`TraceReader`](crate::TraceReader) in [`crate::tracefile`]).
 
+use sqip_types::Seq;
+
 use crate::error::IsaError;
 use crate::exec::ArchState;
 use crate::program::Program;
-use crate::trace::{step_record, Trace, TraceRecord};
+use crate::trace::{Trace, TraceRecord};
 
 /// A pull-based stream of dynamic [`TraceRecord`]s.
 ///
@@ -170,18 +172,19 @@ impl TraceSource for TraceCursor<'_> {
 }
 
 /// A streaming functional interpreter: executes a [`Program`] and yields
-/// its golden trace record by record, without materializing it.
+/// its golden trace, a block at a time, without materializing it.
 ///
 /// Semantically identical to [`crate::trace_program`] — same records, same
 /// budget handling — but in O(1) memory, so multi-million-instruction (or
 /// effectively unbounded) workloads can drive the simulator directly.
+/// Both run the one interpreter loop, which steps straight into the
+/// caller's block.
 #[derive(Debug, Clone)]
 pub struct ProgramSource {
     program: Program,
     state: ArchState,
     budget: u64,
     emitted: u64,
-    failed: bool,
 }
 
 impl ProgramSource {
@@ -202,7 +205,6 @@ impl ProgramSource {
             state,
             budget: max_insts,
             emitted: 0,
-            failed: false,
         }
     }
 
@@ -215,24 +217,58 @@ impl ProgramSource {
 
 impl TraceSource for ProgramSource {
     fn next_record(&mut self) -> Result<Option<TraceRecord>, IsaError> {
-        if self.failed {
-            return Err(IsaError::InstructionBudgetExceeded {
-                budget: self.budget,
-            });
-        }
-        if self.state.is_halted() {
-            return Ok(None);
-        }
-        if self.emitted >= self.budget {
-            self.failed = true;
-            return Err(IsaError::InstructionBudgetExceeded {
-                budget: self.budget,
-            });
-        }
-        let rec = step_record(&self.program, &mut self.state, self.emitted)?;
-        self.emitted += 1;
-        Ok(rec)
+        let mut one = [TraceRecord::default()];
+        Ok((self.next_block(&mut one)? == 1).then_some(one[0]))
     }
+
+    fn next_block(&mut self, out: &mut [TraceRecord]) -> Result<usize, IsaError> {
+        match interpret(
+            &self.program,
+            &mut self.state,
+            &mut self.emitted,
+            self.budget,
+            out,
+        ) {
+            (0, Some(fault)) => Err(fault),
+            (n, _) => Ok(n),
+        }
+    }
+}
+
+/// The interpreter loop: executes `program` from `state` straight into
+/// `out`, numbering records from `*seq` (advanced past each one), until
+/// `out` is full, the program halts, or a fault stops it. Returns the
+/// records written and the fault, if one stopped the loop.
+///
+/// Each record checks halt, then the budget (`*seq` reaching `budget`
+/// without a halt is [`IsaError::InstructionBudgetExceeded`]), then the PC
+/// ([`IsaError::PcOutOfRange`]). A fault leaves `state` and `*seq` as they
+/// were, so the next call raises it again: that is what makes both errors
+/// sticky.
+pub(crate) fn interpret(
+    program: &Program,
+    state: &mut ArchState,
+    seq: &mut u64,
+    budget: u64,
+    out: &mut [TraceRecord],
+) -> (usize, Option<IsaError>) {
+    for (n, slot) in out.iter_mut().enumerate() {
+        if state.is_halted() {
+            return (n, None);
+        }
+        if *seq >= budget {
+            return (n, Some(IsaError::InstructionBudgetExceeded { budget }));
+        }
+        let pc = state.pc();
+        let Some(template) = program.template(pc) else {
+            return (n, Some(IsaError::PcOutOfRange { index: pc.index() }));
+        };
+        *slot = *template;
+        slot.seq = Seq(*seq);
+        state.execute(slot);
+        *seq += 1;
+    }
+    (out.len(), None)
 }
 
 #[cfg(test)]
@@ -241,7 +277,7 @@ mod tests {
     use crate::program::ProgramBuilder;
     use crate::reg::Reg;
     use crate::trace::trace_program;
-    use sqip_types::DataSize;
+    use sqip_types::{DataSize, Seq};
 
     fn looping_program(iters: i64) -> Program {
         let mut b = ProgramBuilder::new();
@@ -317,14 +353,13 @@ mod tests {
     fn block_pull_matches_scalar_pull_across_block_sizes() {
         let golden = trace_program(&looping_program(9), 10_000).unwrap();
         for block in [1usize, 3, 7, 64, 257] {
-            // The overriding impl (TraceCursor's memcpy fast path)…
+            // TraceCursor's memcpy and ProgramSource's interpreter loop
+            // both conform bit for bit.
             assert_eq!(
                 drain_blocks(&mut golden.stream(), block),
                 golden.records(),
                 "TraceCursor, block {block}"
             );
-            // …and the default trait impl (ProgramSource loops the
-            // scalar path) both conform bit for bit.
             assert_eq!(
                 drain_blocks(&mut ProgramSource::new(looping_program(9), 10_000), block),
                 golden.records(),
@@ -348,5 +383,185 @@ mod tests {
         let err = s.next_block(&mut buf).unwrap_err();
         assert_eq!(err, IsaError::InstructionBudgetExceeded { budget: 5 });
         assert_eq!(s.next_block(&mut buf).unwrap_err(), err, "sticky");
+    }
+
+    /// SplitMix64: a tiny seeded generator for the randomized tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn reg(&mut self) -> Reg {
+            // r0 included, so the zero-register filtering is exercised.
+            Reg::new(self.below(8) as u8)
+        }
+    }
+
+    /// A seeded program and budget: a counted loop over random ALU, memory
+    /// and forward-branch instructions, then one of four endings — halt,
+    /// walking off the end, spinning until the budget runs out, or a
+    /// return to an unaligned address that then falls through to halt.
+    /// Budgets are drawn short of and past the dynamic length, so every
+    /// ending also meets the budget check somewhere.
+    fn seeded_program(seed: u64) -> (Program, u64) {
+        let mut rng = Rng(seed);
+        let mut b = ProgramBuilder::new();
+        let ctr = Reg::new(9);
+        b.load_imm(ctr, 1 + rng.below(12) as i64);
+        let top = b.label("top");
+        for i in 0..1 + rng.below(12) {
+            let (d, s1, s2) = (rng.reg(), rng.reg(), rng.reg());
+            let size = DataSize::ALL[rng.below(4) as usize];
+            let disp = rng.below(256) as i64;
+            match rng.below(7) {
+                0 => b.add(d, s1, s2),
+                1 => b.mul(d, s1, s2),
+                2 => b.add_imm(d, s1, disp - 128),
+                3 => b.fdiv(d, s1, s2),
+                4 => b.load(size, d, Reg::ZERO, disp),
+                5 => b.store(size, s1, Reg::ZERO, disp),
+                _ => {
+                    let skip = format!("skip{i}");
+                    b.branch_z_to(s1, &skip).xor(d, s1, s2);
+                    b.place(&skip);
+                    &mut b
+                }
+            };
+        }
+        b.add_imm(ctr, ctr, -1);
+        b.branch_nz(ctr, top);
+        match seed % 4 {
+            0 => {
+                b.halt();
+            }
+            1 => {}
+            2 => {
+                b.label("spin");
+                b.jump_to("spin");
+            }
+            _ => {
+                let target = 4 * (b.here() as i64 + 2) + 1 + rng.below(3) as i64;
+                b.load_imm(Reg::new(10), target).ret(Reg::new(10));
+                b.nop().nop().halt();
+            }
+        }
+        (b.build().unwrap(), 1 + rng.below(300))
+    }
+
+    /// The records a program yields and the fault that ends them, built
+    /// one [`ArchState::step`] at a time from the static instruction —
+    /// independent of the interpreter loop and its templates.
+    fn reference(program: &Program, budget: u64) -> (Vec<TraceRecord>, Option<IsaError>) {
+        let mut st = ArchState::new();
+        let mut recs = Vec::new();
+        loop {
+            if st.is_halted() {
+                return (recs, None);
+            }
+            if recs.len() as u64 >= budget {
+                return (recs, Some(IsaError::InstructionBudgetExceeded { budget }));
+            }
+            let pc = st.pc();
+            let Some(&inst) = program.fetch(pc) else {
+                return (recs, Some(IsaError::PcOutOfRange { index: pc.index() }));
+            };
+            let out = st.step(program).unwrap();
+            recs.push(TraceRecord {
+                seq: Seq(recs.len() as u64),
+                pc,
+                op: inst.op,
+                dst: inst.dest(),
+                srcs: inst.sources(),
+                imm: inst.imm,
+                addr: out.addr,
+                size: inst.mem_size().unwrap_or_default(),
+                result: out.result,
+                taken: out.taken,
+                next_pc: out.next_pc,
+            });
+        }
+    }
+
+    /// Drains `s` with `pull` until it ends or fails, then pulls once more
+    /// to check that the ending repeats. Running past `cap` records fails
+    /// at once rather than spinning on a source that misses its ending.
+    fn drain_with(
+        s: &mut ProgramSource,
+        cap: usize,
+        mut pull: impl FnMut(&mut ProgramSource, &mut Vec<TraceRecord>) -> Result<bool, IsaError>,
+    ) -> (Vec<TraceRecord>, Option<IsaError>) {
+        let mut recs = Vec::new();
+        let end = loop {
+            match pull(s, &mut recs) {
+                Ok(true) => assert!(recs.len() <= cap, "ran past {cap} records"),
+                Ok(false) => break None,
+                Err(e) => break Some(e),
+            }
+        };
+        let len = recs.len();
+        assert_eq!(pull(s, &mut recs).err(), end, "the ending repeats");
+        assert_eq!(recs.len(), len, "nothing follows the ending");
+        (recs, end)
+    }
+
+    #[test]
+    fn generator_block_pulls_match_scalar_pulls_and_the_reference() {
+        let mut endings = [0usize; 3];
+        for seed in 0..200u64 {
+            let (program, budget) = seeded_program(seed);
+            let (golden, fault) = reference(&program, budget);
+            let cap = golden.len();
+            endings[match fault {
+                None => 0,
+                Some(IsaError::InstructionBudgetExceeded { .. }) => 1,
+                Some(_) => 2,
+            }] += 1;
+
+            let mut sizes = Rng(seed ^ 0xB10C);
+            let mut buf = [TraceRecord::default(); 200];
+            let blocks = drain_with(
+                &mut ProgramSource::new(program.clone(), budget),
+                cap,
+                |s, recs| {
+                    let want = 1 + sizes.below(200) as usize;
+                    let n = s.next_block(&mut buf[..want])?;
+                    recs.extend_from_slice(&buf[..n]);
+                    Ok(n > 0)
+                },
+            );
+            let scalar = drain_with(
+                &mut ProgramSource::new(program.clone(), budget),
+                cap,
+                |s, recs| {
+                    let rec = s.next_record()?;
+                    recs.extend(rec);
+                    Ok(rec.is_some())
+                },
+            );
+            assert_eq!(
+                blocks,
+                (golden.clone(), fault.clone()),
+                "blocks, seed {seed}"
+            );
+            assert_eq!(
+                scalar,
+                (golden.clone(), fault.clone()),
+                "scalar, seed {seed}"
+            );
+            match trace_program(&program, budget) {
+                Ok(trace) => assert_eq!((trace.records(), None), (&golden[..], fault)),
+                Err(e) => assert_eq!(Some(e), fault, "trace_program, seed {seed}"),
+            }
+        }
+        assert!(
+            endings.iter().all(|&n| n >= 20),
+            "halts, budget faults and PC faults all covered: {endings:?}"
+        );
     }
 }

@@ -5,10 +5,12 @@ use sqip_types::{Addr, DataSize, Pc, Seq};
 
 use crate::error::IsaError;
 use crate::exec::ArchState;
+use crate::inst::StaticInst;
 use crate::op::Op;
 use crate::oracle::OracleBuilder;
 use crate::program::Program;
 use crate::reg::Reg;
+use crate::source::interpret;
 
 /// Maximum source operands one instruction can carry.
 ///
@@ -73,6 +75,23 @@ impl Default for TraceRecord {
 }
 
 impl TraceRecord {
+    /// The fields of `inst`'s record that do not depend on execution, as
+    /// the interpreter's per-instruction template: it copies this and
+    /// writes the dynamic fields (`seq`, `pc`, `addr`, `result`, `taken`,
+    /// `next_pc`) in place. `pc` and the fall-through `next_pc` are
+    /// dynamic too: a return to an unaligned address runs the instruction
+    /// at `pc / 4` under its own `pc`.
+    pub(crate) fn template(inst: &StaticInst) -> TraceRecord {
+        TraceRecord {
+            op: inst.op,
+            dst: inst.dest(),
+            srcs: inst.sources(),
+            imm: inst.imm,
+            size: inst.mem_size().unwrap_or_default(),
+            ..TraceRecord::default()
+        }
+    }
+
     /// Whether this record is a load.
     #[must_use]
     pub fn is_load(&self) -> bool {
@@ -190,22 +209,21 @@ pub fn trace_program_with_state(
     max_insts: u64,
 ) -> Result<Trace, IsaError> {
     let mut records = Vec::new();
-    let mut loads = 0u64;
-    let mut stores = 0u64;
-
-    for n in 0..max_insts {
-        let Some(rec) = step_record(program, state, n)? else {
+    let mut seq = 0;
+    loop {
+        let filled = records.len();
+        records.resize(filled + TRACE_BLOCK, TraceRecord::default());
+        let (n, fault) = interpret(program, state, &mut seq, max_insts, &mut records[filled..]);
+        records.truncate(filled + n);
+        if let Some(e) = fault {
+            return Err(e);
+        }
+        if n < TRACE_BLOCK {
             break;
-        };
-        loads += u64::from(rec.is_load());
-        stores += u64::from(rec.is_store());
-        records.push(rec);
+        }
     }
-
-    if !state.is_halted() {
-        return Err(IsaError::InstructionBudgetExceeded { budget: max_insts });
-    }
-
+    let loads = records.iter().filter(|r| r.is_load()).count() as u64;
+    let stores = records.iter().filter(|r| r.is_store()).count() as u64;
     Ok(Trace {
         records,
         dynamic_loads: loads,
@@ -213,37 +231,8 @@ pub fn trace_program_with_state(
     })
 }
 
-/// Functionally executes one instruction and describes it as a
-/// [`TraceRecord`] with sequence number `seq`, or `None` if the program
-/// has halted. Shared by the materializing tracer above and the streaming
-/// [`crate::ProgramSource`].
-pub(crate) fn step_record(
-    program: &Program,
-    state: &mut ArchState,
-    seq: u64,
-) -> Result<Option<TraceRecord>, IsaError> {
-    if state.is_halted() {
-        return Ok(None);
-    }
-    let pc = state.pc();
-    let inst = program
-        .fetch(pc)
-        .ok_or(IsaError::PcOutOfRange { index: pc.index() })?;
-    let out = state.execute(inst);
-    Ok(Some(TraceRecord {
-        seq: Seq(seq),
-        pc,
-        op: inst.op,
-        dst: inst.dest(),
-        srcs: inst.sources(),
-        imm: inst.imm,
-        addr: out.addr,
-        size: inst.mem_size().unwrap_or_default(),
-        result: out.result,
-        taken: out.taken,
-        next_pc: out.next_pc,
-    }))
-}
+/// Records [`trace_program_with_state`] asks the interpreter for at a time.
+const TRACE_BLOCK: usize = 1024;
 
 #[cfg(test)]
 mod tests {

@@ -17,9 +17,9 @@ use crate::linestore::{line_parts, LineStore, LINE_BYTES};
 /// The image sits on the simulator's per-load and per-store hot path, so
 /// it rides on [`LineStore`]: an access splits into its one or two line
 /// parts ([`line_parts`]) and resolves each line directly, with the
-/// store's one-entry frame cache short-circuiting the hash lookup for
-/// repeated traffic to one 4 KiB frame. A touched frame costs 256 B of
-/// line slots and a touched line 64 B.
+/// store's small frame cache short-circuiting the hash lookup for traffic
+/// among a few 4 KiB frames. A touched frame costs 256 B of line slots
+/// and a touched line 64 B.
 #[derive(Debug, Clone, Default)]
 pub struct MemImage {
     lines: LineStore<DataLine>,
@@ -179,8 +179,8 @@ mod tests {
 
     #[test]
     fn page_cache_tracks_interleaved_pages() {
-        // Alternating traffic to two frames exercises the one-entry
-        // cache's replacement; values must stay exact.
+        // Alternating traffic to two frames exercises the frame cache;
+        // values must stay exact.
         let mut m = MemImage::new();
         let a = Addr::new(0x1000);
         let b = Addr::new(0x9000);

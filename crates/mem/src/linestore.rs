@@ -51,11 +51,14 @@ pub fn line_parts(base: u64, n: usize) -> impl Iterator<Item = (u64, Range<usize
 /// costs no reallocation or copy and its peak footprint is its live
 /// footprint.
 ///
-/// A one-entry cache of the last resolved frame short-circuits the hash
-/// lookup for repeated traffic to one frame, so an access costs at most
-/// one lookup per frame. Frames and lines are never deallocated, so the
-/// cached slot stays valid for the store's lifetime. (Frame numbers are
-/// at most 2^52, so `u64::MAX` doubles as the empty sentinel.)
+/// A small direct-mapped cache of recently resolved frames, absent ones
+/// included, short-circuits the hash lookup for traffic that moves among
+/// a few frames (a stack, a few arrays, a chase ring), so such an access
+/// costs one multiply and one compare. Frames and lines are never
+/// deallocated, so a cached position stays valid for the store's
+/// lifetime, and a write that allocates a frame replaces its cached
+/// absence. (Frame numbers are at most 2^52, so `u64::MAX` doubles as the
+/// empty sentinel.)
 #[derive(Debug, Clone)]
 pub struct LineStore<L> {
     /// Frame number -> position in `frames`.
@@ -64,9 +67,20 @@ pub struct LineStore<L> {
     /// (0 = absent).
     frames: Chunked<[u32; FRAME_LINES]>,
     lines: Chunked<L>,
-    /// Most recently resolved (frame number, position in `frames`).
-    last: Cell<(u64, u32)>,
+    /// Recently resolved (frame number, position in `frames`), one per
+    /// [`LineStore::recent`] slot.
+    recent: [Cell<(u64, u32)>; RECENT],
 }
+
+/// Frames the lookup cache holds (a power of two).
+const RECENT: usize = 8;
+
+/// The empty lookup-cache entry.
+const NO_FRAME: (u64, u32) = (u64::MAX, 0);
+
+/// A cached position meaning "no such frame": reads of untouched memory
+/// are cached too, until a write allocates the frame.
+const ABSENT: u32 = u32::MAX;
 
 impl<L> Default for LineStore<L> {
     fn default() -> LineStore<L> {
@@ -82,8 +96,17 @@ impl<L> LineStore<L> {
             index: HashMap::new(),
             frames: Chunked::new(),
             lines: Chunked::new(),
-            last: Cell::new((u64::MAX, 0)),
+            recent: [const { Cell::new(NO_FRAME) }; RECENT],
         }
+    }
+
+    /// The lookup-cache slot of `frame_no`. A multiplicative hash spreads
+    /// frame numbers that differ only in their high bits (aligned regions)
+    /// over the slots.
+    #[inline]
+    fn recent(&self, frame_no: u64) -> &Cell<(u64, u32)> {
+        let h = frame_no.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - RECENT.trailing_zeros());
+        &self.recent[h as usize]
     }
 
     /// Number of lines that have been touched by writes.
@@ -103,14 +126,18 @@ impl<L> LineStore<L> {
     #[must_use]
     pub fn line(&self, line_no: u64) -> Option<&L> {
         let frame_no = line_no / FRAME_LINES as u64;
-        let (lf, lp) = self.last.get();
+        let cached = self.recent(frame_no);
+        let (lf, lp) = cached.get();
         let pos = if lf == frame_no {
             lp
         } else {
-            let pos = *self.index.get(&frame_no)?;
-            self.last.set((frame_no, pos));
+            let pos = self.index.get(&frame_no).copied().unwrap_or(ABSENT);
+            cached.set((frame_no, pos));
             pos
         };
+        if pos == ABSENT {
+            return None;
+        }
         match self.frames.get(pos as usize)[(line_no % FRAME_LINES as u64) as usize] {
             0 => None,
             id => Some(self.lines.get(id as usize - 1)),
@@ -123,16 +150,19 @@ impl<L: Default> LineStore<L> {
     #[inline]
     pub fn line_mut_or_alloc(&mut self, line_no: u64) -> &mut L {
         let frame_no = line_no / FRAME_LINES as u64;
-        let (lf, lp) = self.last.get();
-        let pos = if lf == frame_no {
+        let (lf, lp) = self.recent(frame_no).get();
+        let pos = if lf == frame_no && lp != ABSENT {
             lp
         } else {
-            let next = u32::try_from(self.frames.len()).expect("fewer than 2^32 frames");
+            let next = u32::try_from(self.frames.len())
+                .ok()
+                .filter(|&next| next != ABSENT)
+                .expect("fewer than 2^32 - 1 frames");
             let pos = *self.index.entry(frame_no).or_insert(next);
             if pos == next {
                 self.frames.push([0; FRAME_LINES]);
             }
-            self.last.set((frame_no, pos));
+            self.recent(frame_no).set((frame_no, pos));
             pos
         };
         let slot = &mut self.frames.get_mut(pos as usize)[(line_no % FRAME_LINES as u64) as usize];
@@ -212,9 +242,8 @@ impl<L: Snapshot> Snapshot for LineStore<L> {
             index,
             frames,
             lines,
-            // The one-entry lookup cache is a pure accelerator; restore
-            // it to the empty sentinel.
-            last: Cell::new((u64::MAX, 0)),
+            // The lookup cache is a pure accelerator; restore it empty.
+            recent: [const { Cell::new(NO_FRAME) }; RECENT],
         })
     }
 }
@@ -320,6 +349,30 @@ mod tests {
             assert_eq!(s.line(l).unwrap()[0], i as u8);
         }
         assert_eq!((s.resident_lines(), s.resident_frames()), (120, 40));
+    }
+
+    #[test]
+    fn the_frame_cache_agrees_with_a_plain_map() {
+        // Seeded reads and writes over 48 frames, which share the cache's
+        // slots, so reads of absent frames, cached absences and evictions
+        // all interleave with allocation; each read must agree with a
+        // plain map of the writes.
+        let mut s: LineStore<Line> = LineStore::new();
+        let mut model = std::collections::HashMap::new();
+        let mut state = 0x5eed_u64;
+        for step in 0..20_000u32 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let line = (state >> 40) % 48 * 1024 + (state >> 20) % 3;
+            if state >> 63 == 1 {
+                s.line_mut_or_alloc(line)[0] = step as u8;
+                model.insert(line, step as u8);
+            } else {
+                assert_eq!(s.line(line).map(|l| l[0]), model.get(&line).copied());
+            }
+        }
+        assert_eq!(s.resident_lines(), model.len());
     }
 
     #[test]
